@@ -153,6 +153,7 @@ func BenchmarkVerifyLemma1AllPairs(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := fclos.CheckLemma1AllPairs(r, f.Ports())

@@ -6,6 +6,7 @@
 // The benchmarks mirror their bench_test.go namesakes: the randomized and
 // exhaustive verification sweeps (the flat-array contention-accounting hot
 // path), the incremental delta sweep over a precomputed route table, the
+// exact all-pairs Lemma-1 decision, the
 // full-load open-loop run (the dense event core hot path), and a 4-trial
 // closed-loop driver pass. DesignPlanCatalog additionally gates the
 // nbdesign planner hot path (enumeration, closed forms, dominance pruning,
@@ -20,8 +21,10 @@
 //
 // The gate fails when any benchmark exceeds the baseline ns/op by more
 // than -max-ns-regress (default 25%) or allocates more per op than the
-// baseline at all: allocation counts are deterministic, so any increase
-// is a real regression. The ns/op comparison only runs when the baseline
+// baseline plus allocSlack. Allocation counts are deterministic up to GC
+// pacing: standard-library sync.Pool caches (fmt, encoding/json) refill
+// after each GC, which moves allocation-heavy benchmarks by a few allocs
+// per thousand. The ns/op comparison only runs when the baseline
 // was recorded by the same Go toolchain: on a version mismatch the gate
 // prints a warning and passes, since codegen differences between
 // toolchains are not regressions.
@@ -175,6 +178,41 @@ func buildBenchmarks() ([]benchmark, error) {
 				"patterns":    float64(res.Tested),
 				"group_order": float64(stats.GroupOrder),
 			},
+		})
+	}
+
+	// Lemma1AllPairs: the exact all-pairs Lemma-1 decision on the Table-I
+	// network under dest-mod routing — one flat-array fold over all 6320
+	// SD pairs, then the violated link's view rebuilt for the witness. The
+	// verdict and witness are pinned at setup and per iteration.
+	{
+		f := fclos.NewFoldedClos(4, 16, 20)
+		r := fclos.NewDestMod(f)
+		hosts := f.Ports()
+		decide := func() error {
+			res, err := fclos.CheckLemma1AllPairs(r, hosts)
+			if err != nil {
+				return err
+			}
+			w, err := fclos.BlockingWitness(res, hosts)
+			if err != nil || w.String() != "0->16 1->32" {
+				return fmt.Errorf("lemma-1 drifted: witness %v (%v), want 0->16 1->32", w, err)
+			}
+			return nil
+		}
+		if err := decide(); err != nil {
+			return nil, err
+		}
+		benches = append(benches, benchmark{
+			name: "Lemma1AllPairs",
+			fn: func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if err := decide(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			},
+			met: map[string]float64{"hosts": float64(hosts)},
 		})
 	}
 
@@ -393,9 +431,14 @@ func measure(bm benchmark, reps int) benchResult {
 	return out
 }
 
+// allocSlack is the allocs/op increase the gate tolerates over a baseline
+// of b allocs/op: b/1000, so benchmarks under 1000 allocs/op stay exact.
+func allocSlack(b int64) int64 { return b / 1000 }
+
 // gate compares fresh against baseline and returns one violation string
-// per regression: ns/op beyond the threshold fraction, any allocs/op
-// increase, or a baseline benchmark missing from the fresh run.
+// per regression: ns/op beyond the threshold fraction, allocs/op beyond
+// the baseline plus allocSlack, or a baseline benchmark missing from the
+// fresh run.
 func gate(baseline, fresh *benchFile, nsThreshold float64) []string {
 	var violations []string
 	byName := make(map[string]benchResult, len(fresh.Results))
@@ -413,7 +456,7 @@ func gate(baseline, fresh *benchFile, nsThreshold float64) []string {
 				"%s: %.0f ns/op exceeds baseline %.0f ns/op by more than %.0f%%",
 				b.Name, f.NsPerOp, b.NsPerOp, nsThreshold*100))
 		}
-		if f.AllocsOp > b.AllocsOp {
+		if f.AllocsOp > b.AllocsOp+allocSlack(b.AllocsOp) {
 			violations = append(violations, fmt.Sprintf(
 				"%s: %d allocs/op regresses baseline %d allocs/op",
 				b.Name, f.AllocsOp, b.AllocsOp))
@@ -510,7 +553,7 @@ func run(out io.Writer, outPath, baselinePath, cpuProfile, memProfile string, re
 			}
 			return fmt.Errorf("%d benchmark regression(s) against %s", len(violations), baselinePath)
 		}
-		fmt.Fprintf(out, "gate passed against %s (ns/op threshold %.0f%%, allocs exact)\n",
+		fmt.Fprintf(out, "gate passed against %s (ns/op threshold %.0f%%, allocs within 0.1%%)\n",
 			baselinePath, nsThreshold*100)
 	}
 	return nil

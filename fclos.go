@@ -278,7 +278,9 @@ const (
 type (
 	// ContentionReport is the per-link load analysis of an assignment.
 	ContentionReport = analysis.Report
-	// Lemma1Result is the exact all-pairs nonblocking decision.
+	// Lemma1Result is the exact all-pairs nonblocking decision: the
+	// verdict plus, when blocking, the lowest violating link's view. It
+	// holds no per-link views of the other links; LinkViews builds those.
 	Lemma1Result = analysis.Lemma1Result
 	// SweepResult summarizes a permutation sweep.
 	SweepResult = analysis.SweepResult
@@ -311,6 +313,9 @@ var (
 	// routing by source host with an identical result.
 	CheckLemma1AllPairs         = analysis.CheckLemma1AllPairs
 	CheckLemma1AllPairsParallel = analysis.CheckLemma1AllPairsParallel
+	// LinkViews groups all SD pairs by the links they cross: the per-link
+	// (Fig. 3) accounting of every loaded link.
+	LinkViews = analysis.LinkViews
 	// BlockingWitness extracts a blocked two-pair permutation from a
 	// Lemma-1 violation.
 	BlockingWitness = analysis.BlockingWitness
@@ -373,8 +378,8 @@ var (
 	ModelExpectedCollisions = analysis.ModelExpectedCollisions
 	// WorstCaseLinkLoad computes the exact worst-case permutation load
 	// per link (maximum matching); WorstCasePermutationFor constructs a
-	// permutation realizing it. The Parallel variant shards the
-	// underlying all-pairs routing by source host.
+	// permutation realizing it. The Parallel variant spreads the per-link
+	// matchings over a worker pool.
 	WorstCaseLinkLoad         = analysis.WorstCaseLinkLoad
 	WorstCaseLinkLoadParallel = analysis.WorstCaseLinkLoadParallel
 	WorstCasePermutationFor   = analysis.WorstCasePermutationFor

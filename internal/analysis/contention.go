@@ -100,106 +100,6 @@ func (r *Report) ContentionError() error {
 	return fmt.Errorf("analysis: %s", msg)
 }
 
-// LinkSDView describes the traffic crossing one link of an all-pairs
-// routing — the accounting illustrated by Fig. 3 of the paper.
-type LinkSDView struct {
-	Link topology.LinkID
-	// Pairs are the SD pairs routed over the link.
-	Pairs []permutation.Pair
-	// Sources and Dests are the distinct endpoints among Pairs.
-	Sources, Dests []int
-}
-
-// OneSourceOrOneDest reports the Lemma-1 predicate for this link: all
-// pairs share a source, or all share a destination.
-func (v *LinkSDView) OneSourceOrOneDest() bool {
-	return len(v.Sources) <= 1 || len(v.Dests) <= 1
-}
-
-// Lemma1Result is the outcome of checking a single-path deterministic
-// routing against Lemma 1 over all SD pairs of the network.
-type Lemma1Result struct {
-	// Nonblocking is true when every link satisfies the predicate, which
-	// by Lemma 1 is equivalent to the routing being nonblocking.
-	Nonblocking bool
-	// Violation, when not nonblocking, identifies a link together with
-	// two pairs with distinct sources and destinations crossing it; by
-	// the Lemma-1 necessity argument these two pairs form a permutation
-	// that blocks.
-	Violation *LinkSDView
-	// Links holds the per-link view of every loaded link.
-	Links map[topology.LinkID]*LinkSDView
-}
-
-// CheckLemma1AllPairs routes every SD pair (s ≠ d) of an N-host network
-// with a single-path deterministic router and evaluates Lemma 1: the
-// routing is nonblocking if and only if each link carries traffic either
-// from one source or to one destination. This is an *exact* nonblocking
-// decision procedure for deterministic routing — no permutation
-// enumeration needed.
-func CheckLemma1AllPairs(r routing.PairRouter, hosts int) (*Lemma1Result, error) {
-	res := &Lemma1Result{Nonblocking: true, Links: make(map[topology.LinkID]*LinkSDView)}
-	for s := 0; s < hosts; s++ {
-		for d := 0; d < hosts; d++ {
-			if s == d {
-				continue
-			}
-			p, err := r.PathFor(s, d)
-			if err != nil {
-				return nil, fmt.Errorf("analysis: routing pair %d->%d: %w", s, d, err)
-			}
-			for _, l := range p.Links {
-				v := res.Links[l]
-				if v == nil {
-					v = &LinkSDView{Link: l}
-					res.Links[l] = v
-				}
-				v.Pairs = append(v.Pairs, permutation.Pair{Src: s, Dst: d})
-				insertDistinct(&v.Sources, s)
-				insertDistinct(&v.Dests, d)
-			}
-		}
-	}
-	for _, v := range res.Links {
-		if !v.OneSourceOrOneDest() {
-			res.Nonblocking = false
-			if res.Violation == nil || v.Link < res.Violation.Link {
-				res.Violation = v
-			}
-		}
-	}
-	return res, nil
-}
-
-func insertDistinct(s *[]int, x int) {
-	for _, y := range *s {
-		if y == x {
-			return
-		}
-	}
-	*s = append(*s, x)
-}
-
-// BlockingWitness extracts from a Lemma-1 violation a two-pair permutation
-// that the routing blocks: two SD pairs with distinct sources and distinct
-// destinations crossing the violated link (the constructive half of the
-// Lemma-1 necessity proof).
-func BlockingWitness(res *Lemma1Result, hosts int) (*permutation.Permutation, error) {
-	if res.Nonblocking || res.Violation == nil {
-		return nil, fmt.Errorf("analysis: routing is nonblocking; no witness exists")
-	}
-	v := res.Violation
-	for i := 0; i < len(v.Pairs); i++ {
-		for j := i + 1; j < len(v.Pairs); j++ {
-			a, b := v.Pairs[i], v.Pairs[j]
-			if a.Src != b.Src && a.Dst != b.Dst {
-				return permutation.FromPairs(hosts, []permutation.Pair{a, b})
-			}
-		}
-	}
-	return nil, fmt.Errorf("analysis: internal error: violated link has no distinct-endpoint pair combination")
-}
-
 // SweepResult summarizes a nonblocking verification sweep over many
 // permutations.
 type SweepResult struct {

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/permutation"
 	"repro/internal/routing"
-	"repro/internal/topology"
 )
 
 // The parallel verification engine. Every router in this repository is
@@ -256,11 +255,12 @@ func SweepFirstRouteErr(r routing.Router, hosts int) *SweepResult {
 }
 
 // CheckLemma1AllPairsParallel is CheckLemma1AllPairs with the all-pairs
-// routing sharded over `workers` goroutines by source host. The merged
-// result is identical to the sequential one: per-link pair lists are
-// assembled in (source, destination) order, and the reported violation and
-// routing error are the sequential-order first. workers ≤ 0 selects
-// GOMAXPROCS.
+// routing sharded over `workers` goroutines by contiguous source ranges.
+// Each worker folds its range into its own kernel state and the states are
+// merged afterwards; the merge is order-independent, so the verdict and
+// violation equal the sequential ones, and a routing error is the one from
+// the lowest failing range — the sequential-order first. workers ≤ 0
+// selects GOMAXPROCS.
 func CheckLemma1AllPairsParallel(r routing.PairRouter, hosts, workers int) (*Lemma1Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -268,73 +268,33 @@ func CheckLemma1AllPairsParallel(r routing.PairRouter, hosts, workers int) (*Lem
 	if workers > hosts {
 		workers = hosts
 	}
-	if workers <= 1 || hosts <= 1 {
+	if workers <= 1 {
 		return CheckLemma1AllPairs(r, hosts)
 	}
-	type entry struct {
-		link topology.LinkID
-		dst  int
-	}
-	type shardOut struct {
-		entries []entry
-		err     error
-	}
-	outs := make([]shardOut, hosts)
-	srcs := make(chan int)
+	kernels := make([]*lemma1Kernel, workers)
+	errs := make([]error, workers)
+	chunk := (hosts + workers - 1) / workers
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range kernels {
+		kernels[w] = newLemma1Kernel(r)
+		lo := min(w*chunk, hosts)
+		hi := min(lo+chunk, hosts)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for s := range srcs {
-				o := &outs[s]
-				for d := 0; d < hosts; d++ {
-					if s == d {
-						continue
-					}
-					p, err := r.PathFor(s, d)
-					if err != nil {
-						o.err = fmt.Errorf("analysis: routing pair %d->%d: %w", s, d, err)
-						break
-					}
-					for _, l := range p.Links {
-						o.entries = append(o.entries, entry{l, d})
-					}
-				}
-			}
+			errs[w] = kernels[w].fold(lo, hi, hosts)
 		}()
 	}
-	for s := 0; s < hosts; s++ {
-		srcs <- s
-	}
-	close(srcs)
 	wg.Wait()
-
-	res := &Lemma1Result{Nonblocking: true, Links: make(map[topology.LinkID]*LinkSDView)}
-	for s := 0; s < hosts; s++ {
-		if outs[s].err != nil {
-			return nil, outs[s].err
-		}
-		for _, e := range outs[s].entries {
-			v := res.Links[e.link]
-			if v == nil {
-				v = &LinkSDView{Link: e.link}
-				res.Links[e.link] = v
-			}
-			v.Pairs = append(v.Pairs, permutation.Pair{Src: s, Dst: e.dst})
-			insertDistinct(&v.Sources, s)
-			insertDistinct(&v.Dests, e.dst)
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
-	for _, v := range res.Links {
-		if !v.OneSourceOrOneDest() {
-			res.Nonblocking = false
-			if res.Violation == nil || v.Link < res.Violation.Link {
-				res.Violation = v
-			}
-		}
+	for _, k := range kernels[1:] {
+		kernels[0].merge(k)
 	}
-	return res, nil
+	return kernels[0].result(hosts)
 }
 
 // BlockingProbabilityParallel is BlockingProbability over a worker pool:

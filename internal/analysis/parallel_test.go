@@ -108,35 +108,33 @@ func TestSweepExhaustiveParallelErrorPathDeterministic(t *testing.T) {
 }
 
 func TestCheckLemma1AllPairsParallelMatchesSequential(t *testing.T) {
-	f := topology.NewFoldedClos(2, 4, 3)
-	good, err := routing.NewPaperDeterministic(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := routing.NewDestMod(f)
-	for _, r := range []routing.PairRouter{good, bad} {
-		seq, err := CheckLemma1AllPairs(r, f.Ports())
-		if err != nil {
-			t.Fatal(err)
+	// m = n² (paper nonblocking, dest-mod blocking) and m < n² shapes.
+	for _, c := range []struct{ n, m, r int }{{2, 4, 3}, {2, 3, 5}, {3, 5, 4}} {
+		f := topology.NewFoldedClos(c.n, c.m, c.r)
+		rs := []routing.PairRouter{routing.NewDestMod(f), routing.NewPaperDeterministicFolded(f), routing.NewSourceMod(f)}
+		if good, err := routing.NewPaperDeterministic(f); err == nil {
+			rs = append(rs, good)
 		}
-		for _, workers := range []int{1, 2, 3, 0} {
-			par, err := CheckLemma1AllPairsParallel(r, f.Ports(), workers)
+		for _, r := range rs {
+			seq, err := CheckLemma1AllPairs(r, f.Ports())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if par.Nonblocking != seq.Nonblocking {
-				t.Fatalf("%s workers=%d: Nonblocking %v vs %v", r.Name(), workers, par.Nonblocking, seq.Nonblocking)
-			}
-			if !reflect.DeepEqual(par.Links, seq.Links) {
-				t.Fatalf("%s workers=%d: Links differ from sequential", r.Name(), workers)
-			}
-			if !reflect.DeepEqual(par.Violation, seq.Violation) {
-				t.Fatalf("%s workers=%d: Violation %+v vs %+v", r.Name(), workers, par.Violation, seq.Violation)
+			for _, workers := range []int{1, 2, 3, 0, 64} {
+				par, err := CheckLemma1AllPairsParallel(r, f.Ports(), workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(par, seq) {
+					t.Fatalf("%s on %s workers=%d: parallel (%v, %+v) vs sequential (%v, %+v)",
+						r.Name(), f.Net.Name, workers, par.Nonblocking, par.Violation, seq.Nonblocking, seq.Violation)
+				}
 			}
 		}
 	}
 	// Error path: the parallel check reports the sequential-order first
 	// failing pair regardless of worker count.
+	f := topology.NewFoldedClos(2, 4, 3)
 	broke := &routing.FtreeSinglePath{F: f, RouterName: "broke", TopChoice: func(s, d int) int {
 		if s >= 4 {
 			return 99

@@ -2,6 +2,9 @@ package analysis
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
+	"sync"
 
 	"repro/internal/permutation"
 	"repro/internal/routing"
@@ -38,43 +41,55 @@ type WorstLoadResult struct {
 // matching of its pair set — the exact worst-case number of permutation
 // flows that can collide there.
 func WorstCaseLinkLoad(r routing.PairRouter, hosts int) (*WorstLoadResult, error) {
-	res, err := CheckLemma1AllPairs(r, hosts)
-	if err != nil {
-		return nil, err
-	}
-	return worstLoadFrom(res), nil
+	return WorstCaseLinkLoadParallel(r, hosts, 1)
 }
 
-// WorstCaseLinkLoadParallel is WorstCaseLinkLoad with the all-pairs
-// routing sharded over `workers` goroutines (CheckLemma1AllPairsParallel);
-// the result is identical to the sequential analysis.
+// WorstCaseLinkLoadParallel is WorstCaseLinkLoad with the per-link
+// matchings spread over `workers` goroutines (≤ 0 selects GOMAXPROCS); the
+// result is identical to the sequential analysis.
 func WorstCaseLinkLoadParallel(r routing.PairRouter, hosts, workers int) (*WorstLoadResult, error) {
-	res, err := CheckLemma1AllPairsParallel(r, hosts, workers)
+	views, err := LinkViews(r, hosts)
 	if err != nil {
 		return nil, err
 	}
-	return worstLoadFrom(res), nil
-}
-
-func worstLoadFrom(res *Lemma1Result) *WorstLoadResult {
-	out := &WorstLoadResult{PerLink: make(map[topology.LinkID]int, len(res.Links)), Link: topology.NoLink}
-	for id, view := range res.Links {
-		load := maxBipartiteMatching(view)
-		out.PerLink[id] = load
-		// Ties break toward the lowest link ID so sequential and parallel
-		// analyses report the same attaining link.
-		if load > out.MaxLoad || (load == out.MaxLoad && out.Link != topology.NoLink && id < out.Link) {
-			out.MaxLoad = load
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	ids := make([]topology.LinkID, 0, len(views))
+	for id := range views {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	loads := make([]int, len(ids))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(ids); i += workers {
+				loads[i], _ = maxMatching(views[ids[i]])
+			}
+		}()
+	}
+	wg.Wait()
+	out := &WorstLoadResult{PerLink: make(map[topology.LinkID]int, len(ids)), Link: topology.NoLink}
+	for i, id := range ids {
+		out.PerLink[id] = loads[i]
+		// Ascending IDs with a strict comparison: ties break toward the
+		// lowest link ID.
+		if loads[i] > out.MaxLoad {
+			out.MaxLoad = loads[i]
 			out.Link = id
 		}
 	}
-	return out
+	return out, nil
 }
 
-// maxBipartiteMatching computes the maximum matching of a link's SD pairs
-// (sources left, destinations right) by augmenting paths — Kuhn's
-// algorithm, adequate for per-link pair sets.
-func maxBipartiteMatching(view *LinkSDView) int {
+// maxMatching computes a maximum matching of a link's SD pairs (sources
+// left, destinations right) by augmenting paths — Kuhn's algorithm,
+// adequate for per-link pair sets. matchDst[j] is the index into
+// view.Sources matched to view.Dests[j], or -1 when unmatched.
+func maxMatching(view *LinkSDView) (count int, matchDst []int) {
 	srcIdx := make(map[int]int, len(view.Sources))
 	for i, s := range view.Sources {
 		srcIdx[s] = i
@@ -88,83 +103,50 @@ func maxBipartiteMatching(view *LinkSDView) int {
 		si := srcIdx[pr.Src]
 		adj[si] = append(adj[si], dstIdx[pr.Dst])
 	}
-	matchDst := make([]int, len(view.Dests))
+	matchDst = make([]int, len(view.Dests))
 	for i := range matchDst {
 		matchDst[i] = -1
 	}
-	var try func(u int, seen []bool) bool
-	try = func(u int, seen []bool) bool {
+	seen := make([]bool, len(view.Dests))
+	var try func(u int) bool
+	try = func(u int) bool {
 		for _, v := range adj[u] {
 			if seen[v] {
 				continue
 			}
 			seen[v] = true
-			if matchDst[v] == -1 || try(matchDst[v], seen) {
+			if matchDst[v] == -1 || try(matchDst[v]) {
 				matchDst[v] = u
 				return true
 			}
 		}
 		return false
 	}
-	count := 0
 	for u := range adj {
-		seen := make([]bool, len(view.Dests))
-		if try(u, seen) {
+		clear(seen)
+		if try(u) {
 			count++
 		}
 	}
-	return count
+	return count, matchDst
 }
 
 // WorstCasePermutationFor constructs a permutation realizing the
 // worst-case load on the given link: the matched pairs of the link's
 // maximum matching, which are source- and destination-distinct by
 // construction. The returned pattern routes `load` pairs over one link.
+// Only the requested link's view is built, by the single-link pass the
+// Lemma-1 kernel uses for its violation.
 func WorstCasePermutationFor(r routing.PairRouter, hosts int, link topology.LinkID) (*permutation.Permutation, error) {
-	res, err := CheckLemma1AllPairs(r, hosts)
+	pl := newPairLinker(r)
+	view, err := pl.linkView(hosts, link)
 	if err != nil {
 		return nil, err
 	}
-	view, ok := res.Links[link]
-	if !ok {
+	if len(view.Pairs) == 0 {
 		return nil, fmt.Errorf("analysis: link %d carries no SD pairs", link)
 	}
-	// Re-run the matching, keeping the matched pairs.
-	srcIdx := make(map[int]int, len(view.Sources))
-	for i, s := range view.Sources {
-		srcIdx[s] = i
-	}
-	dstIdx := make(map[int]int, len(view.Dests))
-	for i, d := range view.Dests {
-		dstIdx[d] = i
-	}
-	adj := make([][]int, len(view.Sources))
-	for _, pr := range view.Pairs {
-		si := srcIdx[pr.Src]
-		adj[si] = append(adj[si], dstIdx[pr.Dst])
-	}
-	matchDst := make([]int, len(view.Dests))
-	for i := range matchDst {
-		matchDst[i] = -1
-	}
-	var try func(u int, seen []bool) bool
-	try = func(u int, seen []bool) bool {
-		for _, v := range adj[u] {
-			if seen[v] {
-				continue
-			}
-			seen[v] = true
-			if matchDst[v] == -1 || try(matchDst[v], seen) {
-				matchDst[v] = u
-				return true
-			}
-		}
-		return false
-	}
-	for u := range adj {
-		seen := make([]bool, len(view.Dests))
-		try(u, seen)
-	}
+	_, matchDst := maxMatching(view)
 	p := permutation.New(hosts)
 	for v, u := range matchDst {
 		if u == -1 {

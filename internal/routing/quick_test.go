@@ -156,11 +156,15 @@ func TestTableILargestExact(t *testing.T) {
 	if !res.Nonblocking {
 		t.Fatal("Table-I flagship network not nonblocking")
 	}
+	views, err := analysis.LinkViews(r, f.Ports())
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Every trunk link of a complete all-pairs routing carries exactly
 	// r−1 = 41 SD pairs (Fig. 3 accounting at full scale).
 	for v := 0; v < f.R; v++ {
 		for tt := 0; tt < f.M; tt++ {
-			view := res.Links[f.UpLink(v, tt)]
+			view := views[f.UpLink(v, tt)]
 			if view == nil || len(view.Pairs) != f.R-1 {
 				t.Fatalf("uplink (%d,%d) carries %v pairs, want %d", v, tt, view, f.R-1)
 			}

@@ -76,13 +76,13 @@ func TestFig3LinkAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := analysis.CheckLemma1AllPairs(rt, f.Ports())
+	views, err := analysis.LinkViews(rt, f.Ports())
 	if err != nil {
 		t.Fatal(err)
 	}
 	v, i, j := 2, 1, 2
 	up := f.UpLink(v, i*n+j)
-	view := res.Links[up]
+	view := views[up]
 	if view == nil {
 		t.Fatal("uplink not loaded")
 	}
@@ -98,7 +98,7 @@ func TestFig3LinkAccounting(t *testing.T) {
 		}
 	}
 	down := f.DownLink(i*n+j, v)
-	dview := res.Links[down]
+	dview := views[down]
 	if dview == nil || len(dview.Pairs) != r-1 {
 		t.Fatalf("downlink pairs = %v, want r-1", dview)
 	}
