@@ -11,7 +11,7 @@ RACE_PKGS ?= ./internal/sim/ ./internal/analysis/ ./internal/routing/ ./internal
 FUZZTIME ?= 30s
 FUZZ_TARGETS := ./internal/routing/:FuzzEdgeColorBipartite ./internal/routing/:FuzzBenesLooping ./internal/routing/:FuzzRouteTableParity ./internal/permutation/:FuzzCanonicalParity ./internal/analysis/:FuzzLemma1Parity
 
-.PHONY: all build test race cover bench bench-json bench-gate fuzz-smoke batch-smoke coordinator-smoke frontier-smoke design-smoke fault-smoke report tables examples clean
+.PHONY: all build test race cover bench bench-json bench-gate fuzz-smoke batch-smoke coordinator-smoke frontier-smoke design-smoke fault-smoke nbperf-check report tables examples clean
 
 all: build test
 
@@ -66,6 +66,12 @@ fault-smoke:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+
+# The benchmark harness is its own module (repro/nbperf, replacing repro
+# with ../), so `go build ./...` and `go test ./...` never compile it; this
+# target vets and tests it so a library change cannot break it unseen.
+nbperf-check:
+	cd nbperf && $(GO) vet ./... && $(GO) test ./...
 
 cover:
 	$(GO) test -coverprofile=cover.out ./internal/...

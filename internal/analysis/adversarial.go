@@ -41,10 +41,9 @@ type WorstCaseResult struct {
 // Run executes the search. Routing errors abort with the error. Routers
 // with cacheable per-pair link sets are scored by a DeltaChecker over a
 // precomputed route table — a candidate swap is applied, scored, and (on
-// rejection) backed out, all in O(path length) — with the same RNG
-// consumption, acceptance decisions, and tie-breaking as the per-pattern
-// oracle, so results are identical for a given seed. Pattern-dependent
-// routers fall back to re-routing every candidate.
+// rejection) backed out, all in O(path length); pattern-dependent routers
+// re-route every candidate. Both consume the RNG identically and make the
+// same acceptance decisions, so results are identical for a given seed.
 func (s *WorstCaseSearch) Run() (*WorstCaseResult, error) {
 	return s.RunCtx(context.Background())
 }
@@ -55,128 +54,81 @@ func (s *WorstCaseSearch) Run() (*WorstCaseResult, error) {
 // so far together with ctx.Err(), so callers can keep the partial result or
 // discard it. A run completing under a never-cancelled context is identical
 // to Run's for the same seed.
+//
+// The climb keeps one pattern: a step swaps two destinations in place and
+// scores the candidate; a rejected step swaps back and reverts the scorer
+// without routing anything. The best pattern is snapshotted into a reused
+// buffer, so the search allocates nothing per step.
 func (s *WorstCaseSearch) RunCtx(ctx context.Context) (*WorstCaseResult, error) {
+	best := &WorstCaseResult{}
 	if err := ctx.Err(); err != nil {
-		return &WorstCaseResult{}, err
+		return best, err
 	}
-	if table, err := routing.BuildRouteTable(s.Router, s.Hosts); err == nil {
-		return s.runDelta(ctx, table)
-	}
-	return s.runOracle(ctx)
-}
-
-// runDelta is the incremental scorer: one table build up front, then
-// O(path length) per candidate swap.
-func (s *WorstCaseSearch) runDelta(ctx context.Context, table *routing.RouteTable) (*WorstCaseResult, error) {
+	e := newEngine(s.Router, s.Hosts)
+	k := e.kernel(ctx, nil, false, nil) // for the stride poll only
 	rng := rand.New(rand.NewSource(s.Seed))
-	best := &WorstCaseResult{}
-	d := NewDeltaChecker(table)
-	cancel := newSweepCanceller(ctx)
-	for restart := 0; restart < s.Restarts; restart++ {
-		if cancel.done != nil && ctx.Err() != nil {
-			return best, ctx.Err()
-		}
-		cur := permutation.Random(rng, s.Hosts)
-		d.Reset(cur)
-		curC, curL := d.ContendedCount(), d.MaxLoad()
-		best.Evaluated++
-		s.consider(best, cur, curC, curL)
-		for step := 0; step < s.Steps; step++ {
-			if cancel.cancelled() {
-				return best, ctx.Err()
+	cur := permutation.New(s.Hosts)
+	bestDst, found := make([]int, s.Hosts), false
+	consider := func(contended, load int) {
+		if !found || contended > best.ContendedLinks || (contended == best.ContendedLinks && load > best.MaxLoad) {
+			for src := range bestDst {
+				bestDst[src] = cur.Dst(src)
 			}
-			// Swap the destinations of two random sources.
-			i, j := rng.Intn(s.Hosts), rng.Intn(s.Hosts)
-			if i == j {
-				continue
-			}
-			d.Swap(i, j)
-			cc, cl := d.ContendedCount(), d.MaxLoad()
-			best.Evaluated++
-			if cc > curC || (cc == curC && cl >= curL) {
-				// Accept: mirror the swap into the permutation.
-				di, dj := cur.Dst(i), cur.Dst(j)
-				cur.Remove(i)
-				cur.Remove(j)
-				if err := cur.Add(i, dj); err != nil {
-					return nil, err
-				}
-				if err := cur.Add(j, di); err != nil {
-					return nil, err
-				}
-				curC, curL = cc, cl
-				s.consider(best, cur, curC, curL)
-			} else {
-				// Reject: Swap is its own inverse.
-				d.Swap(i, j)
-			}
+			best.ContendedLinks, best.MaxLoad, found = contended, load, true
 		}
 	}
-	return best, nil
-}
-
-// runOracle re-routes every candidate pattern from scratch — required for
-// adaptive/global routers, whose paths depend on the whole pattern.
-func (s *WorstCaseSearch) runOracle(ctx context.Context) (*WorstCaseResult, error) {
-	rng := rand.New(rand.NewSource(s.Seed))
-	best := &WorstCaseResult{}
-	c := NewChecker(nil)
-	cancel := newSweepCanceller(ctx)
-	score := func(p *permutation.Permutation) (int, int, error) {
-		if err := c.AnalyzePattern(s.Router, p); err != nil {
-			return 0, 0, err
+	finish := func(err error) (*WorstCaseResult, error) {
+		if found {
+			// A snapshot of a full pattern: it always validates.
+			best.Permutation, _ = permutation.FromDsts(bestDst)
 		}
-		return c.ContendedCount(), c.MaxLoad(), nil
+		return best, err
 	}
 	for restart := 0; restart < s.Restarts; restart++ {
-		if cancel.done != nil && ctx.Err() != nil {
-			return best, ctx.Err()
+		if ctx.Err() != nil {
+			return finish(ctx.Err())
 		}
-		cur := permutation.Random(rng, s.Hosts)
-		curC, curL, err := score(cur)
-		if err != nil {
+		permutation.RandomInto(rng, cur)
+		if err := k.sc.load(cur, -1, -1); err != nil {
 			return nil, err
 		}
+		curC, curL := k.sc.contended(), k.sc.maxLoad()
 		best.Evaluated++
-		s.consider(best, cur, curC, curL)
+		consider(curC, curL)
 		for step := 0; step < s.Steps; step++ {
-			if cancel.cancelled() {
-				return best, ctx.Err()
+			if k.stop() {
+				return finish(ctx.Err())
 			}
 			// Swap the destinations of two random sources.
 			i, j := rng.Intn(s.Hosts), rng.Intn(s.Hosts)
 			if i == j {
 				continue
 			}
-			cand := cur.Clone()
-			di, dj := cand.Dst(i), cand.Dst(j)
-			cand.Remove(i)
-			cand.Remove(j)
-			if err := cand.Add(i, dj); err != nil {
+			swapDst(cur, i, j)
+			if err := k.sc.load(cur, i, j); err != nil {
 				return nil, err
 			}
-			if err := cand.Add(j, di); err != nil {
-				return nil, err
-			}
-			cc, cl, err := score(cand)
-			if err != nil {
-				return nil, err
-			}
+			cc, cl := k.sc.contended(), k.sc.maxLoad()
 			best.Evaluated++
 			if cc > curC || (cc == curC && cl >= curL) {
-				cur, curC, curL = cand, cc, cl
-				s.consider(best, cur, curC, curL)
+				curC, curL = cc, cl
+				consider(curC, curL)
+			} else {
+				swapDst(cur, i, j)
+				k.sc.revert(i, j)
 			}
 		}
 	}
-	return best, nil
+	return finish(nil)
 }
 
-func (s *WorstCaseSearch) consider(best *WorstCaseResult, p *permutation.Permutation, contended, load int) {
-	if contended > best.ContendedLinks || (contended == best.ContendedLinks && load > best.MaxLoad) ||
-		best.Permutation == nil {
-		best.Permutation = p.Clone()
-		best.ContendedLinks = contended
-		best.MaxLoad = load
-	}
+// swapDst exchanges the destinations of sources i ≠ j of a full pattern
+// in place.
+func swapDst(p *permutation.Permutation, i, j int) {
+	di, dj := p.Dst(i), p.Dst(j)
+	p.Remove(i)
+	p.Remove(j)
+	// Both destinations were just freed, so neither Add can fail.
+	_ = p.Add(i, dj)
+	_ = p.Add(j, di)
 }

@@ -162,7 +162,7 @@ func TestSweepCtxCancelPrompt(t *testing.T) {
 			return res.Tested, err
 		}},
 		{"parallel-oracle", func(ctx context.Context) (int, error) {
-			res, err := sweepParallelOracle(ctx, r, hosts, 4, nil)
+			res, err := oracleEngine(r, hosts).parallel(ctx, 4, nil)
 			return res.Tested, err
 		}},
 		{"worst-case", func(ctx context.Context) (int, error) {

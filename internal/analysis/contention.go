@@ -16,46 +16,6 @@ import (
 	"repro/internal/topology"
 )
 
-// Cancellation support. The sweep engines poll ctx.Done() with a strided
-// counter so the per-pattern hot loop pays at most one nil check per
-// pattern when the context cannot be cancelled (Done() == nil, e.g.
-// context.Background()) and one cheap masked increment otherwise: the
-// delta engine processes a pattern in tens of nanoseconds, so calling
-// ctx.Err() per pattern would dominate the sweep.
-
-// cancelCheckMask strides context polls to every 4096 patterns — frequent
-// enough that cancellation lands within microseconds, rare enough to be
-// invisible in the per-pattern cost.
-const cancelCheckMask = 1<<12 - 1
-
-// sweepCanceller is the strided poll state shared by the sweep loops.
-type sweepCanceller struct {
-	done <-chan struct{}
-	tick uint
-}
-
-func newSweepCanceller(ctx context.Context) sweepCanceller {
-	return sweepCanceller{done: ctx.Done()}
-}
-
-// cancelled reports whether the context fired, polling only every
-// cancelCheckMask+1 calls.
-func (c *sweepCanceller) cancelled() bool {
-	if c.done == nil {
-		return false
-	}
-	c.tick++
-	if c.tick&cancelCheckMask != 0 {
-		return false
-	}
-	select {
-	case <-c.done:
-		return true
-	default:
-		return false
-	}
-}
-
 // Report is the contention analysis of one routed pattern.
 type Report struct {
 	// Assignment is the analyzed routing output.
@@ -136,7 +96,7 @@ func (s *SweepResult) Nonblocking() bool { return s.Blocked == 0 && s.RouteErr =
 // table build fails — fall back to SweepExhaustiveOracle, so results
 // (including routing-error reporting) are identical either way.
 func SweepExhaustive(r routing.Router, hosts int) *SweepResult {
-	res, _ := sweepExhaustiveDelta(context.Background(), r, hosts, false, nil)
+	res, _ := sweepExhaustive(context.Background(), r, hosts, false, nil)
 	return res
 }
 
@@ -146,7 +106,7 @@ func SweepExhaustive(r routing.Router, hosts int) *SweepResult {
 // together with ctx.Err(). A run that completes under a never-cancelled
 // context returns a result identical to SweepExhaustive's and a nil error.
 func SweepExhaustiveCtx(ctx context.Context, r routing.Router, hosts int) (*SweepResult, error) {
-	return sweepExhaustiveDelta(ctx, r, hosts, false, nil)
+	return sweepExhaustive(ctx, r, hosts, false, nil)
 }
 
 // SweepExhaustiveFirstBlocked is SweepExhaustive in early-exit mode for
@@ -156,14 +116,14 @@ func SweepExhaustiveCtx(ctx context.Context, r routing.Router, hosts int) (*Swee
 // MaxLinkLoad covers only the examined prefix. A fully nonblocking router
 // yields a result identical to SweepExhaustive's.
 func SweepExhaustiveFirstBlocked(r routing.Router, hosts int) *SweepResult {
-	res, _ := sweepExhaustiveDelta(context.Background(), r, hosts, true, nil)
+	res, _ := sweepExhaustive(context.Background(), r, hosts, true, nil)
 	return res
 }
 
 // SweepExhaustiveFirstBlockedCtx is SweepExhaustiveFirstBlocked with
 // cooperative cancellation (see SweepExhaustiveCtx).
 func SweepExhaustiveFirstBlockedCtx(ctx context.Context, r routing.Router, hosts int) (*SweepResult, error) {
-	return sweepExhaustiveDelta(ctx, r, hosts, true, nil)
+	return sweepExhaustive(ctx, r, hosts, true, nil)
 }
 
 // SweepExhaustiveOracle is the scratch-rebuild reference implementation of
@@ -171,106 +131,18 @@ func SweepExhaustiveFirstBlockedCtx(ctx context.Context, r routing.Router, hosts
 // state. It is the parity oracle the delta engine is property-tested
 // against, and the engine every pattern-dependent router uses.
 func SweepExhaustiveOracle(r routing.Router, hosts int) *SweepResult {
-	res, _ := sweepExhaustiveOracle(context.Background(), r, hosts, false, nil)
+	res, _ := oracleEngine(r, hosts).sweep(context.Background(), nil, true, false, nil)
 	return res
 }
 
 // SweepExhaustiveOracleCtx is SweepExhaustiveOracle with cooperative
 // cancellation (see SweepExhaustiveCtx).
 func SweepExhaustiveOracleCtx(ctx context.Context, r routing.Router, hosts int) (*SweepResult, error) {
-	return sweepExhaustiveOracle(ctx, r, hosts, false, nil)
+	return oracleEngine(r, hosts).sweep(ctx, nil, true, false, nil)
 }
 
-func sweepExhaustiveOracle(ctx context.Context, r routing.Router, hosts int, firstOnly bool, fn ProgressFunc) (*SweepResult, error) {
-	res := &SweepResult{}
-	if err := ctx.Err(); err != nil {
-		return res, err
-	}
-	c := NewChecker(nil)
-	cancel := newSweepCanceller(ctx)
-	prog := progressMeter{fn: fn}
-	cancelled := false
-	permutation.EnumerateFull(hosts, func(p *permutation.Permutation) bool {
-		if cancel.cancelled() {
-			cancelled = true
-			return false
-		}
-		if err := c.AnalyzePattern(r, p); err != nil {
-			res.RouteErr = fmt.Errorf("analysis: pattern %s: %w", p, err)
-			return false
-		}
-		res.Tested++
-		if c.MaxLoad() > res.MaxLinkLoad {
-			res.MaxLinkLoad = c.MaxLoad()
-		}
-		if c.HasContention() {
-			res.Blocked++
-			if res.FirstBlocked == nil {
-				res.FirstBlocked = p.Clone()
-			}
-			if firstOnly {
-				return false
-			}
-		}
-		prog.step(res.Tested, res.Blocked)
-		return true
-	})
-	prog.flush(res.Tested, res.Blocked)
-	if cancelled {
-		return res, ctx.Err()
-	}
-	return res, nil
-}
-
-func sweepExhaustiveDelta(ctx context.Context, r routing.Router, hosts int, firstOnly bool, fn ProgressFunc) (*SweepResult, error) {
-	if err := ctx.Err(); err != nil {
-		return &SweepResult{}, err
-	}
-	t, err := routing.BuildRouteTable(r, hosts)
-	if err != nil {
-		// Pattern-dependent router, a pair that failed to route, or a
-		// table too large for the CSR offsets. The oracle reproduces the
-		// exact sequential accounting either way — in the failure case
-		// including the canonical first routing error at the first pattern
-		// exercising the failing pair.
-		return sweepExhaustiveOracle(ctx, r, hosts, firstOnly, fn)
-	}
-	res := &SweepResult{}
-	d := NewDeltaChecker(t)
-	cancel := newSweepCanceller(ctx)
-	prog := progressMeter{fn: fn}
-	cancelled := false
-	permutation.EnumerateFullSwaps(hosts, func(p *permutation.Permutation, i, j int) bool {
-		if cancel.cancelled() {
-			cancelled = true
-			return false
-		}
-		if i < 0 {
-			d.Reset(p)
-		} else {
-			d.Swap(i, j)
-		}
-		res.Tested++
-		if d.MaxLoad() > res.MaxLinkLoad {
-			res.MaxLinkLoad = d.MaxLoad()
-		}
-		if d.HasContention() {
-			res.Blocked++
-			if res.FirstBlocked == nil {
-				res.FirstBlocked = p.Clone()
-			}
-			if firstOnly {
-				return false
-			}
-		}
-		prog.step(res.Tested, res.Blocked)
-		return true
-	})
-	prog.flush(res.Tested, res.Blocked)
-	if cancelled {
-		return res, ctx.Err()
-	}
-	return res, nil
+func sweepExhaustive(ctx context.Context, r routing.Router, hosts int, firstOnly bool, fn ProgressFunc) (*SweepResult, error) {
+	return newEngine(r, hosts).sweep(ctx, nil, true, firstOnly, fn)
 }
 
 // SweepRandom routes trials random full permutations (seeded) plus the
@@ -296,78 +168,45 @@ func sweepRandom(ctx context.Context, r routing.Router, hosts, trials int, seed 
 	if err := ctx.Err(); err != nil {
 		return res, err
 	}
-	done := ctx.Done()
-	cancelled := false
+	k := oracleEngine(r, hosts).kernel(ctx, res, false, nil)
+	k.mask = 0 // each pattern routes all its pairs: poll ctx every pattern
 	rng := rand.New(rand.NewSource(seed))
-	c := NewChecker(nil)
-	test := func(p *permutation.Permutation) bool {
-		if done != nil {
-			select {
-			case <-done:
-				cancelled = true
-				return false
-			default:
-			}
-		}
-		if err := c.AnalyzePattern(r, p); err != nil {
-			res.RouteErr = fmt.Errorf("analysis: pattern %s: %w", p, err)
-			return false
-		}
-		res.Tested++
-		if c.MaxLoad() > res.MaxLinkLoad {
-			res.MaxLinkLoad = c.MaxLoad()
-		}
-		if c.HasContention() {
-			res.Blocked++
-			if res.FirstBlocked == nil {
-				res.FirstBlocked = p.Clone()
-			}
-		}
-		return true
-	}
-	finish := func() (*SweepResult, error) {
-		if cancelled {
-			return res, ctx.Err()
-		}
-		return res, nil
-	}
-	// One pattern and one scratch serve every random trial: test never
-	// retains its argument (FirstBlocked is a clone), so refilling in
+	// One pattern and one scratch serve every random trial: the kernel
+	// never retains its argument (FirstBlocked is a clone), so refilling in
 	// place keeps the per-trial loop allocation-free while consuming rng
 	// exactly as the allocating generators would.
 	p := permutation.New(hosts)
 	scratch := permutation.NewPatternScratch(hosts)
 	for i := 0; i < trials; i++ {
 		permutation.RandomInto(rng, p)
-		if !test(p) {
-			return finish()
+		if !k.visit(p, -1, -1) {
+			return res, k.finish()
 		}
 	}
 	for i := 0; i < trials/2; i++ {
 		permutation.RandomPartialInto(rng, p, 0.25+rng.Float64()/2, scratch)
-		if !test(p) {
-			return finish()
+		if !k.visit(p, -1, -1) {
+			return res, k.finish()
 		}
 	}
-	for k := 1; k < hosts && k <= 8; k++ {
-		if !test(permutation.Shift(hosts, k)) {
-			return finish()
-		}
+	structured := make([]*permutation.Permutation, 0, 16)
+	for shift := 1; shift < hosts && shift <= 8; shift++ {
+		structured = append(structured, permutation.Shift(hosts, shift))
 	}
 	if hosts > 0 && hosts&(hosts-1) == 0 {
-		if !test(permutation.BitReversal(hosts)) {
-			return finish()
-		}
+		structured = append(structured, permutation.BitReversal(hosts))
 	}
 	for d := 2; d*d <= hosts; d++ {
 		if hosts%d == 0 {
-			if !test(permutation.Transpose(d, hosts/d)) {
-				return finish()
-			}
+			structured = append(structured, permutation.Transpose(d, hosts/d))
 		}
 	}
-	test(permutation.Neighbor(hosts))
-	return finish()
+	for _, q := range append(structured, permutation.Neighbor(hosts)) {
+		if !k.visit(q, -1, -1) {
+			break
+		}
+	}
+	return res, k.finish()
 }
 
 // BlockingProbability estimates, over trials seeded random full

@@ -16,7 +16,8 @@ import (
 // per pattern instead of O(n · path length), and zero allocations after
 // construction.
 //
-// Maintained invariants (see DESIGN.md "Delta-sweep verification engine"):
+// Maintained invariants (see DESIGN.md "Sweep engine: one scorer, one
+// kernel"):
 //
 //   - load[l] is the number of distinct pairs of the current pattern whose
 //     path sets cross link l (per-pair deduplication is baked into the

@@ -256,7 +256,7 @@ func TestSweepExhaustiveFirstBlockedSemantics(t *testing.T) {
 			t.Fatalf("%s: prefix MaxLinkLoad %d exceeds full %d", c.r.Name(), fb.MaxLinkLoad, full.MaxLinkLoad)
 		}
 		// Oracle early-exit agrees field for field.
-		oracle, err := sweepExhaustiveOracle(context.Background(), c.r, c.hosts, true, nil)
+		oracle, err := oracleEngine(c.r, c.hosts).sweep(context.Background(), nil, true, true, nil)
 		if err != nil {
 			t.Fatalf("%s: oracle sweep: %v", c.r.Name(), err)
 		}

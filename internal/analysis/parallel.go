@@ -5,34 +5,24 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
-	"repro/internal/permutation"
 	"repro/internal/routing"
 )
 
-// The parallel verification engine. Every router in this repository is
-// safe for concurrent Route calls — routing state is per-call — so sweeps
-// parallelize over patterns with a plain worker pool; each worker owns a
-// flat-array Checker, so the hot loop allocates nothing per pattern.
-// Results are merged deterministically: counts are exact, and FirstBlocked
-// is the blocked pattern from the lowest-numbered shard (sequential
-// order), so parallel and sequential sweeps agree on everything except
-// wall-clock time. On a routing failure the shards' partial counters are
-// racy (other shards stop mid-enumeration), so the merged result zeroes
-// the statistical fields and re-derives the canonical sequential-order
-// first routing error — parallel and sequential sweeps then agree on the
-// reported error as well.
-
 // SweepExhaustiveParallel is SweepExhaustive over `workers` goroutines,
 // sharding the n! permutations into n batches by the first endpoint's
-// destination. workers ≤ 0 selects GOMAXPROCS. Routers with cacheable
-// per-pair link sets run the delta engine per shard: one CSR RouteTable is
-// built up front and shared read-only by all workers, each worker owns a
-// DeltaChecker, and each shard is enumerated by EnumerateFullPrefixSwaps —
-// seeded from EnumerateFullPrefix's first permutation, then advanced one
-// Heap swap at a time. Pattern-dependent routers use the per-pattern
-// Checker path unchanged.
+// destination. workers ≤ 0 selects GOMAXPROCS. Every router in this
+// repository is safe for concurrent Route calls, so each worker owns one
+// scorer: a DeltaChecker over one shared read-only route table, each shard
+// enumerated by Heap swaps from its lexicographically first pattern, or —
+// for pattern-dependent routers — a scratch Checker over the shard in
+// lexicographic order. Counts, MaxLinkLoad and a routing error (the
+// canonical sequential-order first one) equal the sequential sweep's.
+// FirstBlocked does not: it is the first blocked pattern of the lowest
+// blocked level-1 shard in that shard's order (what
+// SweepShardFirstBlockedCtx over shards 0..n−1 finds first), where the
+// sequential sweep reports the first blocked pattern of the whole Heap
+// enumeration.
 func SweepExhaustiveParallel(r routing.Router, hosts, workers int) *SweepResult {
 	res, _ := sweepExhaustiveParallel(context.Background(), r, hosts, workers, nil)
 	return res
@@ -51,207 +41,7 @@ func SweepExhaustiveParallelCtx(ctx context.Context, r routing.Router, hosts, wo
 }
 
 func sweepExhaustiveParallel(ctx context.Context, r routing.Router, hosts, workers int, fn ProgressFunc) (*SweepResult, error) {
-	if hosts <= 1 {
-		return sweepExhaustiveDelta(ctx, r, hosts, false, fn)
-	}
-	if err := ctx.Err(); err != nil {
-		return &SweepResult{}, err
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if table, err := routing.BuildRouteTable(r, hosts); err == nil {
-		return sweepParallelDelta(ctx, table, hosts, workers, fn)
-	}
-	return sweepParallelOracle(ctx, r, hosts, workers, fn)
-}
-
-// sweepParallelDelta fans the n delta-swept shards over the worker pool.
-// The table build already routed every pair successfully, so shards cannot
-// hit routing errors; the only abort source is ctx.
-func sweepParallelDelta(ctx context.Context, table *routing.RouteTable, hosts, workers int, fn ProgressFunc) (*SweepResult, error) {
-	shards := make(chan int)
-	results := make([]SweepResult, hosts)
-	done := ctx.Done()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			d := NewDeltaChecker(table)
-			cancel := newSweepCanceller(ctx)
-			prog := progressMeter{fn: fn}
-			tested, blocked := 0, 0 // worker-cumulative, for progress deltas
-			cancelled := false
-			for shard := range shards {
-				if cancelled {
-					continue // drain the channel so the feeder never blocks
-				}
-				sr := &results[shard]
-				permutation.EnumerateFullPrefixSwaps(hosts, shard, func(p *permutation.Permutation, i, j int) bool {
-					if cancel.cancelled() {
-						cancelled = true
-						return false
-					}
-					if i < 0 {
-						d.Reset(p)
-					} else {
-						d.Swap(i, j)
-					}
-					sr.Tested++
-					tested++
-					if d.MaxLoad() > sr.MaxLinkLoad {
-						sr.MaxLinkLoad = d.MaxLoad()
-					}
-					if d.HasContention() {
-						sr.Blocked++
-						blocked++
-						if sr.FirstBlocked == nil {
-							sr.FirstBlocked = p.Clone()
-						}
-					}
-					prog.step(tested, blocked)
-					return true
-				})
-			}
-			prog.flush(tested, blocked)
-		}()
-	}
-feed:
-	for shard := 0; shard < hosts; shard++ {
-		select {
-		case shards <- shard:
-		case <-done:
-			break feed
-		}
-	}
-	close(shards)
-	wg.Wait()
-	return mergeShardResults(results), ctx.Err()
-}
-
-// sweepParallelOracle is the per-pattern Checker engine for routers whose
-// link sets cannot be cached (adaptive, global) or whose table build
-// failed.
-func sweepParallelOracle(ctx context.Context, r routing.Router, hosts, workers int, fn ProgressFunc) (*SweepResult, error) {
-	shards := make(chan int)
-	results := make([]SweepResult, hosts)
-	done := ctx.Done()
-	var wg sync.WaitGroup
-	var abort atomic.Bool
-
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c := NewChecker(nil)
-			cancel := newSweepCanceller(ctx)
-			prog := progressMeter{fn: fn}
-			tested, blocked := 0, 0 // worker-cumulative, for progress deltas
-			cancelled := false
-			for shard := range shards {
-				if cancelled {
-					continue // drain the channel so the feeder never blocks
-				}
-				sr := &results[shard]
-				permutation.EnumerateFullPrefix(hosts, shard, func(p *permutation.Permutation) bool {
-					if cancel.cancelled() {
-						cancelled = true
-						return false
-					}
-					if abort.Load() {
-						return false
-					}
-					if err := c.AnalyzePattern(r, p); err != nil {
-						sr.RouteErr = fmt.Errorf("analysis: pattern %s: %w", p, err)
-						abort.Store(true)
-						return false
-					}
-					sr.Tested++
-					tested++
-					if c.MaxLoad() > sr.MaxLinkLoad {
-						sr.MaxLinkLoad = c.MaxLoad()
-					}
-					if c.HasContention() {
-						sr.Blocked++
-						blocked++
-						if sr.FirstBlocked == nil {
-							sr.FirstBlocked = p.Clone()
-						}
-					}
-					prog.step(tested, blocked)
-					return true
-				})
-			}
-			prog.flush(tested, blocked)
-		}()
-	}
-feed:
-	for shard := 0; shard < hosts; shard++ {
-		select {
-		case shards <- shard:
-		case <-done:
-			break feed
-		}
-	}
-	close(shards)
-	wg.Wait()
-
-	if err := ctx.Err(); err != nil {
-		return mergeShardResults(results), err
-	}
-	for i := range results {
-		if results[i].RouteErr != nil {
-			// Error path: which patterns the other shards managed to test
-			// before observing the abort flag is a race, so the partial
-			// counters are meaningless and, worse, nondeterministic.
-			// Discard them and re-derive the sequential-order first
-			// routing failure, which is deterministic because every
-			// router's outcome depends only on the pattern.
-			return SweepFirstRouteErr(r, hosts), nil
-		}
-	}
-	return mergeShardResults(results), nil
-}
-
-// mergeShardResults folds per-shard sweep results deterministically:
-// counts are exact sums, and FirstBlocked is taken from the
-// lowest-numbered blocked shard (in that shard's enumeration order).
-func mergeShardResults(results []SweepResult) *SweepResult {
-	merged := &SweepResult{}
-	for i := range results {
-		sr := &results[i]
-		merged.Tested += sr.Tested
-		merged.Blocked += sr.Blocked
-		if sr.MaxLinkLoad > merged.MaxLinkLoad {
-			merged.MaxLinkLoad = sr.MaxLinkLoad
-		}
-		if merged.FirstBlocked == nil && sr.FirstBlocked != nil {
-			merged.FirstBlocked = sr.FirstBlocked
-		}
-	}
-	return merged
-}
-
-// SweepFirstRouteErr scans the full enumeration in sequential order and
-// returns a SweepResult carrying only the canonical first routing error,
-// with all statistical fields zeroed. Call it only after a sweep has
-// already observed at least one routing failure, so the scan is
-// guaranteed to terminate at the first failing pattern. Exported for the
-// distributed coordinator, which must re-derive the same canonical error
-// a single-process parallel sweep would report when any shard returns a
-// routing failure.
-func SweepFirstRouteErr(r routing.Router, hosts int) *SweepResult {
-	res := &SweepResult{}
-	c := NewChecker(nil)
-	permutation.EnumerateFull(hosts, func(p *permutation.Permutation) bool {
-		if err := c.AnalyzePattern(r, p); err != nil {
-			res.RouteErr = fmt.Errorf("analysis: pattern %s: %w", p, err)
-			return false
-		}
-		return true
-	})
-	return res
+	return newEngine(r, hosts).parallel(ctx, workers, fn)
 }
 
 // CheckLemma1AllPairsParallel is CheckLemma1AllPairs with the all-pairs

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -17,6 +18,29 @@ func TestSweepExhaustiveParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := routing.NewDestMod(f)
+	// The witnesses differ: sequential reports the first blocked pattern
+	// of the whole Heap enumeration, parallel the first of the lowest
+	// blocked level-1 shard — walked by Heap swaps under the delta
+	// scorer, lexicographically under the scratch one.
+	scratch := &patternOnlyRouter{inner: bad}
+	for _, w := range []struct {
+		r        routing.Router
+		parallel bool
+		want     string
+	}{
+		{bad, false, "0->2 1->3 2->4 3->0 4->1 5->5"},
+		{scratch, false, "0->2 1->3 2->4 3->0 4->1 5->5"},
+		{bad, true, "0->0 1->3 2->1 3->5 4->4 5->2"},
+		{scratch, true, "0->0 1->2 2->1 3->5 4->3 5->4"},
+	} {
+		res := SweepExhaustive(w.r, f.Ports())
+		if w.parallel {
+			res = SweepExhaustiveParallel(w.r, f.Ports(), 2)
+		}
+		if got := res.FirstBlocked.String(); got != w.want {
+			t.Fatalf("%T parallel=%v: witness %s, want %s", w.r, w.parallel, got, w.want)
+		}
+	}
 	for _, r := range []routing.Router{good, bad} {
 		seq := SweepExhaustive(r, f.Ports())
 		for _, workers := range []int{1, 2, 4, 0} {
@@ -29,8 +53,37 @@ func TestSweepExhaustiveParallelMatchesSequential(t *testing.T) {
 			if (seq.FirstBlocked == nil) != (par.FirstBlocked == nil) {
 				t.Fatalf("%s: FirstBlocked presence mismatch", r.Name())
 			}
+			if want := firstShardWitness(t, r, f.Ports()); !sameWitness(par.FirstBlocked, want) {
+				t.Fatalf("%s workers=%d: parallel witness %v, want lowest blocked level-1 shard's %v",
+					r.Name(), workers, par.FirstBlocked, want)
+			}
 		}
 	}
+}
+
+// firstShardWitness is the parallel sweep's documented witness: the first
+// blocked pattern of the lowest blocked level-1 prefix shard, each shard
+// scanned first-blocked-only in its own enumeration order (nil when no
+// shard blocks).
+func firstShardWitness(t *testing.T, r routing.Router, hosts int) *permutation.Permutation {
+	t.Helper()
+	for shard := 0; shard < hosts; shard++ {
+		res, err := SweepShardFirstBlockedCtx(context.Background(), r, hosts, []int{shard}, nil)
+		if err != nil {
+			t.Fatalf("shard %d: %v", shard, err)
+		}
+		if res.FirstBlocked != nil {
+			return res.FirstBlocked
+		}
+	}
+	return nil
+}
+
+func sameWitness(a, b *permutation.Permutation) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Equal(b)
 }
 
 func TestSweepExhaustiveParallelTinyAndErrors(t *testing.T) {

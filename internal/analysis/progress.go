@@ -10,10 +10,9 @@ import (
 // host count passes the delta engine's comfort zone) are consumed by
 // interactive clients — nbserve's SSE job streams, nbverify's -remote
 // mode — that need to show liveness without slowing the hot loop. The
-// hooks here piggyback on the existing strided cancellation poll points:
-// the per-pattern cost is the same nil check the canceller already pays,
-// and the callback fires at most once per cancelCheckMask+1 patterns plus
-// one flush per enumeration.
+// hooks share the sweep kernel's strided cancellation poll: the callback
+// fires at most once per cancelCheckMask+1 patterns plus one flush per
+// enumeration (and per shard in the parallel pool).
 
 // ProgressFunc receives incremental sweep progress: the number of patterns
 // tested and found blocked since the previous call from the same sweep
@@ -24,45 +23,11 @@ import (
 // cheap and never block.
 type ProgressFunc func(testedDelta, blockedDelta int)
 
-// progressMeter forwards cumulative counters as deltas on the same stride
-// as the cancellation poll. The zero fn disables it at the cost of one nil
-// check per pattern.
-type progressMeter struct {
-	fn                      ProgressFunc
-	lastTested, lastBlocked int
-	tick                    uint
-}
-
-// step is called once per pattern with the sweep's cumulative counters.
-func (m *progressMeter) step(tested, blocked int) {
-	if m.fn == nil {
-		return
-	}
-	m.tick++
-	if m.tick&cancelCheckMask != 0 {
-		return
-	}
-	m.fn(tested-m.lastTested, blocked-m.lastBlocked)
-	m.lastTested, m.lastBlocked = tested, blocked
-}
-
-// flush reports the remainder below one stride; call once when the
-// enumeration ends so the deltas sum exactly to the final counters.
-func (m *progressMeter) flush(tested, blocked int) {
-	if m.fn == nil {
-		return
-	}
-	if dt, db := tested-m.lastTested, blocked-m.lastBlocked; dt != 0 || db != 0 {
-		m.fn(dt, db)
-	}
-	m.lastTested, m.lastBlocked = tested, blocked
-}
-
 // SweepExhaustiveProgressCtx is SweepExhaustiveCtx with progress
 // reporting: fn receives tested/blocked deltas on the cancellation-poll
 // stride. A nil fn makes it exactly SweepExhaustiveCtx.
 func SweepExhaustiveProgressCtx(ctx context.Context, r routing.Router, hosts int, fn ProgressFunc) (*SweepResult, error) {
-	return sweepExhaustiveDelta(ctx, r, hosts, false, fn)
+	return sweepExhaustive(ctx, r, hosts, false, fn)
 }
 
 // SweepExhaustiveParallelProgressCtx is SweepExhaustiveParallelCtx with

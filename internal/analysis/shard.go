@@ -3,25 +3,26 @@ package analysis
 import (
 	"context"
 	"fmt"
+	"slices"
 
-	"repro/internal/permutation"
 	"repro/internal/routing"
 )
 
 // Shard sweeps: the worker half of the distributed exhaustive sweep. A
 // coordinator plans a prefix partition (permutation.PrefixShards), posts
 // one shard per request to worker nbserve nodes, and merges the returned
-// SweepResults. Each shard sweep here uses the same engine selection and
-// per-pattern accounting as one shard of sweepParallelDelta /
-// sweepParallelOracle, so merging the per-shard results in lexicographic
+// SweepResults. Each shard sweep here is exactly one shard of the
+// in-process parallel pool — same scorer selection, same enumeration
+// order, same kernel — so merging the per-shard results in lexicographic
 // prefix order reproduces the single-process parallel sweep exactly.
 
 // SweepShardCtx sweeps the single prefix shard of the n! enumeration
 // identified by prefix: every full permutation whose sources
 // 0..len(prefix)−1 send to prefix[0..len(prefix)−1]. Routers with
-// cacheable link sets run the delta engine over Heap-swap enumeration
-// (the order sweepParallelDelta uses); pattern-dependent routers fall
-// back to the per-pattern Checker over lexicographic enumeration. A
+// cacheable link sets run the delta engine over Heap-swap enumeration;
+// pattern-dependent routers fall back to the per-pattern Checker over
+// lexicographic enumeration (the parallel pool's orders). A prefix with an
+// out-of-range or repeated destination is an error. A
 // routing failure stops the shard and is reported in SweepResult.RouteErr
 // (not as the returned error) so a coordinator can distinguish "shard
 // finished, route error found" from transport failures; the coordinator
@@ -51,75 +52,15 @@ func sweepShard(ctx context.Context, r routing.Router, hosts int, prefix []int, 
 	if hosts <= 0 {
 		return res, nil
 	}
-	for _, d := range prefix {
-		if d < 0 || d >= hosts {
-			return res, fmt.Errorf("analysis: shard prefix %v out of range for %d hosts", prefix, hosts)
+	for i, d := range prefix {
+		// A repeated destination would denote an empty shard, which merges
+		// into a plausible-looking zero result: reject it like an
+		// out-of-range one.
+		if d < 0 || d >= hosts || slices.Contains(prefix[:i], d) {
+			return res, fmt.Errorf("analysis: shard prefix %v is not a destination prefix for %d hosts", prefix, hosts)
 		}
 	}
-	cancel := newSweepCanceller(ctx)
-	prog := progressMeter{fn: fn}
-	cancelled := false
-	if table, err := routing.BuildRouteTable(r, hosts); err == nil {
-		d := NewDeltaChecker(table)
-		permutation.EnumerateFullPrefixSeqSwaps(hosts, prefix, func(p *permutation.Permutation, i, j int) bool {
-			if cancel.cancelled() {
-				cancelled = true
-				return false
-			}
-			if i < 0 {
-				d.Reset(p)
-			} else {
-				d.Swap(i, j)
-			}
-			res.Tested++
-			if d.MaxLoad() > res.MaxLinkLoad {
-				res.MaxLinkLoad = d.MaxLoad()
-			}
-			if d.HasContention() {
-				res.Blocked++
-				if res.FirstBlocked == nil {
-					res.FirstBlocked = p.Clone()
-				}
-				if firstOnly {
-					return false
-				}
-			}
-			prog.step(res.Tested, res.Blocked)
-			return true
-		})
-	} else {
-		c := NewChecker(nil)
-		permutation.EnumerateFullPrefixSeq(hosts, prefix, func(p *permutation.Permutation) bool {
-			if cancel.cancelled() {
-				cancelled = true
-				return false
-			}
-			if err := c.AnalyzePattern(r, p); err != nil {
-				res.RouteErr = fmt.Errorf("analysis: pattern %s: %w", p, err)
-				return false
-			}
-			res.Tested++
-			if c.MaxLoad() > res.MaxLinkLoad {
-				res.MaxLinkLoad = c.MaxLoad()
-			}
-			if c.HasContention() {
-				res.Blocked++
-				if res.FirstBlocked == nil {
-					res.FirstBlocked = p.Clone()
-				}
-				if firstOnly {
-					return false
-				}
-			}
-			prog.step(res.Tested, res.Blocked)
-			return true
-		})
-	}
-	prog.flush(res.Tested, res.Blocked)
-	if cancelled {
-		return res, ctx.Err()
-	}
-	return res, nil
+	return newEngine(r, hosts).sweep(ctx, prefix, false, firstOnly, fn)
 }
 
 // MergeShardSweeps folds per-shard sweep results, given in lexicographic
@@ -128,14 +69,20 @@ func sweepShard(ctx context.Context, r routing.Router, hosts int, prefix []int, 
 // FirstBlocked comes from the first (lowest-prefix) blocked shard in that
 // shard's own enumeration order. RouteErr is taken from the first shard
 // reporting one; callers must then discard the statistical fields and
-// re-derive the canonical error with SweepFirstRouteErr, exactly as
-// sweepParallelOracle does.
+// re-derive the canonical error with SweepFirstRouteErr, exactly as the
+// parallel pool does.
 func MergeShardSweeps(results []SweepResult) *SweepResult {
-	merged := mergeShardResults(results)
+	merged := &SweepResult{}
 	for i := range results {
-		if results[i].RouteErr != nil {
-			merged.RouteErr = results[i].RouteErr
-			break
+		sr := &results[i]
+		merged.Tested += sr.Tested
+		merged.Blocked += sr.Blocked
+		merged.MaxLinkLoad = max(merged.MaxLinkLoad, sr.MaxLinkLoad)
+		if merged.FirstBlocked == nil {
+			merged.FirstBlocked = sr.FirstBlocked
+		}
+		if merged.RouteErr == nil {
+			merged.RouteErr = sr.RouteErr
 		}
 	}
 	return merged

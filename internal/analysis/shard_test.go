@@ -133,7 +133,7 @@ func TestSweepShardInvalidPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pfx := range [][]int{{-1}, {f.Ports()}, {0, f.Ports() + 3}} {
+	for _, pfx := range [][]int{{-1}, {f.Ports()}, {0, f.Ports() + 3}, {0, 0}, {1, 2, 1}} {
 		if _, err := SweepShardCtx(context.Background(), r, f.Ports(), pfx, nil); err == nil {
 			t.Fatalf("prefix %v accepted", pfx)
 		}

@@ -100,15 +100,14 @@ func SweepExhaustiveSymParallelProgressCtx(ctx context.Context, r routing.Router
 // a coordinator plans sym shards only after proving applicability, so a
 // worker that disagrees is misconfigured and must say so loudly.
 func SweepSymShardCtx(ctx context.Context, r routing.Router, hosts, blockSize, lo, hi int, fn ProgressFunc) (*SweepResult, *SymStats, error) {
-	res := &SweepResult{}
 	if err := ctx.Err(); err != nil {
-		return res, &SymStats{}, err
+		return &SweepResult{}, &SymStats{}, err
 	}
-	sym, table, stats, err := prepareSym(r, hosts, blockSize)
+	sym, e, stats, err := prepareSym(r, hosts, blockSize)
 	if err != nil {
-		return res, stats, err
+		return &SweepResult{}, stats, err
 	}
-	err = sweepSymOrbits(ctx, sym, table, res, stats, fn, lo, hi, false)
+	res, err := e.orbits(ctx, sym, stats, lo, hi, false, fn)
 	return res, stats, err
 }
 
@@ -131,12 +130,16 @@ func SymApplicable(r routing.Router, hosts, blockSize int) *SymStats {
 // which merges sym shard counters and must then attach the same witness a
 // single-node sweep would.
 func SweepSymWitness(ctx context.Context, r routing.Router, hosts int, parallelOrder bool) (*permutation.Permutation, error) {
+	return newEngine(r, hosts).witness(ctx, parallelOrder)
+}
+
+func (e engine) witness(ctx context.Context, parallelOrder bool) (*permutation.Permutation, error) {
 	if !parallelOrder {
-		res, err := sweepExhaustiveDelta(ctx, r, hosts, true, nil)
+		res, err := e.sweep(ctx, nil, true, true, nil)
 		return res.FirstBlocked, err
 	}
-	for shard := 0; shard < hosts; shard++ {
-		res, err := SweepShardFirstBlockedCtx(ctx, r, hosts, []int{shard}, nil)
+	for shard := 0; shard < e.hosts; shard++ {
+		res, err := e.sweep(ctx, []int{shard}, false, true, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -147,84 +150,67 @@ func SweepSymWitness(ctx context.Context, r routing.Router, hosts int, parallelO
 	return nil, nil
 }
 
-// prepareSym runs the three applicability gates and returns the symmetry
-// group and route table on success; on failure stats.Reason names the
-// gate and err mirrors it.
-func prepareSym(r routing.Router, hosts, blockSize int) (*permutation.BlockSymmetry, *routing.RouteTable, *SymStats, error) {
+// prepareSym runs the three applicability gates — geometry, route table,
+// equivariance — and returns the symmetry group on success. The engine is
+// returned either way, so a fallback reuses its route table; on failure
+// stats.Reason names the gate and err mirrors it.
+func prepareSym(r routing.Router, hosts, blockSize int) (*permutation.BlockSymmetry, engine, *SymStats, error) {
+	e := newEngine(r, hosts)
 	stats := &SymStats{}
-	if err := permutation.SymFeasible(hosts, blockSize); err != nil {
-		stats.Reason = err.Error()
-		return nil, nil, stats, fmt.Errorf("analysis: symmetry reduction not applicable: %w", err)
-	}
-	sym, err := permutation.NewBlockSymmetry(hosts, blockSize)
+	sym, err := permutation.NewBlockSymmetry(hosts, blockSize) // checks SymFeasible first
 	if err != nil {
 		stats.Reason = err.Error()
-		return nil, nil, stats, fmt.Errorf("analysis: symmetry reduction not applicable: %w", err)
+		return nil, e, stats, fmt.Errorf("analysis: symmetry reduction not applicable: %w", err)
 	}
 	stats.GroupOrder = sym.GroupOrder()
-	table, err := routing.BuildRouteTable(r, hosts)
-	if err != nil {
-		stats.Reason = fmt.Sprintf("no pattern-independent route table: %v", err)
-		return nil, nil, stats, fmt.Errorf("analysis: symmetry reduction not applicable: %s", stats.Reason)
+	switch {
+	case e.table == nil:
+		stats.Reason = fmt.Sprintf("no pattern-independent route table: %v", e.tableErr)
+	case !routeTableEquivariant(e.table, sym.Generators()):
+		stats.Reason = fmt.Sprintf("routing %q is not equivariant under the block symmetry group", e.table.RouterName())
+	default:
+		stats.Applied = true
+		return sym, e, stats, nil
 	}
-	if !routeTableEquivariant(table, sym.Generators()) {
-		stats.Reason = fmt.Sprintf("routing %q is not equivariant under the block symmetry group", table.RouterName())
-		return nil, nil, stats, fmt.Errorf("analysis: symmetry reduction not applicable: %s", stats.Reason)
-	}
-	stats.Applied = true
-	return sym, table, stats, nil
+	return nil, e, stats, fmt.Errorf("analysis: symmetry reduction not applicable: %s", stats.Reason)
 }
 
-// sweepSymOrbits drives the delta checker over the representatives in
-// [lo, hi), accumulating orbit-scaled counters into res. FirstBlocked is
-// set to the first blocked representative. firstOnly stops at it.
-func sweepSymOrbits(ctx context.Context, sym *permutation.BlockSymmetry, table *routing.RouteTable, res *SweepResult, stats *SymStats, fn ProgressFunc, lo, hi int, firstOnly bool) error {
-	d := NewDeltaChecker(table)
-	cancel := newSweepCanceller(ctx)
-	prog := progressMeter{fn: fn}
-	cancelled := false
+// orbits runs the kernel over the representatives whose top-level
+// necklace index lies in [lo, hi), each weighted by its orbit size, on a
+// delta scorer (prepareSym guarantees the table). FirstBlocked is the
+// first blocked representative; firstOnly stops at it.
+func (e engine) orbits(ctx context.Context, sym *permutation.BlockSymmetry, stats *SymStats, lo, hi int, firstOnly bool, fn ProgressFunc) (*SweepResult, error) {
+	res := &SweepResult{}
+	k := e.kernel(ctx, res, firstOnly, fn)
 	sym.OrbitsRange(lo, hi, func(rep *permutation.Permutation, orbit int) bool {
-		if cancel.cancelled() {
-			cancelled = true
-			return false
+		k.weight = orbit
+		more := k.visit(rep, -1, -1)
+		if !k.cancelled {
+			stats.Orbits++
 		}
-		d.Reset(rep)
-		stats.Orbits++
-		res.Tested += orbit
-		if d.MaxLoad() > res.MaxLinkLoad {
-			res.MaxLinkLoad = d.MaxLoad()
-		}
-		if d.HasContention() {
-			res.Blocked += orbit
-			if res.FirstBlocked == nil {
-				// The enumerator reuses rep between orbits; retain a copy.
-				res.FirstBlocked = rep.Clone()
-			}
-			if firstOnly {
-				return false
-			}
-		}
-		prog.step(res.Tested, res.Blocked)
-		return true
+		return more
 	})
-	prog.flush(res.Tested, res.Blocked)
-	if cancelled {
-		return ctx.Err()
-	}
-	return nil
+	return res, k.finish()
 }
 
 func sweepExhaustiveSym(ctx context.Context, r routing.Router, hosts, blockSize int, firstOnly, parallelWitness bool, workers int, fn ProgressFunc) (*SweepResult, *SymStats, error) {
 	if err := ctx.Err(); err != nil {
 		return &SweepResult{}, &SymStats{}, err
 	}
-	sym, table, stats, _ := prepareSym(r, hosts, blockSize)
-	if !stats.Applied {
-		res, ferr := symFallback(ctx, r, hosts, firstOnly, parallelWitness, workers, fn)
-		return res, stats, ferr
+	sym, e, stats, _ := prepareSym(r, hosts, blockSize)
+	// full runs the unreduced sweep of the caller's shape.
+	full := func(fn ProgressFunc) (*SweepResult, error) {
+		if parallelWitness {
+			return e.parallel(ctx, workers, fn)
+		}
+		return e.sweep(ctx, nil, true, firstOnly, fn)
 	}
-	res := &SweepResult{}
-	if err := sweepSymOrbits(ctx, sym, table, res, stats, fn, 0, sym.NecklaceCount(), firstOnly); err != nil {
+	if !stats.Applied {
+		res, err := full(fn)
+		return res, stats, err
+	}
+	res, err := e.orbits(ctx, sym, stats, 0, sym.NecklaceCount(), firstOnly, fn)
+	if err != nil {
 		return res, stats, err
 	}
 	if !firstOnly && res.Tested != permutation.CountFull(hosts) {
@@ -234,8 +220,8 @@ func sweepExhaustiveSym(ctx context.Context, r routing.Router, hosts, blockSize 
 		// the full engine.
 		stats.Applied = false
 		stats.Reason = fmt.Sprintf("internal orbit-count mismatch: %d != %d!", res.Tested, hosts)
-		res, ferr := symFallback(ctx, r, hosts, firstOnly, parallelWitness, workers, nil)
-		return res, stats, ferr
+		res, err := full(nil)
+		return res, stats, err
 	}
 	if res.Blocked == 0 {
 		return res, stats, nil
@@ -246,23 +232,11 @@ func sweepExhaustiveSym(ctx context.Context, r routing.Router, hosts, blockSize 
 	// from orbits — and the scan early-exits at the first blocked pattern,
 	// whose existence the orbit sweep just proved.
 	if firstOnly {
-		fres, ferr := sweepExhaustiveDelta(ctx, r, hosts, true, nil)
-		return fres, stats, ferr
+		res, err := full(nil)
+		return res, stats, err
 	}
-	w, werr := SweepSymWitness(ctx, r, hosts, parallelWitness)
-	if werr != nil {
-		return res, stats, werr
-	}
-	res.FirstBlocked = w
-	return res, stats, nil
-}
-
-// symFallback runs the full engine matching the caller's requested shape.
-func symFallback(ctx context.Context, r routing.Router, hosts int, firstOnly, parallel bool, workers int, fn ProgressFunc) (*SweepResult, error) {
-	if parallel {
-		return sweepExhaustiveParallel(ctx, r, hosts, workers, fn)
-	}
-	return sweepExhaustiveDelta(ctx, r, hosts, firstOnly, fn)
+	res.FirstBlocked, err = e.witness(ctx, parallelWitness)
+	return res, stats, err
 }
 
 // routeTableEquivariant checks, for every generator g, that relabeling

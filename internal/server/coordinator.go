@@ -181,6 +181,11 @@ func (s *Server) runCoordinated(ctx context.Context, sj *sweepJob, q *api.Reques
 			case ev := <-events:
 				inflight[ev.worker]--
 				running--
+				if ev.err == nil && ev.fatal == nil {
+					// A report whose counts cannot be right is a failed
+					// attempt: retried elsewhere, never checkpointed.
+					ev.err = plan.checkReport(ev.task.prefix, ev.rep)
+				}
 				switch {
 				case ev.fatal != nil:
 					return nil, ev.fatal
@@ -271,12 +276,31 @@ func (s *Server) dispatchShard(ctx context.Context, cc *CoordinatorConfig, q *ap
 	return &sr, nil, nil
 }
 
+// checkReport rejects a shard report whose counts cannot be right, so a
+// faulty worker or a corrupted checkpoint can never be merged into a
+// certificate: every shard must have 0 ≤ Blocked ≤ Tested, and a prefix
+// shard of length k that finished without a routing error must have
+// tested exactly (n−k)! patterns. (A sym shard's orbit-weighted count has
+// no closed form; the merged total is checked instead.)
+func (p *sweepPlan) checkReport(shard []int, rep *api.ShardReport) error {
+	if rep.Blocked < 0 || rep.Blocked > rep.Tested {
+		return fmt.Errorf("shard %s: report has blocked %d of %d tested", p.shardID(shard), rep.Blocked, rep.Tested)
+	}
+	if p.sym || rep.RouteErr != "" {
+		return nil
+	}
+	if want := permutation.CountFull(p.t.hosts - len(shard)); rep.Tested != want {
+		return fmt.Errorf("shard %s: report has %d tested, want (%d-%d)! = %d", p.shardID(shard), rep.Tested, p.t.hosts, len(shard), want)
+	}
+	return nil
+}
+
 // mergeCoordinated folds the per-shard reports (already in lexicographic
 // prefix order) into the single-process parallel sweep's result. Two
 // cases need local canonical re-derivation on the coordinator:
 //   - any shard reporting a routing error ⇒ the statistical fields are
 //     meaningless and the canonical sequential-order first routing error
-//     is recomputed, exactly as sweepParallelOracle does;
+//     is recomputed, exactly as the in-process parallel pool does;
 //   - a blocking sweep under deeper-than-level-1 sharding ⇒ sub-shard
 //     witnesses cannot reproduce the level-1 Heap-order witness, so the
 //     lowest blocked top-level shard is re-scanned first-blocked-only in
@@ -298,6 +322,9 @@ func (s *Server) mergeCoordinated(ctx context.Context, plan *sweepPlan, results 
 		if firstBlocked < 0 && rep.Blocked > 0 {
 			firstBlocked = i
 		}
+	}
+	if want := permutation.CountFull(plan.t.hosts); merged.Tested != want {
+		return nil, fmt.Errorf("merged shard reports tested %d patterns, want %d! = %d", merged.Tested, plan.t.hosts, want)
 	}
 	if firstBlocked < 0 {
 		return merged, nil

@@ -542,3 +542,123 @@ func TestMetricsConformance(t *testing.T) {
 		}
 	}
 }
+
+// newLyingWorker starts a worker node whose shard reports claim one more
+// tested pattern than the worker actually swept.
+func newLyingWorker(t *testing.T) *httptest.Server {
+	t.Helper()
+	ws := New(Config{Workers: 4, QueueDepth: 64})
+	t.Cleanup(ws.Close)
+	handler := ws.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, r)
+		body := rec.Body.Bytes()
+		var rep api.ShardReport
+		if r.URL.Path == "/v1/verify/shard" && rec.Code == http.StatusOK && json.Unmarshal(body, &rep) == nil {
+			rep.Tested++
+			body, _ = json.Marshal(&rep)
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(rec.Code)
+		w.Write(body)
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestCoordinatedSweepRejectsInflatedCounts: a worker whose reports
+// inflate Tested never reaches the certificate. Next to an honest worker
+// its reports count as failed attempts — retried on the honest worker,
+// never checkpointed — and the sweep still ends byte-identical to the
+// local engine. With only liars the sweep fails, for prefix and sym plans
+// alike.
+func TestCoordinatedSweepRejectsInflatedCounts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exhaustive sweeps in -short")
+	}
+	honest, liar := newWorkerServer(t), newLyingWorker(t)
+	q := api.Request{N: 2, M: 2, R: 4, Routing: "dest-mod"}
+	want := localVerifyBody(t, q)
+
+	shared := store.NewMemory(1024)
+	_, ts := newCoordinator(t, &CoordinatorConfig{
+		Workers:          []string{liar.URL, honest.URL},
+		ShardConcurrency: 2,
+	}, shared)
+	sq := q
+	acc := postSweep(t, ts.URL, &sq)
+	st := waitSweep(t, ts.URL, acc.JobID)
+	if st.State != "done" {
+		t.Fatalf("sweep state %s: %s", st.State, st.Error)
+	}
+	if got := string(st.Result); got != want {
+		t.Fatalf("result with a lying worker differs:\n got %s\nwant %s", got, want)
+	}
+	if m := getMetrics(t, ts.URL); m.ShardsRetried == 0 {
+		t.Fatal("inflated reports were accepted without a retry")
+	}
+	key := sweepKey(q)
+	for d := 0; d < 8; d++ {
+		body, ok := shared.Get(store.CheckpointKey(key, api.ShardID([]int{d})))
+		if !ok {
+			t.Fatalf("shard %d not checkpointed", d)
+		}
+		var rep api.ShardReport
+		if err := json.Unmarshal(body, &rep); err != nil || rep.Tested != 5040 {
+			t.Fatalf("shard %d checkpoint %s (err %v), want 7! tested", d, body, err)
+		}
+	}
+
+	for _, lq := range []api.Request{q, {N: 2, M: 2, R: 4, Routing: "spray", SymReduce: true}} {
+		_, ts := newCoordinator(t, &CoordinatorConfig{
+			Workers:          []string{liar.URL},
+			ShardConcurrency: 2,
+			ShardRetries:     1,
+		}, nil)
+		acc := postSweep(t, ts.URL, &lq)
+		st := waitSweep(t, ts.URL, acc.JobID)
+		if st.State != "failed" || !strings.Contains(st.Error, "tested") {
+			t.Fatalf("sym=%v: liar-only sweep state %s (%q), want failed on the tested count", lq.SymReduce, st.State, st.Error)
+		}
+	}
+}
+
+// TestCoordinatedSweepRecomputesBadCheckpoint: a checkpoint whose counts
+// cannot be right is not resumed; its shard is swept again and the
+// checkpoint overwritten with the true counts.
+func TestCoordinatedSweepRecomputesBadCheckpoint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exhaustive sweeps in -short")
+	}
+	q := api.Request{N: 2, M: 2, R: 4, Routing: "dest-mod"}
+	want := localVerifyBody(t, q)
+	shared := store.NewMemory(1024)
+	ckpt := store.CheckpointKey(sweepKey(q), api.ShardID([]int{0}))
+	bad, _ := json.Marshal(&api.ShardReport{Hosts: 8, Shard: "0", Tested: 5041, Blocked: 1})
+	shared.Put(ckpt, bad)
+
+	_, ts := newCoordinator(t, &CoordinatorConfig{Workers: []string{newWorkerServer(t).URL}}, shared)
+	sq := q
+	acc := postSweep(t, ts.URL, &sq)
+	if acc.Resumed != 0 {
+		t.Fatalf("resumed %d shards from an implausible checkpoint", acc.Resumed)
+	}
+	st := waitSweep(t, ts.URL, acc.JobID)
+	if st.State != "done" || string(st.Result) != want {
+		t.Fatalf("sweep state %s (%s), result:\n got %s\nwant %s", st.State, st.Error, st.Result, want)
+	}
+	body, _ := shared.Get(ckpt)
+	var rep api.ShardReport
+	if err := json.Unmarshal(body, &rep); err != nil || rep.Tested != 5040 {
+		t.Fatalf("shard 0 checkpoint %s (err %v), want the recomputed 7! tested", body, err)
+	}
+}
+
+// sweepKey is the canonical key /v1/verify/sweep files q's result and
+// checkpoints under.
+func sweepKey(q api.Request) string {
+	normalize(&q)
+	q.Mode = "exhaustive-parallel"
+	return q.CacheKey("verify")
+}

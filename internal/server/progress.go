@@ -284,8 +284,8 @@ func (s *Server) planSweep(q *api.Request, key string) (*sweepPlan, error) {
 				continue
 			}
 			var rep api.ShardReport
-			if json.Unmarshal(body, &rep) != nil {
-				continue // torn checkpoint: recompute the shard
+			if json.Unmarshal(body, &rep) != nil || plan.checkReport(sh, &rep) != nil {
+				continue // torn or implausible checkpoint: recompute the shard
 			}
 			plan.resumed[id] = &rep
 			s.met.shardsResumed.Add(1)
