@@ -11,7 +11,7 @@ RACE_PKGS ?= ./internal/sim/ ./internal/analysis/ ./internal/routing/ ./internal
 FUZZTIME ?= 30s
 FUZZ_TARGETS := ./internal/routing/:FuzzEdgeColorBipartite ./internal/routing/:FuzzBenesLooping ./internal/routing/:FuzzRouteTableParity ./internal/permutation/:FuzzCanonicalParity ./internal/analysis/:FuzzLemma1Parity
 
-.PHONY: all build test race cover bench bench-json bench-gate fuzz-smoke batch-smoke coordinator-smoke frontier-smoke design-smoke fault-smoke nbperf-check report tables examples clean
+.PHONY: all build test race cover bench bench-json bench-gate fuzz-smoke batch-smoke coordinator-smoke frontier-smoke design-smoke fault-smoke nbperf-check report report-check tables examples clean
 
 all: build test
 
@@ -103,6 +103,15 @@ fuzz-smoke:
 report:
 	$(GO) run ./cmd/nbreport > report.md
 
+# Regenerate the report into a temp dir and diff it against the committed
+# report.md, ignoring the final "generated in" timing line, so a change to
+# any experiment's output has to update report.md with it.
+report-check:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/nbreport > "$$tmp/fresh.md" || exit 1; \
+	sed '$$d' report.md > "$$tmp/want"; sed '$$d' "$$tmp/fresh.md" > "$$tmp/got"; \
+	diff -u "$$tmp/want" "$$tmp/got" || { echo "report.md is stale: run 'make report' and commit it" >&2; exit 1; }
+
 tables:
 	$(GO) run ./cmd/nbtables -all
 
@@ -114,4 +123,4 @@ examples:
 	$(GO) run ./examples/collectives
 
 clean:
-	rm -f cover.out report.md test_output.txt bench_output.txt BENCH_fresh.json
+	rm -f cover.out test_output.txt bench_output.txt BENCH_fresh.json

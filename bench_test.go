@@ -373,9 +373,8 @@ func BenchmarkOpenLoop(b *testing.B) {
 	}
 }
 
-// BenchmarkRunTrials times closed-loop random-permutation trials through
-// the sequential and parallel drivers; the parallel driver's output is
-// byte-identical to the sequential one.
+// BenchmarkRunTrials times closed-loop random-permutation trials inline
+// and on a worker pool; the output is the same for every worker count.
 func BenchmarkRunTrials(b *testing.B) {
 	f := fclos.NewNonblockingFtree(3, 12)
 	r, err := fclos.NewPaperDeterministic(f)
@@ -389,7 +388,7 @@ func BenchmarkRunTrials(b *testing.B) {
 	}{{"sequential", 1}, {"parallel", 0}} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				results, err := fclos.RunTrialsParallel(f.Net, r, f.Ports(), 4, 1, bc.workers, cfg)
+				results, err := fclos.RunTrials(f.Net, r, f.Ports(), 4, bc.workers, 1, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -425,25 +424,6 @@ func BenchmarkExhaustiveSweepParallelAblation(b *testing.B) {
 			res := fclos.SweepExhaustiveParallel(r, f.Ports(), 0)
 			if !res.Nonblocking() {
 				b.Fatal("blocked")
-			}
-		}
-	})
-}
-
-// BenchmarkLemma2ParallelAblation compares the sequential and parallel
-// Lemma-2 mode searches at the edge of the sequential regime (r = 6).
-func BenchmarkLemma2ParallelAblation(b *testing.B) {
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if fclos.MaxRootPairsModes(2, 6) != 30 {
-				b.Fatal("wrong optimum")
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if fclos.MaxRootPairsModesParallel(2, 6, 0) != 30 {
-				b.Fatal("wrong optimum")
 			}
 		}
 	})

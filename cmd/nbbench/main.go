@@ -261,8 +261,8 @@ func buildBenchmarks() ([]benchmark, error) {
 		})
 	}
 
-	// ClosedLoop4Trial: the sequential trial driver over 4 random
-	// permutations.
+	// ClosedLoop4Trial: the trial driver, inline (workers = 1), over 4
+	// random permutations.
 	{
 		f := fclos.NewNonblockingFtree(3, 12)
 		r, err := fclos.NewPaperDeterministic(f)
@@ -271,7 +271,7 @@ func buildBenchmarks() ([]benchmark, error) {
 		}
 		hosts := f.Ports()
 		cfg := fclos.SimConfig{PacketFlits: 4, PacketsPerPair: 8, Arbiter: fclos.ArbiterRoundRobin}
-		trials, err := fclos.RunTrials(f.Net, r, hosts, 4, 1, cfg)
+		trials, err := fclos.RunTrials(f.Net, r, hosts, 4, 1, 1, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -283,7 +283,7 @@ func buildBenchmarks() ([]benchmark, error) {
 			name: "ClosedLoop4Trial",
 			fn: func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					results, err := fclos.RunTrials(f.Net, r, hosts, 4, 1, cfg)
+					results, err := fclos.RunTrials(f.Net, r, hosts, 4, 1, 1, cfg)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -45,7 +45,7 @@ func main() {
 		pkts       = flag.Int("pkts", 8, "packets per SD pair")
 		arbiter    = flag.String("arbiter", "round-robin", "round-robin | oldest-first")
 		openloop   = flag.Bool("openloop", false, "open-loop rate sweep instead of closed-loop makespan (ftree single-path routings only)")
-		workers    = flag.Int("workers", 0, "parallel simulation workers; 0 = GOMAXPROCS, 1 = sequential")
+		workers    = flag.Int("workers", 0, "workers for -pattern random trials; 0 = GOMAXPROCS, 1 = sequential (the -openloop sweep always runs one goroutine per rate)")
 		jsonOut    = flag.Bool("json", false, "emit a machine-readable JSON report (enables the metrics collector) instead of text")
 	)
 	flag.Parse()
@@ -74,6 +74,9 @@ func emitJSON(out io.Writer, rep *simReport) error {
 
 func run(out io.Writer, topo string, n, m, r, ports, levels int, scheme string, sprayWidth int,
 	pattern string, trials int, seed int64, flits, pkts int, arbiter string, openloop bool, workers int, jsonOut bool) error {
+	if pattern == "random" && !openloop && trials < 1 {
+		return fmt.Errorf("-pattern random needs -trials >= 1 (got %d)", trials)
+	}
 	cfg := sim.Config{PacketFlits: flits, PacketsPerPair: pkts, Seed: seed}
 	switch arbiter {
 	case "round-robin":
@@ -175,14 +178,7 @@ func run(out io.Writer, topo string, n, m, r, ports, levels int, scheme string, 
 			base.Collector = sim.NewMetricsCollector()
 		}
 		rates := []float64{0.2, 0.4, 0.6, 0.8, 1.0}
-		// The parallel sweep is byte-identical to the sequential one.
-		var points []sim.LoadSweepPoint
-		var err error
-		if workers == 1 {
-			points, err = sim.LoadSweep(net, pairs, sim.PairPathsFunc(pr), rates, base)
-		} else {
-			points, err = sim.LoadSweepParallel(net, pairs, sim.PairPathsFunc(pr), rates, base)
-		}
+		points, err := sim.LoadSweepParallel(net, pairs, sim.PairPathsFunc(pr), rates, base)
 		if err != nil {
 			return err
 		}
@@ -200,7 +196,7 @@ func run(out io.Writer, topo string, n, m, r, ports, levels int, scheme string, 
 	}
 
 	if pattern == "random" {
-		sum, err := sim.CompareToCrossbarParallel(net, router, hosts, trials, workers, seed, cfg)
+		sum, err := sim.CompareToCrossbar(net, router, hosts, trials, workers, seed, cfg)
 		if err != nil {
 			return err
 		}

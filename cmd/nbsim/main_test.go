@@ -126,6 +126,14 @@ func TestSimErrors(t *testing.T) {
 	if _, err := simRun(t, "ftree", 2, 3, 5, 20, 2, "paper", 0, "random", 3, "round-robin"); err == nil {
 		t.Fatal("paper with m<n² accepted")
 	}
+	// A random-pattern run needs a trial: zero or negative counts fail
+	// instead of printing an all-zero slowdown summary.
+	for _, trials := range []int{0, -2} {
+		out, err := simRun(t, "ftree", 2, 0, 3, 20, 2, "paper", 0, "random", trials, "round-robin")
+		if err == nil || !strings.Contains(err.Error(), "-trials") || out != "" {
+			t.Fatalf("-trials %d: err %v, output %q; want a -trials error and no output", trials, err, out)
+		}
+	}
 }
 
 func TestSimJSONRoundTrip(t *testing.T) {

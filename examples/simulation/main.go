@@ -35,18 +35,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	row(tw, nb.Net.Name, paper.Name(), nb.Ports(), must(fclos.CompareToCrossbar(nb.Net, paper, nb.Ports(), trials, seed, cfg)))
+	row(tw, nb.Net.Name, paper.Name(), nb.Ports(), must(fclos.CompareToCrossbar(nb.Net, paper, nb.Ports(), trials, 1, seed, cfg)))
 
 	// (b) Same network, destination-mod static routing.
-	row(tw, nb.Net.Name, "dest-mod", nb.Ports(), must(fclos.CompareToCrossbar(nb.Net, fclos.NewDestMod(nb), nb.Ports(), trials, seed, cfg)))
+	row(tw, nb.Net.Name, "dest-mod", nb.Ports(), must(fclos.CompareToCrossbar(nb.Net, fclos.NewDestMod(nb), nb.Ports(), trials, 1, seed, cfg)))
 
 	// (c) The rearrangeably nonblocking FT(N,2) with InfiniBand-style
 	// destination routing — "nonblocking" on paper, blocking in practice.
 	ft := fclos.NewMPortNTree(n+n*n, 2)
-	row(tw, ft.Net.Name, "mnt-dest-mod", ft.Hosts(), must(fclos.CompareToCrossbar(ft.Net, fclos.NewMNTDestMod(ft), ft.Hosts(), trials, seed, cfg)))
+	row(tw, ft.Net.Name, "mnt-dest-mod", ft.Hosts(), must(fclos.CompareToCrossbar(ft.Net, fclos.NewMNTDestMod(ft), ft.Hosts(), trials, 1, seed, cfg)))
 
 	// (d) FT(N,2) with frozen random routing [6].
-	row(tw, ft.Net.Name, "mnt-random-fixed", ft.Hosts(), must(fclos.CompareToCrossbar(ft.Net, fclos.NewMNTRandomFixed(ft, seed), ft.Hosts(), trials, seed, cfg)))
+	row(tw, ft.Net.Name, "mnt-random-fixed", ft.Hosts(), must(fclos.CompareToCrossbar(ft.Net, fclos.NewMNTRandomFixed(ft, seed), ft.Hosts(), trials, 1, seed, cfg)))
 
 	tw.Flush()
 	fmt.Println()

@@ -239,9 +239,6 @@ var (
 	NewMultiLevelPaper = routing.NewMultiLevelPaper
 	// NewCrossbarRouter routes the reference crossbar.
 	NewCrossbarRouter = routing.NewCrossbarRouter
-	// NewPaperDeterministicSpared hardens the Theorem-3 scheme with
-	// dedicated spare top switches for fault tolerance.
-	NewPaperDeterministicSpared = routing.NewPaperDeterministicSpared
 	// NewClosOnline manages circuits under the classic telephone model.
 	NewClosOnline = routing.NewClosOnline
 	// ReplayClosEvents applies an online setup/teardown sequence.
@@ -309,10 +306,8 @@ var (
 	// NewDeltaChecker builds an incremental checker over a RouteTable.
 	NewDeltaChecker = analysis.NewDeltaChecker
 	// CheckLemma1AllPairs decides nonblocking exactly for deterministic
-	// routing (Lemma 1); the Parallel variant shards the all-pairs
-	// routing by source host with an identical result.
-	CheckLemma1AllPairs         = analysis.CheckLemma1AllPairs
-	CheckLemma1AllPairsParallel = analysis.CheckLemma1AllPairsParallel
+	// routing (Lemma 1).
+	CheckLemma1AllPairs = analysis.CheckLemma1AllPairs
 	// LinkViews groups all SD pairs by the links they cross: the per-link
 	// (Fig. 3) accounting of every loaded link.
 	LinkViews = analysis.LinkViews
@@ -352,16 +347,14 @@ var (
 	SweepExhaustiveFirstBlockedCtx = analysis.SweepExhaustiveFirstBlockedCtx
 	SweepRandomCtx                 = analysis.SweepRandomCtx
 	// BlockingProbability estimates P(contention) over random
-	// permutations (Parallel variant splits trials across workers).
-	BlockingProbability         = analysis.BlockingProbability
-	BlockingProbabilityParallel = analysis.BlockingProbabilityParallel
+	// permutations.
+	BlockingProbability = analysis.BlockingProbability
 	// MaxRootPairsModes / MaxRootPairsNaive / RootSetWitness /
 	// CheckRootSet are the Lemma-2 exact searches.
-	MaxRootPairsModes         = analysis.MaxRootPairsModes
-	MaxRootPairsModesParallel = analysis.MaxRootPairsModesParallel
-	MaxRootPairsNaive         = analysis.MaxRootPairsNaive
-	RootSetWitness            = analysis.RootSetWitness
-	CheckRootSet              = analysis.CheckRootSet
+	MaxRootPairsModes = analysis.MaxRootPairsModes
+	MaxRootPairsNaive = analysis.MaxRootPairsNaive
+	RootSetWitness    = analysis.RootSetWitness
+	CheckRootSet      = analysis.CheckRootSet
 )
 
 // WorstCaseSearch hill-climbs for maximally contended permutations.
@@ -378,11 +371,9 @@ var (
 	ModelExpectedCollisions = analysis.ModelExpectedCollisions
 	// WorstCaseLinkLoad computes the exact worst-case permutation load
 	// per link (maximum matching); WorstCasePermutationFor constructs a
-	// permutation realizing it. The Parallel variant spreads the per-link
-	// matchings over a worker pool.
-	WorstCaseLinkLoad         = analysis.WorstCaseLinkLoad
-	WorstCaseLinkLoadParallel = analysis.WorstCaseLinkLoadParallel
-	WorstCasePermutationFor   = analysis.WorstCasePermutationFor
+	// permutation realizing it.
+	WorstCaseLinkLoad       = analysis.WorstCaseLinkLoad
+	WorstCasePermutationFor = analysis.WorstCasePermutationFor
 )
 
 // ---------------------------------------------------------------------------
@@ -456,23 +447,19 @@ var (
 	SimulatePermutation = sim.RunPermutation
 	// CrossbarReference simulates the pattern on an ideal crossbar.
 	CrossbarReference = sim.CrossbarReference
-	// CompareToCrossbar reports slowdown statistics over random patterns.
-	CompareToCrossbar = sim.CompareToCrossbar
 	// FlowsFromAssignment adapts routing output for the simulator.
 	FlowsFromAssignment = sim.FlowsFromAssignment
-	// RunTrials simulates seeded random permutations sequentially.
-	RunTrials = sim.RunTrials
-	// RunTrialsParallel / LoadSweepParallel / CompareToCrossbarParallel
-	// are the deterministic parallel drivers: worker pools whose merged
-	// output is byte-identical to the sequential counterparts.
-	RunTrialsParallel         = sim.RunTrialsParallel
-	LoadSweepParallel         = sim.LoadSweepParallel
-	CompareToCrossbarParallel = sim.CompareToCrossbarParallel
-	// OpenLoop / LoadSweep run rate-injected (open-loop) simulations;
+	// RunTrials simulates seeded random permutations and CompareToCrossbar
+	// reports their slowdown statistics; both take a worker count and give
+	// the same output for every count.
+	RunTrials         = sim.RunTrials
+	CompareToCrossbar = sim.CompareToCrossbar
+	// OpenLoop runs one rate-injected (open-loop) simulation;
 	// OpenLoopResult.Undelivered reports in-flight packets on saturated
-	// aborts.
-	OpenLoop  = sim.OpenLoop
-	LoadSweep = sim.LoadSweep
+	// aborts. LoadSweepParallel runs it at each offered load, one
+	// goroutine per load.
+	OpenLoop          = sim.OpenLoop
+	LoadSweepParallel = sim.LoadSweepParallel
 	// PairPathsFunc / MultiPathsFunc / AssignmentPathsFunc adapt routers
 	// for open-loop runs; PermPairs converts a destination vector.
 	PairPathsFunc       = sim.PairPathsFunc
@@ -689,8 +676,8 @@ var (
 	// NewSparedDeterministicView remaps failed class switches onto spare
 	// tops (Theorem 3 with spares).
 	NewSparedDeterministicView = routing.NewSparedDeterministicView
-	// NewNaiveRemapView is the negative control: failed class switches
-	// remapped by modulo over the healthy tops, destroying the Theorem-3
+	// NewNaiveRemapView is the negative control: each failed class switch
+	// folded onto the next intact class switch, destroying the Theorem-3
 	// conflict-freedom.
 	NewNaiveRemapView = routing.NewNaiveRemapView
 )

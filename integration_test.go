@@ -67,8 +67,11 @@ func TestIntegrationDesignToDeployment(t *testing.T) {
 
 	// 4. Harden with spares and fail two top switches.
 	f := fclos.NewFoldedClos(det.N, det.N*det.N+2, det.R)
-	failed := map[int]bool{1: true, 5: true}
-	spared, err := fclos.NewPaperDeterministicSpared(f, failed)
+	failed, err := fclos.FailureSet{Tops: []int{1, 5}}.View(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spared, err := fclos.NewSparedDeterministicView(f, failed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,12 +115,12 @@ func TestIntegrationBaselinesBehaveAsPaperPredicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := fclos.SimConfig{PacketFlits: 2, PacketsPerPair: 6}
-	sumNB, err := fclos.CompareToCrossbar(f.Net, paper, f.Ports(), 5, 1, cfg)
+	sumNB, err := fclos.CompareToCrossbar(f.Net, paper, f.Ports(), 5, 1, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ft := fclos.NewMPortNTree(n+n*n, 2)
-	sumFT, err := fclos.CompareToCrossbar(ft.Net, fclos.NewMNTDestMod(ft), ft.Hosts(), 5, 1, cfg)
+	sumFT, err := fclos.CompareToCrossbar(ft.Net, fclos.NewMNTDestMod(ft), ft.Hosts(), 5, 1, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

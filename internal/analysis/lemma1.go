@@ -55,19 +55,6 @@ func foldEndpoint(cur, x int32) int32 {
 	return lemma1Many
 }
 
-// mergeEndpoint combines two endpoint states. It is commutative and
-// associative ("one value or many"), so per-worker states merge to the same
-// result in any order.
-func mergeEndpoint(a, b int32) int32 {
-	switch b {
-	case lemma1None:
-		return a
-	case lemma1Many:
-		return lemma1Many
-	}
-	return foldEndpoint(a, b)
-}
-
 // pairLinker streams one SD pair's links from a single-path router: through
 // the allocation-free AppendPairLinks into one reused buffer when the router
 // has it, else through PathFor.
@@ -146,11 +133,10 @@ func newLemma1Kernel(r routing.PairRouter) *lemma1Kernel {
 	return &lemma1Kernel{pairLinker: newPairLinker(r)}
 }
 
-// fold routes every pair (s, d), s in [lo, hi), d ≠ s, and folds its
-// endpoints into each link it crosses. It stops at the first routing error
-// in (s, d) order.
-func (k *lemma1Kernel) fold(lo, hi, hosts int) error {
-	for s := lo; s < hi; s++ {
+// fold routes every pair (s, d), s ≠ d, and folds its endpoints into each
+// link it crosses. It stops at the first routing error in (s, d) order.
+func (k *lemma1Kernel) fold(hosts int) error {
+	for s := 0; s < hosts; s++ {
 		for d := 0; d < hosts; d++ {
 			if s == d {
 				continue
@@ -190,17 +176,6 @@ func growEndpoints(a []int32, n int) []int32 {
 	return g
 }
 
-// merge folds another kernel's states into k.
-func (k *lemma1Kernel) merge(o *lemma1Kernel) {
-	if len(o.src) > len(k.src) {
-		k.grow(len(o.src))
-	}
-	for l := range o.src {
-		k.src[l] = mergeEndpoint(k.src[l], o.src[l])
-		k.dst[l] = mergeEndpoint(k.dst[l], o.dst[l])
-	}
-}
-
 // result derives the verdict from the folded states: a link violates
 // Lemma 1 exactly when it has many sources and many destinations. Only
 // for a blocking routing is the lowest violating link's view rebuilt.
@@ -226,7 +201,7 @@ func (k *lemma1Kernel) result(hosts int) (*Lemma1Result, error) {
 // (s, d) order.
 func CheckLemma1AllPairs(r routing.PairRouter, hosts int) (*Lemma1Result, error) {
 	k := newLemma1Kernel(r)
-	if err := k.fold(0, hosts, hosts); err != nil {
+	if err := k.fold(hosts); err != nil {
 		return nil, err
 	}
 	return k.result(hosts)

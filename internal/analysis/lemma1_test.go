@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -62,11 +61,7 @@ func assertLemma1Parity(t *testing.T, r routing.PairRouter, hosts int) {
 		}
 	}
 	got, err := CheckLemma1AllPairs(r, hosts)
-	check("sequential", got, err)
-	for _, workers := range []int{2, 3} {
-		got, err := CheckLemma1AllPairsParallel(r, hosts, workers)
-		check(fmt.Sprintf("workers=%d", workers), got, err)
-	}
+	check("kernel", got, err)
 }
 
 // pathForOnly hides a router's AppendPairLinks, forcing the kernel onto
@@ -94,10 +89,17 @@ func ftreeZoo(t *testing.T, f *topology.FoldedClos) []routing.PairRouter {
 	if paper, err := routing.NewPaperDeterministic(f); err == nil {
 		rs = append(rs, paper)
 	}
-	if nr, err := routing.NewPaperDeterministicNaiveRemap(f, map[int]bool{1: true}); err == nil {
+	oneTop := func(top int) *topology.FailureView {
+		view, err := topology.FailureSet{Tops: []int{top}}.View(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return view
+	}
+	if nr, err := routing.NewNaiveRemapView(f, oneTop(1)); err == nil {
 		rs = append(rs, nr)
 	}
-	if sp, err := routing.NewPaperDeterministicSpared(f, map[int]bool{0: true}); err == nil {
+	if sp, err := routing.NewSparedDeterministicView(f, oneTop(0)); err == nil {
 		rs = append(rs, sp)
 	}
 	rs = append(rs, routing.NewLocalReroute(f, nil, 1))
@@ -205,9 +207,6 @@ func TestCheckLemma1AllPairsRejectsNegativeLinkID(t *testing.T) {
 		if _, err := CheckLemma1AllPairs(r, f.Ports()); errText(err) != want {
 			t.Fatalf("sequential: error %q, want %q", errText(err), want)
 		}
-		if _, err := CheckLemma1AllPairsParallel(r, f.Ports(), 3); errText(err) != want {
-			t.Fatalf("parallel: error %q, want %q", errText(err), want)
-		}
 		if _, err := WorstCasePermutationFor(r, f.Ports(), 0); errText(err) != want {
 			t.Fatalf("WorstCasePermutationFor: error %q, want %q", errText(err), want)
 		}
@@ -239,24 +238,7 @@ func TestCheckLemma1AllPairsAllocs(t *testing.T) {
 	}
 }
 
-func TestLemma1MergeIsOrderIndependent(t *testing.T) {
-	states := []int32{lemma1None, lemma1Many, 0, 1, 7}
-	for _, a := range states {
-		for _, b := range states {
-			if mergeEndpoint(a, b) != mergeEndpoint(b, a) {
-				t.Fatalf("merge(%d,%d) = %d, merge(%d,%d) = %d", a, b, mergeEndpoint(a, b), b, a, mergeEndpoint(b, a))
-			}
-			for _, c := range states {
-				if mergeEndpoint(mergeEndpoint(a, b), c) != mergeEndpoint(a, mergeEndpoint(b, c)) {
-					t.Fatalf("merge not associative on (%d,%d,%d)", a, b, c)
-				}
-			}
-		}
-	}
-}
-
-// FuzzLemma1Parity checks the flat-array kernel, sequential and parallel,
-// against the LinkViews oracle on fuzz-chosen ftree shapes under
+// FuzzLemma1Parity checks the flat-array kernel against the LinkViews oracle on fuzz-chosen ftree shapes under
 // random-fixed routing.
 func FuzzLemma1Parity(f *testing.F) {
 	f.Add(2, 4, 3, int64(1))

@@ -69,6 +69,49 @@ func MaxRootPairsModes(n, r int) int {
 	return lemma2SearchFrom(n, r, make([]int, r), 0)
 }
 
+// lemma2SearchFrom explores uplink modes for switches v.. and returns the
+// best total, with up[0..v) already fixed.
+func lemma2SearchFrom(n, r int, up []int, v int) int {
+	if v == r {
+		total := 0
+		for w := 0; w < r; w++ {
+			bestW := 0
+			for dw := -1; dw < r; dw++ {
+				if dw == w {
+					continue
+				}
+				s := 0
+				for x := 0; x < r; x++ {
+					if x != w {
+						s += lemma2f(n, x, w, up[x], dw)
+					}
+				}
+				if s > bestW {
+					bestW = s
+				}
+			}
+			total += bestW
+		}
+		return total
+	}
+	best := 0
+	try := func() {
+		if t := lemma2SearchFrom(n, r, up, v+1); t > best {
+			best = t
+		}
+	}
+	up[v] = modeShared
+	try()
+	for t := 0; t < r; t++ {
+		if t == v {
+			continue
+		}
+		up[v] = t
+		try()
+	}
+	return best
+}
+
 // RootSetWitness returns an explicit SD-pair set of size
 // MaxRootPairsModes(n, r) that satisfies the Lemma-1 predicate on every
 // link of ftree(n+1, r), by re-running the mode search and materializing

@@ -3,7 +3,6 @@ package analysis
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"repro/internal/permutation"
@@ -158,134 +157,6 @@ func TestSweepExhaustiveParallelErrorPathDeterministic(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestCheckLemma1AllPairsParallelMatchesSequential(t *testing.T) {
-	// m = n² (paper nonblocking, dest-mod blocking) and m < n² shapes.
-	for _, c := range []struct{ n, m, r int }{{2, 4, 3}, {2, 3, 5}, {3, 5, 4}} {
-		f := topology.NewFoldedClos(c.n, c.m, c.r)
-		rs := []routing.PairRouter{routing.NewDestMod(f), routing.NewPaperDeterministicFolded(f), routing.NewSourceMod(f)}
-		if good, err := routing.NewPaperDeterministic(f); err == nil {
-			rs = append(rs, good)
-		}
-		for _, r := range rs {
-			seq, err := CheckLemma1AllPairs(r, f.Ports())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 2, 3, 0, 64} {
-				par, err := CheckLemma1AllPairsParallel(r, f.Ports(), workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(par, seq) {
-					t.Fatalf("%s on %s workers=%d: parallel (%v, %+v) vs sequential (%v, %+v)",
-						r.Name(), f.Net.Name, workers, par.Nonblocking, par.Violation, seq.Nonblocking, seq.Violation)
-				}
-			}
-		}
-	}
-	// Error path: the parallel check reports the sequential-order first
-	// failing pair regardless of worker count.
-	f := topology.NewFoldedClos(2, 4, 3)
-	broke := &routing.FtreeSinglePath{F: f, RouterName: "broke", TopChoice: func(s, d int) int {
-		if s >= 4 {
-			return 99
-		}
-		return 0
-	}}
-	_, errSeq := CheckLemma1AllPairs(broke, f.Ports())
-	if errSeq == nil {
-		t.Fatal("expected sequential error")
-	}
-	for _, workers := range []int{2, 5, 0} {
-		_, errPar := CheckLemma1AllPairsParallel(broke, f.Ports(), workers)
-		if errPar == nil || errPar.Error() != errSeq.Error() {
-			t.Fatalf("workers=%d: error %v, want %v", workers, errPar, errSeq)
-		}
-	}
-}
-
-func TestWorstCaseLinkLoadParallelMatchesSequential(t *testing.T) {
-	f := topology.NewFoldedClos(2, 4, 3)
-	for _, r := range []routing.PairRouter{routing.NewDestMod(f)} {
-		seq, err := WorstCaseLinkLoad(r, f.Ports())
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := WorstCaseLinkLoadParallel(r, f.Ports(), 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(par, seq) {
-			t.Fatalf("parallel %+v vs sequential %+v", par, seq)
-		}
-	}
-}
-
-func TestBlockingProbabilityParallel(t *testing.T) {
-	f := topology.NewFoldedClos(2, 4, 5)
-	good, err := routing.NewPaperDeterministic(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frac, load, err := BlockingProbabilityParallel(good, f.Ports(), 40, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if frac != 0 || load != 1 {
-		t.Fatalf("nonblocking: frac=%v load=%v", frac, load)
-	}
-	bad := routing.NewDestMod(f)
-	frac, _, err = BlockingProbabilityParallel(bad, f.Ports(), 40, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if frac <= 0 {
-		t.Fatal("dest-mod should block sometimes")
-	}
-	// workers > trials and workers <= 1 paths.
-	if _, _, err := BlockingProbabilityParallel(good, f.Ports(), 2, 8, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := BlockingProbabilityParallel(good, f.Ports(), 5, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if f2, l2, err := BlockingProbabilityParallel(good, f.Ports(), 0, 0, 1); err != nil || f2 != 0 || l2 != 0 {
-		t.Fatal("zero trials should return zeros")
-	}
-	// Errors propagate.
-	tiny := topology.NewFoldedClos(2, 1, 3)
-	ad, err := routing.NewNonblockingAdaptive(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := BlockingProbabilityParallel(ad, tiny.Ports(), 8, 4, 1); err == nil {
-		t.Fatal("expected routing error")
-	}
-}
-
-func TestMaxRootPairsModesParallelMatchesSequential(t *testing.T) {
-	for _, c := range []struct{ n, r int }{{1, 3}, {2, 3}, {2, 5}, {3, 4}} {
-		seq := MaxRootPairsModes(c.n, c.r)
-		for _, workers := range []int{1, 3, 0} {
-			par := MaxRootPairsModesParallel(c.n, c.r, workers)
-			if par != seq {
-				t.Fatalf("n=%d r=%d workers=%d: parallel %d vs sequential %d", c.n, c.r, workers, par, seq)
-			}
-		}
-	}
-	if MaxRootPairsModesParallel(2, 1, 2) != 0 {
-		t.Fatal("r=1 should be 0")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("invalid instance should panic")
-			}
-		}()
-		MaxRootPairsModesParallel(0, 2, 2)
-	}()
 }
 
 func TestEnumerateFullPrefixShardsPartition(t *testing.T) {

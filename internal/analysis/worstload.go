@@ -2,9 +2,7 @@ package analysis
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
 
 	"repro/internal/permutation"
 	"repro/internal/routing"
@@ -41,44 +39,23 @@ type WorstLoadResult struct {
 // matching of its pair set — the exact worst-case number of permutation
 // flows that can collide there.
 func WorstCaseLinkLoad(r routing.PairRouter, hosts int) (*WorstLoadResult, error) {
-	return WorstCaseLinkLoadParallel(r, hosts, 1)
-}
-
-// WorstCaseLinkLoadParallel is WorstCaseLinkLoad with the per-link
-// matchings spread over `workers` goroutines (≤ 0 selects GOMAXPROCS); the
-// result is identical to the sequential analysis.
-func WorstCaseLinkLoadParallel(r routing.PairRouter, hosts, workers int) (*WorstLoadResult, error) {
 	views, err := LinkViews(r, hosts)
 	if err != nil {
 		return nil, err
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	ids := make([]topology.LinkID, 0, len(views))
 	for id := range views {
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
-	loads := make([]int, len(ids))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := w; i < len(ids); i += workers {
-				loads[i], _ = maxMatching(views[ids[i]])
-			}
-		}()
-	}
-	wg.Wait()
 	out := &WorstLoadResult{PerLink: make(map[topology.LinkID]int, len(ids)), Link: topology.NoLink}
-	for i, id := range ids {
-		out.PerLink[id] = loads[i]
+	for _, id := range ids {
+		load, _ := maxMatching(views[id])
+		out.PerLink[id] = load
 		// Ascending IDs with a strict comparison: ties break toward the
 		// lowest link ID.
-		if loads[i] > out.MaxLoad {
-			out.MaxLoad = loads[i]
+		if load > out.MaxLoad {
+			out.MaxLoad = load
 			out.Link = id
 		}
 	}

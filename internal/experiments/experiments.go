@@ -302,7 +302,7 @@ func Throughput(n, trials int, seed int64, cfg sim.Config) (*ThroughputResult, e
 	res := &ThroughputResult{Hosts: hosts, Trials: trials}
 
 	add := func(network string, net *topology.Network, rt routing.Router, hostCount int) error {
-		sum, err := sim.CompareToCrossbar(net, rt, hostCount, trials, seed, cfg)
+		sum, err := sim.CompareToCrossbar(net, rt, hostCount, trials, 1, seed, cfg)
 		if err != nil {
 			return err
 		}

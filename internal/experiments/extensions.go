@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"text/tabwriter"
 
 	"repro/internal/analysis"
@@ -116,7 +117,7 @@ func (t *OnlineResult) Render(w io.Writer) {
 // FaultRow is one failure count of experiment E11.
 type FaultRow struct {
 	Failures int
-	// AdaptiveOK: NONBLOCKINGADAPTIVE with RouteAvoiding stays clean.
+	// AdaptiveOK: NONBLOCKINGADAPTIVE over the healthy tops stays clean.
 	AdaptiveOK bool
 	// SparedOK: the Theorem-3 scheme with dedicated spares stays clean
 	// (false once failures exceed spares).
@@ -153,25 +154,32 @@ func Fault(n, r, spares, trials int, seed int64) (*FaultResult, error) {
 	}
 	m := n*n + spares
 	f := topology.NewFoldedClos(n, m, r)
-	ad, err := routing.NewNonblockingAdaptive(f)
-	if err != nil {
-		return nil, err
-	}
 	res := &FaultResult{N: n, R: r, M: m, Spares: spares, Trials: trials}
 	rng := rand.New(rand.NewSource(seed))
 	c := analysis.NewChecker(f.Net)
 	for k := 0; k <= spares+1; k++ {
 		row := FaultRow{Failures: k}
-		failed := map[int]bool{}
-		for len(failed) < k {
-			failed[rng.Intn(n*n)] = true // fail class switches: the hard case
+		var tops []int
+		for len(tops) < k {
+			// Fail distinct class switches: the hard case.
+			if t := rng.Intn(n * n); !slices.Contains(tops, t) {
+				tops = append(tops, t)
+			}
+		}
+		failed, err := topology.FailureSet{Tops: tops}.View(f)
+		if err != nil {
+			return nil, err
+		}
+		ad, err := routing.NewAvoidingAdaptive(f, failed)
+		if err != nil {
+			return nil, err
 		}
 		// Adaptive: random patterns must stay contention-free when
 		// enough healthy switches remain.
 		row.AdaptiveOK = true
 		for trial := 0; trial < trials; trial++ {
 			p := permutation.Random(rng, f.Ports())
-			a, err := ad.RouteAvoiding(p, failed)
+			a, err := ad.Route(p)
 			if err != nil {
 				row.AdaptiveOK = false
 				break
@@ -183,7 +191,7 @@ func Fault(n, r, spares, trials int, seed int64) (*FaultResult, error) {
 			}
 		}
 		// Spared deterministic: exact Lemma-1 verdict.
-		if sp, err := routing.NewPaperDeterministicSpared(f, failed); err == nil {
+		if sp, err := routing.NewSparedDeterministicView(f, failed); err == nil {
 			l1, err := analysis.CheckLemma1AllPairs(sp, f.Ports())
 			if err != nil {
 				return nil, err
@@ -194,7 +202,7 @@ func Fault(n, r, spares, trials int, seed int64) (*FaultResult, error) {
 		// When every class switch failed the remap cannot even be
 		// built — worse than blocked.
 		if k > 0 {
-			if nr, err := routing.NewPaperDeterministicNaiveRemap(f, failed); err != nil {
+			if nr, err := routing.NewNaiveRemapView(f, failed); err != nil {
 				row.NaiveBlocked = true
 			} else {
 				l1, err := analysis.CheckLemma1AllPairs(nr, f.Ports())
@@ -274,7 +282,7 @@ func LoadSweepExperiment(n, r int, rates []float64, seed int64) (*LoadSweepResul
 		return nil, err
 	}
 	for _, rt := range []routing.PairRouter{paper, routing.NewDestMod(f)} {
-		points, err := sim.LoadSweep(f.Net, pairs, sim.PairPathsFunc(rt), rates, base)
+		points, err := sim.LoadSweepParallel(f.Net, pairs, sim.PairPathsFunc(rt), rates, base)
 		if err != nil {
 			return nil, err
 		}

@@ -66,7 +66,7 @@ func Oversub(n, r, trials int, seed int64, cfg sim.Config) (*OversubResult, erro
 			if err != nil {
 				return nil, err
 			}
-			sum, err := sim.CompareToCrossbar(f.Net, rt, f.Ports(), trials/4+1, seed, cfg)
+			sum, err := sim.CompareToCrossbar(f.Net, rt, f.Ports(), trials/4+1, 1, seed, cfg)
 			if err != nil {
 				return nil, err
 			}

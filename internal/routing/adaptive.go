@@ -188,8 +188,8 @@ func identTop(t int) int { return t }
 // assemble materializes a planned assignment: each pair's logical top-switch
 // slot is mapped to a physical switch by physTop (the identity on a healthy
 // network; the healthy-switch renumbering when avoiding failures). It is the
-// single path-construction body shared by Route and RouteAvoiding, so the
-// degraded path cannot drift from the healthy one.
+// single path-construction body shared by Route and AvoidingAdaptive.Route,
+// so the degraded path cannot drift from the healthy one.
 func (r *NonblockingAdaptive) assemble(pairs []permutation.Pair, tops []int, confs, need int, physTop func(int) int) *Assignment {
 	a := &Assignment{
 		Net:             r.F.Net,

@@ -10,20 +10,31 @@ import (
 	"repro/internal/topology"
 )
 
+// failedTopsView is the failure view of f with the given top switches
+// failed.
+func failedTopsView(t *testing.T, f *topology.FoldedClos, tops ...int) *topology.FailureView {
+	t.Helper()
+	view, err := topology.FailureSet{Tops: tops}.View(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return view
+}
+
 func TestAdaptiveRouteAvoidingStaysNonblocking(t *testing.T) {
 	// ftree(2+14, 4): the simple bound needs 1 configuration of 6
 	// switches; fail 8 of the 14 and the adaptive router must still route
 	// every pattern clean through the 6 healthy ones.
 	f := topology.NewFoldedClos(2, 14, 4)
-	r, err := routing.NewNonblockingAdaptive(f)
+	failed := failedTopsView(t, f, 0, 2, 3, 5, 7, 8, 11, 13)
+	r, err := routing.NewAvoidingAdaptive(f, failed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	failed := map[int]bool{0: true, 2: true, 3: true, 5: true, 7: true, 8: true, 11: true, 13: true}
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 100; trial++ {
 		p := permutation.Random(rng, f.Ports())
-		a, err := r.RouteAvoiding(p, failed)
+		a, err := r.Route(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,7 +48,7 @@ func TestAdaptiveRouteAvoidingStaysNonblocking(t *testing.T) {
 			for _, path := range ps {
 				for _, node := range path.Nodes {
 					nd := f.Net.Node(node)
-					if nd.Kind == topology.Switch && nd.Level == 2 && failed[nd.Index] {
+					if nd.Kind == topology.Switch && nd.Level == 2 && failed.TopFailed(nd.Index) {
 						t.Fatalf("path uses failed top switch %d", nd.Index)
 					}
 				}
@@ -48,14 +59,13 @@ func TestAdaptiveRouteAvoidingStaysNonblocking(t *testing.T) {
 
 func TestAdaptiveRouteAvoidingExhaustsHealthy(t *testing.T) {
 	f := topology.NewFoldedClos(2, 6, 4)
-	r, err := routing.NewNonblockingAdaptive(f)
+	// Only 5 healthy switches < one configuration (6): must error on a
+	// pattern with cross-switch pairs.
+	r, err := routing.NewAvoidingAdaptive(f, failedTopsView(t, f, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Only 5 healthy switches < one configuration (6): must error on a
-	// pattern with cross-switch pairs.
-	failed := map[int]bool{1: true}
-	if _, err := r.RouteAvoiding(permutation.SwitchShift(2, 4, 1), failed); err == nil {
+	if _, err := r.Route(permutation.SwitchShift(2, 4, 1)); err == nil {
 		t.Fatal("expected healthy-exhausted error")
 	}
 	// A purely local pattern still routes.
@@ -63,7 +73,7 @@ func TestAdaptiveRouteAvoidingExhaustsHealthy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.RouteAvoiding(local, failed); err != nil {
+	if _, err := r.Route(local); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -72,8 +82,7 @@ func TestSparedDeterministicSurvivesFailures(t *testing.T) {
 	// m = n² + 3 spares; fail 3 class switches: still exactly nonblocking.
 	n, r := 3, 7
 	f := topology.NewFoldedClos(n, n*n+3, r)
-	failed := map[int]bool{0: true, 4: true, 8: true}
-	sp, err := routing.NewPaperDeterministicSpared(f, failed)
+	sp, err := routing.NewSparedDeterministicView(f, failedTopsView(t, f, 0, 4, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +102,8 @@ func TestSparedDeterministicFailedSpare(t *testing.T) {
 	// A failed spare must be skipped when remapping.
 	n := 2
 	f := topology.NewFoldedClos(n, n*n+2, 5)
-	failed := map[int]bool{1: true, 4: true} // class 1 and the first spare
-	sp, err := routing.NewPaperDeterministicSpared(f, failed)
+	// Class 1 and the first spare.
+	sp, err := routing.NewSparedDeterministicView(f, failedTopsView(t, f, 1, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,19 +119,19 @@ func TestSparedDeterministicFailedSpare(t *testing.T) {
 func TestSparedDeterministicExhaustsSpares(t *testing.T) {
 	n := 2
 	f := topology.NewFoldedClos(n, n*n+1, 5)
-	failed := map[int]bool{0: true, 1: true} // two failures, one spare
-	if _, err := routing.NewPaperDeterministicSpared(f, failed); err == nil {
+	// Two failures, one spare.
+	if _, err := routing.NewSparedDeterministicView(f, failedTopsView(t, f, 0, 1)); err == nil {
 		t.Fatal("expected spare-exhausted error")
 	}
 	small := topology.NewFoldedClos(2, 3, 5)
-	if _, err := routing.NewPaperDeterministicSpared(small, nil); err == nil {
+	if _, err := routing.NewSparedDeterministicView(small, failedTopsView(t, small)); err == nil {
 		t.Fatal("m < n² accepted")
 	}
 }
 
 func TestSparedDeterministicMechanics(t *testing.T) {
 	f := topology.NewFoldedClos(2, 6, 4)
-	sp, err := routing.NewPaperDeterministicSpared(f, map[int]bool{2: true})
+	sp, err := routing.NewSparedDeterministicView(f, failedTopsView(t, f, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +164,7 @@ func TestNaiveRemapViolatesLemma1(t *testing.T) {
 	// permutation.
 	n := 2
 	f := topology.NewFoldedClos(n, n*n, 5)
-	nr, err := routing.NewPaperDeterministicNaiveRemap(f, map[int]bool{1: true})
+	nr, err := routing.NewNaiveRemapView(f, failedTopsView(t, f, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +187,7 @@ func TestNaiveRemapViolatesLemma1(t *testing.T) {
 		t.Fatal("witness does not block")
 	}
 	// No failures: identical to the exact scheme, still nonblocking.
-	clean, err := routing.NewPaperDeterministicNaiveRemap(f, nil)
+	clean, err := routing.NewNaiveRemapView(f, failedTopsView(t, f))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,11 +199,11 @@ func TestNaiveRemapViolatesLemma1(t *testing.T) {
 		t.Fatal("no-failure remap should be nonblocking")
 	}
 	// All class switches failed: constructor refuses.
-	if _, err := routing.NewPaperDeterministicNaiveRemap(f, map[int]bool{0: true, 1: true, 2: true, 3: true}); err == nil {
+	if _, err := routing.NewNaiveRemapView(f, failedTopsView(t, f, 0, 1, 2, 3)); err == nil {
 		t.Fatal("total failure accepted")
 	}
 	small := topology.NewFoldedClos(2, 3, 5)
-	if _, err := routing.NewPaperDeterministicNaiveRemap(small, nil); err == nil {
+	if _, err := routing.NewNaiveRemapView(small, failedTopsView(t, small)); err == nil {
 		t.Fatal("m < n² accepted")
 	}
 }

@@ -10,11 +10,19 @@ import (
 	"repro/internal/topology"
 )
 
-// The shared assemble helper must make RouteAvoiding with no failures
+// The shared assemble helper must make AvoidingAdaptive with no failures
 // byte-identical to the healthy Route.
 func TestRouteAvoidingNoFailuresMatchesRoute(t *testing.T) {
 	f := topology.NewFoldedClos(3, 9, 9)
 	ad, err := NewNonblockingAdaptive(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	none, err := topology.FailureSet{}.View(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	av, err := NewAvoidingAdaptive(f, none)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,12 +33,12 @@ func TestRouteAvoidingNoFailuresMatchesRoute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := ad.RouteAvoiding(p, nil)
+		b, err := av.Route(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(a.PathSets, b.PathSets) {
-			t.Fatalf("trial %d: RouteAvoiding(∅) diverged from Route", trial)
+			t.Fatalf("trial %d: AvoidingAdaptive(∅) diverged from Route", trial)
 		}
 	}
 }
@@ -41,8 +49,11 @@ func TestSparedErrorReportsHealthySpares(t *testing.T) {
 	n := 2
 	f := topology.NewFoldedClos(n, n*n+2, 4) // 2 provisioned spares: 4, 5
 	// Fail one spare and two class switches: 1 healthy spare < 2 classes.
-	failed := map[int]bool{0: true, 1: true, 5: true}
-	_, err := NewPaperDeterministicSpared(f, failed)
+	failed, err := topology.FailureSet{Tops: []int{0, 1, 5}}.View(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewSparedDeterministicView(f, failed)
 	if err == nil {
 		t.Fatal("expected spare exhaustion error")
 	}

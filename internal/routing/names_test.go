@@ -65,7 +65,12 @@ func TestRouterNames(t *testing.T) {
 			t.Errorf("Name() = %q, want %q", got, name)
 		}
 	}
-	sp, err := routing.NewPaperDeterministicSpared(topology.NewFoldedClos(2, 5, 4), nil)
+	spareFabric := topology.NewFoldedClos(2, 5, 4)
+	none, err := topology.FailureSet{}.View(spareFabric)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := routing.NewSparedDeterministicView(spareFabric, none)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,8 +16,9 @@
 //
 // Every router in this package is safe for concurrent Route/PathFor calls:
 // routing state is fixed at construction and per-call scratch is local.
-// The parallel simulation drivers (sim.RunTrialsParallel and friends) and
-// the parallel verification sweeps rely on this contract.
+// The multi-run simulation drivers (sim.RunTrials, sim.CompareToCrossbar,
+// sim.LoadSweepParallel) and the parallel verification sweeps rely on this
+// contract.
 package routing
 
 import (

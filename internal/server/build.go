@@ -415,7 +415,7 @@ func runSim(ctx context.Context, q *api.Request) (any, error) {
 	}
 
 	if q.Pattern == "random" {
-		sum, err := sim.CompareToCrossbarParallel(t.net, t.router, t.hosts, q.Trials, q.Workers, q.SeedValue(), cfg)
+		sum, err := sim.CompareToCrossbar(t.net, t.router, t.hosts, q.Trials, q.Workers, q.SeedValue(), cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -11,8 +11,8 @@ import "repro/internal/topology"
 // regardless of packet count: the engines that previously allocated one
 // object per packet and two per hop now only grow a handful of slices.
 //
-// The core is NOT safe for concurrent use; the parallel drivers in
-// parallel.go give each goroutine its own engine run.
+// The core is NOT safe for concurrent use; the multi-run drivers in
+// drivers.go give each goroutine its own engine run.
 
 // arbKeyPolicy selects what the OldestFirst arbitration key tracks. The
 // three engines historically used different notions of "oldest"; the

@@ -279,8 +279,8 @@ type StageStats struct {
 
 // Metrics is the observability payload of one simulation run (or a merge
 // of several runs). All fields are plain data: merging two Metrics is
-// element-wise (Merge) and deterministic, so parallel drivers reproduce
-// sequential aggregates byte-for-byte.
+// element-wise (Merge) and deterministic, so the multi-run drivers give
+// byte-identical aggregates for every worker count.
 type Metrics struct {
 	// Wall is the observed wall-clock extent in cycles (the last event
 	// time); utilization and mean queue depths are normalized by it.
@@ -367,8 +367,8 @@ func (m *Metrics) Merge(o *Metrics) {
 
 // AggregateMetrics merges the per-trial metrics of a result slice in trial
 // order (results without metrics are skipped); nil when none carry any.
-// Because the parallel drivers attach trial metrics identical to the
-// sequential drivers', aggregating either slice yields identical bytes.
+// Because RunTrials attaches the same trial metrics for every worker
+// count, the aggregate does not depend on it either.
 func AggregateMetrics(results []*Result) *Metrics {
 	var agg *Metrics
 	for _, r := range results {
@@ -417,7 +417,7 @@ type Collector interface {
 // whose scratch (per-link depth tracking, the histogram) is allocated once
 // and recycled by BeginRun, so attaching it to repeated runs adds zero
 // allocations in the steady state. It is not safe for concurrent use; the
-// parallel drivers draw one per worker run from an internal pool.
+// multi-run drivers draw one per run from an internal pool.
 type MetricsCollector struct {
 	m     Metrics
 	L     int64

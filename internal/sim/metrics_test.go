@@ -385,55 +385,6 @@ func TestMetricsAdaptiveCounters(t *testing.T) {
 	}
 }
 
-func TestMetricsParallelIdenticalToSequential(t *testing.T) {
-	// The parallel drivers must attach byte-identical metrics (histograms,
-	// link stats, stage breakdowns) to the sequential drivers'.
-	f := topology.NewFoldedClos(2, 4, 5)
-	r, err := routing.NewPaperDeterministic(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{PacketFlits: 2, PacketsPerPair: 4, Collector: NewMetricsCollector()}
-	seq, err := RunTrials(f.Net, r, f.Ports(), 6, 11, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunTrialsParallel(f.Net, r, f.Ports(), 6, 11, 4, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatal("parallel trial results (with metrics) differ from sequential")
-	}
-	aggSeq, aggPar := AggregateMetrics(seq), AggregateMetrics(par)
-	if aggSeq == nil || !reflect.DeepEqual(aggSeq, aggPar) {
-		t.Fatal("aggregated metrics differ between sequential and parallel drivers")
-	}
-
-	pairs := permPairsFor(permutation.SwitchShift(2, 5, 1))
-	base := OpenLoopConfig{
-		PacketFlits: 4, WarmupPackets: 5, MeasuredPackets: 20, Seed: 7,
-		Collector: NewMetricsCollector(),
-	}
-	rates := []float64{0.2, 0.5, 0.9}
-	seqPts, err := LoadSweep(f.Net, pairs, PairPathsFunc(r), rates, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parPts, err := LoadSweepParallel(f.Net, pairs, PairPathsFunc(r), rates, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seqPts, parPts) {
-		t.Fatal("parallel sweep points (with metrics) differ from sequential")
-	}
-	for i := range seqPts {
-		if seqPts[i].Metrics == nil {
-			t.Fatalf("sweep point %d carries no metrics", i)
-		}
-	}
-}
-
 func TestMetricsZeroSteadyStateAllocs(t *testing.T) {
 	// Attaching a warmed-up MetricsCollector must add no per-run
 	// allocations over a collector-less run: the collector's scratch is

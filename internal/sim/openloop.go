@@ -242,47 +242,6 @@ type LoadSweepPoint struct {
 	Metrics *Metrics `json:"metrics,omitempty"`
 }
 
-// LoadSweep runs OpenLoop at each offered load for a fixed permutation and
-// router, producing the classic latency/throughput curve. pathsFor adapts
-// any router (see PairPathsFunc and MultiPathsFunc). A non-nil
-// base.Collector turns metrics on: each point gets a pooled collector and
-// keeps a detached snapshot, exactly as the parallel driver does.
-func LoadSweep(net *topology.Network, pairs [][2]int, pathsFor func(s, d int) ([]topology.Path, error), rates []float64, base OpenLoopConfig) ([]LoadSweepPoint, error) {
-	points := make([]LoadSweepPoint, 0, len(rates))
-	collect := base.Collector != nil
-	for _, rate := range rates {
-		cfg := base
-		cfg.Rate = rate
-		var col *MetricsCollector
-		if collect {
-			col = acquireCollector()
-			cfg.Collector = col
-		}
-		res, err := OpenLoop(net, pairs, pathsFor, cfg)
-		if err != nil {
-			if col != nil {
-				releaseCollector(col)
-			}
-			return nil, err
-		}
-		pt := LoadSweepPoint{
-			OfferedLoad:  rate,
-			AcceptedLoad: res.AcceptedLoad,
-			MeanLatency:  res.MeanLatency,
-			P99Latency:   res.P99Latency,
-			Saturated:    res.Saturated,
-		}
-		if res.Metrics != nil {
-			pt.Metrics = res.Metrics.Clone()
-		}
-		if col != nil {
-			releaseCollector(col)
-		}
-		points = append(points, pt)
-	}
-	return points, nil
-}
-
 // PairPathsFunc adapts a single-path deterministic router for OpenLoop.
 func PairPathsFunc(r routing.PairRouter) func(s, d int) ([]topology.Path, error) {
 	return func(s, d int) ([]topology.Path, error) {

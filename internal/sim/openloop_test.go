@@ -136,7 +136,7 @@ func TestLoadSweepMonotoneLatency(t *testing.T) {
 	f := topology.NewFoldedClos(2, 2, 4)
 	r := routing.NewDestMod(f)
 	pairs := permPairsFor(permutation.LocalRotate(2, 4))
-	points, err := LoadSweep(f.Net, pairs, PairPathsFunc(r), []float64{0.1, 0.5, 1.0}, openCfg(0))
+	points, err := LoadSweepParallel(f.Net, pairs, PairPathsFunc(r), []float64{0.1, 0.5, 1.0}, openCfg(0))
 	if err != nil {
 		t.Fatal(err)
 	}

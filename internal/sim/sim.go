@@ -18,7 +18,6 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/permutation"
 	"repro/internal/routing"
@@ -188,7 +187,11 @@ func Run(net *topology.Network, flows []Flow, cfg Config) (*Result, error) {
 		FlowFinish: make([]int64, len(flows)),
 		LinkBusy:   make([]int64, nLinks),
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	// Only random spraying draws; the other policies skip seeding a source.
+	var rng *rand.Rand
+	if cfg.Spray == SprayRandom {
+		rng = rand.New(rand.NewSource(cfg.Seed))
+	}
 
 	c := newEventCore(nLinks, len(flows), L, cfg.Arbiter, keyReadyAt)
 	c.linkBusy = res.LinkBusy
@@ -297,43 +300,4 @@ type ThroughputSummary struct {
 	MeanRelThroughput float64 `json:"mean_rel_throughput"`
 	// MedianSlowdown is the median slowdown across patterns.
 	MedianSlowdown float64 `json:"median_slowdown"`
-}
-
-// CompareToCrossbar simulates `trials` random permutations (seeded) under
-// the router and reports slowdown statistics against the crossbar
-// reference — the experiment behind the paper's motivation ([5], [7]) and
-// its claim that nonblocking folded-Clos networks match crossbars.
-func CompareToCrossbar(net *topology.Network, r routing.Router, hosts, trials int, seed int64, cfg Config) (*ThroughputSummary, error) {
-	// The summary carries no metrics; drop any collector so the network and
-	// crossbar-reference runs never share or clobber collector state.
-	cfg.Collector = nil
-	rng := rand.New(rand.NewSource(seed))
-	sum := &ThroughputSummary{}
-	var slowdowns []float64
-	for i := 0; i < trials; i++ {
-		p := permutation.Random(rng, hosts)
-		_, res, err := RunPermutation(net, r, p, cfg)
-		if err != nil {
-			return nil, err
-		}
-		ref, err := CrossbarReference(hosts, p, cfg)
-		if err != nil {
-			return nil, err
-		}
-		s := res.Slowdown(ref)
-		slowdowns = append(slowdowns, s)
-		sum.MeanSlowdown += s
-		sum.MeanRelThroughput += 1 / s
-		if s > sum.MaxSlowdown {
-			sum.MaxSlowdown = s
-		}
-		sum.Patterns++
-	}
-	if sum.Patterns > 0 {
-		sum.MeanSlowdown /= float64(sum.Patterns)
-		sum.MeanRelThroughput /= float64(sum.Patterns)
-		sort.Float64s(slowdowns)
-		sum.MedianSlowdown = slowdowns[len(slowdowns)/2]
-	}
-	return sum, nil
 }

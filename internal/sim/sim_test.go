@@ -245,7 +245,7 @@ func TestCompareToCrossbar(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{PacketFlits: 2, PacketsPerPair: 4}
-	sum, err := CompareToCrossbar(f.Net, good, f.Ports(), 5, 1, cfg)
+	sum, err := CompareToCrossbar(f.Net, good, f.Ports(), 5, 1, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestCompareToCrossbar(t *testing.T) {
 		t.Fatalf("nonblocking max slowdown %.2f too high", sum.MaxSlowdown)
 	}
 	bad := routing.NewDestMod(f)
-	sumBad, err := CompareToCrossbar(f.Net, bad, f.Ports(), 5, 1, cfg)
+	sumBad, err := CompareToCrossbar(f.Net, bad, f.Ports(), 5, 1, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
