@@ -25,15 +25,18 @@ test:
 # Batch-endpoint smoke: the mixed 50-point batch (duplicates + one invalid
 # item), dedup/cache-hit counters, and the persistent-store restart path.
 # CI runs this as its own step so a batch regression is named in the log.
+# The smoke targets run their test subsets through scripts/run_tests.sh,
+# which fails when an alternative of the -run pattern lists no test, so a
+# rename cannot silently empty a target.
 batch-smoke:
-	$(GO) test ./internal/server/ -count=1 -run 'TestBatch|TestFileStoreRestartHit'
+	GO="$(GO)" ./scripts/run_tests.sh ./internal/server/ 'TestBatch|TestFileStoreRestartHit'
 
 # Coordinator smoke: the in-process distributed-parity tests (byte-identical
 # merge, worker kill, checkpoint resume, SSE), then real binaries on
 # loopback — two workers plus a coordinator — with an n=8 distributed sweep
 # driven by nbverify -remote and diffed against the single-node engine.
 coordinator-smoke:
-	$(GO) test ./internal/server/ -count=1 -run 'TestCoordinatedSweep|TestSweepSSE'
+	GO="$(GO)" ./scripts/run_tests.sh ./internal/server/ 'TestCoordinatedSweep|TestSweepSSE'
 	GO="$(GO)" ./scripts/coordinator_smoke.sh
 
 # Frontier smoke: the symmetry-reduced sweep's byte-identity proofs — the
@@ -42,8 +45,8 @@ coordinator-smoke:
 # binary diffed against the full engine at n=8 and certifying n=12 past
 # the factorial wall.
 frontier-smoke:
-	$(GO) test ./internal/analysis/ -count=1 -run 'TestSweepExhaustiveSym|TestSym|TestSweepSymShard'
-	$(GO) test ./internal/server/ -count=1 -run 'TestSym|TestCoordinatedSym'
+	GO="$(GO)" ./scripts/run_tests.sh ./internal/analysis/ 'TestSweepExhaustiveSym|TestSym|TestSweepSymShard|TestSweepSymStatsPresence|TestSweepSpecRejectsUnsupported'
+	GO="$(GO)" ./scripts/run_tests.sh ./internal/server/ 'TestSym|TestCoordinatedSym'
 	GO="$(GO)" ./scripts/frontier_smoke.sh
 
 # Design-explorer smoke: the planner property tests (binary search ==
@@ -60,8 +63,8 @@ design-smoke:
 # against the committed golden curves — sequentially, on a worker pool,
 # and through a live nbserve.
 fault-smoke:
-	$(GO) test ./internal/campaign/ -count=1 -run 'TestRunParallelMatchesSequential|TestNoRouterEmitsFailedPath'
-	$(GO) test ./internal/server/ -count=1 -run 'TestFailures'
+	GO="$(GO)" ./scripts/run_tests.sh ./internal/campaign/ 'TestRunParallelMatchesSequential|TestNoRouterEmitsFailedPath'
+	GO="$(GO)" ./scripts/run_tests.sh ./internal/server/ 'TestFailures'
 	GO="$(GO)" ./scripts/fault_smoke.sh
 
 race:

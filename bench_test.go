@@ -5,6 +5,7 @@
 package fclos_test
 
 import (
+	"context"
 	"io"
 	"math/rand"
 	"testing"
@@ -413,7 +414,7 @@ func BenchmarkExhaustiveSweepParallelAblation(b *testing.B) {
 	}
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res := fclos.SweepExhaustive(r, f.Ports())
+			res, _, _ := fclos.Sweep(context.Background(), r, f.Ports(), fclos.SweepSpec{})
 			if !res.Nonblocking() {
 				b.Fatal("blocked")
 			}
@@ -421,7 +422,7 @@ func BenchmarkExhaustiveSweepParallelAblation(b *testing.B) {
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res := fclos.SweepExhaustiveParallel(r, f.Ports(), 0)
+			res, _, _ := fclos.Sweep(context.Background(), r, f.Ports(), fclos.SweepSpec{Parallel: true})
 			if !res.Nonblocking() {
 				b.Fatal("blocked")
 			}
@@ -537,7 +538,7 @@ func BenchmarkSweepRandom(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := fclos.SweepRandom(r, f.Ports(), 10, 1)
+		res, _ := fclos.SweepRandomCtx(context.Background(), r, f.Ports(), 10, 1)
 		if !res.Nonblocking() {
 			b.Fatal("paper routing blocked")
 		}
@@ -554,25 +555,7 @@ func BenchmarkSweepExhaustive(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := fclos.SweepExhaustive(r, f.Ports())
-		if !res.Nonblocking() {
-			b.Fatal("paper routing blocked")
-		}
-	}
-}
-
-// BenchmarkSweepExhaustiveOracle times the same 8! sweep through the
-// per-pattern reference engine — the delta engine's parity oracle. Keeping
-// the pair in `make bench` makes the delta speedup visible in every run.
-func BenchmarkSweepExhaustiveOracle(b *testing.B) {
-	f := fclos.NewFoldedClos(4, 16, 2)
-	r, err := fclos.NewPaperDeterministic(f)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := fclos.SweepExhaustiveOracle(r, f.Ports())
+		res, _, _ := fclos.Sweep(context.Background(), r, f.Ports(), fclos.SweepSpec{})
 		if !res.Nonblocking() {
 			b.Fatal("paper routing blocked")
 		}
@@ -590,7 +573,7 @@ func BenchmarkSweepExhaustiveDelta9(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := fclos.SweepExhaustive(r, f.Ports())
+		res, _, _ := fclos.Sweep(context.Background(), r, f.Ports(), fclos.SweepSpec{})
 		if !res.Nonblocking() {
 			b.Fatal("paper routing blocked")
 		}

@@ -82,6 +82,7 @@ type benchmark struct {
 // same work.
 func buildBenchmarks() ([]benchmark, error) {
 	var benches []benchmark
+	ctx := context.Background()
 
 	// SweepRandom: randomized Lemma-1 verification on the Table-I network.
 	{
@@ -95,7 +96,7 @@ func buildBenchmarks() ([]benchmark, error) {
 			name: "SweepRandom",
 			fn: func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if !fclos.SweepRandom(r, hosts, 10, 1).Nonblocking() {
+					if res, _ := fclos.SweepRandomCtx(ctx, r, hosts, 10, 1); !res.Nonblocking() {
 						b.Fatal("paper routing blocked")
 					}
 				}
@@ -105,46 +106,34 @@ func buildBenchmarks() ([]benchmark, error) {
 	}
 
 	// SweepExhaustive: all 8! permutations of ftree(4+16, 2).
-	{
-		f := fclos.NewFoldedClos(4, 16, 2)
-		r, err := fclos.NewPaperDeterministic(f)
-		if err != nil {
-			return nil, err
-		}
-		hosts := f.Ports()
-		benches = append(benches, benchmark{
-			name: "SweepExhaustive",
-			fn: func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if !fclos.SweepExhaustive(r, hosts).Nonblocking() {
-						b.Fatal("paper routing blocked")
-					}
-				}
-			},
-		})
-	}
-
 	// SweepExhaustiveDelta: all 9! permutations of ftree(3+9, 3) through
 	// the incremental engine — one route-table build, then O(path length)
 	// per permutation. A factorial step up from SweepExhaustive (362880
 	// patterns vs 40320) that stays fast only while the delta path does.
-	{
-		f := fclos.NewFoldedClos(3, 9, 3)
+	for _, c := range []struct {
+		name    string
+		n, m, r int
+		met     map[string]float64
+	}{
+		{"SweepExhaustive", 4, 16, 2, nil},
+		{"SweepExhaustiveDelta", 3, 9, 3, map[string]float64{"patterns": 362880}},
+	} {
+		f := fclos.NewFoldedClos(c.n, c.m, c.r)
 		r, err := fclos.NewPaperDeterministic(f)
 		if err != nil {
 			return nil, err
 		}
 		hosts := f.Ports()
 		benches = append(benches, benchmark{
-			name: "SweepExhaustiveDelta",
+			name: c.name,
 			fn: func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if !fclos.SweepExhaustive(r, hosts).Nonblocking() {
+					if res, _, _ := fclos.Sweep(ctx, r, hosts, fclos.SweepSpec{}); !res.Nonblocking() {
 						b.Fatal("paper routing blocked")
 					}
 				}
 			},
-			met: map[string]float64{"patterns": 362880},
+			met: c.met,
 		})
 	}
 
@@ -158,7 +147,7 @@ func buildBenchmarks() ([]benchmark, error) {
 		f := fclos.NewFoldedClos(3, 5, 3)
 		r := fclos.NewFullSpray(f)
 		hosts := f.Ports()
-		res, stats := fclos.SweepExhaustiveSym(r, hosts, 3)
+		res, stats, _ := fclos.Sweep(ctx, r, hosts, fclos.SweepSpec{SymBlock: 3})
 		if !stats.Applied {
 			return nil, fmt.Errorf("sym sweep fell back at n=9: %s", stats.Reason)
 		}
@@ -166,7 +155,7 @@ func buildBenchmarks() ([]benchmark, error) {
 			name: "SweepExhaustiveSymN9",
 			fn: func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					res, stats := fclos.SweepExhaustiveSym(r, hosts, 3)
+					res, stats, _ := fclos.Sweep(ctx, r, hosts, fclos.SweepSpec{SymBlock: 3})
 					if !stats.Applied || res.Blocked != 345168 || res.Tested != 362880 {
 						b.Fatalf("sym sweep drifted: applied=%t blocked=%d tested=%d",
 							stats.Applied, res.Blocked, res.Tested)
@@ -324,7 +313,7 @@ func buildBenchmarks() ([]benchmark, error) {
 		plan := func() (*fclos.DesignReport, error) {
 			memo := store.NewMemory(1024)
 			defer memo.Close()
-			return fclos.PlanDesignSpace(context.Background(), cat, fclos.DesignOptions{Verify: stub, Memo: memo})
+			return fclos.PlanDesignSpace(ctx, cat, fclos.DesignOptions{Verify: stub, Memo: memo})
 		}
 		rep, err := plan()
 		if err != nil {
@@ -371,7 +360,7 @@ func buildBenchmarks() ([]benchmark, error) {
 			N: 2, M: 8, R: 4, Scenario: "tops",
 			MaxFailures: 3, Samples: 2, Trials: 10, Seed: 1,
 		}
-		rep, err := fclos.RunFaultCampaign(context.Background(), cfg)
+		rep, err := fclos.RunFaultCampaign(ctx, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -383,7 +372,7 @@ func buildBenchmarks() ([]benchmark, error) {
 			name: "FaultCampaign",
 			fn: func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					got, err := fclos.RunFaultCampaign(context.Background(), cfg)
+					got, err := fclos.RunFaultCampaign(ctx, cfg)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -19,6 +19,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -81,7 +82,12 @@ func main() {
 	}
 
 	if *remote != "" {
-		if err := runRemote(ctx, os.Stdout, *remote, *n, *m, *r, *scheme, *sprayW, *maxExh, *sym); err != nil {
+		q, err := remoteRequest(*n, *m, *r, *scheme, *sprayW, *seed, *maxExh, *firstB, *sym, *pattern)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "nbverify:", err)
+			os.Exit(2)
+		}
+		if err := runRemote(ctx, os.Stdout, *remote, q); err != nil {
 			fmt.Fprintln(os.Stderr, "nbverify:", err)
 			os.Exit(1)
 		}
@@ -103,46 +109,12 @@ func runCtx(ctx context.Context, out io.Writer, n, m, r int, scheme string, spra
 	f := topology.NewFoldedClos(n, m, r)
 	fmt.Fprintf(out, "network: %s (%d hosts, %d switches)\n", f.Net.Name, f.Ports(), f.Switches())
 
-	var router routing.Router
-	switch scheme {
-	case "paper":
-		pr, err := routing.NewPaperDeterministic(f)
-		if err != nil {
-			return err
-		}
-		router = pr
-	case "paper-folded":
-		router = routing.NewPaperDeterministicFolded(f)
-	case "dest-mod":
-		router = routing.NewDestMod(f)
-	case "source-mod":
-		router = routing.NewSourceMod(f)
-	case "dest-switch-mod":
-		router = routing.NewDestSwitchMod(f)
-	case "random-fixed":
-		router = routing.NewRandomFixed(f, seed)
-	case "adaptive":
-		ad, err := routing.NewNonblockingAdaptive(f)
-		if err != nil {
-			return err
-		}
-		router = ad
-	case "greedy-local":
-		router = routing.NewGreedyLocal(f)
-	case "global":
-		router = routing.NewGlobalRearrangeable(f)
-	case "spray":
-		if sprayWidth <= 0 || sprayWidth >= m {
-			router = routing.NewFullSpray(f)
-		} else {
-			ks, err := routing.NewKSpray(f, sprayWidth)
-			if err != nil {
-				return err
-			}
-			router = ks
-		}
-	default:
+	router, err := routing.NewFtreeRouter(f, scheme, sprayWidth, seed)
+	if errors.Is(err, routing.ErrUnknownScheme) {
 		return fmt.Errorf("unknown routing %q", scheme)
+	}
+	if err != nil {
+		return err
 	}
 	fmt.Fprintf(out, "routing: %s\n", router.Name())
 
@@ -188,6 +160,15 @@ func runCtx(ctx context.Context, out io.Writer, n, m, r int, scheme string, spra
 		return nil
 	}
 
+	if !sym && f.Ports() > maxExh {
+		res, err := analysis.SweepRandomCtx(ctx, router, f.Ports(), trials, seed)
+		if err != nil {
+			return err
+		}
+		report(out, res, "randomized+structured")
+		return res.RouteErr
+	}
+	spec := analysis.Spec{FirstBlocked: firstBlocked}
 	if sym {
 		// -sym forces the exhaustive decision through the symmetry-reduced
 		// engine: where the reduction applies, even hosts! past the
@@ -199,49 +180,25 @@ func runCtx(ctx context.Context, out io.Writer, n, m, r int, scheme string, spra
 			return fmt.Errorf("symmetry reduction not applicable (%s) and %d hosts exceed -max-exhaustive=%d; the full %d! sweep needs that explicit opt-in",
 				st.Reason, f.Ports(), maxExh, f.Ports())
 		}
-		var res *analysis.SweepResult
-		var stats *analysis.SymStats
-		var err error
-		kind := "exhaustive"
-		if firstBlocked {
-			kind = "exhaustive (first-blocked)"
-			res, stats, err = analysis.SweepExhaustiveSymFirstBlockedCtx(ctx, router, f.Ports(), n)
-		} else {
-			res, stats, err = analysis.SweepExhaustiveSymCtx(ctx, router, f.Ports(), n)
-		}
-		if err != nil {
-			return err
-		}
-		if stats.Applied {
-			fmt.Fprintf(out, "symmetry: %d orbit representatives for %d patterns (group order %d)\n",
-				stats.Orbits, permutation.CountFull(f.Ports()), stats.GroupOrder)
-		} else {
-			fmt.Fprintf(out, "symmetry: fell back to the full sweep: %s\n", stats.Reason)
-		}
-		report(out, res, kind)
-		return res.RouteErr
+		spec.SymBlock = n
 	}
-	if f.Ports() <= maxExh {
-		if firstBlocked {
-			res, err := analysis.SweepExhaustiveFirstBlockedCtx(ctx, router, f.Ports())
-			if err != nil {
-				return err
-			}
-			report(out, res, "exhaustive (first-blocked)")
-			return res.RouteErr
-		}
-		res, err := analysis.SweepExhaustiveCtx(ctx, router, f.Ports())
-		if err != nil {
-			return err
-		}
-		report(out, res, "exhaustive")
-		return res.RouteErr
-	}
-	res, err := analysis.SweepRandomCtx(ctx, router, f.Ports(), trials, seed)
+	res, stats, err := analysis.Sweep(ctx, router, f.Ports(), spec)
 	if err != nil {
 		return err
 	}
-	report(out, res, "randomized+structured")
+	switch {
+	case stats == nil:
+	case stats.Applied:
+		fmt.Fprintf(out, "symmetry: %d orbit representatives for %d patterns (group order %d)\n",
+			stats.Orbits, permutation.CountFull(f.Ports()), stats.GroupOrder)
+	default:
+		fmt.Fprintf(out, "symmetry: fell back to the full sweep: %s\n", stats.Reason)
+	}
+	kind := "exhaustive"
+	if firstBlocked {
+		kind = "exhaustive (first-blocked)"
+	}
+	report(out, res, kind)
 	return res.RouteErr
 }
 

@@ -10,20 +10,34 @@ import (
 	"net/http"
 	"strings"
 
+	"repro/internal/analysis"
 	"repro/internal/api"
+	"repro/internal/permutation"
 )
 
+// remoteRequest is the /v1/verify/sweep request that decides what a local
+// run with the same flags decides: the same network, routing (seed
+// included, which random-fixed draws its paths from) and exhaustive
+// opt-in. -first-blocked and -pattern have no remote counterpart, so
+// combining them with -remote is a usage error.
+func remoteRequest(n, m, r int, scheme string, sprayWidth int, seed int64, maxExh int, firstBlocked, sym bool, pattern string) (*api.Request, error) {
+	if firstBlocked || pattern != "" {
+		return nil, fmt.Errorf("-remote runs a full exhaustive sweep: it does not take -first-blocked or -pattern")
+	}
+	return &api.Request{N: n, M: m, R: r, Routing: scheme, SprayWidth: sprayWidth, Seed: api.SeedPtr(seed),
+		MaxExhaustive: maxExh, SymReduce: sym}, nil
+}
+
 // runRemote is nbverify's client mode: instead of deciding locally, it
-// submits the network as an exhaustive sweep to a (possibly coordinating)
-// nbserve node, follows the job's SSE event stream printing progress as
-// shards complete, and renders the final VerifyReport with the same
-// verdict lines the local engines print.
-func runRemote(ctx context.Context, out io.Writer, remote string, n, m, r int, scheme string, sprayWidth, maxExh int, sym bool) error {
+// submits q as an exhaustive sweep to a (possibly coordinating) nbserve
+// node, follows the job's SSE event stream printing progress as shards
+// complete, and renders the final VerifyReport through the same report
+// the local engines print.
+func runRemote(ctx context.Context, out io.Writer, remote string, q *api.Request) error {
 	if !strings.Contains(remote, "://") {
 		remote = "http://" + remote
 	}
-	q := api.Request{N: n, M: m, R: r, Routing: scheme, SprayWidth: sprayWidth, MaxExhaustive: maxExh, SymReduce: sym}
-	body, err := json.Marshal(&q)
+	body, err := json.Marshal(q)
 	if err != nil {
 		return err
 	}
@@ -49,13 +63,13 @@ func runRemote(ctx context.Context, out io.Writer, remote string, n, m, r int, s
 	if err := json.Unmarshal(final.Result, &rep); err != nil {
 		return fmt.Errorf("decode sweep result: %w", err)
 	}
+	res := &analysis.SweepResult{Tested: rep.Tested, Blocked: rep.Blocked, MaxLinkLoad: rep.MaxLinkLoad}
 	if rep.Blocked > 0 {
-		fmt.Fprintf(out, "verdict: BLOCKING — %d of %d exhaustive patterns contended\n", rep.Blocked, rep.Tested)
-		fmt.Fprintf(out, "first blocked permutation: %s\n", rep.Witness)
-	} else {
-		fmt.Fprintf(out, "verdict: no blocking found over %d exhaustive patterns (max link load %d)\n",
-			rep.Tested, rep.MaxLinkLoad)
+		if res.FirstBlocked, err = permutation.Parse(rep.Hosts, rep.Witness); err != nil {
+			return fmt.Errorf("decode sweep witness: %w", err)
+		}
 	}
+	report(out, res, "exhaustive")
 	return nil
 }
 

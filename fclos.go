@@ -25,8 +25,10 @@
 //	rep, _ := sys.Verify(0, 0, 0)                 // exact Lemma-1 decision
 //	fmt.Println(rep.Nonblocking)                  // true
 //
-// The cmd/ directory ships CLI tools (ftree, nbverify, nbtables, nbsim)
-// and examples/ contains runnable scenario walkthroughs.
+// The cmd/ directory ships the CLI tools — ftree, nbverify, nbsim,
+// nbtables, nbreport, nbdesign, the nbserve verification service and the
+// nbbench regression gate — and examples/ contains runnable scenario
+// walkthroughs.
 package fclos
 
 import (
@@ -281,6 +283,9 @@ type (
 	Lemma1Result = analysis.Lemma1Result
 	// SweepResult summarizes a permutation sweep.
 	SweepResult = analysis.SweepResult
+	// SweepSpec selects how Sweep walks the permutations; the zero value
+	// is the sequential full sweep.
+	SweepSpec = analysis.Spec
 	// SymStats reports how a symmetry-reduced sweep executed (applied vs
 	// fell back, orbit count, group order).
 	SymStats = analysis.SymStats
@@ -314,38 +319,20 @@ var (
 	// BlockingWitness extracts a blocked two-pair permutation from a
 	// Lemma-1 violation.
 	BlockingWitness = analysis.BlockingWitness
-	// SweepExhaustive / SweepRandom test many permutations;
-	// SweepExhaustiveParallel shards the n! patterns over a worker pool.
-	// Routers with pattern-independent paths are swept by the incremental
-	// delta engine over a precomputed RouteTable; SweepExhaustiveOracle
-	// forces the per-pattern reference engine, and
-	// SweepExhaustiveFirstBlocked stops at the first contended pattern.
-	SweepExhaustive             = analysis.SweepExhaustive
-	SweepExhaustiveParallel     = analysis.SweepExhaustiveParallel
-	SweepExhaustiveOracle       = analysis.SweepExhaustiveOracle
-	SweepExhaustiveFirstBlocked = analysis.SweepExhaustiveFirstBlocked
-	SweepRandom                 = analysis.SweepRandom
-
-	// Symmetry-reduced sweeps: byte-identical to their full counterparts,
-	// sweeping one canonical representative per BlockSymmetry orbit (with
-	// counters scaled by orbit size) wherever the routing is equivariant,
-	// and falling back to the full engine where it is not. SymApplicable
-	// prechecks applicability without sweeping.
-	SweepExhaustiveSym             = analysis.SweepExhaustiveSym
-	SweepExhaustiveSymCtx          = analysis.SweepExhaustiveSymCtx
-	SweepExhaustiveSymFirstBlocked = analysis.SweepExhaustiveSymFirstBlocked
-	SymApplicable                  = analysis.SymApplicable
-
-	// The Ctx variants accept a context.Context and support cooperative
-	// cancellation: workers poll the context on a stride outside the
-	// per-pattern hot loop, so a context.Background() run costs one nil
-	// check per pattern and matches the plain variants exactly. On
-	// cancellation they return the partial result plus ctx.Err().
-	SweepExhaustiveCtx             = analysis.SweepExhaustiveCtx
-	SweepExhaustiveParallelCtx     = analysis.SweepExhaustiveParallelCtx
-	SweepExhaustiveOracleCtx       = analysis.SweepExhaustiveOracleCtx
-	SweepExhaustiveFirstBlockedCtx = analysis.SweepExhaustiveFirstBlockedCtx
-	SweepRandomCtx                 = analysis.SweepRandomCtx
+	// Sweep routes every full permutation and checks contention; its
+	// SweepSpec picks the engine shape — parallel pool, first-blocked early
+	// exit, symmetry reduction (byte-identical to the unreduced sweep),
+	// prefix or orbit-range shard, progress callback. Routers with
+	// pattern-independent paths are swept by the incremental delta engine
+	// over a precomputed RouteTable. SweepRandomCtx samples seeded random
+	// and structured permutations instead, for networks past the
+	// factorial wall. SymApplicable prechecks a symmetry reduction without
+	// sweeping. Both sweeps poll their context on a stride outside the
+	// per-pattern hot loop and return the partial result plus ctx.Err()
+	// on cancellation.
+	Sweep          = analysis.Sweep
+	SweepRandomCtx = analysis.SweepRandomCtx
+	SymApplicable  = analysis.SymApplicable
 	// BlockingProbability estimates P(contention) over random
 	// permutations.
 	BlockingProbability = analysis.BlockingProbability

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -101,7 +102,10 @@ func TestBlockingWitnessErrorsOnNonblocking(t *testing.T) {
 func TestSweepRandomReportsBlocked(t *testing.T) {
 	f := topology.NewFoldedClos(2, 4, 5)
 	r := routing.NewDestMod(f)
-	res := SweepRandom(r, f.Ports(), 50, 13)
+	res, err := SweepRandomCtx(context.Background(), r, f.Ports(), 50, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.RouteErr != nil {
 		t.Fatal(res.RouteErr)
 	}
@@ -119,7 +123,7 @@ func TestSweepExhaustiveStopsOnRouteError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := SweepExhaustive(r, f.Ports())
+	res := mustSweep(t, r, f.Ports(), Spec{})
 	if res.RouteErr == nil {
 		t.Fatal("expected route error with m=1")
 	}

@@ -24,53 +24,39 @@ func cancelTestRouter(t *testing.T) (routing.Router, int) {
 	return r, f.Ports()
 }
 
-// TestSweepCtxBackgroundParity pins the no-cancellation contract: every Ctx
-// variant run under context.Background() returns a nil error and the exact
-// result of its pre-context counterpart. hosts=7 keeps the exhaustive
-// sweeps at 5040 patterns.
+// TestSweepCtxBackgroundParity pins the no-cancellation contract: every
+// sweep run under a live but never-cancelled context — so every stride
+// poll actually consults it — returns a nil error and exactly the result
+// of the same sweep under context.Background(). hosts=7 keeps the
+// exhaustive sweeps at 5040 patterns.
 func TestSweepCtxBackgroundParity(t *testing.T) {
 	r, _ := cancelTestRouter(t)
 	const hosts = 7
 	ctx := context.Background()
+	live, cancel := context.WithCancel(ctx)
+	defer cancel()
 
-	type variant struct {
+	for _, v := range []struct {
 		name string
-		old  func() *SweepResult
-		new  func() (*SweepResult, error)
-	}
-	for _, v := range []variant{
-		{"exhaustive",
-			func() *SweepResult { return SweepExhaustive(r, hosts) },
-			func() (*SweepResult, error) { return SweepExhaustiveCtx(ctx, r, hosts) }},
-		{"first-blocked",
-			func() *SweepResult { return SweepExhaustiveFirstBlocked(r, hosts) },
-			func() (*SweepResult, error) { return SweepExhaustiveFirstBlockedCtx(ctx, r, hosts) }},
-		{"oracle",
-			func() *SweepResult { return SweepExhaustiveOracle(r, hosts) },
-			func() (*SweepResult, error) { return SweepExhaustiveOracleCtx(ctx, r, hosts) }},
-		{"random",
-			func() *SweepResult { return SweepRandom(r, hosts, 500, 42) },
-			func() (*SweepResult, error) { return SweepRandomCtx(ctx, r, hosts, 500, 42) }},
-		{"parallel",
-			func() *SweepResult { return SweepExhaustiveParallel(r, hosts, 3) },
-			func() (*SweepResult, error) { return SweepExhaustiveParallelCtx(ctx, r, hosts, 3) }},
+		run  func(ctx context.Context) (*SweepResult, error)
+	}{
+		{"exhaustive", func(ctx context.Context) (*SweepResult, error) { return SweepExhaustiveCtx(ctx, r, hosts) }},
+		{"first-blocked", func(ctx context.Context) (*SweepResult, error) { return SweepExhaustiveFirstBlockedCtx(ctx, r, hosts) }},
+		{"oracle", func(ctx context.Context) (*SweepResult, error) {
+			return oracleEngine(r, hosts).sweep(ctx, nil, true, false, nil)
+		}},
+		{"random", func(ctx context.Context) (*SweepResult, error) { return SweepRandomCtx(ctx, r, hosts, 500, 42) }},
+		{"parallel", func(ctx context.Context) (*SweepResult, error) { return SweepExhaustiveParallelCtx(ctx, r, hosts, 3) }},
 	} {
-		want := v.old()
-		got, err := v.new()
+		want, err := v.run(ctx)
 		if err != nil {
 			t.Fatalf("%s: background ctx returned %v", v.name, err)
 		}
-		if got.Tested != want.Tested || got.Blocked != want.Blocked || got.MaxLinkLoad != want.MaxLinkLoad {
-			t.Fatalf("%s: ctx (%d,%d,%d) vs plain (%d,%d,%d)",
-				v.name, got.Tested, got.Blocked, got.MaxLinkLoad,
-				want.Tested, want.Blocked, want.MaxLinkLoad)
+		got, err := v.run(live)
+		if err != nil {
+			t.Fatalf("%s: live ctx returned %v", v.name, err)
 		}
-		if (got.FirstBlocked == nil) != (want.FirstBlocked == nil) {
-			t.Fatalf("%s: FirstBlocked presence mismatch", v.name)
-		}
-		if got.FirstBlocked != nil && !got.FirstBlocked.Equal(want.FirstBlocked) {
-			t.Fatalf("%s: FirstBlocked %s vs %s", v.name, got.FirstBlocked, want.FirstBlocked)
-		}
+		sameSweepResult(t, v.name, got, want)
 	}
 
 	s := &WorstCaseSearch{Router: r, Hosts: hosts, Restarts: 4, Steps: 200, Seed: 7}
@@ -78,7 +64,7 @@ func TestSweepCtxBackgroundParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.RunCtx(ctx)
+	got, err := s.RunCtx(live)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +91,7 @@ func TestSweepCtxPreCancelled(t *testing.T) {
 	}{
 		{"exhaustive", func() (*SweepResult, error) { return SweepExhaustiveCtx(ctx, r, hosts) }},
 		{"first-blocked", func() (*SweepResult, error) { return SweepExhaustiveFirstBlockedCtx(ctx, r, hosts) }},
-		{"oracle", func() (*SweepResult, error) { return SweepExhaustiveOracleCtx(ctx, r, hosts) }},
+		{"oracle", func() (*SweepResult, error) { return oracleEngine(r, hosts).sweep(ctx, nil, true, false, nil) }},
 		{"random", func() (*SweepResult, error) { return SweepRandomCtx(ctx, r, hosts, 1000, 1) }},
 		{"parallel", func() (*SweepResult, error) { return SweepExhaustiveParallelCtx(ctx, r, hosts, 4) }},
 	} {
@@ -150,7 +136,7 @@ func TestSweepCtxCancelPrompt(t *testing.T) {
 			return res.Tested, err
 		}},
 		{"exhaustive-oracle", func(ctx context.Context) (int, error) {
-			res, err := SweepExhaustiveOracleCtx(ctx, r, hosts)
+			res, err := oracleEngine(r, hosts).sweep(ctx, nil, true, false, nil)
 			return res.Tested, err
 		}},
 		{"random", func(ctx context.Context) (int, error) {

@@ -81,89 +81,15 @@ type SweepResult struct {
 // contention.
 func (s *SweepResult) Nonblocking() bool { return s.Blocked == 0 && s.RouteErr == nil }
 
-// SweepExhaustive routes every full permutation of hosts endpoints
-// (hosts! patterns — practical up to hosts ≈ 9–10) and checks contention.
-// For deterministic routing this plus CheckLemma1AllPairs gives two
-// independent exact verdicts; for adaptive routing it is the ground-truth
-// check on small networks.
-//
-// Routers with pattern-independent per-pair paths (PairLinkAppender,
-// MultiPairRouter or PairRouter) are swept by the incremental delta
-// engine: their per-pair link sets are precomputed once into a CSR
-// routing.RouteTable and a DeltaChecker updates contention state per
-// Heap-algorithm swap, making each pattern O(path length) instead of
-// O(n · path length). Pattern-dependent routers — and any router whose
-// table build fails — fall back to SweepExhaustiveOracle, so results
-// (including routing-error reporting) are identical either way.
-func SweepExhaustive(r routing.Router, hosts int) *SweepResult {
-	res, _ := sweepExhaustive(context.Background(), r, hosts, false, nil)
-	return res
-}
-
-// SweepExhaustiveCtx is SweepExhaustive with cooperative cancellation: the
-// sweep polls ctx between blocks of patterns (never inside the per-pattern
-// accounting) and, once ctx fires, stops and returns the partial result
-// together with ctx.Err(). A run that completes under a never-cancelled
-// context returns a result identical to SweepExhaustive's and a nil error.
-func SweepExhaustiveCtx(ctx context.Context, r routing.Router, hosts int) (*SweepResult, error) {
-	return sweepExhaustive(ctx, r, hosts, false, nil)
-}
-
-// SweepExhaustiveFirstBlocked is SweepExhaustive in early-exit mode for
-// callers that only need a yes/no nonblocking verdict plus a witness: the
-// sweep stops at the first contended pattern. Tested counts the patterns
-// examined up to and including the blocked one; Blocked is at most 1, and
-// MaxLinkLoad covers only the examined prefix. A fully nonblocking router
-// yields a result identical to SweepExhaustive's.
-func SweepExhaustiveFirstBlocked(r routing.Router, hosts int) *SweepResult {
-	res, _ := sweepExhaustive(context.Background(), r, hosts, true, nil)
-	return res
-}
-
-// SweepExhaustiveFirstBlockedCtx is SweepExhaustiveFirstBlocked with
-// cooperative cancellation (see SweepExhaustiveCtx).
-func SweepExhaustiveFirstBlockedCtx(ctx context.Context, r routing.Router, hosts int) (*SweepResult, error) {
-	return sweepExhaustive(ctx, r, hosts, true, nil)
-}
-
-// SweepExhaustiveOracle is the scratch-rebuild reference implementation of
-// SweepExhaustive: one Checker.AnalyzePattern per pattern, no cross-pattern
-// state. It is the parity oracle the delta engine is property-tested
-// against, and the engine every pattern-dependent router uses.
-func SweepExhaustiveOracle(r routing.Router, hosts int) *SweepResult {
-	res, _ := oracleEngine(r, hosts).sweep(context.Background(), nil, true, false, nil)
-	return res
-}
-
-// SweepExhaustiveOracleCtx is SweepExhaustiveOracle with cooperative
-// cancellation (see SweepExhaustiveCtx).
-func SweepExhaustiveOracleCtx(ctx context.Context, r routing.Router, hosts int) (*SweepResult, error) {
-	return oracleEngine(r, hosts).sweep(ctx, nil, true, false, nil)
-}
-
-func sweepExhaustive(ctx context.Context, r routing.Router, hosts int, firstOnly bool, fn ProgressFunc) (*SweepResult, error) {
-	return newEngine(r, hosts).sweep(ctx, nil, true, firstOnly, fn)
-}
-
-// SweepRandom routes trials random full permutations (seeded) plus the
-// structured patterns most hostile to fat-trees — switch shifts, local
-// rotations, transpose and bit-reversal where the host count allows — and
-// checks contention.
-func SweepRandom(r routing.Router, hosts, trials int, seed int64) *SweepResult {
-	res, _ := sweepRandom(context.Background(), r, hosts, trials, seed)
-	return res
-}
-
-// SweepRandomCtx is SweepRandom with cooperative cancellation: ctx is
-// polled between patterns (each pattern routes all its pairs, so the check
-// is off the per-pair hot path) and a fired ctx stops the sweep, returning
-// the partial result with ctx.Err(). Under a never-cancelled context the
-// result is identical to SweepRandom's.
+// SweepRandomCtx routes trials seeded random full permutations, trials/2
+// random partial ones, and the structured patterns most hostile to
+// fat-trees — switch shifts, local rotations, transpose and bit-reversal
+// where the host count allows — and checks contention. It is the sampled
+// counterpart of Sweep for networks past the factorial wall. ctx is
+// polled between patterns (each pattern routes all its pairs, so the
+// check is off the per-pair hot path) and a fired ctx stops the sweep,
+// returning the partial result with ctx.Err().
 func SweepRandomCtx(ctx context.Context, r routing.Router, hosts, trials int, seed int64) (*SweepResult, error) {
-	return sweepRandom(ctx, r, hosts, trials, seed)
-}
-
-func sweepRandom(ctx context.Context, r routing.Router, hosts, trials int, seed int64) (*SweepResult, error) {
 	res := &SweepResult{}
 	if err := ctx.Err(); err != nil {
 		return res, err

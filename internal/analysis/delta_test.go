@@ -60,6 +60,24 @@ func deltaRouters(t *testing.T) []struct {
 	return out
 }
 
+// mustSweep runs Sweep under context.Background(), failing the test on a
+// returned error.
+func mustSweep(t testing.TB, r routing.Router, hosts int, s Spec) *SweepResult {
+	t.Helper()
+	res, _, err := Sweep(context.Background(), r, hosts, s)
+	if err != nil {
+		t.Fatalf("Sweep(%s, %d, %+v): %v", r.Name(), hosts, s, err)
+	}
+	return res
+}
+
+// oracleSweep is the full sequential sweep forced onto the scratch
+// Checker: the independent reference the delta engine is tested against.
+func oracleSweep(r routing.Router, hosts int) *SweepResult {
+	res, _ := oracleEngine(r, hosts).sweep(context.Background(), nil, true, false, nil)
+	return res
+}
+
 func sameSweepResult(t *testing.T, name string, got, want *SweepResult) {
 	t.Helper()
 	if got.Tested != want.Tested || got.Blocked != want.Blocked || got.MaxLinkLoad != want.MaxLinkLoad {
@@ -89,8 +107,8 @@ func TestSweepExhaustiveDeltaMatchesOracle(t *testing.T) {
 		if _, err := routing.BuildRouteTable(c.r, c.hosts); err != nil {
 			t.Fatalf("%s: table build failed: %v", c.r.Name(), err)
 		}
-		got := SweepExhaustive(c.r, c.hosts)
-		want := SweepExhaustiveOracle(c.r, c.hosts)
+		got := mustSweep(t, c.r, c.hosts, Spec{})
+		want := oracleSweep(c.r, c.hosts)
 		sameSweepResult(t, c.r.Name(), got, want)
 	}
 }
@@ -179,7 +197,7 @@ func TestDeltaCheckerResetPartialPattern(t *testing.T) {
 }
 
 // erroringAppender routes like its inner router but fails on one pair —
-// exercising the build-failure fallback: SweepExhaustive must degrade to
+// exercising the build-failure fallback: Sweep must degrade to
 // the oracle and report its exact mid-enumeration routing error.
 type erroringAppender struct {
 	inner routing.PairLinkAppender
@@ -210,8 +228,8 @@ func TestSweepExhaustiveErroringRouterFallsBackToOracle(t *testing.T) {
 	if _, err := routing.BuildRouteTable(r, f.Ports()); err == nil {
 		t.Fatal("table build should fail on the injected pair")
 	}
-	got := SweepExhaustive(r, f.Ports())
-	want := SweepExhaustiveOracle(r, f.Ports())
+	got := mustSweep(t, r, f.Ports(), Spec{})
+	want := oracleSweep(r, f.Ports())
 	if got.RouteErr == nil {
 		t.Fatal("sweep should surface the injected failure")
 	}
@@ -220,8 +238,8 @@ func TestSweepExhaustiveErroringRouterFallsBackToOracle(t *testing.T) {
 	}
 	sameSweepResult(t, r.Name(), got, want)
 	// Same for the first-blocked and parallel entry points.
-	sameSweepResult(t, r.Name(), SweepExhaustiveFirstBlocked(r, f.Ports()), want)
-	sameSweepResult(t, r.Name(), SweepExhaustiveParallel(r, f.Ports(), 3), &SweepResult{RouteErr: want.RouteErr})
+	sameSweepResult(t, r.Name(), mustSweep(t, r, f.Ports(), Spec{FirstBlocked: true}), want)
+	sameSweepResult(t, r.Name(), mustSweep(t, r, f.Ports(), Spec{Parallel: true, Workers: 3}), &SweepResult{RouteErr: want.RouteErr})
 }
 
 func TestSweepExhaustiveFirstBlockedSemantics(t *testing.T) {
@@ -231,18 +249,18 @@ func TestSweepExhaustiveFirstBlockedSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Nonblocking router: identical to the full sweep.
-	sameSweepResult(t, "paper", SweepExhaustiveFirstBlocked(paper, f.Ports()), SweepExhaustive(paper, f.Ports()))
+	sameSweepResult(t, "paper", mustSweep(t, paper, f.Ports(), Spec{FirstBlocked: true}), mustSweep(t, paper, f.Ports(), Spec{}))
 
 	// Blocking routers: exactly one blocked pattern, the same FirstBlocked
 	// as the full sweep, and a Tested count that stops right there. The
 	// examined prefix is enumeration-order, so Tested is the 1-based index
 	// of FirstBlocked in the full enumeration for both engines.
 	for _, c := range deltaRouters(t) {
-		full := SweepExhaustive(c.r, c.hosts)
+		full := mustSweep(t, c.r, c.hosts, Spec{})
 		if full.Blocked == 0 {
 			continue
 		}
-		fb := SweepExhaustiveFirstBlocked(c.r, c.hosts)
+		fb := mustSweep(t, c.r, c.hosts, Spec{FirstBlocked: true})
 		if fb.Blocked != 1 {
 			t.Fatalf("%s: Blocked %d, want 1", c.r.Name(), fb.Blocked)
 		}
@@ -266,9 +284,9 @@ func TestSweepExhaustiveFirstBlockedSemantics(t *testing.T) {
 
 func TestSweepExhaustiveParallelDeltaMatchesSequential(t *testing.T) {
 	for _, c := range deltaRouters(t) {
-		seq := SweepExhaustive(c.r, c.hosts)
+		seq := mustSweep(t, c.r, c.hosts, Spec{})
 		for _, workers := range []int{1, 3, 0} {
-			par := SweepExhaustiveParallel(c.r, c.hosts, workers)
+			par := mustSweep(t, c.r, c.hosts, Spec{Parallel: true, Workers: workers})
 			if par.Tested != seq.Tested || par.Blocked != seq.Blocked || par.MaxLinkLoad != seq.MaxLinkLoad {
 				t.Fatalf("%s workers=%d: parallel (%d,%d,%d) vs sequential (%d,%d,%d)",
 					c.r.Name(), workers, par.Tested, par.Blocked, par.MaxLinkLoad,

@@ -32,18 +32,18 @@ func TestSweepExhaustiveParallelMatchesSequential(t *testing.T) {
 		{bad, true, "0->0 1->3 2->1 3->5 4->4 5->2"},
 		{scratch, true, "0->0 1->2 2->1 3->5 4->3 5->4"},
 	} {
-		res := SweepExhaustive(w.r, f.Ports())
+		res := mustSweep(t, w.r, f.Ports(), Spec{})
 		if w.parallel {
-			res = SweepExhaustiveParallel(w.r, f.Ports(), 2)
+			res = mustSweep(t, w.r, f.Ports(), Spec{Parallel: true, Workers: 2})
 		}
 		if got := res.FirstBlocked.String(); got != w.want {
 			t.Fatalf("%T parallel=%v: witness %s, want %s", w.r, w.parallel, got, w.want)
 		}
 	}
 	for _, r := range []routing.Router{good, bad} {
-		seq := SweepExhaustive(r, f.Ports())
+		seq := mustSweep(t, r, f.Ports(), Spec{})
 		for _, workers := range []int{1, 2, 4, 0} {
-			par := SweepExhaustiveParallel(r, f.Ports(), workers)
+			par := mustSweep(t, r, f.Ports(), Spec{Parallel: true, Workers: workers})
 			if par.Tested != seq.Tested || par.Blocked != seq.Blocked || par.MaxLinkLoad != seq.MaxLinkLoad {
 				t.Fatalf("%s workers=%d: parallel (%d,%d,%d) vs sequential (%d,%d,%d)",
 					r.Name(), workers, par.Tested, par.Blocked, par.MaxLinkLoad,
@@ -91,7 +91,7 @@ func TestSweepExhaustiveParallelTinyAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := SweepExhaustiveParallel(r, f.Ports(), 4)
+	res := mustSweep(t, r, f.Ports(), Spec{Parallel: true, Workers: 4})
 	if res.Tested != 1 {
 		t.Fatalf("hosts=1: tested %d", res.Tested)
 	}
@@ -101,7 +101,7 @@ func TestSweepExhaustiveParallelTinyAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := SweepExhaustiveParallel(ad, tiny.Ports(), 3)
+	out := mustSweep(t, ad, tiny.Ports(), Spec{Parallel: true, Workers: 3})
 	if out.RouteErr == nil {
 		t.Fatal("expected route error")
 	}
@@ -129,7 +129,7 @@ func (r *failingRouter) Route(p *permutation.Permutation) (*routing.Assignment, 
 
 // TestSweepExhaustiveParallelErrorPathDeterministic is the regression test
 // for the racy error path: a parallel sweep hitting a routing failure must
-// report the same (sequential-order first) error as SweepExhaustive and
+// report the same (sequential-order first) error as the sequential sweep and
 // zeroed statistics, identically across worker counts and repeated runs.
 func TestSweepExhaustiveParallelErrorPathDeterministic(t *testing.T) {
 	f := topology.NewFoldedClos(2, 4, 3)
@@ -138,13 +138,13 @@ func TestSweepExhaustiveParallelErrorPathDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := &failingRouter{inner: good, failDst: 2}
-	seq := SweepExhaustive(r, f.Ports())
+	seq := mustSweep(t, r, f.Ports(), Spec{})
 	if seq.RouteErr == nil {
 		t.Fatal("sequential sweep should hit the injected failure")
 	}
 	for _, workers := range []int{1, 2, 4, 8, 0} {
 		for rep := 0; rep < 5; rep++ {
-			par := SweepExhaustiveParallel(r, f.Ports(), workers)
+			par := mustSweep(t, r, f.Ports(), Spec{Parallel: true, Workers: workers})
 			if par.RouteErr == nil || par.RouteErr.Error() != seq.RouteErr.Error() {
 				t.Fatalf("workers=%d rep=%d: RouteErr %v, want %v", workers, rep, par.RouteErr, seq.RouteErr)
 			}

@@ -38,7 +38,7 @@ func TestSweepShardMergeMatchesParallel(t *testing.T) {
 		{ad, wide.Ports()}, // pattern-dependent: oracle engine
 	} {
 		r, hosts := tc.r, tc.hosts
-		want := SweepExhaustiveParallel(r, hosts, 4)
+		want := mustSweep(t, r, hosts, Spec{Parallel: true, Workers: 4})
 		for _, minShards := range []int{1, hosts, hosts + 1, hosts * (hosts - 1)} {
 			shards := permutation.PrefixShards(hosts, minShards)
 			results := make([]SweepResult, len(shards))
@@ -114,7 +114,7 @@ func TestSweepShardRouteErr(t *testing.T) {
 	if MergeShardSweeps(results).RouteErr == nil {
 		t.Fatal("merge dropped the routing failure")
 	}
-	want := SweepExhaustiveParallel(ad, hosts, 4)
+	want := mustSweep(t, ad, hosts, Spec{Parallel: true, Workers: 4})
 	got := SweepFirstRouteErr(ad, hosts)
 	if got.RouteErr == nil || got.RouteErr.Error() != want.RouteErr.Error() {
 		t.Fatalf("re-derived %v, parallel %v", got.RouteErr, want.RouteErr)
@@ -151,27 +151,22 @@ func TestProgressDeltasSumToCounters(t *testing.T) {
 	ctx := context.Background()
 	for _, v := range []struct {
 		name string
-		run  func(fn ProgressFunc) (*SweepResult, error)
+		spec Spec
 	}{
-		{"sequential", func(fn ProgressFunc) (*SweepResult, error) {
-			return SweepExhaustiveProgressCtx(ctx, bad, hosts, fn)
-		}},
-		{"parallel", func(fn ProgressFunc) (*SweepResult, error) {
-			return SweepExhaustiveParallelProgressCtx(ctx, bad, hosts, 3, fn)
-		}},
-		{"shard", func(fn ProgressFunc) (*SweepResult, error) {
-			return SweepShardCtx(ctx, bad, hosts, []int{2}, fn)
-		}},
+		{"sequential", Spec{}},
+		{"parallel", Spec{Parallel: true, Workers: 3}},
+		{"shard", Spec{Prefix: []int{2}}},
 	} {
 		var tested, blocked, calls atomic.Int64
-		res, err := v.run(func(dt, db int) {
+		v.spec.Progress = func(dt, db int) {
 			if dt < 0 || db < 0 {
 				t.Errorf("%s: negative delta (%d,%d)", v.name, dt, db)
 			}
 			tested.Add(int64(dt))
 			blocked.Add(int64(db))
 			calls.Add(1)
-		})
+		}
+		res, _, err := Sweep(ctx, bad, hosts, v.spec)
 		if err != nil {
 			t.Fatalf("%s: %v", v.name, err)
 		}

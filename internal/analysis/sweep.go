@@ -4,11 +4,187 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/permutation"
 	"repro/internal/routing"
 )
+
+// Spec selects how Sweep walks the hosts! full permutations. Each field is
+// one independent choice; the zero Spec is the sequential full sweep in
+// Heap order.
+type Spec struct {
+	// Parallel fans the n level-1 prefix shards over a pool of Workers
+	// goroutines (Workers ≤ 0 selects GOMAXPROCS) and merges them in shard
+	// order. Counts, MaxLinkLoad and a routing error (the canonical
+	// sequential-order first one) equal the sequential sweep's;
+	// FirstBlocked is the first blocked pattern of the lowest blocked
+	// level-1 shard, not the sequential sweep's Heap-order witness. On
+	// cancellation the merged partial counters depend on where each worker
+	// observed the signal: progress indicators only.
+	Parallel bool
+	Workers  int
+	// FirstBlocked stops at the first blocked pattern: Tested counts the
+	// patterns examined up to and including it, Blocked is at most 1, and
+	// MaxLinkLoad covers only the examined prefix. A nonblocking router
+	// yields the full sweep's result.
+	FirstBlocked bool
+	// SymBlock, when nonzero, reduces the sweep over the block symmetry
+	// group of a fabric with SymBlock hosts per bottom switch: one
+	// representative per orbit, counters scaled by orbit size, and the
+	// witness re-derived in the unreduced sweep's own order, so the result
+	// is byte-identical to the unreduced sweep's. Where the reduction does
+	// not apply the unreduced engine runs instead and SymStats.Reason says
+	// why. The orbit sweep itself is sequential — orders of magnitude
+	// smaller than the full one — so with Parallel the pool serves only
+	// the fallback.
+	SymBlock int
+	// Prefix, when non-nil, sweeps one shard of the parallel pool: the
+	// patterns whose sources 0..len(Prefix)−1 send to Prefix, in that
+	// pool's per-shard order (an empty Prefix is the whole space in that
+	// order). A destination out of range or repeated is an error. Merging
+	// per-shard results in lexicographic prefix order (MergeShardSweeps)
+	// reproduces the Parallel sweep.
+	Prefix []int
+	// SymShard, when non-nil, is a [lo, hi) range of top-level necklace
+	// indices (permutation.BlockSymmetry.Shards): a SymBlock sweep over
+	// just those orbits. Its FirstBlocked is the shard's first blocked
+	// representative, which only signals blockedness (SweepSymWitness
+	// re-derives the full-order witness), and a reduction that does not
+	// apply is an error, not a fallback.
+	SymShard []int
+	// Progress, if non-nil, receives tested/blocked deltas on the
+	// cancellation-poll stride (see ProgressFunc); orbit sweeps report
+	// orbit-scaled deltas.
+	Progress ProgressFunc
+}
+
+// Sweep progress reporting. Long sweeps (minutes of wall clock once the
+// host count passes the delta engine's comfort zone) are consumed by
+// interactive clients — nbserve's SSE job streams, nbverify's -remote
+// mode — that need to show liveness without slowing the hot loop. The
+// hooks share the sweep kernel's strided cancellation poll: the callback
+// fires at most once per cancelCheckMask+1 patterns plus one flush per
+// enumeration (and per shard in the parallel pool).
+
+// ProgressFunc receives incremental sweep progress: the number of patterns
+// tested and found blocked since the previous call from the same sweep
+// goroutine. Parallel sweeps invoke one callback concurrently from every
+// worker, so implementations must be safe for concurrent use (atomic adds
+// are the intended shape); deltas from all workers sum to the final
+// SweepResult counters. Callbacks run on the sweep hot path — keep them
+// cheap and never block.
+type ProgressFunc func(testedDelta, blockedDelta int)
+
+// unsupported names the field combination of s that no engine
+// implements, or returns "".
+func (s *Spec) unsupported() string {
+	switch {
+	case s.Workers != 0 && !s.Parallel:
+		return "Workers without Parallel"
+	case s.Parallel && s.FirstBlocked:
+		return "Parallel with FirstBlocked"
+	case s.Prefix != nil && (s.Parallel || s.SymBlock != 0 || s.SymShard != nil):
+		return "Prefix with Parallel or symmetry reduction"
+	case s.SymShard != nil && (s.Parallel || s.FirstBlocked || len(s.SymShard) != 2):
+		return "SymShard with Parallel, FirstBlocked, or a range other than [lo, hi)"
+	}
+	return ""
+}
+
+// Sweep routes every full permutation of hosts endpoints the way s asks
+// and checks each for contention — for deterministic routing a second,
+// independent exact verdict next to CheckLemma1AllPairs, for adaptive
+// routing the ground truth on small networks. It is the one entry point
+// to every exhaustive engine.
+//
+// Routers with pattern-independent per-pair paths are swept by the
+// incremental delta engine over a precomputed routing.RouteTable; every
+// other router — or one whose table build fails — by the per-pattern
+// Checker, with identical results, routing errors included.
+//
+// A routing failure stops the sweep and is SweepResult.RouteErr, not the
+// returned error. The returned error is a rejected spec or prefix, an
+// inapplicable SymShard, or ctx.Err(): ctx is polled on a stride outside
+// the per-pattern accounting, and a cancelled sweep returns its partial
+// result with ctx.Err(). The result is never nil, and SymStats is non-nil
+// exactly when s asks for a symmetry reduction.
+func Sweep(ctx context.Context, r routing.Router, hosts int, s Spec) (*SweepResult, *SymStats, error) {
+	var stats *SymStats
+	if s.SymBlock != 0 || s.SymShard != nil {
+		stats = &SymStats{}
+	}
+	if bad := s.unsupported(); bad != "" {
+		return &SweepResult{}, stats, fmt.Errorf("analysis: sweep spec %s is not supported", bad)
+	}
+	if err := ctx.Err(); err != nil {
+		return &SweepResult{}, stats, err
+	}
+	switch {
+	case s.Prefix != nil:
+		res, err := sweepShard(ctx, r, hosts, &s)
+		return res, nil, err
+	case stats != nil:
+		return sweepSym(ctx, r, hosts, &s)
+	}
+	e := newEngine(r, hosts)
+	if s.Parallel {
+		res, err := e.parallel(ctx, s.Workers, s.Progress)
+		return res, nil, err
+	}
+	res, err := e.sweep(ctx, nil, true, s.FirstBlocked, s.Progress)
+	return res, nil, err
+}
+
+// Shard sweeps: the worker half of the distributed exhaustive sweep. A
+// coordinator plans a prefix partition (permutation.PrefixShards), posts
+// one shard per request to worker nbserve nodes, and merges the returned
+// SweepResults. Each shard sweep here is exactly one shard of the
+// in-process parallel pool — same scorer selection, same enumeration
+// order, same kernel — so merging the per-shard results in lexicographic
+// prefix order reproduces the single-process parallel sweep exactly.
+
+// sweepShard is Sweep for a spec with a Prefix.
+func sweepShard(ctx context.Context, r routing.Router, hosts int, s *Spec) (*SweepResult, error) {
+	if hosts <= 0 {
+		return &SweepResult{}, nil
+	}
+	for i, d := range s.Prefix {
+		// A repeated destination would denote an empty shard, which merges
+		// into a plausible-looking zero result: reject it like an
+		// out-of-range one.
+		if d < 0 || d >= hosts || slices.Contains(s.Prefix[:i], d) {
+			return &SweepResult{}, fmt.Errorf("analysis: shard prefix %v is not a destination prefix for %d hosts", s.Prefix, hosts)
+		}
+	}
+	return newEngine(r, hosts).sweep(ctx, s.Prefix, false, s.FirstBlocked, s.Progress)
+}
+
+// MergeShardSweeps folds per-shard sweep results, given in lexicographic
+// prefix order, the same way the in-process parallel sweep merges its
+// level-1 shards: counts are exact sums, MaxLinkLoad is the max, and
+// FirstBlocked comes from the first (lowest-prefix) blocked shard in that
+// shard's own enumeration order. RouteErr is taken from the first shard
+// reporting one; callers must then discard the statistical fields and
+// re-derive the canonical error with SweepFirstRouteErr, exactly as the
+// parallel pool does.
+func MergeShardSweeps(results []SweepResult) *SweepResult {
+	merged := &SweepResult{}
+	for i := range results {
+		sr := &results[i]
+		merged.Tested += sr.Tested
+		merged.Blocked += sr.Blocked
+		merged.MaxLinkLoad = max(merged.MaxLinkLoad, sr.MaxLinkLoad)
+		if merged.FirstBlocked == nil {
+			merged.FirstBlocked = sr.FirstBlocked
+		}
+		if merged.RouteErr == nil {
+			merged.RouteErr = sr.RouteErr
+		}
+	}
+	return merged
+}
 
 // The sweep kernel. Every exhaustive mode — sequential, first-blocked,
 // parallel, prefix shard, symmetry-reduced — and the randomized sweep run

@@ -48,17 +48,21 @@ func TestSweepAllocsIndependentOfPatternCount(t *testing.T) {
 	}
 	for _, v := range []struct {
 		name string
-		run  func(hosts int)
+		r    routing.Router
+		spec Spec
 	}{
-		{"SweepExhaustiveCtx", func(h int) { check(SweepExhaustiveCtx(ctx, r, h)) }},
-		{"SweepExhaustiveFirstBlockedCtx", func(h int) { check(SweepExhaustiveFirstBlockedCtx(ctx, r, h)) }},
-		{"SweepExhaustiveOracleCtx", func(h int) { check(SweepExhaustiveOracleCtx(ctx, r, h)) }},
-		{"SweepExhaustiveParallelCtx", func(h int) { check(SweepExhaustiveParallelCtx(ctx, r, h, 2)) }},
-		{"SweepShardCtx", func(h int) { check(SweepShardCtx(ctx, r, h, []int{1}, nil)) }},
-		{"SweepShardCtx/scratch", func(h int) { check(SweepShardCtx(ctx, scratch, h, []int{1}, nil)) }},
+		{"sequential", r, Spec{}},
+		{"first-blocked", r, Spec{FirstBlocked: true}},
+		{"parallel", r, Spec{Parallel: true, Workers: 2}},
+		{"shard", r, Spec{Prefix: []int{1}}},
+		{"shard/scratch", scratch, Spec{Prefix: []int{1}}},
 	} {
-		pinAllocs(t, v.name, 7, 8, v.run)
+		pinAllocs(t, v.name, 7, 8, func(h int) {
+			res, _, err := Sweep(ctx, v.r, h, v.spec)
+			check(res, err)
+		})
 	}
+	pinAllocs(t, "oracle", 7, 8, func(h int) { check(oracleEngine(r, h).sweep(ctx, nil, true, false, nil)) })
 }
 
 // TestSweepSymAllocsIndependentOfPatternCount pins the orbit sweeps. The
@@ -75,21 +79,19 @@ func TestSweepSymAllocsIndependentOfPatternCount(t *testing.T) {
 	}
 	for _, v := range []struct {
 		name string
-		run  func(hosts int) (*SweepResult, *SymStats, error)
+		spec func(hosts int) Spec
 	}{
-		{"SweepExhaustiveSymCtx", func(h int) (*SweepResult, *SymStats, error) {
-			return SweepExhaustiveSymCtx(ctx, spray[h], h, 2)
-		}},
-		{"SweepSymShardCtx", func(h int) (*SweepResult, *SymStats, error) {
+		{"sym", func(int) Spec { return Spec{SymBlock: 2} }},
+		{"sym-shard", func(h int) Spec {
 			sym, err := permutation.NewBlockSymmetry(h, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return SweepSymShardCtx(ctx, spray[h], h, 2, 0, sym.NecklaceCount(), nil)
+			return Spec{SymBlock: 2, SymShard: []int{0, sym.NecklaceCount()}}
 		}},
 	} {
 		pinAllocs(t, v.name, 6, 8, func(h int) {
-			res, stats, err := v.run(h)
+			res, stats, err := Sweep(ctx, spray[h], h, v.spec(h))
 			if err != nil || !stats.Applied || res.Blocked == 0 {
 				t.Fatalf("%s(%d hosts): err=%v applied=%v (%s) blocked=%d", v.name, h, err, stats.Applied, stats.Reason, res.Blocked)
 			}

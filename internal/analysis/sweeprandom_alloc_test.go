@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/routing"
@@ -21,18 +22,18 @@ func TestSweepRandomSteadyStateAllocs(t *testing.T) {
 	hosts := f.Ports()
 	measure := func(trials int) float64 {
 		return testing.AllocsPerRun(10, func() {
-			res := SweepRandom(r, hosts, trials, 7)
-			if res.RouteErr != nil {
-				t.Fatalf("SweepRandom(trials=%d): %v", trials, res.RouteErr)
+			res, err := SweepRandomCtx(context.Background(), r, hosts, trials, 7)
+			if err != nil || res.RouteErr != nil {
+				t.Fatalf("SweepRandomCtx(trials=%d): %v %v", trials, err, res.RouteErr)
 			}
 			if res.Blocked != 0 {
-				t.Fatalf("SweepRandom(trials=%d): unexpectedly blocked (the fixture must stay nonblocking for this test)", trials)
+				t.Fatalf("SweepRandomCtx(trials=%d): unexpectedly blocked (the fixture must stay nonblocking for this test)", trials)
 			}
 		})
 	}
 	small := measure(8)
 	large := measure(64)
 	if large > small {
-		t.Fatalf("SweepRandom allocations scale with trials: %v allocs at 8 trials, %v at 64", small, large)
+		t.Fatalf("SweepRandomCtx allocations scale with trials: %v allocs at 8 trials, %v at 64", small, large)
 	}
 }

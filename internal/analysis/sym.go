@@ -48,69 +48,6 @@ type SymStats struct {
 	GroupOrder int
 }
 
-// SweepExhaustiveSym is SweepExhaustive reduced over the block symmetry
-// group of a fabric with blockSize hosts per bottom switch: byte-identical
-// result, hosts!/#orbits times fewer patterns routed. When the reduction
-// does not apply the full engine runs instead (stats.Reason says why).
-func SweepExhaustiveSym(r routing.Router, hosts, blockSize int) (*SweepResult, *SymStats) {
-	res, stats, _ := sweepExhaustiveSym(context.Background(), r, hosts, blockSize, false, false, 0, nil)
-	return res, stats
-}
-
-// SweepExhaustiveSymCtx is SweepExhaustiveSym with cooperative
-// cancellation (see SweepExhaustiveCtx for the contract).
-func SweepExhaustiveSymCtx(ctx context.Context, r routing.Router, hosts, blockSize int) (*SweepResult, *SymStats, error) {
-	return sweepExhaustiveSym(ctx, r, hosts, blockSize, false, false, 0, nil)
-}
-
-// SweepExhaustiveSymFirstBlocked is SweepExhaustiveFirstBlocked with
-// symmetry reduction. A nonblocking router is certified entirely from
-// representatives; a blocking one pays one early-exit scan in Heap order
-// to reproduce the full engine's examined-prefix counters exactly.
-func SweepExhaustiveSymFirstBlocked(r routing.Router, hosts, blockSize int) (*SweepResult, *SymStats) {
-	res, stats, _ := sweepExhaustiveSym(context.Background(), r, hosts, blockSize, true, false, 0, nil)
-	return res, stats
-}
-
-// SweepExhaustiveSymFirstBlockedCtx is SweepExhaustiveSymFirstBlocked
-// with cooperative cancellation.
-func SweepExhaustiveSymFirstBlockedCtx(ctx context.Context, r routing.Router, hosts, blockSize int) (*SweepResult, *SymStats, error) {
-	return sweepExhaustiveSym(ctx, r, hosts, blockSize, true, false, 0, nil)
-}
-
-// SweepExhaustiveSymParallelProgressCtx matches
-// SweepExhaustiveParallelProgressCtx byte-for-byte: counters are the full
-// parallel sweep's, and FirstBlocked is re-derived in the parallel merge
-// order (first blocked pattern of the lowest-numbered level-1 prefix
-// shard). The representative sweep itself is sequential — it is orders of
-// magnitude smaller than the full sweep — so workers only feeds the
-// fallback engine. fn receives orbit-scaled tested/blocked deltas that sum
-// to the final counters.
-func SweepExhaustiveSymParallelProgressCtx(ctx context.Context, r routing.Router, hosts, blockSize, workers int, fn ProgressFunc) (*SweepResult, *SymStats, error) {
-	return sweepExhaustiveSym(ctx, r, hosts, blockSize, false, true, workers, fn)
-}
-
-// SweepSymShardCtx sweeps one contiguous shard of the orbit enumeration —
-// the orbits whose top-level necklace index falls in [lo, hi), per
-// permutation.BlockSymmetry.Shards — scaling counters by orbit size.
-// FirstBlocked is the shard's first blocked representative, which only
-// signals blockedness: a coordinator merging sym shards must re-derive
-// the full-order witness itself (SweepSymWitness). Unlike the prefix
-// shard sweep, inapplicability here is a returned error, not a fallback —
-// a coordinator plans sym shards only after proving applicability, so a
-// worker that disagrees is misconfigured and must say so loudly.
-func SweepSymShardCtx(ctx context.Context, r routing.Router, hosts, blockSize, lo, hi int, fn ProgressFunc) (*SweepResult, *SymStats, error) {
-	if err := ctx.Err(); err != nil {
-		return &SweepResult{}, &SymStats{}, err
-	}
-	sym, e, stats, err := prepareSym(r, hosts, blockSize)
-	if err != nil {
-		return &SweepResult{}, stats, err
-	}
-	res, err := e.orbits(ctx, sym, stats, lo, hi, false, fn)
-	return res, stats, err
-}
-
 // SymApplicable reports whether a symmetry-reduced sweep would actually
 // reduce (geometry feasible, route table cacheable, routing equivariant)
 // without running anything. Coordinators call this before planning sym
@@ -121,18 +58,10 @@ func SymApplicable(r routing.Router, hosts, blockSize int) *SymStats {
 	return stats
 }
 
-// SweepSymWitness re-derives the FirstBlocked witness a full sweep would
-// report, in the requested order: parallel order (first blocked pattern
-// of the lowest-numbered level-1 prefix shard — what
-// SweepExhaustiveParallel's merge yields) or sequential Heap order. Call
-// it only when the sweep is known blocked, so the early-exit scan
-// terminates at the witness. Exported for the distributed coordinator,
-// which merges sym shard counters and must then attach the same witness a
-// single-node sweep would.
-func SweepSymWitness(ctx context.Context, r routing.Router, hosts int, parallelOrder bool) (*permutation.Permutation, error) {
-	return newEngine(r, hosts).witness(ctx, parallelOrder)
-}
-
+// witness re-derives the FirstBlocked witness the unreduced sweep reports:
+// in the Parallel merge order (first blocked pattern of the lowest level-1
+// prefix shard) or in sequential Heap order. Call it only when the sweep is
+// known blocked, so the early-exit scan terminates at the witness.
 func (e engine) witness(ctx context.Context, parallelOrder bool) (*permutation.Permutation, error) {
 	if !parallelOrder {
 		res, err := e.sweep(ctx, nil, true, true, nil)
@@ -193,27 +122,36 @@ func (e engine) orbits(ctx context.Context, sym *permutation.BlockSymmetry, stat
 	return res, k.finish()
 }
 
-func sweepExhaustiveSym(ctx context.Context, r routing.Router, hosts, blockSize int, firstOnly, parallelWitness bool, workers int, fn ProgressFunc) (*SweepResult, *SymStats, error) {
-	if err := ctx.Err(); err != nil {
-		return &SweepResult{}, &SymStats{}, err
-	}
-	sym, e, stats, _ := prepareSym(r, hosts, blockSize)
-	// full runs the unreduced sweep of the caller's shape.
-	full := func(fn ProgressFunc) (*SweepResult, error) {
-		if parallelWitness {
-			return e.parallel(ctx, workers, fn)
+// sweepSym is Sweep for a spec asking for symmetry reduction (SymBlock or
+// SymShard set, no Prefix).
+func sweepSym(ctx context.Context, r routing.Router, hosts int, s *Spec) (*SweepResult, *SymStats, error) {
+	sym, e, stats, err := prepareSym(r, hosts, s.SymBlock)
+	if s.SymShard != nil {
+		// A coordinator plans sym shards only after proving applicability,
+		// so a worker that disagrees is misconfigured and must say so
+		// loudly instead of returning counters that mean something else.
+		if err != nil {
+			return &SweepResult{}, stats, err
 		}
-		return e.sweep(ctx, nil, true, firstOnly, fn)
-	}
-	if !stats.Applied {
-		res, err := full(fn)
+		res, err := e.orbits(ctx, sym, stats, s.SymShard[0], s.SymShard[1], false, s.Progress)
 		return res, stats, err
 	}
-	res, err := e.orbits(ctx, sym, stats, 0, sym.NecklaceCount(), firstOnly, fn)
+	// full runs the unreduced sweep of the caller's shape.
+	full := func(fn ProgressFunc) (*SweepResult, error) {
+		if s.Parallel {
+			return e.parallel(ctx, s.Workers, fn)
+		}
+		return e.sweep(ctx, nil, true, s.FirstBlocked, fn)
+	}
+	if !stats.Applied {
+		res, err := full(s.Progress)
+		return res, stats, err
+	}
+	res, err := e.orbits(ctx, sym, stats, 0, sym.NecklaceCount(), s.FirstBlocked, s.Progress)
 	if err != nil {
 		return res, stats, err
 	}
-	if !firstOnly && res.Tested != permutation.CountFull(hosts) {
+	if !s.FirstBlocked && res.Tested != permutation.CountFull(hosts) {
 		// Defensive: the orbit enumeration failed to partition the space.
 		// The counting property is heavily tested, so this is unreachable,
 		// but a wrong certificate must never be served — discard and run
@@ -227,15 +165,15 @@ func sweepExhaustiveSym(ctx context.Context, r routing.Router, hosts, blockSize 
 		return res, stats, nil
 	}
 	// Blocked: order-sensitive fields come from the full engine's own
-	// enumeration order. In firstOnly mode the whole result does — the
+	// enumeration order. In FirstBlocked mode the whole result does — the
 	// full engine's examined prefix (Tested, MaxLinkLoad) is not derivable
 	// from orbits — and the scan early-exits at the first blocked pattern,
 	// whose existence the orbit sweep just proved.
-	if firstOnly {
+	if s.FirstBlocked {
 		res, err := full(nil)
 		return res, stats, err
 	}
-	res.FirstBlocked, err = e.witness(ctx, parallelWitness)
+	res.FirstBlocked, err = e.witness(ctx, s.Parallel)
 	return res, stats, err
 }
 

@@ -66,13 +66,24 @@ func symRouters(t *testing.T) []symCase {
 	return out
 }
 
+// mustSweepSym is mustSweep for a symmetry-reduced spec, also returning
+// the SymStats every such sweep must report.
+func mustSweepSym(t *testing.T, r routing.Router, hosts int, s Spec) (*SweepResult, *SymStats) {
+	t.Helper()
+	res, stats, err := Sweep(context.Background(), r, hosts, s)
+	if err != nil || stats == nil {
+		t.Fatalf("Sweep(%s, %d, %+v): stats %v, err %v", r.Name(), hosts, s, stats, err)
+	}
+	return res, stats
+}
+
 // TestSweepExhaustiveSymMatchesOracle is the acceptance property: across
 // the whole zoo — whether the reduction engages or falls back — the sym
 // sweep's result equals the scratch oracle's in every field.
 func TestSweepExhaustiveSymMatchesOracle(t *testing.T) {
 	for _, c := range symRouters(t) {
-		want := SweepExhaustiveOracle(c.r, c.hosts)
-		got, stats := SweepExhaustiveSym(c.r, c.hosts, c.blockSize)
+		want := oracleSweep(c.r, c.hosts)
+		got, stats := mustSweepSym(t, c.r, c.hosts, Spec{SymBlock: c.blockSize})
 		sameSweepResult(t, c.name, got, want)
 		if stats.Applied && stats.Orbits == 0 && c.hosts > 0 {
 			t.Fatalf("%s: applied with zero orbits", c.name)
@@ -80,8 +91,8 @@ func TestSweepExhaustiveSymMatchesOracle(t *testing.T) {
 		if !stats.Applied && stats.Reason == "" {
 			t.Fatalf("%s: fallback without a reason", c.name)
 		}
-		wantFB := SweepExhaustiveFirstBlocked(c.r, c.hosts)
-		gotFB, _ := SweepExhaustiveSymFirstBlocked(c.r, c.hosts, c.blockSize)
+		wantFB := mustSweep(t, c.r, c.hosts, Spec{FirstBlocked: true})
+		gotFB, _ := mustSweepSym(t, c.r, c.hosts, Spec{SymBlock: c.blockSize, FirstBlocked: true})
 		sameSweepResult(t, c.name+"/first-blocked", gotFB, wantFB)
 	}
 }
@@ -91,7 +102,7 @@ func TestSweepExhaustiveSymMatchesOracle(t *testing.T) {
 // from the lowest level-1 prefix shard rather than Heap order.
 func TestSweepExhaustiveSymParallelOrder(t *testing.T) {
 	for _, c := range symRouters(t) {
-		want := SweepExhaustiveParallel(c.r, c.hosts, 4)
+		want := mustSweep(t, c.r, c.hosts, Spec{Parallel: true, Workers: 4})
 		got, _, err := SweepExhaustiveSymParallelProgressCtx(context.Background(), c.r, c.hosts, c.blockSize, 4, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
@@ -169,7 +180,7 @@ func TestSweepSymShardParity(t *testing.T) {
 				merged.MaxLinkLoad = res.MaxLinkLoad
 			}
 		}
-		full, stats := SweepExhaustiveSym(r, hosts, tc.blockSize)
+		full, stats := mustSweepSym(t, r, hosts, Spec{SymBlock: tc.blockSize})
 		if !stats.Applied {
 			t.Fatalf("spray fell back: %s", stats.Reason)
 		}
@@ -183,7 +194,7 @@ func TestSweepSymShardParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := SweepExhaustiveParallel(r, hosts, 4)
+			want := mustSweep(t, r, hosts, Spec{Parallel: true, Workers: 4})
 			if w == nil || !w.Equal(want.FirstBlocked) {
 				t.Fatalf("re-derived witness %s != parallel witness %s", w, want.FirstBlocked)
 			}
@@ -207,8 +218,8 @@ func TestSweepSymShardRejectsInapplicable(t *testing.T) {
 func TestSymMatchesDeltaAtNine(t *testing.T) {
 	f := topology.NewFoldedClos(3, 5, 3) // 9 hosts, m = 2n-1: nonblocking spray fabric
 	r := routing.NewFullSpray(f)
-	want := SweepExhaustive(r, f.Ports())
-	got, stats := SweepExhaustiveSym(r, f.Ports(), 3)
+	want := mustSweep(t, r, f.Ports(), Spec{})
+	got, stats := mustSweepSym(t, r, f.Ports(), Spec{SymBlock: 3})
 	sameSweepResult(t, "spray-n9", got, want)
 	if !stats.Applied {
 		t.Fatalf("sym fell back at n=9: %s", stats.Reason)

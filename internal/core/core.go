@@ -7,6 +7,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/analysis"
@@ -130,19 +131,19 @@ func (s *System) Verify(maxExhaustive, randomTrials int, seed int64) (*VerifyRep
 		}
 		return rep, nil
 	}
+	method := "random-sweep"
+	var res *analysis.SweepResult
+	var err error
 	if s.Ports() <= maxExhaustive {
-		res := analysis.SweepExhaustive(s.Router, s.Ports())
-		rep := &VerifyReport{Method: "exhaustive-sweep", Nonblocking: res.Nonblocking(), PatternsTested: res.Tested}
-		if res.FirstBlocked != nil {
-			rep.Detail = fmt.Sprintf("blocking permutation: %s", res.FirstBlocked)
-		}
-		if res.RouteErr != nil {
-			rep.Detail = res.RouteErr.Error()
-		}
-		return rep, nil
+		method = "exhaustive-sweep"
+		res, _, err = analysis.Sweep(context.Background(), s.Router, s.Ports(), analysis.Spec{})
+	} else {
+		res, err = analysis.SweepRandomCtx(context.Background(), s.Router, s.Ports(), randomTrials, seed)
 	}
-	res := analysis.SweepRandom(s.Router, s.Ports(), randomTrials, seed)
-	rep := &VerifyReport{Method: "random-sweep", Nonblocking: res.Nonblocking(), PatternsTested: res.Tested}
+	if err != nil {
+		return nil, err
+	}
+	rep := &VerifyReport{Method: method, Nonblocking: res.Nonblocking(), PatternsTested: res.Tested}
 	if res.FirstBlocked != nil {
 		rep.Detail = fmt.Sprintf("blocking permutation: %s", res.FirstBlocked)
 	}

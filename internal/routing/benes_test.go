@@ -37,7 +37,7 @@ func TestBenesLoopingExhaustive(t *testing.T) {
 	for k := 1; k <= 3; k++ {
 		b := topology.NewBenes(k)
 		r := routing.NewBenesLooping(b)
-		res := analysis.SweepExhaustive(r, b.N)
+		res := sweep(t, r, b.N, analysis.Spec{})
 		if !res.Nonblocking() {
 			t.Fatalf("k=%d: looping blocked %d/%d (err %v); first %v",
 				k, res.Blocked, res.Tested, res.RouteErr, res.FirstBlocked)

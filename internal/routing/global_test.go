@@ -116,14 +116,14 @@ func TestGlobalRearrangeableBenesCondition(t *testing.T) {
 	// of ftree(3+3, 4) routes contention-free.
 	f := topology.NewFoldedClos(3, 3, 4)
 	r := routing.NewGlobalRearrangeable(f)
-	res := analysis.SweepRandom(r, f.Ports(), 300, 21)
+	res := sweepRandom(t, r, f.Ports(), 300, 21)
 	if !res.Nonblocking() {
 		t.Fatalf("m=n blocked %d/%d (err %v)", res.Blocked, res.Tested, res.RouteErr)
 	}
 	// Exhaustive on a tiny instance.
 	f2 := topology.NewFoldedClos(2, 2, 3)
 	r2 := routing.NewGlobalRearrangeable(f2)
-	res2 := analysis.SweepExhaustive(r2, f2.Ports())
+	res2 := sweep(t, r2, f2.Ports(), analysis.Spec{})
 	if !res2.Nonblocking() {
 		t.Fatalf("exhaustive: blocked %d/%d (err %v)", res2.Blocked, res2.Tested, res2.RouteErr)
 	}

@@ -180,7 +180,7 @@ func TestThreeLevelPaperNonblocking(t *testing.T) {
 func TestThreeLevelPaperRandomSweep(t *testing.T) {
 	tl := topology.NewThreeLevelFtree(2, 12)
 	r := routing.NewThreeLevelPaper(tl)
-	res := analysis.SweepRandom(r, tl.Ports(), 100, 8)
+	res := sweepRandom(t, r, tl.Ports(), 100, 8)
 	if !res.Nonblocking() {
 		t.Fatalf("blocked %d/%d (err %v)", res.Blocked, res.Tested, res.RouteErr)
 	}
@@ -230,7 +230,7 @@ func TestMultiLevelPaperMechanics(t *testing.T) {
 func TestCrossbarRouterNeverBlocks(t *testing.T) {
 	x := topology.NewCrossbar(6)
 	r := routing.NewCrossbarRouter(x)
-	res := analysis.SweepExhaustive(r, 6)
+	res := sweep(t, r, 6, analysis.Spec{})
 	if !res.Nonblocking() {
 		t.Fatalf("crossbar blocked %d/%d", res.Blocked, res.Tested)
 	}

@@ -1,6 +1,7 @@
 package routing_test
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/routing"
@@ -76,5 +77,44 @@ func TestRouterNames(t *testing.T) {
 	}
 	if sp.Name() != "paper-deterministic-spared" {
 		t.Error("spared name")
+	}
+}
+
+// TestNewFtreeRouterNames pins the CLI/service scheme vocabulary: every
+// name builds the router it names (spray widths included), a constructor
+// failure comes back as an error, and an unknown name is ErrUnknownScheme.
+func TestNewFtreeRouterNames(t *testing.T) {
+	f := topology.NewFoldedClos(2, 4, 5)
+	for _, c := range []struct {
+		scheme string
+		width  int
+		want   string
+	}{
+		{"paper", 0, "paper-deterministic"},
+		{"paper-folded", 0, "paper-deterministic-folded(m=4)"},
+		{"dest-mod", 0, "dest-mod"},
+		{"source-mod", 0, "source-mod"},
+		{"dest-switch-mod", 0, "dest-switch-mod"},
+		{"random-fixed", 0, "random-fixed"},
+		{"adaptive", 0, "nonblocking-adaptive"},
+		{"greedy-local", 0, "greedy-local"},
+		{"global", 0, "global-rearrangeable"},
+		{"spray", 0, "full-spray"},
+		{"spray", 2, "spray-2"},
+		{"spray", 4, "full-spray"},
+	} {
+		r, err := routing.NewFtreeRouter(f, c.scheme, c.width, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", c.scheme, err)
+		}
+		if r.Name() != c.want {
+			t.Errorf("%s width %d: built %q, want %q", c.scheme, c.width, r.Name(), c.want)
+		}
+	}
+	if r, err := routing.NewFtreeRouter(topology.NewFoldedClos(2, 3, 5), "paper", 0, 1); err == nil || r != nil {
+		t.Errorf("paper with m < n²: router %v, err %v", r, err)
+	}
+	if _, err := routing.NewFtreeRouter(f, "nosuch", 0, 1); !errors.Is(err, routing.ErrUnknownScheme) {
+		t.Errorf("unknown scheme: err %v", err)
 	}
 }

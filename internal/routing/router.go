@@ -22,6 +22,7 @@
 package routing
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/permutation"
@@ -153,4 +154,51 @@ func routePairwise(net *topology.Network, p *permutation.Permutation, pathsFor f
 // never leaves the host, so it occupies no network link.
 func selfPath(host topology.NodeID) []topology.Path {
 	return []topology.Path{{Nodes: []topology.NodeID{host}}}
+}
+
+// ErrUnknownScheme is returned (wrapped, with the name) by NewFtreeRouter
+// for a scheme name it does not know.
+var ErrUnknownScheme = errors.New("routing: unknown scheme")
+
+// NewFtreeRouter builds a routing scheme on f by its CLI and /v1/verify
+// name: paper | paper-folded | dest-mod | source-mod | dest-switch-mod |
+// random-fixed | adaptive | greedy-local | global | spray. seed seeds
+// random-fixed; sprayWidth picks a k-spray for spray, where 0 or a width
+// of at least f.M sprays over all m trunks.
+func NewFtreeRouter(f *topology.FoldedClos, scheme string, sprayWidth int, seed int64) (Router, error) {
+	switch scheme {
+	case "paper":
+		return orNil(NewPaperDeterministic(f))
+	case "paper-folded":
+		return NewPaperDeterministicFolded(f), nil
+	case "dest-mod":
+		return NewDestMod(f), nil
+	case "source-mod":
+		return NewSourceMod(f), nil
+	case "dest-switch-mod":
+		return NewDestSwitchMod(f), nil
+	case "random-fixed":
+		return NewRandomFixed(f, seed), nil
+	case "adaptive":
+		return orNil(NewNonblockingAdaptive(f))
+	case "greedy-local":
+		return NewGreedyLocal(f), nil
+	case "global":
+		return NewGlobalRearrangeable(f), nil
+	case "spray":
+		if sprayWidth <= 0 || sprayWidth >= f.M {
+			return NewFullSpray(f), nil
+		}
+		return orNil(NewKSpray(f, sprayWidth))
+	}
+	return nil, fmt.Errorf("%w %q", ErrUnknownScheme, scheme)
+}
+
+// orNil widens a constructor's result to Router, keeping a failed build a
+// nil interface rather than a typed nil.
+func orNil[R Router](r R, err error) (Router, error) {
+	if err != nil {
+		return nil, err
+	}
+	return r, nil
 }

@@ -1,6 +1,7 @@
 package routing_test
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -10,6 +11,27 @@ import (
 	"repro/internal/routing"
 	"repro/internal/topology"
 )
+
+// sweep runs the exhaustive sweep s asks for under context.Background().
+func sweep(t *testing.T, r routing.Router, hosts int, s analysis.Spec) *analysis.SweepResult {
+	t.Helper()
+	res, _, err := analysis.Sweep(context.Background(), r, hosts, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// sweepRandom runs the randomized+structured sweep under
+// context.Background().
+func sweepRandom(t *testing.T, r routing.Router, hosts, trials int, seed int64) *analysis.SweepResult {
+	t.Helper()
+	res, err := analysis.SweepRandomCtx(context.Background(), r, hosts, trials, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 // --- Theorem 3: the paper's single-path routing makes ftree(n+n², r)
 // nonblocking -------------------------------------------------------------
@@ -42,7 +64,7 @@ func TestTheorem3ExhaustiveSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := analysis.SweepExhaustive(r, f.Ports())
+	res := sweep(t, r, f.Ports(), analysis.Spec{})
 	if !res.Nonblocking() {
 		t.Fatalf("blocked %d of %d permutations; first: %v (err %v)", res.Blocked, res.Tested, res.FirstBlocked, res.RouteErr)
 	}
@@ -57,7 +79,7 @@ func TestTheorem3RandomSweepLarger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := analysis.SweepRandom(r, f.Ports(), 200, 1)
+	res := sweepRandom(t, r, f.Ports(), 200, 1)
 	if !res.Nonblocking() {
 		t.Fatalf("blocked %d of %d patterns; first: %v (err %v)", res.Blocked, res.Tested, res.FirstBlocked, res.RouteErr)
 	}
@@ -362,7 +384,7 @@ func TestAdaptiveNonblockingExhaustive(t *testing.T) {
 	if r.C != 2 {
 		t.Fatalf("c = %d, want 2", r.C)
 	}
-	res := analysis.SweepExhaustive(r, f.Ports())
+	res := sweep(t, r, f.Ports(), analysis.Spec{})
 	if !res.Nonblocking() {
 		t.Fatalf("blocked %d/%d; first %v (err %v)", res.Blocked, res.Tested, res.FirstBlocked, res.RouteErr)
 	}
@@ -406,7 +428,7 @@ func TestAdaptiveNonblockingExhaustiveC1(t *testing.T) {
 	if r.C != 1 {
 		t.Fatalf("c = %d, want 1", r.C)
 	}
-	res := analysis.SweepExhaustiveParallel(r, f.Ports(), 0)
+	res := sweep(t, r, f.Ports(), analysis.Spec{Parallel: true, Workers: 0})
 	if !res.Nonblocking() {
 		t.Fatalf("blocked %d/%d; first %v (err %v)", res.Blocked, res.Tested, res.FirstBlocked, res.RouteErr)
 	}
@@ -427,7 +449,7 @@ func TestAdaptiveNonblockingC3(t *testing.T) {
 	if r.C != 3 {
 		t.Fatalf("c = %d, want 3", r.C)
 	}
-	res := analysis.SweepRandom(r, f.Ports(), 300, 13)
+	res := sweepRandom(t, r, f.Ports(), 300, 13)
 	if !res.Nonblocking() {
 		t.Fatalf("blocked %d/%d; first %v (err %v)", res.Blocked, res.Tested, res.FirstBlocked, res.RouteErr)
 	}
@@ -439,7 +461,7 @@ func TestAdaptiveRandomSweepLarger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := analysis.SweepRandom(r, f.Ports(), 100, 3)
+	res := sweepRandom(t, r, f.Ports(), 100, 3)
 	if !res.Nonblocking() {
 		t.Fatalf("blocked %d/%d; first %v (err %v)", res.Blocked, res.Tested, res.FirstBlocked, res.RouteErr)
 	}
@@ -584,7 +606,7 @@ func TestAdaptiveFirstFitUsesMoreConfigs(t *testing.T) {
 func TestGreedyLocalNotNonblocking(t *testing.T) {
 	f := topology.NewFoldedClos(2, 4, 5)
 	r := routing.NewGreedyLocal(f)
-	res := analysis.SweepRandom(r, f.Ports(), 300, 11)
+	res := sweepRandom(t, r, f.Ports(), 300, 11)
 	if res.RouteErr != nil {
 		t.Fatal(res.RouteErr)
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/analysis"
@@ -106,46 +107,14 @@ func buildTarget(q *api.Request) (*target, error) {
 		}
 		f := topology.NewFoldedClos(q.N, q.M, q.R)
 		t := &target{net: f.Net, hosts: f.Ports(), ftree: f}
-		switch q.Routing {
-		case "paper":
-			pr, err := routing.NewPaperDeterministic(f)
-			if err != nil {
-				return nil, badRequest("%v", err)
-			}
-			t.router = pr
-		case "paper-folded":
-			t.router = routing.NewPaperDeterministicFolded(f)
-		case "dest-mod":
-			t.router = routing.NewDestMod(f)
-		case "source-mod":
-			t.router = routing.NewSourceMod(f)
-		case "dest-switch-mod":
-			t.router = routing.NewDestSwitchMod(f)
-		case "random-fixed":
-			t.router = routing.NewRandomFixed(f, q.SeedValue())
-		case "adaptive":
-			ad, err := routing.NewNonblockingAdaptive(f)
-			if err != nil {
-				return nil, badRequest("%v", err)
-			}
-			t.router = ad
-		case "greedy-local":
-			t.router = routing.NewGreedyLocal(f)
-		case "global":
-			t.router = routing.NewGlobalRearrangeable(f)
-		case "spray":
-			if q.SprayWidth <= 0 || q.SprayWidth >= f.M {
-				t.router = routing.NewFullSpray(f)
-			} else {
-				ks, err := routing.NewKSpray(f, q.SprayWidth)
-				if err != nil {
-					return nil, badRequest("%v", err)
-				}
-				t.router = ks
-			}
-		default:
+		r, err := routing.NewFtreeRouter(f, q.Routing, q.SprayWidth, q.SeedValue())
+		if errors.Is(err, routing.ErrUnknownScheme) {
 			return nil, badRequest("routing %q not available on ftree", q.Routing)
 		}
+		if err != nil {
+			return nil, badRequest("%v", err)
+		}
+		t.router = r
 		return t, nil
 	case "mnt":
 		if q.Ports < 2 || q.Levels < 1 {
@@ -228,30 +197,18 @@ func runVerify(ctx context.Context, q *api.Request) (any, error) {
 
 	var res *analysis.SweepResult
 	switch mode {
-	case "exhaustive":
-		if q.FirstBlocked {
+	case "exhaustive", "exhaustive-parallel":
+		rep.Method, rep.Exact = mode, true
+		spec := analysis.Spec{FirstBlocked: q.FirstBlocked}
+		if mode == "exhaustive-parallel" {
+			spec.Parallel, spec.Workers = true, q.Workers
+		} else if q.FirstBlocked {
 			rep.Method = "exhaustive-first-blocked"
-			if q.SymReduce {
-				res, _, err = analysis.SweepExhaustiveSymFirstBlockedCtx(ctx, t.router, t.hosts, symBlockSize(q, t))
-			} else {
-				res, err = analysis.SweepExhaustiveFirstBlockedCtx(ctx, t.router, t.hosts)
-			}
-		} else {
-			rep.Method = "exhaustive"
-			if q.SymReduce {
-				res, _, err = analysis.SweepExhaustiveSymCtx(ctx, t.router, t.hosts, symBlockSize(q, t))
-			} else {
-				res, err = analysis.SweepExhaustiveCtx(ctx, t.router, t.hosts)
-			}
 		}
-		rep.Exact = true
-	case "exhaustive-parallel":
-		rep.Method, rep.Exact = "exhaustive-parallel", true
 		if q.SymReduce {
-			res, _, err = analysis.SweepExhaustiveSymParallelProgressCtx(ctx, t.router, t.hosts, symBlockSize(q, t), q.Workers, nil)
-		} else {
-			res, err = analysis.SweepExhaustiveParallelCtx(ctx, t.router, t.hosts, q.Workers)
+			spec.SymBlock = symBlockSize(q, t)
 		}
+		res, _, err = analysis.Sweep(ctx, t.router, t.hosts, spec)
 	case "random":
 		rep.Method = "random"
 		res, err = analysis.SweepRandomCtx(ctx, t.router, t.hosts, q.Trials, q.SeedValue())
@@ -264,14 +221,18 @@ func runVerify(ctx context.Context, q *api.Request) (any, error) {
 	if res.RouteErr != nil {
 		return nil, res.RouteErr
 	}
+	return sweepVerdict(rep, res), nil
+}
+
+// sweepVerdict fills rep's counters, verdict and witness from a finished
+// sweep and returns it.
+func sweepVerdict(rep *api.VerifyReport, res *analysis.SweepResult) *api.VerifyReport {
 	rep.Tested, rep.Blocked, rep.MaxLinkLoad = res.Tested, res.Blocked, res.MaxLinkLoad
+	rep.Verdict = "no-blocking-found"
 	if res.Blocked > 0 {
-		rep.Verdict = "blocking"
-		rep.Witness = res.FirstBlocked.String()
-	} else {
-		rep.Verdict = "no-blocking-found"
+		rep.Verdict, rep.Witness = "blocking", res.FirstBlocked.String()
 	}
-	return rep, nil
+	return rep
 }
 
 // runShard answers POST /v1/verify/shard: one prefix shard of an
@@ -285,43 +246,35 @@ func runShard(ctx context.Context, q *api.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The shard endpoint always runs a shard engine: an omitted prefix is
+	// the one shard covering the whole space, never the sequential sweep.
+	spec := analysis.Spec{Prefix: append([]int{}, q.ShardPrefix...)}
+	shard := api.ShardID(q.ShardPrefix)
 	if len(q.SymShard) == 2 {
 		// A symmetry-reduced shard: one range of the orbit enumeration,
-		// counters already scaled by orbit size. The coordinator plans sym
-		// shards only after proving applicability, so a worker that cannot
-		// apply the reduction is misconfigured relative to its coordinator —
-		// a fatal 400, never a silent fallback (the counters would not mean
-		// the same thing).
-		bs := symBlockSize(q, t)
-		if stats := analysis.SymApplicable(t.router, t.hosts, bs); !stats.Applied {
+		// counters already scaled by orbit size.
+		spec = analysis.Spec{SymBlock: symBlockSize(q, t), SymShard: q.SymShard}
+		shard = api.SymShardID(q.SymShard[0], q.SymShard[1])
+	}
+	res, stats, err := analysis.Sweep(ctx, t.router, t.hosts, spec)
+	if err != nil {
+		if stats != nil && stats.Reason != "" {
+			// The coordinator plans sym shards only after proving
+			// applicability, so a worker that cannot apply the reduction is
+			// misconfigured relative to its coordinator — a fatal 400, never
+			// a silent fallback (the counters would not mean the same thing).
 			return nil, badRequest("symmetry reduction not applicable here: %s", stats.Reason)
 		}
-		res, _, err := analysis.SweepSymShardCtx(ctx, t.router, t.hosts, bs, q.SymShard[0], q.SymShard[1], nil)
-		if err != nil {
-			return nil, err
-		}
-		rep := &api.ShardReport{
-			Network: t.net.Name, Hosts: t.hosts, Routing: t.router.Name(),
-			Shard:  api.SymShardID(q.SymShard[0], q.SymShard[1]),
-			Tested: res.Tested, Blocked: res.Blocked, MaxLinkLoad: res.MaxLinkLoad,
-		}
-		if res.FirstBlocked != nil {
-			// Signals blockedness only: the coordinator re-derives the
-			// full-order witness itself.
-			rep.FirstBlocked = res.FirstBlocked.String()
-		}
-		return rep, nil
-	}
-	res, err := analysis.SweepShardCtx(ctx, t.router, t.hosts, q.ShardPrefix, nil)
-	if err != nil {
 		return nil, err
 	}
 	rep := &api.ShardReport{
 		Network: t.net.Name, Hosts: t.hosts, Routing: t.router.Name(),
-		Shard:  api.ShardID(q.ShardPrefix),
+		Shard:  shard,
 		Tested: res.Tested, Blocked: res.Blocked, MaxLinkLoad: res.MaxLinkLoad,
 	}
 	if res.FirstBlocked != nil {
+		// A sym shard's witness signals blockedness only: the coordinator
+		// re-derives the full-order witness itself.
 		rep.FirstBlocked = res.FirstBlocked.String()
 	}
 	if res.RouteErr != nil {

@@ -23,9 +23,9 @@ import (
 // timeout, failures are retried with exponential backoff on a different
 // worker when one is available, and the per-shard SweepResults merge — in
 // lexicographic prefix order — into exactly the result the in-process
-// SweepExhaustiveParallel computes. Completed shards checkpoint to the
-// result store under reserved keys, so a coordinator killed mid-sweep
-// resumes without redoing finished shards.
+// parallel sweep (analysis.Spec.Parallel) computes. Completed shards
+// checkpoint to the result store under reserved keys, so a coordinator
+// killed mid-sweep resumes without redoing finished shards.
 
 // CoordinatorConfig configures distributed sweep dispatch. Zero values
 // select the defaults noted per field.
@@ -306,19 +306,15 @@ func (p *sweepPlan) checkReport(shard []int, rep *api.ShardReport) error {
 //     lowest blocked top-level shard is re-scanned first-blocked-only in
 //     its native enumeration order.
 func (s *Server) mergeCoordinated(ctx context.Context, plan *sweepPlan, results []*api.ShardReport) (*analysis.SweepResult, error) {
-	for _, rep := range results {
-		if rep.RouteErr != "" {
-			return analysis.SweepFirstRouteErr(plan.t.router, plan.t.hosts), nil
-		}
-	}
 	merged := &analysis.SweepResult{}
 	firstBlocked := -1
 	for i, rep := range results {
+		if rep.RouteErr != "" {
+			return analysis.SweepFirstRouteErr(plan.t.router, plan.t.hosts), nil
+		}
 		merged.Tested += rep.Tested
 		merged.Blocked += rep.Blocked
-		if rep.MaxLinkLoad > merged.MaxLinkLoad {
-			merged.MaxLinkLoad = rep.MaxLinkLoad
-		}
+		merged.MaxLinkLoad = max(merged.MaxLinkLoad, rep.MaxLinkLoad)
 		if firstBlocked < 0 && rep.Blocked > 0 {
 			firstBlocked = i
 		}
@@ -356,7 +352,7 @@ func (s *Server) mergeCoordinated(ctx context.Context, plan *sweepPlan, results 
 		return merged, nil
 	}
 	top := plan.shards[firstBlocked][0]
-	fb, err := analysis.SweepShardFirstBlockedCtx(ctx, plan.t.router, plan.t.hosts, []int{top}, nil)
+	fb, _, err := analysis.Sweep(ctx, plan.t.router, plan.t.hosts, analysis.Spec{Prefix: []int{top}, FirstBlocked: true})
 	if err != nil {
 		return nil, err
 	}

@@ -98,7 +98,7 @@ func localVerifyBody(t *testing.T, q api.Request) string {
 
 // TestCoordinatedSweepMatchesLocal is the distributed-parity acceptance
 // test: a sweep fanned across two worker nodes must produce a final body
-// byte-identical to the in-process SweepExhaustiveParallel verify — for
+// byte-identical to the in-process exhaustive-parallel verify — for
 // blocking and nonblocking networks, at 8 and 9 hosts, under level-1
 // sharding and under the deepened partition (more worker slots than
 // level-1 shards), where the witness must be re-derived.

@@ -181,10 +181,11 @@ func validateCommon(q *api.Request) error {
 	return nil
 }
 
-// validateVerify refuses forced exhaustive sweeps whose factorial pattern
-// space exceeds the max_exhaustive cap — previously such a request (80
-// hosts → 80! patterns) started enumerating and only a deadline could kill
-// it. Raising max_exhaustive in the request is the explicit opt-in.
+// validateVerify refuses engine options the mode cannot honor, and forced
+// exhaustive sweeps whose factorial pattern space exceeds the
+// max_exhaustive cap — previously such a request (80 hosts → 80!
+// patterns) started enumerating and only a deadline could kill it.
+// Raising max_exhaustive in the request is the explicit opt-in.
 func validateVerify(q *api.Request) error {
 	if len(q.ShardPrefix) > 0 {
 		return badRequest("shard_prefix is only valid on /v1/verify/shard")
@@ -202,6 +203,11 @@ func validateVerify(q *api.Request) error {
 	}
 	if q.SymReduce && (q.Mode == "random" || q.Mode == "exact") {
 		return badRequest("sym_reduce applies to exhaustive sweeps only (mode %q)", q.Mode)
+	}
+	if q.FirstBlocked && q.Mode != "auto" && q.Mode != "exhaustive" {
+		// The parallel pool and the sampled and exact engines have no
+		// early exit: the flag would be ignored yet split the cache key.
+		return badRequest("first_blocked applies to mode exhaustive (or auto) only (mode %q)", q.Mode)
 	}
 	if q.Mode == "exhaustive" || q.Mode == "exhaustive-parallel" {
 		if h := requestHosts(q); h > q.MaxExhaustive {

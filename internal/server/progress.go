@@ -318,20 +318,21 @@ func (s *Server) runSweep(sj *sweepJob, q *api.Request, plan *sweepPlan) {
 			sj.tested.Add(int64(dt))
 			sj.blocked.Add(int64(db))
 		}
+		spec := analysis.Spec{Parallel: true, Workers: q.Workers, Progress: progress}
 		if q.SymReduce {
 			// The sym engine matches the parallel engine byte-for-byte and
 			// reports orbit-scaled progress deltas, so the SSE stream still
 			// counts patterns, not representatives.
-			var stats *analysis.SymStats
-			res, stats, err = analysis.SweepExhaustiveSymParallelProgressCtx(
-				ctx, plan.t.router, plan.t.hosts, symBlockSize(q, plan.t), q.Workers, progress)
-			if err == nil && stats.Applied {
+			spec.SymBlock = symBlockSize(q, plan.t)
+		}
+		var stats *analysis.SymStats
+		res, stats, err = analysis.Sweep(ctx, plan.t.router, plan.t.hosts, spec)
+		if err == nil && stats != nil {
+			if stats.Applied {
 				s.met.symSweeps.Add(1)
-			} else if err == nil {
+			} else {
 				s.met.symFallbacks.Add(1)
 			}
-		} else {
-			res, err = analysis.SweepExhaustiveParallelProgressCtx(ctx, plan.t.router, plan.t.hosts, q.Workers, progress)
 		}
 		if err == nil {
 			sj.shardsDone.Store(1)
@@ -347,17 +348,10 @@ func (s *Server) runSweep(sj *sweepJob, q *api.Request, plan *sweepPlan) {
 		return
 	}
 
-	rep := &api.VerifyReport{
+	rep := sweepVerdict(&api.VerifyReport{
 		Network: plan.t.net.Name, Hosts: plan.t.hosts, Routing: plan.t.router.Name(),
 		Method: "exhaustive-parallel", Exact: true,
-		Tested: res.Tested, Blocked: res.Blocked, MaxLinkLoad: res.MaxLinkLoad,
-	}
-	if res.Blocked > 0 {
-		rep.Verdict = "blocking"
-		rep.Witness = res.FirstBlocked.String()
-	} else {
-		rep.Verdict = "no-blocking-found"
-	}
+	}, res)
 	body, merr := json.Marshal(rep)
 	if merr != nil {
 		sj.fail(merr.Error())

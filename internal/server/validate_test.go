@@ -72,6 +72,20 @@ func TestValidation(t *testing.T) {
 		{"first_blocked exhaustive over cap", "/v1/verify", func(q *api.Request) {
 			*q = api.Request{N: 2, M: 4, R: 8, Routing: "paper", Mode: "exhaustive", FirstBlocked: true}
 		}, "max_exhaustive"},
+		// first_blocked used to be ignored outside mode exhaustive: the full
+		// space was swept anyway, under a cache key of its own.
+		{"first_blocked exhaustive-parallel", "/v1/verify", func(q *api.Request) {
+			q.Routing, q.Mode, q.FirstBlocked = "dest-mod", "exhaustive-parallel", true
+		}, `mode "exhaustive-parallel"`},
+		{"first_blocked random", "/v1/verify", func(q *api.Request) {
+			q.Routing, q.Mode, q.FirstBlocked = "dest-mod", "random", true
+		}, `mode "random"`},
+		{"first_blocked exact", "/v1/verify", func(q *api.Request) {
+			q.Mode, q.FirstBlocked = "exact", true
+		}, `mode "exact"`},
+		{"first_blocked sweep", "/v1/verify/sweep", func(q *api.Request) {
+			q.Routing, q.FirstBlocked = "dest-mod", true
+		}, "first_blocked"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -102,6 +116,14 @@ func TestValidation(t *testing.T) {
 	resp, body := postJSON(t, ts.URL+"/v1/verify", q)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("opt-in exhaustive: status %d: %s", resp.StatusCode, body)
+	}
+
+	// first_blocked stays valid in mode auto, which may resolve to the
+	// exhaustive engine.
+	q = &api.Request{N: 2, M: 4, R: 3, Routing: "greedy-local", FirstBlocked: true}
+	resp, body = postJSON(t, ts.URL+"/v1/verify", q)
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "exhaustive-first-blocked") {
+		t.Fatalf("auto first_blocked: status %d: %s", resp.StatusCode, body)
 	}
 }
 
