@@ -11,7 +11,7 @@ RACE_PKGS ?= ./internal/sim/ ./internal/analysis/ ./internal/routing/ ./internal
 FUZZTIME ?= 30s
 FUZZ_TARGETS := ./internal/routing/:FuzzEdgeColorBipartite ./internal/routing/:FuzzBenesLooping ./internal/routing/:FuzzRouteTableParity ./internal/permutation/:FuzzCanonicalParity ./internal/analysis/:FuzzLemma1Parity
 
-.PHONY: all build test race cover bench bench-json bench-gate fuzz-smoke batch-smoke coordinator-smoke frontier-smoke design-smoke fault-smoke nbperf-check report report-check tables examples clean
+.PHONY: all build test race cover bench bench-json bench-gate fuzz-smoke batch-smoke coordinator-smoke frontier-smoke design-smoke fault-smoke nbperf-check report report-check tables tables-check examples clean
 
 all: build test
 
@@ -117,6 +117,14 @@ report-check:
 
 tables:
 	$(GO) run ./cmd/nbtables -all
+
+# Regenerate `nbtables -all` into a temp dir and diff it against the
+# committed testdata/tables_golden.txt, so a change to any experiment's
+# table output has to update the golden with it.
+tables-check:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/nbtables -all > "$$tmp/got" || exit 1; \
+	diff -u testdata/tables_golden.txt "$$tmp/got" || { echo "testdata/tables_golden.txt is stale: run '$(GO) run ./cmd/nbtables -all > testdata/tables_golden.txt' and commit it" >&2; exit 1; }
 
 examples:
 	$(GO) run ./examples/quickstart

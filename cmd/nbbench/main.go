@@ -477,19 +477,22 @@ func writeBenchFile(path string, bf *benchFile) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-func run(out io.Writer, outPath, baselinePath, cpuProfile, memProfile string, reps int, nsThreshold float64) error {
+// measureSuite builds and measures the benchmark suite, under a CPU
+// profile and followed by a heap profile when their paths are set, and
+// writes the results to outPath when set.
+func measureSuite(out io.Writer, outPath, cpuProfile, memProfile string, reps int) (*benchFile, error) {
 	benches, err := buildBenchmarks()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if cpuProfile != "" {
 		pf, err := os.Create(cpuProfile)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		defer pf.Close()
 		if err := pprof.StartCPUProfile(pf); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	fresh := &benchFile{Schema: benchSchemaVersion, Go: runtime.Version()}
@@ -506,45 +509,50 @@ func run(out io.Writer, outPath, baselinePath, cpuProfile, memProfile string, re
 	if memProfile != "" {
 		pf, err := os.Create(memProfile)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		runtime.GC() // settle the steady-state heap before snapshotting
 		if err := pprof.WriteHeapProfile(pf); err != nil {
 			pf.Close()
-			return err
+			return nil, err
 		}
 		if err := pf.Close(); err != nil {
-			return err
+			return nil, err
 		}
 		fmt.Fprintf(out, "wrote heap profile %s\n", memProfile)
 	}
 	if outPath != "" {
 		if err := writeBenchFile(outPath, fresh); err != nil {
-			return err
+			return nil, err
 		}
 		fmt.Fprintf(out, "wrote %s\n", outPath)
 	}
-	if baselinePath != "" {
-		baseline, err := readBenchFile(baselinePath)
-		if err != nil {
-			return err
-		}
-		if baseline.Go != fresh.Go {
-			// ns/op differences between toolchains are codegen, not
-			// regressions; comparing across them would gate on noise.
-			fmt.Fprintf(out, "gate skipped: baseline %s was recorded with %s, running %s (re-record the baseline to re-arm the gate)\n",
-				baselinePath, baseline.Go, fresh.Go)
-			return nil
-		}
-		if violations := gate(baseline, fresh, nsThreshold); len(violations) > 0 {
-			for _, v := range violations {
-				fmt.Fprintln(out, "REGRESSION:", v)
-			}
-			return fmt.Errorf("%d benchmark regression(s) against %s", len(violations), baselinePath)
-		}
-		fmt.Fprintf(out, "gate passed against %s (ns/op threshold %.0f%%, allocs within 0.1%%)\n",
-			baselinePath, nsThreshold*100)
+	return fresh, nil
+}
+
+// gateAgainst gates fresh against the baseline at baselinePath: an error
+// lists the regressions, and a baseline from another Go toolchain skips
+// the gate with a warning.
+func gateAgainst(out io.Writer, fresh *benchFile, baselinePath string, nsThreshold float64) error {
+	baseline, err := readBenchFile(baselinePath)
+	if err != nil {
+		return err
 	}
+	if baseline.Go != fresh.Go {
+		// ns/op differences between toolchains are codegen, not
+		// regressions; comparing across them would gate on noise.
+		fmt.Fprintf(out, "gate skipped: baseline %s was recorded with %s, running %s (re-record the baseline to re-arm the gate)\n",
+			baselinePath, baseline.Go, fresh.Go)
+		return nil
+	}
+	if violations := gate(baseline, fresh, nsThreshold); len(violations) > 0 {
+		for _, v := range violations {
+			fmt.Fprintln(out, "REGRESSION:", v)
+		}
+		return fmt.Errorf("%d benchmark regression(s) against %s", len(violations), baselinePath)
+	}
+	fmt.Fprintf(out, "gate passed against %s (ns/op threshold %.0f%%, allocs within 0.1%%)\n",
+		baselinePath, nsThreshold*100)
 	return nil
 }
 
@@ -558,7 +566,11 @@ func main() {
 		nsRegress    = flag.Float64("max-ns-regress", 0.25, "allowed fractional ns/op regression before the gate fails")
 	)
 	flag.Parse()
-	if err := run(os.Stdout, *outPath, *baselinePath, *cpuProfile, *memProfile, *reps, *nsRegress); err != nil {
+	fresh, err := measureSuite(os.Stdout, *outPath, *cpuProfile, *memProfile, *reps)
+	if err == nil && *baselinePath != "" {
+		err = gateAgainst(os.Stdout, fresh, *baselinePath, *nsRegress)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "nbbench:", err)
 		os.Exit(1)
 	}

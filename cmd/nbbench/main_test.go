@@ -217,24 +217,42 @@ func TestRunGateEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real benchmarks")
 	}
-	// One quick rep: write a baseline, then gate a second measurement
-	// against it with a generous threshold (both runs share one machine
-	// state, so only allocs — which are deterministic — are tight).
+	// Two real one-rep measurements: a profiled baseline written to disk,
+	// then a fresh run gated against it and against doctored copies of it.
 	dir := t.TempDir()
 	base := filepath.Join(dir, "base.json")
+	cpu := filepath.Join(dir, "cpu.pprof")
+	mem := filepath.Join(dir, "mem.pprof")
 	var buf bytes.Buffer
-	if err := run(&buf, base, "", "", "", 1, 0.25); err != nil {
+	if _, err := measureSuite(&buf, base, cpu, mem, 1); err != nil {
 		t.Fatalf("baseline run: %v\n%s", err, buf.String())
 	}
+	// Profiles: both flags must produce non-empty files.
+	for _, p := range []string{cpu, mem} {
+		st, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Size() == 0 {
+			t.Fatalf("%s is empty", p)
+		}
+	}
 	buf.Reset()
-	if err := run(&buf, "", base, "", "", 1, 5.0); err != nil {
+	fresh, err := measureSuite(&buf, "", "", "", 1)
+	if err != nil {
+		t.Fatalf("fresh run: %v\n%s", err, buf.String())
+	}
+	// A generous ns/op threshold: both runs share one machine state, so
+	// only allocs — which are deterministic — are tight.
+	buf.Reset()
+	if err := gateAgainst(&buf, fresh, base, 5.0); err != nil {
 		t.Fatalf("gate run: %v\n%s", err, buf.String())
 	}
 	if !strings.Contains(buf.String(), "gate passed") {
 		t.Fatalf("output: %s", buf.String())
 	}
-	// Doctor the baseline to simulate a 2x speedup in the past — i.e. the
-	// fresh run is a 2x slowdown — and the same gate must now fail.
+	// Doctor the baseline to simulate a 100x speedup in the past — i.e.
+	// the fresh run is a 100x slowdown — and the same gate must now fail.
 	bf, err := readBenchFile(base)
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +264,7 @@ func TestRunGateEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf.Reset()
-	if err := run(&buf, "", base, "", "", 1, 0.25); err == nil {
+	if err := gateAgainst(&buf, fresh, base, 0.25); err == nil {
 		t.Fatalf("gate passed against a 100x-faster baseline:\n%s", buf.String())
 	}
 	// Same doctored (100x-faster) baseline, but recorded by a different Go
@@ -257,26 +275,10 @@ func TestRunGateEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf.Reset()
-	if err := run(&buf, "", base, "", "", 1, 0.25); err != nil {
+	if err := gateAgainst(&buf, fresh, base, 0.25); err != nil {
 		t.Fatalf("version-mismatched gate failed: %v\n%s", err, buf.String())
 	}
 	if !strings.Contains(buf.String(), "gate skipped") {
 		t.Fatalf("expected mismatch warning, got:\n%s", buf.String())
-	}
-	// Profiles: both flags must produce non-empty files.
-	cpu := filepath.Join(dir, "cpu.pprof")
-	mem := filepath.Join(dir, "mem.pprof")
-	buf.Reset()
-	if err := run(&buf, "", "", cpu, mem, 1, 0.25); err != nil {
-		t.Fatalf("profiled run: %v\n%s", err, buf.String())
-	}
-	for _, p := range []string{cpu, mem} {
-		st, err := os.Stat(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Size() == 0 {
-			t.Fatalf("%s is empty", p)
-		}
 	}
 }

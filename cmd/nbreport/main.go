@@ -1,7 +1,8 @@
 // Command nbreport runs the full experiment suite and writes a
 // self-contained Markdown report — the reproducibility artifact backing
 // EXPERIMENTS.md. Every number in the report is regenerated on the spot
-// with the given seed.
+// with the given seed; the sections are the entries of
+// internal/experiments' registry that nbreport lists, in registry order.
 //
 // Usage:
 //
@@ -11,261 +12,58 @@
 package main
 
 import (
-	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"time"
 
-	"repro/internal/campaign"
 	"repro/internal/experiments"
-	"repro/internal/permutation"
-	"repro/internal/routing"
-	"repro/internal/sim"
-	"repro/internal/topology"
 )
 
 func main() {
-	var (
-		trials = flag.Int("trials", 100, "trials for randomized sections")
-		seed   = flag.Int64("seed", 1, "seed for randomized sections")
-		fast   = flag.Bool("fast", false, "CI-sized trial counts (overrides -trials)")
-	)
-	flag.Parse()
-	if *fast {
-		*trials = 20
-	}
-	if err := run(os.Stdout, *trials, *seed); err != nil {
-		fmt.Fprintln(os.Stderr, "nbreport:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(out io.Writer, trials int, seed int64) error {
+// run parses args, writes the report to out and returns the exit status:
+// 2 for a usage error (before any output), 1 for a failed section.
+func run(args []string, out, errOut io.Writer) int {
+	fs := flag.NewFlagSet("nbreport", flag.ContinueOnError)
+	fs.SetOutput(errOut)
+	p := experiments.DefaultParams()
+	fs.IntVar(&p.Trials, "trials", p.Trials, "trials for randomized sections")
+	fs.Int64Var(&p.Seed, "seed", p.Seed, "seed for randomized sections")
+	fast := fs.Bool("fast", false, "CI-sized trial counts (overrides -trials)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if *fast {
+		p.Trials = 20
+	}
+	if err := p.Validate(); err != nil {
+		fmt.Fprintln(errOut, "nbreport:", err)
+		fs.Usage()
+		return 2
+	}
+
 	start := time.Now()
 	fmt.Fprintf(out, "# Reproduction report — Nonblocking Folded-Clos Networks (IPPS 2011)\n\n")
-	fmt.Fprintf(out, "seed %d, %d trials per randomized section\n\n", seed, trials)
-
-	section := func(title string) {
-		fmt.Fprintf(out, "## %s\n\n```\n", title)
-	}
-	endSection := func() { fmt.Fprint(out, "```\n\n") }
-
-	section("T1 — Table I")
-	experiments.TableI().Render(out)
-	endSection()
-
-	section("E1 — Theorems 2 & 3 (exact verification + tightness)")
-	t3, err := experiments.Theorem3([][2]int{{2, 5}, {2, 8}, {3, 7}, {4, 9}})
-	if err != nil {
-		return err
-	}
-	t3.Render(out)
-	endSection()
-
-	section("E2 — Lemma 2 exact maxima")
-	experiments.Lemma2([]int{1, 2, 3}, []int{2, 3, 4, 5, 6}).Render(out)
-	endSection()
-
-	section("E3 — Theorem 1 port bounds")
-	experiments.Theorem1([]int{2, 3, 4}).Render(out)
-	endSection()
-
-	section("E4 — NONBLOCKINGADAPTIVE demand scaling")
-	ad, err := experiments.Adaptive([]int{4, 6, 8, 12, 16, 24}, trials/3+1, seed)
-	if err != nil {
-		return err
-	}
-	ad.Render(out)
-	endSection()
-
-	cfg := sim.Config{PacketFlits: 4, PacketsPerPair: 8}
-
-	section("E6 — simulated permutation throughput")
-	th, err := experiments.Throughput(3, trials/2+1, seed, cfg)
-	if err != nil {
-		return err
-	}
-	th.Render(out)
-	endSection()
-
-	section("E7 — oblivious multipath (§IV.B)")
-	mp, err := experiments.Multipath(2, 8, trials, seed)
-	if err != nil {
-		return err
-	}
-	mp.Render(out)
-	endSection()
-
-	section("E8 — recursive constructions")
-	for _, n := range []int{2, 3} {
-		tl, err := experiments.ThreeLevel(n)
-		if err != nil {
-			return err
+	fmt.Fprintf(out, "seed %d, %d trials per randomized section\n\n", p.Seed, p.Trials)
+	for _, e := range experiments.Registry() {
+		if e.Heading == "" {
+			continue
 		}
-		tl.Render(out)
+		fmt.Fprintf(out, "## %s\n\n```\n", e.Heading)
+		if err := e.RenderReport(out, p); err != nil {
+			fmt.Fprintln(errOut, "nbreport:", err)
+			return 1
+		}
+		fmt.Fprint(out, "```\n\n")
 	}
-	ml, err := experiments.MultiLevel(2, []int{2, 3, 4})
-	if err != nil {
-		return err
-	}
-	ml.Render(out)
-	endSection()
-
-	section("E9 — centralized rearrangeable baseline")
-	bn, err := experiments.Benes(3, 6, trials, seed)
-	if err != nil {
-		return err
-	}
-	bn.Render(out)
-	endSection()
-
-	section("E10 — online circuit switching (§II)")
-	on, err := experiments.Online(2, 4, trials, seed)
-	if err != nil {
-		return err
-	}
-	on.Render(out)
-	endSection()
-
-	section("E11 — degraded mode")
-	ft, err := experiments.Fault(8, 64, 2, 3, seed)
-	if err != nil {
-		return err
-	}
-	ft.Render(out)
-	endSection()
-
-	section("E12 — open-loop load sweep")
-	ls, err := experiments.LoadSweepExperiment(3, 12, []float64{0.2, 0.4, 0.6, 0.8, 1.0}, seed)
-	if err != nil {
-		return err
-	}
-	ls.Render(out)
-	endSection()
-
-	section("E13 — collectives")
-	cl, err := experiments.Collectives(3, seed, cfg)
-	if err != nil {
-		return err
-	}
-	cl.Render(out)
-	endSection()
-
-	section("E14 — randomized-routing birthday model")
-	rm, err := experiments.RandomModel(2, 8, trials*2, []int{4, 8, 16, 32, 64, 128}, seed)
-	if err != nil {
-		return err
-	}
-	rm.Render(out)
-	endSection()
-
-	section("E15 — oversubscription frontier")
-	ov, err := experiments.Oversub(4, 12, trials/2+1, seed, sim.Config{PacketFlits: 2, PacketsPerPair: 4})
-	if err != nil {
-		return err
-	}
-	ov.Render(out)
-	endSection()
-
-	section("E16 — in-network per-packet adaptivity")
-	in, err := experiments.InNetworkAdaptive(3, 12, trials/4+1, seed, cfg)
-	if err != nil {
-		return err
-	}
-	in.Render(out)
-	endSection()
-
-	section("E17 — exact worst-case link load")
-	wl, err := experiments.WorstLoad(3, 10, seed)
-	if err != nil {
-		return err
-	}
-	wl.Render(out)
-	endSection()
-
-	section("E18 — observability (per-stage wait, link utilization)")
-	if err := metricsSection(out, cfg); err != nil {
-		return err
-	}
-	endSection()
-
-	section("E20 — fault campaign: nonblocking margin vs failures")
-	// m = 8 staggers the cliffs inside the sweep: the avoiding adaptive
-	// refuses once its demand bound (6 tops for these patterns) exceeds the
-	// healthy count (k >= 3), the spared scheme burns its 4 spares and dies
-	// at k = 5, while naive remap and local rerouting degrade gradually —
-	// the curves separate all four schemes.
-	frep, err := campaign.Run(context.Background(), campaign.Config{
-		N: 2, M: 8, R: 4,
-		Scenario:    campaign.ScenarioTops,
-		MaxFailures: 5,
-		Samples:     3,
-		Trials:      trials,
-		Seed:        seed,
-		Sim:         true,
-	})
-	if err != nil {
-		return err
-	}
-	campaign.Render(out, frep)
-	endSection()
-
-	section("Scaling — 2- vs 3-level cost")
-	sc, err := experiments.Scaling([]int{2, 3, 4, 5, 6})
-	if err != nil {
-		return err
-	}
-	sc.Render(out)
-	endSection()
-
 	fmt.Fprintf(out, "---\ngenerated in %s by cmd/nbreport\n", time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-// metricsSection contrasts the nonblocking paper routing with a router
-// that forces every pair through top switch 0, on one shift permutation
-// through the metrics collector: the Lemma-1 signature is zero queueing
-// wait beyond the injection stage and no link above full utilization;
-// blocking routing shows up as up-stage wait and a hot link.
-func metricsSection(out io.Writer, cfg sim.Config) error {
-	f := topology.NewFoldedClos(2, 4, 5)
-	paper, err := routing.NewPaperDeterministic(f)
-	if err != nil {
-		return err
-	}
-	single := &routing.FtreeSinglePath{
-		F: f, RouterName: "single-top", TopChoice: func(s, d int) int { return 0 },
-	}
-	perm := permutation.Shift(f.Ports(), f.Ports()/2)
-	for _, rt := range []routing.Router{paper, single} {
-		c := cfg
-		c.Collector = sim.NewMetricsCollector()
-		_, res, err := sim.RunPermutation(f.Net, rt, perm, c)
-		if err != nil {
-			return err
-		}
-		m := res.Metrics
-		fmt.Fprintf(out, "%s on shift(%d): makespan %d, max link utilization %.2f, latency p50/p99 %d/%d\n",
-			rt.Name(), f.Ports()/2, res.Makespan, m.MaxUtilization(), m.Latency.P50(), m.Latency.P99())
-		for s := 0; s < sim.NumStages; s++ {
-			st := m.Stages[s]
-			if st.Hops == 0 {
-				continue
-			}
-			fmt.Fprintf(out, "  stage %-9s  hops %4d  mean wait %5.2f  max wait %3d\n",
-				sim.StageName(s), st.Hops, float64(st.Wait)/float64(st.Hops), st.MaxWait)
-		}
-		// The busiest link, by integrated busy cycles.
-		var hot topology.LinkID
-		for l := range m.Links {
-			if m.Links[l].Busy > m.Links[hot].Busy {
-				hot = topology.LinkID(l)
-			}
-		}
-		fmt.Fprintf(out, "  busiest link: utilization %.2f, peak queue %d\n\n",
-			m.Utilization(hot), m.Links[hot].PeakQueue)
-	}
-	return nil
+	return 0
 }

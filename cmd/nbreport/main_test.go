@@ -7,9 +7,9 @@ import (
 )
 
 func TestReportContainsEverySection(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run(&buf, 10, 1); err != nil {
-		t.Fatal(err)
+	var buf, errOut bytes.Buffer
+	if code := run([]string{"-trials", "10"}, &buf, &errOut); code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
 	out := buf.String()
 	for _, want := range []string{
@@ -34,6 +34,7 @@ func TestReportContainsEverySection(t *testing.T) {
 		"E18 — observability",
 		"stage injection",
 		"busiest link:",
+		"E20 — fault campaign",
 		"Scaling — 2- vs 3-level cost",
 		"generated in",
 	} {
@@ -44,5 +45,15 @@ func TestReportContainsEverySection(t *testing.T) {
 	// Markdown fencing is balanced.
 	if strings.Count(out, "```")%2 != 0 {
 		t.Error("unbalanced code fences")
+	}
+}
+
+func TestReportRejectsInvalidTrials(t *testing.T) {
+	for _, args := range [][]string{{"-trials", "-5"}, {"-trials", "0"}} {
+		var out, errOut bytes.Buffer
+		code := run(args, &out, &errOut)
+		if code != 2 || out.Len() != 0 || !strings.Contains(errOut.String(), "-trials must be >= 1") {
+			t.Errorf("%q: exit %d, stdout %q, stderr %q; want exit 2 before any output", args, code, out.String(), errOut.String())
+		}
 	}
 }

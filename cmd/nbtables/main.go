@@ -1,6 +1,8 @@
 // Command nbtables regenerates the paper's Table I and the derived
 // experiment tables (the experiment index is DESIGN.md §5; the
-// paper-vs-measured record is EXPERIMENTS.md).
+// paper-vs-measured record is EXPERIMENTS.md). Every experiment in
+// internal/experiments' registry that nbtables lists has a selection
+// flag; selected experiments print in registry order.
 //
 // Usage:
 //
@@ -18,211 +20,66 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
 	"repro/internal/experiments"
-	"repro/internal/sim"
 )
 
 func main() {
-	var (
-		all        = flag.Bool("all", false, "run every experiment")
-		table1     = flag.Bool("table1", false, "Table I")
-		theorem3   = flag.Bool("theorem3", false, "E1: Theorem 3 verification and Theorem 2 tightness")
-		lemma2     = flag.Bool("lemma2", false, "E2: Lemma-2 exact search")
-		theorem1   = flag.Bool("theorem1", false, "E3: Theorem-1 port bounds")
-		adaptive   = flag.Bool("adaptive", false, "E4: adaptive top-switch demand")
-		throughput = flag.Bool("throughput", false, "E6: simulated throughput vs crossbar")
-		multipath  = flag.Bool("multipath", false, "E7: multipath blocking probability")
-		threelevel = flag.Bool("threelevel", false, "E8: three-level construction")
-		benes      = flag.Bool("benes", false, "E9: Benes baseline")
-		online     = flag.Bool("online", false, "E10: online circuit-switching conditions (Clos/Yang-Wang)")
-		fault      = flag.Bool("fault", false, "E11: degraded-mode routing with failed top switches")
-		loadsweep  = flag.Bool("loadsweep", false, "E12: open-loop latency/throughput curves")
-		worstcase  = flag.Bool("worstcase", false, "adversarial contention search")
-		collect    = flag.Bool("collectives", false, "E13: collective workloads (all-to-all, transpose, random phases)")
-		randmodel  = flag.Bool("randmodel", false, "E14: birthday model of randomized routing vs Monte Carlo")
-		oversub    = flag.Bool("oversub", false, "E15: oversubscription cost/performance frontier")
-		innetwork  = flag.Bool("innetwork", false, "E16: per-packet in-network adaptivity vs pattern-level routing")
-		worstload  = flag.Bool("worstload", false, "E17: exact worst-case link load per deterministic scheme")
-		scaling    = flag.Bool("scaling", false, "Discussion scaling table")
-		trials     = flag.Int("trials", 100, "trials for randomized experiments")
-		seed       = flag.Int64("seed", 1, "seed for randomized experiments")
-		simN       = flag.Int("sim-n", 3, "n for the throughput experiment (hosts = n(n+n²))")
-	)
-	flag.Parse()
-	if err := run(*all, *table1, *theorem3, *lemma2, *theorem1, *adaptive, *throughput,
-		*multipath, *threelevel, *benes, *online, *fault, *loadsweep, *worstcase,
-		*collect, *randmodel, *oversub, *innetwork, *worstload, *scaling, *trials, *seed, *simN, os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "nbtables:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(all, table1, theorem3, lemma2, theorem1, adaptive, throughput, multipath,
-	threelevel, benes, online, fault, loadsweep, worstcase, collect, randmodel, oversub, innetwork, worstload, scaling bool,
-	trials int, seed int64, simN int, out io.Writer) error {
+// run parses args, prints the selected experiments to out and returns the
+// exit status: 2 for a usage error (before any output), 1 for a failed
+// experiment.
+func run(args []string, out, errOut io.Writer) int {
+	fs := flag.NewFlagSet("nbtables", flag.ContinueOnError)
+	fs.SetOutput(errOut)
+	p := experiments.DefaultParams()
+	all := fs.Bool("all", false, "run every experiment")
+	entries := experiments.Registry()
+	selected := make([]*bool, len(entries))
+	for i, e := range entries {
+		if e.Flag != "" {
+			selected[i] = fs.Bool(e.Flag, false, e.Usage)
+		}
+	}
+	fs.IntVar(&p.Trials, "trials", p.Trials, "trials for randomized experiments")
+	fs.Int64Var(&p.Seed, "seed", p.Seed, "seed for randomized experiments")
+	fs.IntVar(&p.SimN, "sim-n", p.SimN, "n for the throughput experiment (hosts = n(n+n²))")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if err := p.Validate(); err != nil {
+		fmt.Fprintln(errOut, "nbtables:", err)
+		fs.Usage()
+		return 2
+	}
 	ran := false
-	section := func(title string) {
+	for i := range entries {
+		if selected[i] == nil || !(*all || *selected[i]) {
+			continue
+		}
 		if ran {
 			fmt.Fprintln(out)
 		}
-		fmt.Fprintf(out, "== %s ==\n", title)
 		ran = true
-	}
-	if all || table1 {
-		section("T1: Table I — nonblocking ftree(n+n²,n+n²) vs FT(N,2)")
-		experiments.TableI().Render(out)
-	}
-	if all || theorem3 {
-		section("E1: Theorem 3 (exact) and Theorem 2 tightness")
-		res, err := experiments.Theorem3([][2]int{{2, 5}, {2, 8}, {3, 7}, {4, 9}})
-		if err != nil {
-			return err
+		fmt.Fprintf(out, "== %s ==\n", entries[i].Title)
+		if err := entries[i].RenderTables(out, p); err != nil {
+			fmt.Fprintln(errOut, "nbtables:", err)
+			return 1
 		}
-		res.Render(out)
-	}
-	if all || lemma2 {
-		section("E2: Lemma 2 — exact max SD pairs through one top switch")
-		experiments.Lemma2([]int{1, 2, 3}, []int{2, 3, 4, 5, 6}).Render(out)
-	}
-	if all || theorem1 {
-		section("E3: Theorem 1 — ports vs 2(n+m) for r ≤ 2n+1")
-		experiments.Theorem1([]int{2, 3, 4}).Render(out)
-	}
-	if all || adaptive {
-		section("E4: NONBLOCKINGADAPTIVE top-switch demand (r = n²)")
-		res, err := experiments.Adaptive([]int{4, 6, 8, 12, 16, 24, 32}, trials/3+1, seed)
-		if err != nil {
-			return err
-		}
-		res.Render(out)
-	}
-	if all || throughput {
-		section("E6: simulated permutation throughput vs crossbar")
-		cfg := sim.Config{PacketFlits: 4, PacketsPerPair: 8}
-		res, err := experiments.Throughput(simN, trials, seed, cfg)
-		if err != nil {
-			return err
-		}
-		res.Render(out)
-	}
-	if all || multipath {
-		section("E7: traffic-oblivious multipath does not relax the condition")
-		res, err := experiments.Multipath(2, 8, trials, seed)
-		if err != nil {
-			return err
-		}
-		res.Render(out)
-	}
-	if all || threelevel {
-		section("E8: recursive three-level nonblocking construction")
-		for _, n := range []int{2, 3} {
-			res, err := experiments.ThreeLevel(n)
-			if err != nil {
-				return err
-			}
-			res.Render(out)
-		}
-		ml, err := experiments.MultiLevel(2, []int{2, 3, 4})
-		if err != nil {
-			return err
-		}
-		ml.Render(out)
-	}
-	if all || benes {
-		section("E9: centralized rearrangeable vs distributed greedy")
-		res, err := experiments.Benes(3, 6, trials, seed)
-		if err != nil {
-			return err
-		}
-		res.Render(out)
-	}
-	if all || online {
-		section("E10: online circuit switching on Clos(n,m,r) (§II conditions)")
-		res, err := experiments.Online(2, 4, trials, seed)
-		if err != nil {
-			return err
-		}
-		res.Render(out)
-	}
-	if all || fault {
-		section("E11: degraded mode — failed top-level switches")
-		res, err := experiments.Fault(8, 64, 2, 5, seed)
-		if err != nil {
-			return err
-		}
-		res.Render(out)
-	}
-	if all || loadsweep {
-		section("E12: open-loop load sweep (latency vs offered load)")
-		res, err := experiments.LoadSweepExperiment(3, 12, []float64{0.2, 0.4, 0.6, 0.8, 1.0}, seed)
-		if err != nil {
-			return err
-		}
-		res.Render(out)
-	}
-	if all || worstcase {
-		section("adversarial worst-case contention search")
-		res, err := experiments.WorstCase(3, 10, 4, 150, seed)
-		if err != nil {
-			return err
-		}
-		res.Render(out)
-	}
-	if all || collect {
-		section("E13: bulk-synchronous collectives")
-		res, err := experiments.Collectives(3, seed, sim.Config{PacketFlits: 4, PacketsPerPair: 8})
-		if err != nil {
-			return err
-		}
-		res.Render(out)
-	}
-	if all || randmodel {
-		section("E14: randomized routing — birthday model vs measurement")
-		res, err := experiments.RandomModel(2, 8, trials, []int{4, 8, 16, 32, 64, 128}, seed)
-		if err != nil {
-			return err
-		}
-		res.Render(out)
-	}
-	if all || oversub {
-		section("E15: oversubscription frontier (m below n²)")
-		res, err := experiments.Oversub(4, 12, trials, seed, sim.Config{PacketFlits: 2, PacketsPerPair: 4})
-		if err != nil {
-			return err
-		}
-		res.Render(out)
-	}
-	if all || innetwork {
-		section("E16: per-packet in-network adaptivity")
-		res, err := experiments.InNetworkAdaptive(3, 12, trials/4+1, seed, sim.Config{PacketFlits: 4, PacketsPerPair: 8})
-		if err != nil {
-			return err
-		}
-		res.Render(out)
-	}
-	if all || worstload {
-		section("E17: exact worst-case link load (per-link maximum matching)")
-		res, err := experiments.WorstLoad(3, 10, seed)
-		if err != nil {
-			return err
-		}
-		res.Render(out)
-	}
-	if all || scaling {
-		section("Discussion: 2-level vs 3-level scaling")
-		res, err := experiments.Scaling([]int{2, 3, 4, 5, 6})
-		if err != nil {
-			return err
-		}
-		res.Render(out)
 	}
 	if !ran {
-		return fmt.Errorf("no experiment selected; try -all (see -help)")
+		fmt.Fprintln(errOut, "nbtables: no experiment selected; try -all (see -help)")
+		return 1
 	}
-	return nil
+	return 0
 }

@@ -292,6 +292,9 @@ type ThroughputResult struct {
 // routing, (d) FT(N,2) with frozen random routing — all against the
 // crossbar reference.
 func Throughput(n, trials int, seed int64, cfg sim.Config) (*ThroughputResult, error) {
+	if n < 1 || trials < 1 {
+		return nil, fmt.Errorf("experiments: Throughput needs n >= 1, trials >= 1 (got n=%d trials=%d)", n, trials)
+	}
 	r := n + n*n // same-radix comparison: every switch has N = n+n² ports
 	nb := topology.NewFoldedClos(n, n*n, r)
 	paper, err := routing.NewPaperDeterministic(nb)

@@ -127,6 +127,13 @@ func TestThroughputExperiment(t *testing.T) {
 	if !strings.Contains(buf.String(), "crossbar") {
 		t.Error("render incomplete")
 	}
+	// Degenerate sizes are errors, not topology-constructor panics or
+	// empty averages.
+	for _, c := range [][2]int{{0, 3}, {-1, 3}, {2, 0}} {
+		if _, err := Throughput(c[0], c[1], 1, cfg); err == nil {
+			t.Errorf("Throughput(n=%d, trials=%d) accepted", c[0], c[1])
+		}
+	}
 }
 
 func TestMultipathExperiment(t *testing.T) {

@@ -136,37 +136,10 @@ func (s *Server) runCoordinated(ctx context.Context, sj *sweepJob, q *api.Reques
 				events <- shardEvent{task: t, worker: w, rep: rep, err: err, fatal: fatal}
 			}()
 		}
-		// pickWorker prefers a free slot on a worker this shard has not
-		// failed on; when every candidate already failed it, any free slot
-		// will do (the failure may have been transient).
-		pickWorker := func(t *shardTask) int {
-			fallback := -1
-			for w := range cc.Workers {
-				if inflight[w] >= cc.ShardConcurrency {
-					continue
-				}
-				if !t.failedOn[w] {
-					return w
-				}
-				if fallback < 0 {
-					fallback = w
-				}
-			}
-			return fallback
-		}
 
 		total := len(pending)
 		for completed < total {
-			// Assign every ready shard that has a slot.
-			for len(pending) > 0 {
-				w := pickWorker(pending[0])
-				if w < 0 {
-					break
-				}
-				t := pending[0]
-				pending = pending[1:]
-				dispatch(t, w)
-			}
+			pending = assignShards(pending, inflight, cc.ShardConcurrency, dispatch)
 			if running == 0 && len(pending) == 0 {
 				// Everything outstanding is waiting on a backoff timer.
 				select {
@@ -222,6 +195,37 @@ func (s *Server) runCoordinated(ctx context.Context, sj *sweepJob, q *api.Reques
 	}
 
 	return s.mergeCoordinated(ctx, plan, results)
+}
+
+// assignShards dispatches, in queue order, every pending shard that
+// placeShard finds a worker for (dispatch must count the new attempt in
+// inflight) and returns the rest in their order: a shard waiting for a
+// worker it has not failed on does not hold back the shards behind it.
+func assignShards(pending []*shardTask, inflight []int, slots int, dispatch func(*shardTask, int)) []*shardTask {
+	waiting := pending[:0]
+	for _, t := range pending {
+		if w := placeShard(t.failedOn, inflight, slots); w >= 0 {
+			dispatch(t, w)
+		} else {
+			waiting = append(waiting, t)
+		}
+	}
+	return waiting
+}
+
+// placeShard picks the worker for a shard's next attempt given the
+// workers it already failed on and each worker's in-flight count: the
+// lowest free worker it has not failed on, or -1 to wait for one. Only
+// once it has failed on every worker may it go back to any free worker
+// (the failures may have been transient).
+func placeShard(failedOn map[int]bool, inflight []int, slots int) int {
+	exhausted := len(failedOn) >= len(inflight)
+	for w, n := range inflight {
+		if n < slots && (exhausted || !failedOn[w]) {
+			return w
+		}
+	}
+	return -1
 }
 
 // dispatchShard POSTs one shard to one worker. err is retryable; fatal

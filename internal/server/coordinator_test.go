@@ -662,3 +662,62 @@ func sweepKey(q api.Request) string {
 	q.Mode = "exhaustive-parallel"
 	return q.CacheKey("verify")
 }
+
+// TestCoordinatedSweepRetryPlacement: a failed shard goes back to a
+// worker it failed on only once it has failed on every worker; until
+// then it waits for a free slot elsewhere, and the shards queued behind
+// it still dispatch.
+func TestCoordinatedSweepRetryPlacement(t *testing.T) {
+	failed := func(ws ...int) map[int]bool {
+		m := map[int]bool{}
+		for _, w := range ws {
+			m[w] = true
+		}
+		return m
+	}
+	for _, c := range []struct {
+		name     string
+		failedOn map[int]bool
+		inflight []int
+		want     int
+	}{
+		{"fresh shard takes the lowest free worker", failed(), []int{0, 0, 0}, 0},
+		{"fresh shard skips a full worker", failed(), []int{2, 1, 0}, 1},
+		{"failed shard avoids its failed worker", failed(0), []int{0, 2, 1}, 2},
+		{"failed shard waits while the others are busy", failed(0), []int{0, 2, 2}, -1},
+		{"failed on two, the third busy", failed(0, 1), []int{0, 0, 2}, -1},
+		{"failed on every worker: any free slot", failed(0, 1, 2), []int{2, 1, 2}, 1},
+		{"failed on every worker, all full", failed(0, 1, 2), []int{2, 2, 2}, -1},
+		{"single worker retries itself", failed(0), []int{1}, 0},
+	} {
+		if got := placeShard(c.failedOn, c.inflight, 2); got != c.want {
+			t.Errorf("%s: placeShard(%v, %v) = %d, want %d", c.name, c.failedOn, c.inflight, got, c.want)
+		}
+	}
+
+	// Worker 0 lied about shard a; worker 1 is busy. a waits; b and c
+	// behind it take worker 0's free slots in queue order.
+	a := &shardTask{idx: 0, failedOn: failed(0)}
+	b := &shardTask{idx: 1, failedOn: failed()}
+	c := &shardTask{idx: 2, failedOn: failed()}
+	d := &shardTask{idx: 3, failedOn: failed()}
+	inflight := []int{0, 2}
+	var sent []string
+	dispatch := func(t *shardTask, w int) {
+		inflight[w]++
+		sent = append(sent, fmt.Sprintf("%d@%d", t.idx, w))
+	}
+	waiting := assignShards([]*shardTask{a, b, c, d}, inflight, 2, dispatch)
+	if got := strings.Join(sent, " "); got != "1@0 2@0" {
+		t.Errorf("dispatched %q, want \"1@0 2@0\"", got)
+	}
+	if len(waiting) != 2 || waiting[0] != a || waiting[1] != d {
+		t.Errorf("waiting %v, want shards 0 and 3 in order", waiting)
+	}
+	// Once worker 1 frees a slot, a goes there.
+	inflight[1]--
+	sent = nil
+	if waiting = assignShards(waiting, inflight, 2, dispatch); len(waiting) != 1 || waiting[0] != d || strings.Join(sent, " ") != "0@1" {
+		t.Errorf("after worker 1 freed: dispatched %q, waiting %v", sent, waiting)
+	}
+}
