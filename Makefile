@@ -9,9 +9,9 @@ RACE_PKGS ?= ./internal/sim/ ./internal/analysis/ ./internal/routing/ ./internal
 # Per-target budget for the fuzz smoke pass (`go test -fuzz` accepts one
 # target per invocation). Entries are package:target.
 FUZZTIME ?= 30s
-FUZZ_TARGETS := ./internal/routing/:FuzzEdgeColorBipartite ./internal/routing/:FuzzBenesLooping ./internal/routing/:FuzzRouteTableParity ./internal/permutation/:FuzzCanonicalParity ./internal/analysis/:FuzzLemma1Parity
+FUZZ_TARGETS := ./internal/routing/:FuzzEdgeColorBipartite ./internal/routing/:FuzzBenesLooping ./internal/routing/:FuzzRouteTableParity ./internal/permutation/:FuzzCanonicalParity ./internal/permutation/:FuzzParse ./internal/analysis/:FuzzLemma1Parity
 
-.PHONY: all build test race cover bench bench-json bench-gate fuzz-smoke batch-smoke coordinator-smoke frontier-smoke design-smoke fault-smoke nbperf-check report report-check tables tables-check examples clean
+.PHONY: all build test race cover bench bench-json bench-gate fuzz-smoke batch-smoke coordinator-smoke frontier-smoke design-smoke fault-smoke nbperf-check report report-check tables tables-check examples examples-check clean
 
 all: build test
 
@@ -126,12 +126,20 @@ tables-check:
 	$(GO) run ./cmd/nbtables -all > "$$tmp/got" || exit 1; \
 	diff -u testdata/tables_golden.txt "$$tmp/got" || { echo "testdata/tables_golden.txt is stale: run '$(GO) run ./cmd/nbtables -all > testdata/tables_golden.txt' and commit it" >&2; exit 1; }
 
+EXAMPLES := quickstart clusterdesign adaptive simulation collectives
+
 examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/clusterdesign
-	$(GO) run ./examples/adaptive
-	$(GO) run ./examples/simulation
-	$(GO) run ./examples/collectives
+	@for e in $(EXAMPLES); do $(GO) run ./examples/$$e || exit 1; done
+
+# Run every example and diff its output against testdata/examples/<name>.golden,
+# so a change to the public API the examples use cannot silently change
+# what they print.
+examples-check:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	for e in $(EXAMPLES); do \
+		$(GO) run ./examples/$$e > "$$tmp/$$e" || exit 1; \
+		diff -u testdata/examples/$$e.golden "$$tmp/$$e" || { echo "testdata/examples/$$e.golden is stale: run '$(GO) run ./examples/$$e > testdata/examples/$$e.golden' and commit it" >&2; exit 1; }; \
+	done
 
 clean:
 	rm -f cover.out test_output.txt bench_output.txt BENCH_fresh.json

@@ -18,10 +18,10 @@ import (
 // map-based accounting it replaced.
 //
 // A Checker is NOT safe for concurrent use; parallel sweeps give each
-// worker its own. Results exposed by the accessors (ContendedLinks,
-// PairsOn, LoadedLinks) alias internal scratch and are valid only until
-// the next Analyze/AnalyzePattern call; Report materializes an independent
-// map-based Report for callers that need to retain the analysis.
+// worker its own. The slice ContendedLinks returns aliases internal
+// scratch and is valid only until the next Analyze/AnalyzePattern call;
+// Report materializes an independent map-based Report for callers that
+// need to retain the analysis.
 type Checker struct {
 	// a is the last analyzed assignment (nil after AnalyzePattern's
 	// assignment-free fast path).
@@ -173,9 +173,6 @@ func (c *Checker) AnalyzePattern(r routing.Router, p *permutation.Permutation) e
 // analyzed pattern.
 func (c *Checker) MaxLoad() int { return c.maxLoad }
 
-// Pairs is the number of SD pairs of the last analyzed pattern.
-func (c *Checker) Pairs() int { return c.pairs }
-
 // HasContention reports whether any link carries two or more SD pairs.
 func (c *Checker) HasContention() bool { return len(c.contended) > 0 }
 
@@ -190,20 +187,6 @@ func (c *Checker) ContendedLinks() []topology.LinkID {
 		c.sorted = true
 	}
 	return c.contended
-}
-
-// LoadedLinks returns every link carrying at least one pair, in first-touch
-// order. The slice aliases Checker scratch: valid until the next analysis.
-func (c *Checker) LoadedLinks() []topology.LinkID { return c.touched }
-
-// PairsOn returns the indices of the pairs loading link l (empty when l is
-// unloaded). The slice aliases Checker scratch: valid until the next
-// analysis.
-func (c *Checker) PairsOn(l topology.LinkID) []int {
-	if int(l) >= len(c.linkPairs) {
-		return nil
-	}
-	return c.linkPairs[l]
 }
 
 // Report materializes the analysis as an independent map-based Report,

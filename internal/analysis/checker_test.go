@@ -12,6 +12,53 @@ import (
 	"repro/internal/topology"
 )
 
+// randomPartial draws a random partial permutation over n endpoints in
+// which each endpoint sends with probability density.
+func randomPartial(rng *rand.Rand, n int, density float64) *permutation.Permutation {
+	p := permutation.New(n)
+	permutation.RandomPartialInto(rng, p, density, &permutation.PatternScratch{})
+	return p
+}
+
+// pathUnion is an oblivious multipath router built from two single-path
+// routers on net: pair (s, d) may use either router's path (one path when
+// they agree). It gives the engine tests a multipath scheme on networks
+// that have no multipath router of their own.
+type pathUnion struct {
+	net  *topology.Network
+	a, b routing.PairRouter
+}
+
+func (u pathUnion) Name() string { return u.a.Name() + "+" + u.b.Name() }
+
+func (u pathUnion) PathsFor(s, d int) ([]topology.Path, error) {
+	pa, err := u.a.PathFor(s, d)
+	if err != nil {
+		return nil, err
+	}
+	pb, err := u.b.PathFor(s, d)
+	if err != nil {
+		return nil, err
+	}
+	if slices.Equal(pa.Links, pb.Links) {
+		return []topology.Path{pa}, nil
+	}
+	return []topology.Path{pa, pb}, nil
+}
+
+func (u pathUnion) Route(p *permutation.Permutation) (*routing.Assignment, error) {
+	pairs := p.Pairs()
+	a := &routing.Assignment{Net: u.net, Pairs: pairs, PathSets: make([][]topology.Path, len(pairs))}
+	for i, pr := range pairs {
+		ps, err := u.PathsFor(pr.Src, pr.Dst)
+		if err != nil {
+			return nil, err
+		}
+		a.PathSets[i] = ps
+	}
+	return a, nil
+}
+
 // checkReference is the original map-based Check, kept verbatim as the
 // behavioural oracle for the flat-array Checker: identical LinkPairs
 // content, identical ascending Contended list, identical MaxLoad.
@@ -83,8 +130,8 @@ func TestCheckerGoldenParity(t *testing.T) {
 		permutation.Identity(f.Ports()),
 		permutation.SwitchShift(2, 3, 1),
 		permutation.Random(rng, f.Ports()),
-		permutation.RandomPartial(rng, f.Ports(), 0.5),
-		permutation.RandomPartial(rng, f.Ports(), 0.1),
+		randomPartial(rng, f.Ports(), 0.5),
+		randomPartial(rng, f.Ports(), 0.1),
 	} {
 		for _, r := range []routing.Router{paper, routing.NewDestMod(f), routing.NewFullSpray(f)} {
 			add(r, p)
@@ -92,15 +139,12 @@ func TestCheckerGoldenParity(t *testing.T) {
 	}
 
 	tr := topology.NewMPortNTree(4, 2)
-	spray, err := routing.NewMNTSpray(tr, 3, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
+	union := pathUnion{tr.Net, routing.NewMNTDestMod(tr), routing.NewMNTRandomFixed(tr, 11)}
 	for _, p := range []*permutation.Permutation{
 		permutation.Random(rng, tr.Hosts()),
-		permutation.RandomPartial(rng, tr.Hosts(), 0.4),
+		randomPartial(rng, tr.Hosts(), 0.4),
 	} {
-		for _, r := range []routing.Router{routing.NewMNTDestMod(tr), routing.NewMNTRandomFixed(tr, 5), spray} {
+		for _, r := range []routing.Router{routing.NewMNTDestMod(tr), routing.NewMNTRandomFixed(tr, 5), union} {
 			add(r, p)
 		}
 	}
@@ -144,7 +188,7 @@ func TestCheckEmptyAssignment(t *testing.T) {
 	}
 	c := NewChecker(f.Net)
 	c.Analyze(a)
-	if c.MaxLoad() != 0 || c.Pairs() != 0 || c.HasContention() || len(c.LoadedLinks()) != 0 {
+	if c.MaxLoad() != 0 || c.pairs != 0 || c.HasContention() || len(c.LoadedLinks()) != 0 {
 		t.Fatal("empty assignment leaves Checker state dirty")
 	}
 	reportsMatch(t, "empty", c.Report(), checkReference(a))
@@ -244,4 +288,21 @@ func TestAnalyzePatternFastPathMatchesRoute(t *testing.T) {
 	if errFast.Error() != errRoute.Error() {
 		t.Fatalf("fast-path error %q differs from Route error %q", errFast, errRoute)
 	}
+}
+
+// Test-only helpers: no program calls these, so they live with the
+// tests that use them.
+
+// LoadedLinks returns every link carrying at least one pair, in first-touch
+// order. The slice aliases Checker scratch: valid until the next analysis.
+func (c *Checker) LoadedLinks() []topology.LinkID { return c.touched }
+
+// PairsOn returns the indices of the pairs loading link l (empty when l is
+// unloaded). The slice aliases Checker scratch: valid until the next
+// analysis.
+func (c *Checker) PairsOn(l topology.LinkID) []int {
+	if int(l) >= len(c.linkPairs) {
+		return nil
+	}
+	return c.linkPairs[l]
 }

@@ -8,7 +8,7 @@ import (
 // DeltaChecker is the incremental counterpart of Checker for enumerations
 // that step between patterns by swapping two destinations — Heap's
 // algorithm (permutation.EnumerateFullSwaps and the per-shard
-// EnumerateFullPrefixSwaps) and the adversarial hill climb's pairwise
+// EnumerateFullPrefixSeqSwaps) and the adversarial hill climb's pairwise
 // swaps. Where Checker.AnalyzePattern re-routes and re-accounts all n
 // pairs of every pattern, a DeltaChecker reads precomputed per-pair link
 // sets from a routing.RouteTable and, per swap, subtracts the two outgoing
@@ -150,14 +150,3 @@ func (d *DeltaChecker) MaxLoad() int { return d.maxLoad }
 
 // ContendedCount is the number of links carrying two or more pairs.
 func (d *DeltaChecker) ContendedCount() int { return d.contended }
-
-// HasContention reports whether any link carries two or more pairs.
-func (d *DeltaChecker) HasContention() bool { return d.contended > 0 }
-
-// LinkLoad returns the current load of link l (zero when out of range).
-func (d *DeltaChecker) LinkLoad(l int) int {
-	if l < 0 || l >= len(d.load) {
-		return 0
-	}
-	return int(d.load[l])
-}

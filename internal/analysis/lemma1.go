@@ -18,12 +18,6 @@ type LinkSDView struct {
 	Sources, Dests []int
 }
 
-// OneSourceOrOneDest reports the Lemma-1 predicate for this link: all
-// pairs share a source, or all share a destination.
-func (v *LinkSDView) OneSourceOrOneDest() bool {
-	return len(v.Sources) <= 1 || len(v.Dests) <= 1
-}
-
 // Lemma1Result is the outcome of checking a single-path deterministic
 // routing against Lemma 1 over all SD pairs of the network. Per-link views
 // of every loaded link are not part of it; LinkViews computes them.

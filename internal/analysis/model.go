@@ -66,10 +66,3 @@ func MeasureRandomClearProb(n, m, r, trials int, seed int64) (float64, error) {
 	}
 	return float64(clear) / float64(trials), nil
 }
-
-// ModelExpectedCollisions returns the expected number of colliding link
-// pairs under the same independence model: 2r · C(n,2) / m — the
-// first-order term showing collisions scale with r·n²/m.
-func ModelExpectedCollisions(n, m, r int) float64 {
-	return float64(2*r) * float64(n*(n-1)) / 2 / float64(m)
-}

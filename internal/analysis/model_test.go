@@ -49,20 +49,6 @@ func TestModelMatchesMonteCarlo(t *testing.T) {
 	}
 }
 
-func TestModelExpectedCollisionsScaling(t *testing.T) {
-	// Doubling m halves expected collisions; doubling r doubles them.
-	base := ModelExpectedCollisions(3, 9, 10)
-	if got := ModelExpectedCollisions(3, 18, 10); math.Abs(got-base/2) > 1e-12 {
-		t.Fatal("m scaling wrong")
-	}
-	if got := ModelExpectedCollisions(3, 9, 20); math.Abs(got-2*base) > 1e-12 {
-		t.Fatal("r scaling wrong")
-	}
-	if ModelExpectedCollisions(1, 9, 10) != 0 {
-		t.Fatal("n=1 should have zero expected collisions")
-	}
-}
-
 func TestMeasureRandomClearProbZeroTrials(t *testing.T) {
 	got, err := MeasureRandomClearProb(2, 8, 3, 0, 1)
 	if err != nil || got != 0 {

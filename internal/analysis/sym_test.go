@@ -50,11 +50,6 @@ func symRouters(t *testing.T) []symCase {
 		t.Fatal(err)
 	}
 	add("spray-2", kspray, f63.Ports(), 2)
-	pm, err := routing.NewPaperMultipath(f63)
-	if err != nil {
-		t.Fatal(err)
-	}
-	add("paper-multipath", pm, f63.Ports(), 2)
 	add("random-fixed", routing.NewRandomFixed(f24, 7), f24.Ports(), 2)
 	adaptive, err := routing.NewNonblockingAdaptive(f63)
 	if err != nil {
@@ -195,7 +190,7 @@ func TestSweepSymShardParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := mustSweep(t, r, hosts, Spec{Parallel: true, Workers: 4})
-			if w == nil || !w.Equal(want.FirstBlocked) {
+			if w == nil || !sameWitness(w, want.FirstBlocked) {
 				t.Fatalf("re-derived witness %s != parallel witness %s", w, want.FirstBlocked)
 			}
 		}

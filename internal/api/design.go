@@ -81,7 +81,7 @@ type DesignReplay struct {
 type DesignCertificate struct {
 	Tier int `json:"tier"`
 	// Condition is the machine-checkable condition id
-	// (design.ReplayCondition re-evaluates it); Citation is the
+	// (the design tests' ReplayCondition re-evaluates it); Citation is the
 	// human-readable source in the paper.
 	Condition string `json:"condition"`
 	Citation  string `json:"citation"`

@@ -56,6 +56,14 @@ func TestRunSmallCampaign(t *testing.T) {
 	}
 }
 
+// Test-only helpers: no program calls these, so they live with the
+// tests that use them.
+
+// Scenarios lists every failure scenario.
+func Scenarios() []Scenario {
+	return []Scenario{ScenarioLinks, ScenarioTops, ScenarioTopsCorrelated, ScenarioPods}
+}
+
 // The tentpole determinism claim: a parallel campaign is byte-identical
 // to the sequential one.
 func TestRunParallelMatchesSequential(t *testing.T) {
@@ -121,8 +129,8 @@ func TestNoRouterEmitsFailedPath(t *testing.T) {
 							t.Fatalf("%s/%s k=%d: invalid path for pair %v", sc, scheme, k, a.Pairs[i])
 						}
 						if !view.PathHealthy(path) {
-							t.Fatalf("%s/%s k=%d: path for pair %v traverses failed element (set %s)",
-								sc, scheme, k, a.Pairs[i], fs.Key())
+							t.Fatalf("%s/%s k=%d: path for pair %v traverses failed element (set %+v)",
+								sc, scheme, k, a.Pairs[i], fs)
 						}
 					}
 				}

@@ -28,11 +28,6 @@ const (
 	ScenarioPods Scenario = "pods"
 )
 
-// Scenarios lists every failure scenario.
-func Scenarios() []Scenario {
-	return []Scenario{ScenarioLinks, ScenarioTops, ScenarioTopsCorrelated, ScenarioPods}
-}
-
 // KnownScenario reports whether sc names a scenario.
 func KnownScenario(sc Scenario) bool {
 	switch sc {

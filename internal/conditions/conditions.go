@@ -24,11 +24,6 @@ func Lemma2Cap(n, r int) int {
 	return 2 * n * r
 }
 
-// CrossSwitchPairs returns r(r−1)n², the number of SD pairs of
-// ftree(n+m, r) that must cross the top level (source and destination in
-// different bottom switches).
-func CrossSwitchPairs(n, r int) int { return r * (r - 1) * n * n }
-
 // DeterministicMinM returns the Theorem-2 nonblocking condition for
 // single-path (and traffic-oblivious multi-path) deterministic routing
 // when r ≥ 2n+1: m ≥ n². The bound is tight (Theorem 3).
@@ -103,90 +98,11 @@ func AdaptiveRecurrenceT(n, c int) int {
 	return t
 }
 
-// AdaptiveRefinedT is AdaptiveRecurrenceT strengthened with the §V
-// observation that the remaining c partitions of each configuration route
-// at least one pair each while pairs remain — the per-configuration
-// progress is x^(1/(2(c+1))) + c.
-func AdaptiveRefinedT(n, c int) int {
-	if n <= 0 {
-		return 0
-	}
-	t := 0
-	x := n
-	exp := 1.0 / float64(2*(c+1))
-	for x > 0 {
-		step := int(math.Pow(float64(x), exp))
-		if step < 1 {
-			step = 1
-		}
-		x -= step + c
-		t++
-	}
-	return t
-}
-
 // AdaptiveTheorem5M returns the concrete Theorem-5 top-switch budget:
 // T(n)·(c+1)·n with T from AdaptiveRecurrenceT — the O(n^(2−1/(2(c+1))))
 // bound with explicit constants.
 func AdaptiveTheorem5M(n, c int) int {
 	return AdaptiveRecurrenceT(n, c) * (c + 1) * n
-}
-
-// AdaptiveAsymptote returns the asymptotic form n^(2−1/(2(c+1))) as a
-// float, for plotting the Theorem-5 curve against measurements.
-func AdaptiveAsymptote(n, c int) float64 {
-	return math.Pow(float64(n), 2-1/float64(2*(c+1)))
-}
-
-// Lemma6MinSpread returns the Lemma-6 guarantee ⌈k^(1/(2(c+1)))⌉ for a set
-// of k distinct numbers of c+1 base-n digits: at least this many of them
-// share no d₀ digit, or share no (dᵢ−d₀) mod n value for some i.
-// The ceiling is safe: the lemma guarantees the real-valued bound, and a
-// digit spread is integral.
-func Lemma6MinSpread(k, c int) int {
-	if k <= 0 {
-		return 0
-	}
-	v := math.Pow(float64(k), 1/float64(2*(c+1)))
-	s := int(math.Ceil(v - 1e-9))
-	if s < 1 {
-		s = 1
-	}
-	return s
-}
-
-// Lemma6Spread computes, for a set of distinct numbers written with c+1
-// base-n digits d_c…d_0, the quantity Lemma 6 bounds from below: the
-// maximum over the choices "count distinct d₀" and, for each i in [1, c],
-// "count distinct (dᵢ−d₀) mod n".
-func Lemma6Spread(nums []int, n, c int) int {
-	if n < 1 {
-		panic("conditions: Lemma6Spread needs n >= 1")
-	}
-	best := 0
-	d0s := map[int]bool{}
-	for _, x := range nums {
-		d0s[x%n] = true
-	}
-	if len(d0s) > best {
-		best = len(d0s)
-	}
-	for i := 1; i <= c; i++ {
-		div := 1
-		for j := 0; j < i; j++ {
-			div *= n
-		}
-		vals := map[int]bool{}
-		for _, x := range nums {
-			di := (x / div) % n
-			d0 := x % n
-			vals[((di-d0)%n+n)%n] = true
-		}
-		if len(vals) > best {
-			best = len(vals)
-		}
-	}
-	return best
 }
 
 // UplinkPigeonholeMinM returns the routing-independent necessary
@@ -206,8 +122,5 @@ func ClosStrictM(n int) int { return 2*n - 1 }
 // condition: m ≥ n (centralized control and connection rearrangement
 // assumed).
 func ClosRearrangeableM(n int) int { return n }
-
-// PortsOfNonblockingFtree returns the host count n·r of ftree(n+m, r).
-func PortsOfNonblockingFtree(n, r int) int { return n * r }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

@@ -43,12 +43,6 @@ func TestLemma2CapBoundaryConsistent(t *testing.T) {
 	}
 }
 
-func TestCrossSwitchPairs(t *testing.T) {
-	if got := CrossSwitchPairs(3, 7); got != 7*6*9 {
-		t.Fatalf("CrossSwitchPairs = %d", got)
-	}
-}
-
 func TestDeterministicConditions(t *testing.T) {
 	if DeterministicMinM(4) != 16 {
 		t.Fatal("Theorem 2 bound wrong")
@@ -78,7 +72,7 @@ func TestTheorem1PortBound(t *testing.T) {
 	for n := 1; n <= 6; n++ {
 		for r := 1; r <= 2*n+1; r++ {
 			m := SmallTopMinM(n, r)
-			ports := PortsOfNonblockingFtree(n, r)
+			ports := n * r
 			if ports > Theorem1PortBound(n, m) {
 				t.Errorf("n=%d r=%d m=%d: ports %d > bound %d", n, r, m, ports, Theorem1PortBound(n, m))
 			}
@@ -135,23 +129,10 @@ func TestAdaptiveBounds(t *testing.T) {
 	if AdaptiveRecurrenceT(0, 2) != 0 {
 		t.Fatal("T(0) != 0")
 	}
-	// Refined T never exceeds plain T.
-	for n := 1; n <= 100; n += 7 {
-		if AdaptiveRefinedT(n, 2) > AdaptiveRecurrenceT(n, 2) {
-			t.Fatalf("refined T exceeds plain T at n=%d", n)
-		}
-	}
-	if AdaptiveRefinedT(0, 1) != 0 {
-		t.Fatal("refined T(0) != 0")
-	}
 	// Theorem-5 budget matches T·(c+1)·n.
 	n, c := 50, 2
 	if AdaptiveTheorem5M(n, c) != AdaptiveRecurrenceT(n, c)*(c+1)*n {
 		t.Fatal("Theorem5M inconsistent")
-	}
-	// Asymptote: n^(2-1/(2(c+1))).
-	if math.Abs(AdaptiveAsymptote(16, 2)-math.Pow(16, 2-1.0/6)) > 1e-9 {
-		t.Fatal("asymptote wrong")
 	}
 }
 
@@ -176,6 +157,60 @@ func TestAdaptiveAsymptoticallyBelowN2(t *testing.T) {
 	if !crossed {
 		t.Fatal("Theorem-5 budget never dropped below n²")
 	}
+}
+
+// Test-only helpers: no program calls these, so they live with the
+// tests that use them.
+
+// Lemma6MinSpread returns the Lemma-6 guarantee ⌈k^(1/(2(c+1)))⌉ for a set
+// of k distinct numbers of c+1 base-n digits: at least this many of them
+// share no d₀ digit, or share no (dᵢ−d₀) mod n value for some i.
+// The ceiling is safe: the lemma guarantees the real-valued bound, and a
+// digit spread is integral.
+func Lemma6MinSpread(k, c int) int {
+	if k <= 0 {
+		return 0
+	}
+	v := math.Pow(float64(k), 1/float64(2*(c+1)))
+	s := int(math.Ceil(v - 1e-9))
+	if s < 1 {
+		s = 1
+	}
+	return s
+}
+
+// Lemma6Spread computes, for a set of distinct numbers written with c+1
+// base-n digits d_c…d_0, the quantity Lemma 6 bounds from below: the
+// maximum over the choices "count distinct d₀" and, for each i in [1, c],
+// "count distinct (dᵢ−d₀) mod n".
+func Lemma6Spread(nums []int, n, c int) int {
+	if n < 1 {
+		panic("conditions: Lemma6Spread needs n >= 1")
+	}
+	best := 0
+	d0s := map[int]bool{}
+	for _, x := range nums {
+		d0s[x%n] = true
+	}
+	if len(d0s) > best {
+		best = len(d0s)
+	}
+	for i := 1; i <= c; i++ {
+		div := 1
+		for j := 0; j < i; j++ {
+			div *= n
+		}
+		vals := map[int]bool{}
+		for _, x := range nums {
+			di := (x / div) % n
+			d0 := x % n
+			vals[((di-d0)%n+n)%n] = true
+		}
+		if len(vals) > best {
+			best = len(vals)
+		}
+	}
+	return best
 }
 
 func TestLemma6SpreadAndMinSpread(t *testing.T) {

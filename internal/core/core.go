@@ -62,6 +62,9 @@ type System struct {
 // NewDeterministicSystem builds the Theorem-3 nonblocking system:
 // ftree(n+n², r) with the paper's single-path deterministic routing.
 func NewDeterministicSystem(n, r int) (*System, error) {
+	if n < 1 || r < 1 {
+		return nil, fmt.Errorf("core: invalid system size n=%d r=%d (need n >= 1 and r >= 1)", n, r)
+	}
 	f := topology.NewFoldedClos(n, n*n, r)
 	rt, err := routing.NewPaperDeterministic(f)
 	if err != nil {
@@ -78,6 +81,9 @@ func NewAdaptiveSystem(n, r int) (*System, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("core: adaptive systems need n >= 2")
 	}
+	if r < 1 {
+		return nil, fmt.Errorf("core: invalid system size n=%d r=%d (need r >= 1)", n, r)
+	}
 	c := conditions.SmallestC(n, r)
 	m := conditions.AdaptiveSimpleM(n, c)
 	f := topology.NewFoldedClos(n, m, r)
@@ -86,13 +92,6 @@ func NewAdaptiveSystem(n, r int) (*System, error) {
 		return nil, err
 	}
 	return &System{F: f, Router: rt, Class: LocalAdaptive}, nil
-}
-
-// NewRearrangeableSystem builds the centralized baseline: ftree(n+n, r)
-// with global edge-coloring routing (Benes m = n).
-func NewRearrangeableSystem(n, r int) *System {
-	f := topology.NewFoldedClos(n, n, r)
-	return &System{F: f, Router: routing.NewGlobalRearrangeable(f), Class: GlobalRearrangeable}
 }
 
 // Ports reports the system's host count.

@@ -58,6 +58,46 @@ func TestAdaptiveSystemVerifies(t *testing.T) {
 	}
 }
 
+// TestSystemConstructorsRejectBadSizes pins that both constructors return
+// an error, instead of panicking in the topology builder, for sizes no
+// folded Clos has.
+func TestSystemConstructorsRejectBadSizes(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		new  func(n, r int) (*System, error)
+		n, r int
+	}{
+		{"deterministic", NewDeterministicSystem, 0, 5},
+		{"deterministic", NewDeterministicSystem, 2, 0},
+		{"deterministic", NewDeterministicSystem, -1, 3},
+		{"deterministic", NewDeterministicSystem, 2, -4},
+		{"adaptive", NewAdaptiveSystem, 2, 0},
+		{"adaptive", NewAdaptiveSystem, 3, -1},
+		{"adaptive", NewAdaptiveSystem, 0, 4},
+	} {
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("%s(%d, %d) panicked: %v", c.name, c.n, c.r, p)
+				}
+			}()
+			if s, err := c.new(c.n, c.r); err == nil {
+				t.Errorf("%s(%d, %d) = %+v, want an error", c.name, c.n, c.r, s)
+			}
+		}()
+	}
+}
+
+// Test-only helpers: no program calls these, so they live with the
+// tests that use them.
+
+// NewRearrangeableSystem builds the centralized baseline: ftree(n+n, r)
+// with global edge-coloring routing (Benes m = n).
+func NewRearrangeableSystem(n, r int) *System {
+	f := topology.NewFoldedClos(n, n, r)
+	return &System{F: f, Router: routing.NewGlobalRearrangeable(f), Class: GlobalRearrangeable}
+}
+
 func TestRearrangeableSystem(t *testing.T) {
 	s := NewRearrangeableSystem(2, 5)
 	rep, err := s.Verify(4, 100, 2)

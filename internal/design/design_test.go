@@ -1,7 +1,8 @@
 // Package design_test exercises the planner from outside: through the
-// exported Plan/SearchMinM/ReplayCondition surface and through a live
-// nbserve (the external test package may import internal/server — the
-// server's own import of internal/design is not a cycle through _test).
+// exported Plan surface, the test-only SearchMinM/ReplayCondition oracles
+// of replay_test.go, and a live nbserve (the external test package may
+// import internal/server — the server's own import of internal/design is
+// not a cycle through _test).
 package design_test
 
 import (

@@ -9,8 +9,7 @@ package permutation
 // For deterministic routing, checking every full permutation suffices to
 // decide nonblocking behaviour: routes do not depend on the pattern, and
 // any contention in a partial permutation persists in each of its full
-// extensions. Adaptive routing additionally requires partial patterns,
-// covered by EnumerateSubsets.
+// extensions. Adaptive routing additionally requires partial patterns.
 func EnumerateFull(n int, yield func(*Permutation) bool) bool {
 	return EnumerateFullSwaps(n, func(p *Permutation, _, _ int) bool { return yield(p) })
 }
@@ -66,45 +65,4 @@ func CountFull(n int) int {
 		f = nf
 	}
 	return f
-}
-
-// EnumerateSubsets calls yield with every partial permutation of n
-// endpoints: every subset of sources, matched to every arrangement of
-// every same-sized subset of destinations. The count grows as
-// Σ_k C(n,k)² k!, so it is practical only for n ≤ 6. The Permutation
-// passed to yield is reused; clone to retain. Stops early when yield
-// returns false and reports whether enumeration completed.
-func EnumerateSubsets(n int, yield func(*Permutation) bool) bool {
-	p := New(n)
-	var rec func(s int) bool
-	rec = func(s int) bool {
-		if s == n {
-			return yield(p)
-		}
-		// Source s idle.
-		if !rec(s + 1) {
-			return false
-		}
-		// Source s sends to each free destination.
-		for d := 0; d < n; d++ {
-			taken := false
-			for s2 := 0; s2 < s; s2++ {
-				if p.dst[s2] == d {
-					taken = true
-					break
-				}
-			}
-			if taken {
-				continue
-			}
-			p.dst[s] = d
-			if !rec(s + 1) {
-				p.dst[s] = Unused
-				return false
-			}
-			p.dst[s] = Unused
-		}
-		return true
-	}
-	return rec(0)
 }

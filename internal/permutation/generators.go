@@ -64,15 +64,6 @@ func NewPatternScratch(n int) *PatternScratch {
 	}
 }
 
-// RandomPartial returns a random partial permutation in which each
-// endpoint sends with probability density; destinations are a random
-// matching over a same-sized random subset of endpoints.
-func RandomPartial(rng *rand.Rand, n int, density float64) *Permutation {
-	p := New(n)
-	RandomPartialInto(rng, p, density, &PatternScratch{})
-	return p
-}
-
 // RandomPartialInto is RandomPartial refilling a reused pattern and
 // drawing its index buffers from sc: identical rng consumption and result,
 // no per-trial allocation once sc's buffers have grown to n.
@@ -159,22 +150,6 @@ func Neighbor(n int) *Permutation {
 	}
 	if n%2 == 1 {
 		p.dst[n-1] = n - 1
-	}
-	return p
-}
-
-// Butterfly returns the k-th butterfly exchange: i → i XOR 2^k, for n a
-// power of two with 2^k < n.
-func Butterfly(n, k int) *Permutation {
-	if n <= 0 || n&(n-1) != 0 {
-		panic(fmt.Sprintf("permutation: Butterfly size %d is not a power of two", n))
-	}
-	if k < 0 || 1<<k >= n {
-		panic(fmt.Sprintf("permutation: Butterfly stage %d out of range for n=%d", k, n))
-	}
-	p := New(n)
-	for i := 0; i < n; i++ {
-		p.dst[i] = i ^ (1 << k)
 	}
 	return p
 }

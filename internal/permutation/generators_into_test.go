@@ -85,3 +85,15 @@ func TestRandomIntoAllocationFree(t *testing.T) {
 		t.Fatalf("RandomPartialInto allocates %v per run", avg)
 	}
 }
+
+// Test-only helpers: no program calls these, so they live with the
+// tests that use them.
+
+// RandomPartial returns a random partial permutation in which each
+// endpoint sends with probability density; destinations are a random
+// matching over a same-sized random subset of endpoints.
+func RandomPartial(rng *rand.Rand, n int, density float64) *Permutation {
+	p := New(n)
+	RandomPartialInto(rng, p, density, &PatternScratch{})
+	return p
+}

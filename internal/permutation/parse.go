@@ -32,12 +32,3 @@ func Parse(n int, s string) (*Permutation, error) {
 	}
 	return p, nil
 }
-
-// MustParse is Parse for tests and literals; it panics on malformed input.
-func MustParse(n int, s string) *Permutation {
-	p, err := Parse(n, s)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}

@@ -81,9 +81,6 @@ func (p *Permutation) Size() int {
 	return c
 }
 
-// Full reports whether every endpoint is both a source and a destination.
-func (p *Permutation) Full() bool { return p.Size() == len(p.dst) }
-
 // Dst returns the destination of source s, or Unused.
 func (p *Permutation) Dst(s int) int {
 	if s < 0 || s >= len(p.dst) {
@@ -156,19 +153,6 @@ func (p *Permutation) Validate() error {
 	return nil
 }
 
-// Equal reports whether two permutations have identical pair sets.
-func (p *Permutation) Equal(q *Permutation) bool {
-	if len(p.dst) != len(q.dst) {
-		return false
-	}
-	for i := range p.dst {
-		if p.dst[i] != q.dst[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the pattern as "0->3 1->2 ..." for diagnostics.
 func (p *Permutation) String() string {
 	pairs := p.Pairs()
@@ -184,76 +168,4 @@ func (p *Permutation) String() string {
 		s = "(empty)"
 	}
 	return s
-}
-
-// Inverse returns the permutation with every pair reversed. It is only
-// defined for valid permutations (distinct destinations); for partial
-// permutations unused destinations stay unused.
-func (p *Permutation) Inverse() *Permutation {
-	inv := New(len(p.dst))
-	for s, d := range p.dst {
-		if d != Unused {
-			inv.dst[d] = s
-		}
-	}
-	return inv
-}
-
-// Compose returns the permutation "q after p": source s sends to
-// q.Dst(p.Dst(s)). A pair survives only when both stages route it (s used
-// by p and p's destination used as a source by q). Both patterns must have
-// the same endpoint count.
-func (p *Permutation) Compose(q *Permutation) (*Permutation, error) {
-	if len(p.dst) != len(q.dst) {
-		return nil, fmt.Errorf("permutation: composing sizes %d and %d", len(p.dst), len(q.dst))
-	}
-	out := New(len(p.dst))
-	for s, mid := range p.dst {
-		if mid == Unused {
-			continue
-		}
-		d := q.dst[mid]
-		if d == Unused {
-			continue
-		}
-		if err := out.Add(s, d); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// IsDerangement reports whether no endpoint sends to itself (idle
-// endpoints do not count as fixed points). Derangements are the patterns
-// where every pair actually crosses the network.
-func (p *Permutation) IsDerangement() bool {
-	for s, d := range p.dst {
-		if d != Unused && d == s {
-			return false
-		}
-	}
-	return true
-}
-
-// CrossSwitchFraction reports, for a folded-Clos with n hosts per bottom
-// switch, the fraction of pairs whose endpoints sit in different switches
-// (the pairs that must cross the top level).
-func (p *Permutation) CrossSwitchFraction(n int) float64 {
-	if n <= 0 {
-		panic(fmt.Sprintf("permutation: invalid hosts-per-switch %d", n))
-	}
-	pairs, cross := 0, 0
-	for s, d := range p.dst {
-		if d == Unused {
-			continue
-		}
-		pairs++
-		if s/n != d/n {
-			cross++
-		}
-	}
-	if pairs == 0 {
-		return 0
-	}
-	return float64(cross) / float64(pairs)
 }

@@ -1,6 +1,7 @@
 package permutation
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -513,4 +514,152 @@ func TestCrossSwitchFraction(t *testing.T) {
 		}()
 		Identity(4).CrossSwitchFraction(0)
 	}()
+}
+
+// Test-only helpers: no program calls these, so they live with the
+// tests that use them.
+
+// Equal reports whether two permutations have identical pair sets.
+func (p *Permutation) Equal(q *Permutation) bool {
+	if len(p.dst) != len(q.dst) {
+		return false
+	}
+	for i := range p.dst {
+		if p.dst[i] != q.dst[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// Inverse returns the permutation with every pair reversed. It is only
+// defined for valid permutations (distinct destinations); for partial
+// permutations unused destinations stay unused.
+func (p *Permutation) Inverse() *Permutation {
+	inv := New(len(p.dst))
+	for s, d := range p.dst {
+		if d != Unused {
+			inv.dst[d] = s
+		}
+	}
+	return inv
+}
+
+// Compose returns the permutation "q after p": source s sends to
+// q.Dst(p.Dst(s)). A pair survives only when both stages route it (s used
+// by p and p's destination used as a source by q). Both patterns must have
+// the same endpoint count.
+func (p *Permutation) Compose(q *Permutation) (*Permutation, error) {
+	if len(p.dst) != len(q.dst) {
+		return nil, fmt.Errorf("permutation: composing sizes %d and %d", len(p.dst), len(q.dst))
+	}
+	out := New(len(p.dst))
+	for s, mid := range p.dst {
+		if mid == Unused {
+			continue
+		}
+		d := q.dst[mid]
+		if d == Unused {
+			continue
+		}
+		if err := out.Add(s, d); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// IsDerangement reports whether no endpoint sends to itself (idle
+// endpoints do not count as fixed points). Derangements are the patterns
+// where every pair actually crosses the network.
+func (p *Permutation) IsDerangement() bool {
+	for s, d := range p.dst {
+		if d != Unused && d == s {
+			return false
+		}
+	}
+	return true
+}
+
+// CrossSwitchFraction reports, for a folded-Clos with n hosts per bottom
+// switch, the fraction of pairs whose endpoints sit in different switches
+// (the pairs that must cross the top level).
+func (p *Permutation) CrossSwitchFraction(n int) float64 {
+	if n <= 0 {
+		panic(fmt.Sprintf("permutation: invalid hosts-per-switch %d", n))
+	}
+	pairs, cross := 0, 0
+	for s, d := range p.dst {
+		if d == Unused {
+			continue
+		}
+		pairs++
+		if s/n != d/n {
+			cross++
+		}
+	}
+	if pairs == 0 {
+		return 0
+	}
+	return float64(cross) / float64(pairs)
+}
+
+// Full reports whether every endpoint is both a source and a destination.
+func (p *Permutation) Full() bool { return p.Size() == len(p.dst) }
+
+// EnumerateSubsets calls yield with every partial permutation of n
+// endpoints: every subset of sources, matched to every arrangement of
+// every same-sized subset of destinations. The count grows as
+// Σ_k C(n,k)² k!, so it is practical only for n ≤ 6. The Permutation
+// passed to yield is reused; clone to retain. Stops early when yield
+// returns false and reports whether enumeration completed.
+func EnumerateSubsets(n int, yield func(*Permutation) bool) bool {
+	p := New(n)
+	var rec func(s int) bool
+	rec = func(s int) bool {
+		if s == n {
+			return yield(p)
+		}
+		// Source s idle.
+		if !rec(s + 1) {
+			return false
+		}
+		// Source s sends to each free destination.
+		for d := 0; d < n; d++ {
+			taken := false
+			for s2 := 0; s2 < s; s2++ {
+				if p.dst[s2] == d {
+					taken = true
+					break
+				}
+			}
+			if taken {
+				continue
+			}
+			p.dst[s] = d
+			if !rec(s + 1) {
+				p.dst[s] = Unused
+				return false
+			}
+			p.dst[s] = Unused
+		}
+		return true
+	}
+	return rec(0)
+}
+
+// Butterfly returns the k-th butterfly exchange: i → i XOR 2^k, for n a
+// power of two with 2^k < n.
+func Butterfly(n, k int) *Permutation {
+	if n <= 0 || n&(n-1) != 0 {
+		panic(fmt.Sprintf("permutation: Butterfly size %d is not a power of two", n))
+	}
+	if k < 0 || 1<<k >= n {
+		panic(fmt.Sprintf("permutation: Butterfly stage %d out of range for n=%d", k, n))
+	}
+	p := New(n)
+	for i := 0; i < n; i++ {
+		p.dst[i] = i ^ (1 << k)
+	}
+	return p
 }

@@ -10,30 +10,13 @@ package permutation
 // keeping every worker busy and bounding the work lost when one shard must
 // be retried.
 
-// EnumerateFullPrefix calls yield with every full permutation of n
-// endpoints whose first source is fixed to send to dst0 — one shard of the
-// full enumeration, enabling parallel exhaustive sweeps: the n shards
-// dst0 = 0..n−1 partition the n! permutations into n independent batches
-// of (n−1)! patterns each. The Permutation passed to yield is reused;
-// clone to retain. Stops early when yield returns false and reports
-// whether the shard completed.
-func EnumerateFullPrefix(n, dst0 int, yield func(*Permutation) bool) bool {
-	if n <= 0 {
-		return true
-	}
-	if dst0 < 0 || dst0 >= n {
-		return true // empty shard
-	}
-	return EnumerateFullPrefixSeq(n, []int{dst0}, yield)
-}
-
-// EnumerateFullPrefixSeq generalizes EnumerateFullPrefix to an arbitrary
-// destination prefix: yield sees every full permutation whose sources
-// 0..len(prefix)−1 send to prefix[0..len(prefix)−1], in the same recursive
-// lexicographic order EnumerateFullPrefix uses over the remaining
-// positions. An out-of-range or repeated prefix destination denotes an
-// empty shard (yield is never called, and the enumeration reports
-// complete). The Permutation passed to yield is reused; clone to retain.
+// EnumerateFullPrefixSeq calls yield with every full permutation of n
+// endpoints whose sources 0..len(prefix)−1 send to prefix[0..len(prefix)−1],
+// in recursive lexicographic order over the remaining positions. It stops
+// early when yield returns false and reports whether the shard completed.
+// An out-of-range or repeated prefix destination denotes an empty shard
+// (yield is never called, and the enumeration reports complete). The
+// Permutation passed to yield is reused; clone to retain.
 func EnumerateFullPrefixSeq(n int, prefix []int, yield func(*Permutation) bool) bool {
 	if n <= 0 {
 		return true
@@ -75,30 +58,8 @@ func EnumerateFullPrefixSeq(n int, prefix []int, yield func(*Permutation) bool) 
 	return rec(k)
 }
 
-// EnumerateFullPrefixSwaps enumerates the same shard as
-// EnumerateFullPrefix — every full permutation whose first source sends to
-// dst0 — but via Heap's algorithm over the remaining n−1 positions, so
-// successive patterns differ by exactly one swap of two destinations. The
-// swap positions are reported to yield exactly as in EnumerateFullSwaps:
-// the first call presents the shard's seed pattern (dst0 followed by the
-// remaining destinations in ascending order, matching EnumerateFullPrefix's
-// first pattern) with i = j = -1, and each later call names the two source
-// positions (both ≥ 1; source 0 is pinned) whose destinations were
-// exchanged. This is the per-shard engine behind the parallel delta sweep:
-// the n shards dst0 = 0..n−1 partition the n! patterns, and each shard is
-// delta-friendly internally.
-func EnumerateFullPrefixSwaps(n, dst0 int, yield func(p *Permutation, i, j int) bool) bool {
-	if n <= 0 {
-		return true
-	}
-	if dst0 < 0 || dst0 >= n {
-		return true // empty shard
-	}
-	return EnumerateFullPrefixSeqSwaps(n, []int{dst0}, yield)
-}
-
-// EnumerateFullPrefixSeqSwaps generalizes EnumerateFullPrefixSwaps to an
-// arbitrary destination prefix: Heap's algorithm runs over the
+// EnumerateFullPrefixSeqSwaps is EnumerateFullPrefixSeq with the swap
+// structure of EnumerateFullSwaps exposed: Heap's algorithm runs over the
 // n−len(prefix) unpinned positions, the first call presents the shard's
 // seed pattern (the prefix followed by the remaining destinations in
 // ascending order, matching EnumerateFullPrefixSeq's first pattern) with

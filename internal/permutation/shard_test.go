@@ -176,3 +176,45 @@ func TestPrefixSeqInvalidPrefixes(t *testing.T) {
 		t.Fatalf("empty prefix: %d patterns, want %d", count, fact(4))
 	}
 }
+
+// Test-only helpers: no program calls these, so they live with the
+// tests that use them.
+
+// EnumerateFullPrefix calls yield with every full permutation of n
+// endpoints whose first source is fixed to send to dst0 — one shard of the
+// full enumeration, enabling parallel exhaustive sweeps: the n shards
+// dst0 = 0..n−1 partition the n! permutations into n independent batches
+// of (n−1)! patterns each. The Permutation passed to yield is reused;
+// clone to retain. Stops early when yield returns false and reports
+// whether the shard completed.
+func EnumerateFullPrefix(n, dst0 int, yield func(*Permutation) bool) bool {
+	if n <= 0 {
+		return true
+	}
+	if dst0 < 0 || dst0 >= n {
+		return true // empty shard
+	}
+	return EnumerateFullPrefixSeq(n, []int{dst0}, yield)
+}
+
+// EnumerateFullPrefixSwaps enumerates the same shard as
+// EnumerateFullPrefix — every full permutation whose first source sends to
+// dst0 — but via Heap's algorithm over the remaining n−1 positions, so
+// successive patterns differ by exactly one swap of two destinations. The
+// swap positions are reported to yield exactly as in EnumerateFullSwaps:
+// the first call presents the shard's seed pattern (dst0 followed by the
+// remaining destinations in ascending order, matching EnumerateFullPrefix's
+// first pattern) with i = j = -1, and each later call names the two source
+// positions (both ≥ 1; source 0 is pinned) whose destinations were
+// exchanged. This is the per-shard engine behind the parallel delta sweep:
+// the n shards dst0 = 0..n−1 partition the n! patterns, and each shard is
+// delta-friendly internally.
+func EnumerateFullPrefixSwaps(n, dst0 int, yield func(p *Permutation, i, j int) bool) bool {
+	if n <= 0 {
+		return true
+	}
+	if dst0 < 0 || dst0 >= n {
+		return true // empty shard
+	}
+	return EnumerateFullPrefixSeqSwaps(n, []int{dst0}, yield)
+}

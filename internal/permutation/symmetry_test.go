@@ -1,6 +1,7 @@
 package permutation
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -194,7 +195,7 @@ func TestGenerators(t *testing.T) {
 		t.Fatal(err)
 	}
 	gens := s.Generators()
-	if want := s.Blocks()*(s.BlockSize()-1) + s.Blocks() - 1; len(gens) != want {
+	if want := s.blocks*(s.blockSize-1) + s.blocks - 1; len(gens) != want {
 		t.Fatalf("got %d generators, want %d", len(gens), want)
 	}
 	p := Random(rng, 9)
@@ -248,4 +249,153 @@ func TestCanonicalRejectsPartial(t *testing.T) {
 	if _, err := s.Canonical(Identity(6)); err == nil {
 		t.Fatal("Canonical accepted a wrong-sized pattern")
 	}
+}
+
+// Test-only helpers: no program calls these, so they live with the
+// tests that use them.
+
+// Canonical returns the canonical representative of p's orbit under the
+// group: conjugate patterns map to the same representative, and the
+// representative maps to itself. Only full permutations have orbits here
+// (exhaustive sweeps enumerate full patterns); partial patterns return an
+// error.
+func (s *BlockSymmetry) Canonical(p *Permutation) (*Permutation, error) {
+	necks, err := s.patternNecklaces(p)
+	if err != nil {
+		return nil, err
+	}
+	canon, _ := s.minimizeAlphabet(necks)
+	return s.rebuild(canon), nil
+}
+
+// OrbitSize returns the number of distinct patterns conjugate to p
+// (including p itself). Orbit sizes over all orbits sum to hosts!.
+func (s *BlockSymmetry) OrbitSize(p *Permutation) (int, error) {
+	necks, err := s.patternNecklaces(p)
+	if err != nil {
+		return 0, err
+	}
+	_, stab := s.minimizeAlphabet(necks)
+	return s.orbitSize(necks, stab), nil
+}
+
+// Orbits calls yield once per orbit with the canonical representative and
+// the orbit size, stopping early if yield returns false and reporting
+// whether the enumeration completed. The Permutation passed to yield is
+// reused between orbits (Clone to retain), matching EnumerateFull's
+// contract. Representatives arrive in a deterministic order: ascending by
+// the orbit's largest necklace index, then depth-first within — the order
+// OrbitsRange shards.
+func (s *BlockSymmetry) Orbits(yield func(rep *Permutation, orbitSize int) bool) bool {
+	return s.OrbitsRange(0, len(s.necklaces), yield)
+}
+
+// patternNecklaces decomposes a full pattern into its cycle-projection
+// necklaces, sorted by (length, lex).
+func (s *BlockSymmetry) patternNecklaces(p *Permutation) ([]string, error) {
+	if p.N() != s.hosts {
+		return nil, fmt.Errorf("permutation: pattern has %d endpoints, symmetry group acts on %d", p.N(), s.hosts)
+	}
+	if !p.Full() {
+		return nil, fmt.Errorf("permutation: symmetry canonical form requires a full permutation, got %d/%d pairs", p.Size(), s.hosts)
+	}
+	visited := make([]bool, s.hosts)
+	necks := make([]string, 0, s.hosts)
+	seq := make([]byte, 0, s.hosts)
+	for h0 := 0; h0 < s.hosts; h0++ {
+		if visited[h0] {
+			continue
+		}
+		seq = seq[:0]
+		for h := h0; !visited[h]; h = p.Dst(h) {
+			visited[h] = true
+			seq = append(seq, byte(h/s.blockSize))
+		}
+		necks = append(necks, minRotation(seq))
+	}
+	sortNecklaces(necks)
+	return necks, nil
+}
+
+// minimizeAlphabet returns the (length, lex)-sorted necklace multiset with
+// the minimal encoding over all relabelings ρ ∈ S_r of the block alphabet,
+// together with the stabilizer size |{ρ : ρ·necks = minimum}| — which
+// equals the stabilizer of necks itself, since the relabelings reaching
+// the minimum form one coset of it.
+func (s *BlockSymmetry) minimizeAlphabet(necks []string) (canon []string, stab int) {
+	canon, stab = necks, 0
+	bestEnc := encodeNecklaces(necks)
+	for _, rho := range s.rhos {
+		rel := relabelNecklaces(necks, rho)
+		enc := encodeNecklaces(rel)
+		if enc < bestEnc {
+			bestEnc, canon, stab = enc, rel, 1
+		} else if enc == bestEnc {
+			stab++
+		}
+	}
+	return canon, stab
+}
+
+// rebuild constructs the canonical representative of a sorted canonical
+// necklace multiset: walk the necklaces in order, assign each slot the
+// lowest unused host of its block, and close each cycle. Decomposing the
+// result reproduces the multiset, so Canonical is idempotent.
+func (s *BlockSymmetry) rebuild(necks []string) *Permutation {
+	sc := &alphaScratch{
+		rep:     New(s.hosts),
+		next:    make([]int, s.blocks),
+		hostSeq: make([]int, 0, s.hosts),
+	}
+	return s.rebuildInto(necks, sc)
+}
+
+// encodeNecklaces flattens a (length, lex)-sorted multiset into one
+// comparable string: each necklace length-prefixed, concatenated in order.
+func encodeNecklaces(necks []string) string {
+	buf := make([]byte, 0, 2*len(necks)+16)
+	for _, n := range necks {
+		buf = append(buf, byte(len(n)))
+		buf = append(buf, n...)
+	}
+	return string(buf)
+}
+
+// relabelNecklaces maps every letter through rho, re-canonicalizes each
+// rotation, and re-sorts.
+func relabelNecklaces(necks []string, rho []byte) []string {
+	out := make([]string, len(necks))
+	buf := make([]byte, 0, 32)
+	for i, n := range necks {
+		buf = buf[:0]
+		for k := 0; k < len(n); k++ {
+			buf = append(buf, rho[n[k]])
+		}
+		out[i] = minRotation(buf)
+	}
+	sortNecklaces(out)
+	return out
+}
+
+// minRotation returns the lexicographically minimal rotation of seq.
+func minRotation(seq []byte) string {
+	n := len(seq)
+	best := 0
+	for s := 1; s < n; s++ {
+		for k := 0; k < n; k++ {
+			a, b := seq[(s+k)%n], seq[(best+k)%n]
+			if a < b {
+				best = s
+				break
+			}
+			if a > b {
+				break
+			}
+		}
+	}
+	rot := make([]byte, n)
+	for k := 0; k < n; k++ {
+		rot[k] = seq[(best+k)%n]
+	}
+	return string(rot)
 }

@@ -79,7 +79,7 @@ func TestBenesLoopingPartialPatterns(t *testing.T) {
 	r := routing.NewBenesLooping(b)
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 50; trial++ {
-		p := permutation.RandomPartial(rng, b.N, 0.5)
+		p := randomPartial(rng, b.N, 0.5)
 		a, err := r.Route(p)
 		if err != nil {
 			t.Fatal(err)

@@ -76,9 +76,6 @@ func NewClosOnline(c *topology.Clos, policy ClosPolicy) *ClosOnline {
 	return o
 }
 
-// Active reports the number of established circuits.
-func (o *ClosOnline) Active() int { return len(o.active) }
-
 // Connect establishes a circuit from input terminal s to output terminal
 // d, returning the middle switch used. It fails when either terminal is
 // busy or — the blocking event the nonblocking conditions quantify — no
@@ -142,23 +139,6 @@ func (o *ClosOnline) Disconnect(s int) error {
 	delete(o.dstOf, s)
 	delete(o.dstBusy, d)
 	return nil
-}
-
-// PathOf returns the circuit path of input terminal s.
-func (o *ClosOnline) PathOf(s int) (topology.Path, error) {
-	mid, ok := o.active[s]
-	if !ok {
-		return topology.Path{}, fmt.Errorf("routing: input terminal %d has no circuit", s)
-	}
-	return o.C.RouteVia(s, o.dstOf[s], mid), nil
-}
-
-// Reset tears down every circuit.
-func (o *ClosOnline) Reset() {
-	for s := range o.active {
-		// Disconnect never fails for an active terminal.
-		_ = o.Disconnect(s)
-	}
 }
 
 // ClosEvent is one step of an online request sequence.

@@ -179,18 +179,6 @@ func (r *SparedDeterministic) Route(p *permutation.Permutation) (*Assignment, er
 	})
 }
 
-// UsesFailedSwitch reports whether any remapped class lands on a switch
-// that is not intact in the view (always false for a successfully
-// constructed router; exposed for tests and diagnostics).
-func (r *SparedDeterministic) UsesFailedSwitch() bool {
-	for _, t := range r.remap {
-		if !r.view.TopIntact(t) {
-			return true
-		}
-	}
-	return false
-}
-
 // NewNaiveRemapView is the *broken* failure response the spared scheme
 // exists to avoid: fold each class whose switch is not intact onto the
 // next intact class switch in cyclic order, sharing it with that switch's

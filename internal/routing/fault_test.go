@@ -48,7 +48,7 @@ func TestAdaptiveRouteAvoidingStaysNonblocking(t *testing.T) {
 			for _, path := range ps {
 				for _, node := range path.Nodes {
 					nd := f.Net.Node(node)
-					if nd.Kind == topology.Switch && nd.Level == 2 && failed.TopFailed(nd.Index) {
+					if nd.Kind == topology.Switch && nd.Level == 2 && !failed.TopIntact(nd.Index) {
 						t.Fatalf("path uses failed top switch %d", nd.Index)
 					}
 				}

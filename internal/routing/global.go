@@ -204,51 +204,3 @@ func (r *GlobalRearrangeable) Route(p *permutation.Permutation) (*Assignment, er
 	}
 	return a, nil
 }
-
-// ClosRearrangeable is the same centralized baseline on the unidirectional
-// three-stage Clos(n, m, r): every connection (including ones between
-// same-indexed switches) crosses a middle switch chosen by edge coloring.
-type ClosRearrangeable struct {
-	C *topology.Clos
-}
-
-// NewClosRearrangeable builds the centralized Clos router.
-func NewClosRearrangeable(c *topology.Clos) *ClosRearrangeable {
-	return &ClosRearrangeable{C: c}
-}
-
-// Name returns "clos-rearrangeable".
-func (r *ClosRearrangeable) Name() string { return "clos-rearrangeable" }
-
-// Route interprets pattern sources as input terminals and destinations as
-// output terminals and assigns middle switches by edge coloring. Any
-// permutation is routed contention-free whenever m ≥ n (Benes [3]).
-func (r *ClosRearrangeable) Route(p *permutation.Permutation) (*Assignment, error) {
-	if p.N() != r.C.Ports() {
-		return nil, fmt.Errorf("routing: pattern over %d endpoints, Clos has %d ports", p.N(), r.C.Ports())
-	}
-	pairs := p.Pairs()
-	n := r.C.N
-	edges := make([][2]int, len(pairs))
-	for i, pr := range pairs {
-		edges[i] = [2]int{pr.Src / n, pr.Dst / n}
-	}
-	colors, err := EdgeColorBipartite(r.C.R, r.C.R, edges)
-	if err != nil {
-		return nil, err
-	}
-	used := 0
-	for _, c := range colors {
-		if c+1 > used {
-			used = c + 1
-		}
-	}
-	if used > r.C.M {
-		return nil, fmt.Errorf("routing: pattern needs %d middle switches, Clos has m=%d", used, r.C.M)
-	}
-	a := &Assignment{Net: r.C.Net, Pairs: pairs, PathSets: make([][]topology.Path, len(pairs)), TopSwitchesUsed: used}
-	for i, pr := range pairs {
-		a.PathSets[i] = []topology.Path{r.C.RouteVia(pr.Src, pr.Dst, colors[i])}
-	}
-	return a, nil
-}

@@ -95,87 +95,6 @@ func (r *MNTRandomFixed) Route(p *permutation.Permutation) (*Assignment, error) 
 	})
 }
 
-// MNTSpray is traffic-oblivious multipath on FT(m, n): each pair may use
-// Width sampled up-paths (all distinct digit choices when Width covers the
-// full diversity). Packets spray over the set per-packet in the simulator.
-type MNTSpray struct {
-	T *topology.MPortNTree
-	// Width caps the number of paths per pair.
-	Width int
-	seed  int64
-}
-
-// NewMNTSpray builds the router; width ≥ 1.
-func NewMNTSpray(t *topology.MPortNTree, width int, seed int64) (*MNTSpray, error) {
-	if width < 1 {
-		return nil, fmt.Errorf("routing: spray width %d < 1", width)
-	}
-	return &MNTSpray{T: t, Width: width, seed: seed}, nil
-}
-
-// Name returns "mnt-spray-<width>".
-func (r *MNTSpray) Name() string { return fmt.Sprintf("mnt-spray-%d", r.Width) }
-
-// PathsFor returns the pair's path set: every distinct up-digit choice
-// when the diversity k^hops ≤ Width, otherwise Width distinct sampled
-// choices.
-func (r *MNTSpray) PathsFor(src, dst int) ([]topology.Path, error) {
-	if src == dst {
-		return selfPath(topology.NodeID(src)), nil
-	}
-	s, d := topology.NodeID(src), topology.NodeID(dst)
-	hops := r.T.NumUpHops(s, d)
-	k := r.T.K
-	total := 1
-	for i := 0; i < hops; i++ {
-		total *= k
-	}
-	var paths []topology.Path
-	if total <= r.Width {
-		choices := make([]int, hops)
-		for code := 0; code < total; code++ {
-			x := code
-			for l := 0; l < hops; l++ {
-				choices[l] = x % k
-				x /= k
-			}
-			p, err := r.T.UpDownPath(s, d, choices)
-			if err != nil {
-				return nil, err
-			}
-			paths = append(paths, p)
-		}
-		return paths, nil
-	}
-	rng := pairRNG(r.seed, src, dst)
-	defer putPairRNG(rng)
-	seen := map[int]bool{}
-	for len(paths) < r.Width {
-		code := rng.Intn(total)
-		if seen[code] {
-			continue
-		}
-		seen[code] = true
-		choices := make([]int, hops)
-		x := code
-		for l := 0; l < hops; l++ {
-			choices[l] = x % k
-			x /= k
-		}
-		p, err := r.T.UpDownPath(s, d, choices)
-		if err != nil {
-			return nil, err
-		}
-		paths = append(paths, p)
-	}
-	return paths, nil
-}
-
-// Route assigns the full path set to every SD pair.
-func (r *MNTSpray) Route(p *permutation.Permutation) (*Assignment, error) {
-	return routePairwise(r.T.Net, p, r.PathsFor)
-}
-
 // ThreeLevelPaper wraps the recursive Theorem-3 routing of the three-level
 // nonblocking construction (Discussion §IV.A): the outer level picks
 // virtual top network (i, j), the inner level re-applies the same rule to

@@ -128,27 +128,3 @@ func NewKSpray(f *topology.FoldedClos, k int) (*FtreeMultipath, error) {
 		},
 	}, nil
 }
-
-// NewPaperMultipath returns the multipath variant of the Theorem-3 scheme:
-// pair ((v, i), (w, j)) may use any top switch in row i — the set
-// {(i, 0), …, (i, n−1)} — spreading load while preserving clean uplinks.
-// Downlinks then aggregate destinations, so this scheme demonstrates
-// §IV.B: extra oblivious paths do not relax the nonblocking condition.
-func NewPaperMultipath(f *topology.FoldedClos) (*FtreeMultipath, error) {
-	if f.M < f.N*f.N {
-		return nil, fmt.Errorf("routing: paper multipath needs m >= n^2")
-	}
-	n := f.N
-	return &FtreeMultipath{
-		F:          f,
-		RouterName: "paper-multipath-row",
-		TopSet: func(src, dst int) []int {
-			i := src % n
-			set := make([]int, n)
-			for j := 0; j < n; j++ {
-				set[j] = i*n + j
-			}
-			return set
-		},
-	}, nil
-}

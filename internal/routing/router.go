@@ -51,45 +51,6 @@ type Assignment struct {
 	Configurations int
 }
 
-// Path returns the single path of pair i; it panics when the pair has more
-// than one path (use PathSets for multipath assignments).
-func (a *Assignment) Path(i int) topology.Path {
-	if len(a.PathSets[i]) != 1 {
-		panic(fmt.Sprintf("routing: pair %d has %d paths; single-path access invalid", i, len(a.PathSets[i])))
-	}
-	return a.PathSets[i][0]
-}
-
-// SinglePath reports whether every pair has exactly one assigned path.
-func (a *Assignment) SinglePath() bool {
-	for _, ps := range a.PathSets {
-		if len(ps) != 1 {
-			return false
-		}
-	}
-	return true
-}
-
-// Validate checks that every path is internally consistent with the
-// network and starts/ends at the pair's endpoints (self-pairs may have
-// empty host-local paths).
-func (a *Assignment) Validate() error {
-	if len(a.Pairs) != len(a.PathSets) {
-		return fmt.Errorf("routing: %d pairs but %d path sets", len(a.Pairs), len(a.PathSets))
-	}
-	for i, ps := range a.PathSets {
-		if len(ps) == 0 {
-			return fmt.Errorf("routing: pair %v has no paths", a.Pairs[i])
-		}
-		for _, p := range ps {
-			if !p.Valid(a.Net) {
-				return fmt.Errorf("routing: pair %v has an invalid path", a.Pairs[i])
-			}
-		}
-	}
-	return nil
-}
-
 // Router routes whole communication patterns. Deterministic routers ignore
 // the pattern structure and route each pair independently; adaptive and
 // global routers may examine it.

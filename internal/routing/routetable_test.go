@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/permutation"
 	"repro/internal/routing"
 	"repro/internal/topology"
@@ -326,6 +327,63 @@ func TestRouteTableSpansCoverPermutationPairs(t *testing.T) {
 		}
 		if !sameLinks(tab.PairLinks(s, p.Dst(s)), path.Links) {
 			t.Fatalf("pair %d->%d span mismatch", s, p.Dst(s))
+		}
+	}
+}
+
+// TestSweepMatchesCheckOnTestRouters runs the engines on the routers that
+// live in test code: the delta sweep over each router's route table must
+// count exactly the permutations a per-pattern Check finds contended, and
+// on the single-path k-ary routers the Lemma-1 kernel must agree with the
+// sweep's verdict.
+func TestSweepMatchesCheckOnTestRouters(t *testing.T) {
+	kary := topology.NewKAryNTree(2, 3)
+	mnt := topology.NewMPortNTree(4, 2)
+	spray, err := routing.NewMNTSpray(mnt, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := topology.NewFoldedClos(2, 4, 3)
+	pm, err := routing.NewPaperMultipath(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		r     routing.Router
+		hosts int
+	}{
+		{routing.NewKAryDestMod(kary), kary.Hosts()},
+		{routing.NewKAryRandomFixed(kary, 9), kary.Hosts()},
+		{spray, mnt.Hosts()},
+		{pm, f.Ports()},
+	} {
+		if _, err := routing.BuildRouteTable(c.r, c.hosts); err != nil {
+			t.Fatalf("%s: no route table, so the sweep would not use the delta engine: %v", c.r.Name(), err)
+		}
+		res := sweep(t, c.r, c.hosts, analysis.Spec{})
+		blocked := 0
+		permutation.EnumerateFull(c.hosts, func(p *permutation.Permutation) bool {
+			a, err := c.r.Route(p)
+			if err != nil {
+				t.Fatalf("%s: %v", c.r.Name(), err)
+			}
+			if analysis.Check(a).HasContention() {
+				blocked++
+			}
+			return true
+		})
+		if res.Blocked != blocked || res.Tested != permutation.CountFull(c.hosts) {
+			t.Fatalf("%s: sweep blocked %d/%d, per-pattern Check %d/%d",
+				c.r.Name(), res.Blocked, res.Tested, blocked, permutation.CountFull(c.hosts))
+		}
+		if pr, ok := c.r.(routing.PairRouter); ok {
+			lemma, err := analysis.CheckLemma1AllPairs(pr, c.hosts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lemma.Nonblocking != res.Nonblocking() {
+				t.Fatalf("%s: Lemma 1 nonblocking=%v, sweep %v", c.r.Name(), lemma.Nonblocking, res.Nonblocking())
+			}
 		}
 	}
 }

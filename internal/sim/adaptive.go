@@ -179,12 +179,3 @@ func RunFtreeAdaptive(f *topology.FoldedClos, p *permutation.Permutation, cfg Co
 	}
 	return res, nil
 }
-
-// RunFtreeAdaptivePermutation is a convenience wrapper validating the
-// pattern first.
-func RunFtreeAdaptivePermutation(f *topology.FoldedClos, p *permutation.Permutation, cfg Config, mode AdaptMode) (*Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return RunFtreeAdaptive(f, p, cfg, mode)
-}

@@ -26,8 +26,8 @@ import (
 // results in trial order — the many-pattern counterpart of
 // RunPermutation. workers ≤ 0 selects GOMAXPROCS; 1 runs inline. A
 // non-nil cfg.Collector turns metrics on: every trial runs with a pooled
-// collector and its Result carries a detached Metrics snapshot (aggregate
-// with AggregateMetrics).
+// collector and its Result carries a detached Metrics snapshot (combine
+// them with Metrics.Merge).
 func RunTrials(net *topology.Network, r routing.Router, hosts, trials, workers int, seed int64, cfg Config) ([]*Result, error) {
 	perms, err := drawTrials(hosts, trials, seed)
 	if err != nil {
@@ -109,11 +109,11 @@ func CompareToCrossbar(net *topology.Network, r routing.Router, hosts, trials, w
 // LoadSweepParallel runs OpenLoop at each offered load for a fixed
 // permutation and router, one goroutine per load, producing the classic
 // latency/throughput curve in rate order. pathsFor adapts any router (see
-// PairPathsFunc and MultiPathsFunc) and must be safe for concurrent
-// calls; every adapter in this package is. Each point derives all
-// randomness from its own seeded generator, so the curve does not depend
-// on scheduling. A non-nil base.Collector turns metrics on: each point
-// gets a pooled collector and keeps a detached snapshot.
+// PairPathsFunc, or pass a multipath router's PathsFor) and must be safe
+// for concurrent calls; every adapter in this package is. Each point
+// derives all randomness from its own seeded generator, so the curve does
+// not depend on scheduling. A non-nil base.Collector turns metrics on:
+// each point gets a pooled collector and keeps a detached snapshot.
 func LoadSweepParallel(net *topology.Network, pairs [][2]int, pathsFor func(s, d int) ([]topology.Path, error), rates []float64, base OpenLoopConfig) ([]LoadSweepPoint, error) {
 	points := make([]LoadSweepPoint, len(rates))
 	err := forEach(len(rates), len(rates), func(i int) error {

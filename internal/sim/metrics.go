@@ -214,9 +214,6 @@ func (h *Histogram) P50() int64 { return h.Quantile(0.50) }
 // P99 is the 99th-percentile latency.
 func (h *Histogram) P99() int64 { return h.Quantile(0.99) }
 
-// P999 is the 99.9th-percentile latency.
-func (h *Histogram) P999() int64 { return h.Quantile(0.999) }
-
 // histBucketJSON is one non-empty bucket in the sparse JSON encoding.
 type histogramJSON struct {
 	Count   int64      `json:"count"`
@@ -322,14 +319,6 @@ func (m *Metrics) MaxUtilization() float64 {
 	return float64(busiest) / float64(m.Wall)
 }
 
-// MeanQueue is link l's time-weighted mean queue depth.
-func (m *Metrics) MeanQueue(l topology.LinkID) float64 {
-	if m.Wall == 0 {
-		return 0
-	}
-	return float64(m.Links[l].QueueArea) / float64(m.Wall)
-}
-
 // Clone returns a deep copy detached from any collector.
 func (m *Metrics) Clone() *Metrics {
 	c := *m
@@ -363,24 +352,6 @@ func (m *Metrics) Merge(o *Metrics) {
 	m.Latency.Add(&o.Latency)
 	m.AdaptiveDecisions += o.AdaptiveDecisions
 	m.AdaptiveDeflections += o.AdaptiveDeflections
-}
-
-// AggregateMetrics merges the per-trial metrics of a result slice in trial
-// order (results without metrics are skipped); nil when none carry any.
-// Because RunTrials attaches the same trial metrics for every worker
-// count, the aggregate does not depend on it either.
-func AggregateMetrics(results []*Result) *Metrics {
-	var agg *Metrics
-	for _, r := range results {
-		if r == nil || r.Metrics == nil {
-			continue
-		}
-		if agg == nil {
-			agg = &Metrics{Links: make([]LinkStats, 0, len(r.Metrics.Links))}
-		}
-		agg.Merge(r.Metrics)
-	}
-	return agg
 }
 
 // Collector receives simulation events from the engines. All methods are
@@ -434,11 +405,6 @@ type MetricsCollector struct {
 // NewMetricsCollector returns an empty collector ready to attach to a
 // Config.
 func NewMetricsCollector() *MetricsCollector { return &MetricsCollector{} }
-
-// Metrics exposes the collector's record of the last (or in-progress) run.
-// The returned pointer aliases collector-owned memory that the next
-// BeginRun recycles — Clone it to keep metrics across runs.
-func (c *MetricsCollector) Metrics() *Metrics { return &c.m }
 
 // BeginRun implements Collector.
 func (c *MetricsCollector) BeginRun(nLinks int, packetFlits int64) {

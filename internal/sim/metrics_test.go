@@ -413,3 +413,22 @@ func TestMetricsZeroSteadyStateAllocs(t *testing.T) {
 		t.Errorf("metrics-on run allocates %.1f/run, metrics-off %.1f/run", allocsOn, allocsOff)
 	}
 }
+
+// Test-only helpers: no program calls these, so they live with the
+// tests that use them.
+
+// P999 is the 99.9th-percentile latency.
+func (h *Histogram) P999() int64 { return h.Quantile(0.999) }
+
+// MeanQueue is link l's time-weighted mean queue depth.
+func (m *Metrics) MeanQueue(l topology.LinkID) float64 {
+	if m.Wall == 0 {
+		return 0
+	}
+	return float64(m.Links[l].QueueArea) / float64(m.Wall)
+}
+
+// Metrics exposes the collector's record of the last (or in-progress) run.
+// The returned pointer aliases collector-owned memory that the next
+// BeginRun recycles — Clone it to keep metrics across runs.
+func (c *MetricsCollector) Metrics() *Metrics { return &c.m }

@@ -253,12 +253,6 @@ func PairPathsFunc(r routing.PairRouter) func(s, d int) ([]topology.Path, error)
 	}
 }
 
-// MultiPathsFunc adapts an oblivious multipath router for OpenLoop; each
-// packet picks uniformly among the pair's path set.
-func MultiPathsFunc(r routing.MultiPairRouter) func(s, d int) ([]topology.Path, error) {
-	return r.PathsFor
-}
-
 // AssignmentPathsFunc adapts a routed assignment (e.g. from the adaptive
 // router, whose paths depend on the whole pattern) for OpenLoop.
 func AssignmentPathsFunc(a *routing.Assignment) func(s, d int) ([]topology.Path, error) {

@@ -291,7 +291,7 @@ func TestOpenLoopMatchesOracle(t *testing.T) {
 			tc{"nonblocking", f1.Net, p1, PairPathsFunc(r1), []float64{0.05, 0.4, 1.0}, 0, arb},
 			tc{"contended", f2.Net, p2, PairPathsFunc(collide), []float64{0.3, 1.0}, 0, arb},
 			tc{"contended-abort", f2.Net, p2, PairPathsFunc(collide), []float64{1.0}, 200, arb},
-			tc{"multipath", f3.Net, p3, MultiPathsFunc(spray), []float64{0.5, 1.0}, 0, arb},
+			tc{"multipath", f3.Net, p3, spray.PathsFor, []float64{0.5, 1.0}, 0, arb},
 			tc{"self-pairs", f4.Net, [][2]int{{1, 1}, {2, 2}}, PairPathsFunc(r4), []float64{0.5}, 0, arb},
 		)
 	}

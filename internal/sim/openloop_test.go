@@ -98,7 +98,7 @@ func TestOpenLoopMultipathAdapter(t *testing.T) {
 	f := topology.NewFoldedClos(2, 4, 4)
 	spray := routing.NewFullSpray(f)
 	pairs := permPairsFor(permutation.SwitchShift(2, 4, 1))
-	res, err := OpenLoop(f.Net, pairs, MultiPathsFunc(spray), openCfg(0.5))
+	res, err := OpenLoop(f.Net, pairs, spray.PathsFor, openCfg(0.5))
 	if err != nil {
 		t.Fatal(err)
 	}

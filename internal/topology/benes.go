@@ -126,18 +126,6 @@ func (b *Benes) SwitchID(s, j int) NodeID {
 	return b.stageBase[s] + NodeID(j)
 }
 
-// NextLine exposes the inter-stage wiring for the looping router: the
-// input line of stage s+1 fed by output line `line` of stage s.
-func (b *Benes) NextLine(s, line int) int {
-	if s < 0 || s+1 >= b.Stages() {
-		panic(fmt.Sprintf("topology: no wiring after stage %d", s))
-	}
-	if line < 0 || line >= b.N {
-		panic(fmt.Sprintf("topology: line %d out of range", line))
-	}
-	return b.nextLine(s, line)
-}
-
 // Validate checks stage structure and wiring consistency: every stage's
 // inter-stage wiring must be a permutation of the N lines, switch degrees
 // must be 2×2, and the network must be connected input→output.

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -109,4 +110,19 @@ func TestBenesTerminalWiring(t *testing.T) {
 			t.Fatalf("output %d not wired", i)
 		}
 	}
+}
+
+// Test-only helpers: no program calls these, so they live with the
+// tests that use them.
+
+// NextLine is the range-checked inter-stage wiring: the
+// input line of stage s+1 fed by output line `line` of stage s.
+func (b *Benes) NextLine(s, line int) int {
+	if s < 0 || s+1 >= b.Stages() {
+		panic(fmt.Sprintf("topology: no wiring after stage %d", s))
+	}
+	if line < 0 || line >= b.N {
+		panic(fmt.Sprintf("topology: line %d out of range", line))
+	}
+	return b.nextLine(s, line)
 }

@@ -249,9 +249,6 @@ func (x *Crossbar) HostID(i int) NodeID {
 	return NodeID(i)
 }
 
-// SwitchID returns the node ID of the single crossbar switch.
-func (x *Crossbar) SwitchID() NodeID { return x.sw }
-
 // Route returns the two-hop path from host s to host d through the switch.
 func (x *Crossbar) Route(s, d int) Path {
 	up := LinkID(2 * s)

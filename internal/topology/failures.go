@@ -3,7 +3,6 @@ package topology
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // This file models degraded ftree(n+m, r) fabrics. A FailureSet names the
@@ -39,18 +38,6 @@ type FailureSet struct {
 type Trunk struct {
 	Bottom int `json:"bottom"`
 	Top    int `json:"top"`
-}
-
-// Empty reports whether the set names no failures.
-func (fs *FailureSet) Empty() bool {
-	return len(fs.Tops) == 0 && len(fs.Bottoms) == 0 && len(fs.Trunks) == 0
-}
-
-// Count reports the number of failed elements after normalization
-// (duplicates and implied trunks are not counted twice).
-func (fs *FailureSet) Count() int {
-	n := fs.normalized()
-	return len(n.Tops) + len(n.Bottoms) + len(n.Trunks)
 }
 
 // Validate checks every named element against the fabric's ranges.
@@ -103,35 +90,6 @@ func (fs *FailureSet) normalized() FailureSet {
 // Normalize sorts and deduplicates the set in place and drops trunks
 // already implied by a failed endpoint switch.
 func (fs *FailureSet) Normalize() { *fs = fs.normalized() }
-
-// Key returns a canonical string for the normalized set, suitable for
-// cache keys: equal damage ⇒ equal key.
-func (fs *FailureSet) Key() string {
-	n := fs.normalized()
-	var b strings.Builder
-	b.WriteByte('t')
-	for i, t := range n.Tops {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d", t)
-	}
-	b.WriteString(";b")
-	for i, v := range n.Bottoms {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d", v)
-	}
-	b.WriteString(";l")
-	for i, tr := range n.Trunks {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d-%d", tr.Bottom, tr.Top)
-	}
-	return b.String()
-}
 
 func dedupInts(xs []int) []int {
 	if len(xs) == 0 {
@@ -229,15 +187,6 @@ func (fs FailureSet) View(f *FoldedClos) (*FailureView, error) {
 	}
 	return v, nil
 }
-
-// Set returns the normalized failure set the view was built from.
-func (v *FailureView) Set() FailureSet { return v.set }
-
-// TopFailed reports whether top switch t failed.
-func (v *FailureView) TopFailed(t int) bool { return v.topDown[t] }
-
-// BottomFailed reports whether bottom switch b failed.
-func (v *FailureView) BottomFailed(b int) bool { return v.bottomDown[b] }
 
 // TrunkFailed reports whether the duplex trunk between bottom b and top t
 // is unusable (cable failed or either endpoint switch failed).

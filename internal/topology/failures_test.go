@@ -1,6 +1,10 @@
 package topology
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
 func TestFailureSetNormalizeAndKey(t *testing.T) {
 	f := NewFoldedClos(2, 4, 3)
@@ -105,3 +109,48 @@ func TestFailureViewLookups(t *testing.T) {
 		t.Fatal("NodeFailed wrong")
 	}
 }
+
+// Test-only helpers: no program calls these, so they live with the
+// tests that use them.
+
+// Count reports the number of failed elements after normalization
+// (duplicates and implied trunks are not counted twice).
+func (fs *FailureSet) Count() int {
+	n := fs.normalized()
+	return len(n.Tops) + len(n.Bottoms) + len(n.Trunks)
+}
+
+// Key returns a canonical string for the normalized set, suitable for
+// cache keys: equal damage ⇒ equal key.
+func (fs *FailureSet) Key() string {
+	n := fs.normalized()
+	var b strings.Builder
+	b.WriteByte('t')
+	for i, t := range n.Tops {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "%d", t)
+	}
+	b.WriteString(";b")
+	for i, v := range n.Bottoms {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "%d", v)
+	}
+	b.WriteString(";l")
+	for i, tr := range n.Trunks {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "%d-%d", tr.Bottom, tr.Top)
+	}
+	return b.String()
+}
+
+// TopFailed reports whether top switch t failed.
+func (v *FailureView) TopFailed(t int) bool { return v.topDown[t] }
+
+// BottomFailed reports whether bottom switch b failed.
+func (v *FailureView) BottomFailed(b int) bool { return v.bottomDown[b] }

@@ -124,22 +124,6 @@ func (f *FoldedClos) HostLocal(id NodeID) int {
 	return int(id-f.hostBase) % f.N
 }
 
-// TopIndex returns the top-level switch index t of node id.
-func (f *FoldedClos) TopIndex(id NodeID) int {
-	if id < f.topBase || id >= f.topBase+NodeID(f.M) {
-		panic(fmt.Sprintf("topology: node %d is not a top switch in %s", id, f.Net.Name))
-	}
-	return int(id - f.topBase)
-}
-
-// BottomIndex returns the bottom-level switch index v of node id.
-func (f *FoldedClos) BottomIndex(id NodeID) int {
-	if id < f.bottomBase || id >= f.bottomBase+NodeID(f.R) {
-		panic(fmt.Sprintf("topology: node %d is not a bottom switch in %s", id, f.Net.Name))
-	}
-	return int(id - f.bottomBase)
-}
-
 // HostUpLink returns the directed link host (v, k) → bottom switch v.
 func (f *FoldedClos) HostUpLink(v, k int) LinkID {
 	f.HostID(v, k) // range check
@@ -188,14 +172,6 @@ func (f *FoldedClos) RouteVia(src, dst NodeID, t int) Path {
 			f.HostDownLink(dv, dk),
 		},
 	}
-}
-
-// Subtree returns the Fig. 2 subgraph of ftree(n+m, r): the ftree(n+1, r)
-// containing all bottom switches and hosts but only one top-level switch.
-// It is used by the Lemma-2 analysis of how many SD pairs a single root can
-// carry.
-func (f *FoldedClos) Subtree() *FoldedClos {
-	return NewFoldedClos(f.N, 1, f.R)
 }
 
 // Validate performs structural self-checks: port budgets of every switch,

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -192,7 +193,7 @@ func TestCrossbar(t *testing.T) {
 	if x.Net.NumHosts() != 5 || x.Net.NumSwitches() != 1 {
 		t.Fatal("crossbar counts wrong")
 	}
-	if x.Net.Radix(x.SwitchID()) != 5 {
+	if x.Net.Radix(x.sw) != 5 {
 		t.Fatal("crossbar radix wrong")
 	}
 	p := x.Route(1, 3)
@@ -260,4 +261,31 @@ func TestCrossbarHostPanics(t *testing.T) {
 		}
 	}()
 	x.HostID(3)
+}
+
+// Test-only helpers: no program calls these, so they live with the
+// tests that use them.
+
+// TopIndex returns the top-level switch index t of node id.
+func (f *FoldedClos) TopIndex(id NodeID) int {
+	if id < f.topBase || id >= f.topBase+NodeID(f.M) {
+		panic(fmt.Sprintf("topology: node %d is not a top switch in %s", id, f.Net.Name))
+	}
+	return int(id - f.topBase)
+}
+
+// BottomIndex returns the bottom-level switch index v of node id.
+func (f *FoldedClos) BottomIndex(id NodeID) int {
+	if id < f.bottomBase || id >= f.bottomBase+NodeID(f.R) {
+		panic(fmt.Sprintf("topology: node %d is not a bottom switch in %s", id, f.Net.Name))
+	}
+	return int(id - f.bottomBase)
+}
+
+// Subtree returns the Fig. 2 subgraph of ftree(n+m, r): the ftree(n+1, r)
+// containing all bottom switches and hosts but only one top-level switch.
+// It is the structure the Lemma-2 analysis of how many SD pairs a single
+// root can carry reasons about.
+func (f *FoldedClos) Subtree() *FoldedClos {
+	return NewFoldedClos(f.N, 1, f.R)
 }

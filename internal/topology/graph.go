@@ -13,7 +13,6 @@ package topology
 
 import (
 	"fmt"
-	"slices"
 )
 
 // NodeID identifies a node (host or switch) within one Network.
@@ -24,9 +23,6 @@ type LinkID int32
 
 // NoLink is returned by lookups when no link connects the queried endpoints.
 const NoLink LinkID = -1
-
-// NoNode is returned by lookups when no node matches the query.
-const NoNode NodeID = -1
 
 // NodeKind distinguishes traffic endpoints from switching elements.
 type NodeKind uint8
@@ -179,10 +175,6 @@ func (g *Network) Link(id LinkID) Link {
 	return g.links[id]
 }
 
-// Hosts returns the IDs of all hosts in ascending order. The returned slice
-// is owned by the network and must not be modified.
-func (g *Network) Hosts() []NodeID { return g.hosts }
-
 // Out returns the IDs of links leaving node id, in insertion order. The
 // returned slice is owned by the network and must not be modified.
 func (g *Network) Out(id NodeID) []LinkID {
@@ -228,23 +220,6 @@ func (g *Network) FindLink(from, to NodeID) LinkID {
 		return id
 	}
 	return NoLink
-}
-
-// Neighbors returns the distinct nodes reachable over outgoing links of id,
-// in ascending ID order.
-func (g *Network) Neighbors(id NodeID) []NodeID {
-	out := g.Out(id)
-	res := make([]NodeID, 0, len(out))
-	seen := make(map[NodeID]struct{}, len(out))
-	for _, l := range out {
-		to := g.links[l].To
-		if _, ok := seen[to]; !ok {
-			seen[to] = struct{}{}
-			res = append(res, to)
-		}
-	}
-	slices.Sort(res)
-	return res
 }
 
 // Path is a route through the network: Nodes has one more element than
@@ -390,27 +365,4 @@ func (g *Network) bfsCount(start NodeID, forward bool) int {
 		}
 	}
 	return count
-}
-
-// SwitchIDs returns the IDs of all switches at the given level, ascending.
-func (g *Network) SwitchIDs(level int) []NodeID {
-	var res []NodeID
-	for _, n := range g.nodes {
-		if n.Kind == Switch && n.Level == level {
-			res = append(res, n.ID)
-		}
-	}
-	return res
-}
-
-// MaxSwitchLevel returns the highest switch level present, or 0 when the
-// network has no switches.
-func (g *Network) MaxSwitchLevel() int {
-	max := 0
-	for _, n := range g.nodes {
-		if n.Kind == Switch && n.Level > max {
-			max = n.Level
-		}
-	}
-	return max
 }

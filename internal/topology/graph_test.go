@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -194,4 +195,51 @@ func TestNodeKindString(t *testing.T) {
 	if s := NodeKind(9).String(); !strings.Contains(s, "9") {
 		t.Fatalf("unknown kind string = %q", s)
 	}
+}
+
+// Test-only helpers: no program calls these, so they live with the
+// tests that use them.
+
+// Hosts returns the IDs of all hosts in ascending order. The returned slice
+// is owned by the network and must not be modified.
+func (g *Network) Hosts() []NodeID { return g.hosts }
+
+// Neighbors returns the distinct nodes reachable over outgoing links of id,
+// in ascending ID order.
+func (g *Network) Neighbors(id NodeID) []NodeID {
+	out := g.Out(id)
+	res := make([]NodeID, 0, len(out))
+	seen := make(map[NodeID]struct{}, len(out))
+	for _, l := range out {
+		to := g.links[l].To
+		if _, ok := seen[to]; !ok {
+			seen[to] = struct{}{}
+			res = append(res, to)
+		}
+	}
+	slices.Sort(res)
+	return res
+}
+
+// SwitchIDs returns the IDs of all switches at the given level, ascending.
+func (g *Network) SwitchIDs(level int) []NodeID {
+	var res []NodeID
+	for _, n := range g.nodes {
+		if n.Kind == Switch && n.Level == level {
+			res = append(res, n.ID)
+		}
+	}
+	return res
+}
+
+// MaxSwitchLevel returns the highest switch level present, or 0 when the
+// network has no switches.
+func (g *Network) MaxSwitchLevel() int {
+	max := 0
+	for _, n := range g.nodes {
+		if n.Kind == Switch && n.Level > max {
+			max = n.Level
+		}
+	}
+	return max
 }

@@ -64,14 +64,6 @@ func (t *KAryNTree) Hosts() int { return pow(t.K, t.Levels) }
 // Switches reports the switch count n·k^(n−1).
 func (t *KAryNTree) Switches() int { return t.Levels * pow(t.K, t.Levels-1) }
 
-// HostID returns the node ID of the host with base-k address u.
-func (t *KAryNTree) HostID(u int) NodeID {
-	if u < 0 || u >= t.Hosts() {
-		panic(fmt.Sprintf("topology: host %d out of range in %s", u, t.Net.Name))
-	}
-	return NodeID(u)
-}
-
 // SwitchID returns the node ID of the level-l switch with digit index w.
 func (t *KAryNTree) SwitchID(l, w int) NodeID {
 	if l < 0 || l >= t.Levels || w < 0 || w >= pow(t.K, t.Levels-1) {

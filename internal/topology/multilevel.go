@@ -142,14 +142,6 @@ func (m *MultiFtree) Switches() int { return m.Net.NumSwitches() }
 // SwitchRadix reports the uniform physical switch radix, n+n².
 func (m *MultiFtree) SwitchRadix() int { return m.N + m.N*m.N }
 
-// HostID returns the node ID of host h (hosts are the low IDs).
-func (m *MultiFtree) HostID(h int) NodeID {
-	if h < 0 || h >= m.Ports() {
-		panic(fmt.Sprintf("topology: host %d out of range in %s", h, m.Net.Name))
-	}
-	return NodeID(h)
-}
-
 // Route returns the full path from host src to host dst under the
 // recursive Theorem-3 routing.
 func (m *MultiFtree) Route(src, dst NodeID) Path {
@@ -190,16 +182,4 @@ func (m *MultiFtree) Validate() error {
 		return fmt.Errorf("%s: not strongly connected", g.Name)
 	}
 	return nil
-}
-
-// ExpectedSwitches evaluates the recursion S(1) = 1,
-// S(l) = ports(l)/n + n²·S(l−1) in closed iterative form, for tests and
-// the cost model.
-func ExpectedSwitches(n, levels int) int {
-	s := 1
-	for l := 2; l <= levels; l++ {
-		ports := pow(n, l+1) + pow(n, l)
-		s = ports/n + n*n*s
-	}
-	return s
 }

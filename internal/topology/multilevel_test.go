@@ -1,5 +1,8 @@
 package topology
 
+import (
+	"fmt"
+)
 import "testing"
 
 func TestMultiFtreeMatchesClosedForms(t *testing.T) {
@@ -102,4 +105,27 @@ func TestMultiFtreePanics(t *testing.T) {
 			f()
 		}()
 	}
+}
+
+// Test-only helpers: no program calls these, so they live with the
+// tests that use them.
+
+// ExpectedSwitches evaluates the recursion S(1) = 1,
+// S(l) = ports(l)/n + n²·S(l−1) in closed iterative form, an independent
+// count for the builder's Switches().
+func ExpectedSwitches(n, levels int) int {
+	s := 1
+	for l := 2; l <= levels; l++ {
+		ports := pow(n, l+1) + pow(n, l)
+		s = ports/n + n*n*s
+	}
+	return s
+}
+
+// HostID returns the node ID of host h (hosts are the low IDs).
+func (m *MultiFtree) HostID(h int) NodeID {
+	if h < 0 || h >= m.Ports() {
+		panic(fmt.Sprintf("topology: host %d out of range in %s", h, m.Net.Name))
+	}
+	return NodeID(h)
 }

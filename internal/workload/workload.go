@@ -77,28 +77,6 @@ func AllToAll(hosts int) (*Workload, error) {
 	return w, nil
 }
 
-// ButterflyExchange is the recursive-doubling exchange (allreduce,
-// broadcast trees): log2(hosts) phases, phase k pairing i ↔ i XOR 2^k.
-// hosts must be a power of two, at least 2.
-func ButterflyExchange(hosts int) (*Workload, error) {
-	if hosts < 2 || hosts&(hosts-1) != 0 {
-		return nil, fmt.Errorf("workload: butterfly needs a power-of-two host count ≥ 2, have %d", hosts)
-	}
-	w := &Workload{Name: fmt.Sprintf("butterfly(%d)", hosts)}
-	for bit := 1; bit < hosts; bit <<= 1 {
-		w.Phases = append(w.Phases, permutation.Butterfly(hosts, log2(bit)))
-	}
-	return w, nil
-}
-
-func log2(x int) int {
-	k := 0
-	for 1<<k < x {
-		k++
-	}
-	return k
-}
-
 // RingExchange is the halo pattern of 1-D domain decompositions: two
 // phases, +1 and −1 cyclic shifts. hosts must be at least 2.
 func RingExchange(hosts int) (*Workload, error) {

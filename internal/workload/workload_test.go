@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/permutation"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -278,4 +280,29 @@ func TestRunMetricsAggregation(t *testing.T) {
 	if off.Metrics != nil {
 		t.Fatal("metrics attached without a collector")
 	}
+}
+
+// Test-only helpers: no program calls these, so they live with the
+// tests that use them.
+
+// ButterflyExchange is the recursive-doubling exchange (allreduce,
+// broadcast trees): log2(hosts) phases, phase k pairing i ↔ i XOR 2^k.
+// hosts must be a power of two, at least 2.
+func ButterflyExchange(hosts int) (*Workload, error) {
+	if hosts < 2 || hosts&(hosts-1) != 0 {
+		return nil, fmt.Errorf("workload: butterfly needs a power-of-two host count ≥ 2, have %d", hosts)
+	}
+	w := &Workload{Name: fmt.Sprintf("butterfly(%d)", hosts)}
+	for bit := 1; bit < hosts; bit <<= 1 {
+		dst := make([]int, hosts)
+		for i := range dst {
+			dst[i] = i ^ bit
+		}
+		p, err := permutation.FromDsts(dst)
+		if err != nil {
+			return nil, err
+		}
+		w.Phases = append(w.Phases, p)
+	}
+	return w, nil
 }
