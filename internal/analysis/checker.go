@@ -41,8 +41,10 @@ type Checker struct {
 	sorted    bool
 	maxLoad   int
 	pairs     int
-	// linkBuf is scratch for PairLinkAppender routers.
+	// linkBuf is scratch for PairLinkAppender and PatternLinkAppender
+	// routers; ends delimits the latter's per-pair spans in it.
 	linkBuf []topology.LinkID
+	ends    []int
 }
 
 // NewChecker returns a Checker with scratch sized for net. A nil net is
@@ -129,21 +131,46 @@ func (c *Checker) Analyze(a *routing.Assignment) {
 }
 
 // AnalyzePattern routes pattern p with r and analyzes its contention. When
-// the router implements routing.PairLinkAppender the pattern is analyzed
-// without materializing an Assignment — the sweep hot path — and the
+// the router implements routing.PairLinkAppender or
+// routing.PatternLinkAppender the pattern is analyzed without
+// materializing an Assignment — the sweep and campaign hot path — and the
 // resulting loads are identical to Analyze(r.Route(p)): pairs are indexed
 // in ascending source order, matching Assignment.Pairs. Routing errors are
-// returned wrapped exactly as Route wraps them.
+// returned exactly as Route returns them.
 func (c *Checker) AnalyzePattern(r routing.Router, p *permutation.Permutation) error {
-	la, ok := r.(routing.PairLinkAppender)
-	if !ok {
-		a, err := r.Route(p)
+	switch rr := r.(type) {
+	case routing.PairLinkAppender:
+		return c.analyzePairs(rr, p)
+	case routing.PatternLinkAppender:
+		links, ends, err := rr.AppendPatternLinks(p, c.linkBuf[:0], c.ends[:0])
+		c.linkBuf, c.ends = links, ends
 		if err != nil {
 			return err
 		}
-		c.Analyze(a)
+		c.begin(0)
+		lo := 0
+		for i, hi := range ends {
+			c.pairEpoch++
+			for _, l := range links[lo:hi] {
+				c.addLink(i, l)
+			}
+			lo = hi
+		}
+		c.finish(len(ends))
 		return nil
 	}
+	a, err := r.Route(p)
+	if err != nil {
+		return err
+	}
+	c.Analyze(a)
+	return nil
+}
+
+// analyzePairs is AnalyzePattern for a pairwise router: each pair's links
+// come straight from AppendPairLinks, errors wrapped as routePairwise
+// wraps them.
+func (c *Checker) analyzePairs(la routing.PairLinkAppender, p *permutation.Permutation) error {
 	c.begin(0)
 	buf := c.linkBuf
 	i := 0

@@ -5,14 +5,23 @@
 // producing one "nonblocking margin vs failures" degradation curve per
 // scheme (api.FailuresReport).
 //
+// The unit of work is one sampled failure set (k, sample): its failures,
+// view and surviving hosts are drawn once, every scheme's router is built
+// against it, and each trial pattern is drawn once and scored against
+// every router. A worker scores on reusable buffers — one checker, one
+// reseeded rng, one pattern — and no trial builds an Assignment, so a
+// trial allocates nothing for the pairwise schemes and only the plan's
+// slices for the adaptive one.
+//
 // Determinism: the campaign is a pure function of its Config. Every
 // random draw (failure sets, test patterns, simulation injection) is
 // seeded by a SplitMix64 hash of (Seed, stream, k, sample), so each
-// (k, sample) cell is independent of every other and of the worker that
-// runs it; failure sets and patterns depend only on (k, sample), never on
-// the scheme, so all schemes face identical damage and identical traffic.
-// Cells are merged in a fixed order, making parallel runs byte-identical
-// to sequential ones (TestRunParallelMatchesSequential).
+// failure set is independent of every other and of the worker that
+// scores it; failure sets and patterns depend only on (k, sample), never
+// on the scheme, so all schemes face identical damage and identical
+// traffic. Cells are merged in a fixed (scheme, k, sample) order, making
+// parallel runs byte-identical to sequential ones
+// (TestRunParallelMatchesSequential).
 package campaign
 
 import (
@@ -53,7 +62,7 @@ type Config struct {
 	Schemes []string
 	// Seed drives every random draw.
 	Seed int64
-	// Workers > 1 runs cells on a worker pool; the report is
+	// Workers > 1 scores failure sets on a worker pool; the report is
 	// byte-identical to the sequential run regardless.
 	Workers int
 	// Sim additionally measures open-loop accepted load at offered 1.0
@@ -185,138 +194,171 @@ type cellResult struct {
 	acceptedLoad  float64
 }
 
-type cellID struct{ scheme, k, sample int }
+// setID names one sampled failure set, the campaign's unit of work.
+type setID struct{ k, sample int }
 
-// Run executes the campaign. With cfg.Workers > 1 the cells run on a
-// worker pool; the report is byte-identical either way.
+// Run executes the campaign. With cfg.Workers > 1 the failure sets are
+// scored on a worker pool; the report is byte-identical either way.
 func Run(ctx context.Context, cfg Config) (*api.FailuresReport, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	f := topology.NewFoldedClos(cfg.N, cfg.M, cfg.R)
-	samplesFor := func(k int) int {
-		if k == 0 {
-			return 1
-		}
-		return cfg.Samples
-	}
-	var ids []cellID
-	for si := range cfg.Schemes {
-		for k := 0; k <= cfg.MaxFailures; k++ {
-			for s := 0; s < samplesFor(k); s++ {
-				ids = append(ids, cellID{si, k, s})
-			}
+	var sets []setID
+	for k := 0; k <= cfg.MaxFailures; k++ {
+		for s := 0; s < cfg.samplesFor(k); s++ {
+			sets = append(sets, setID{k, s})
 		}
 	}
-	cells := make([]cellResult, len(ids))
-	if cfg.Workers <= 1 {
-		for i, id := range ids {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+	// Failure set i owns cells[i*nSchemes : (i+1)*nSchemes], one per scheme.
+	nSchemes := len(cfg.Schemes)
+	cells := make([]cellResult, len(sets)*nSchemes)
+	workers := min(max(cfg.Workers, 1), len(sets))
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			wk := newWorker(f, nSchemes)
+			for i := range next {
+				wk.runSet(f, cfg, sets[i], cells[i*nSchemes:(i+1)*nSchemes])
 			}
-			cells[i] = runCell(f, cfg, id)
-		}
-	} else {
-		workers := cfg.Workers
-		if workers > len(ids) {
-			workers = len(ids)
-		}
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					cells[i] = runCell(f, cfg, ids[i])
-				}
-			}()
-		}
-	feed:
-		for i := range ids {
-			select {
-			case idx <- i:
-			case <-ctx.Done():
-				break feed
-			}
-		}
-		close(idx)
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		}()
+	}
+feed:
+	for i := range sets {
+		select {
+		case next <- i:
+		case <-ctx.Done():
+			break feed
 		}
 	}
-	return reduce(f, cfg, samplesFor, cells), nil
+	close(next)
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return reduce(f, cfg, cells), nil
 }
 
-// runCell measures one scheme against one sampled failure set. The
-// failure set and test patterns are seeded by (k, sample) only, so every
-// scheme of the campaign faces identical damage and identical traffic.
-func runCell(f *topology.FoldedClos, cfg Config, id cellID) cellResult {
-	var res cellResult
-	lost := func() cellResult {
-		// A scheme that cannot instantiate loses every pattern.
-		res.routerFailed = true
-		res.patterns = cfg.Trials
-		res.routeFailures = cfg.Trials
-		return res
+// samplesFor is the number of failure sets drawn at k: the pristine
+// fabric once, every other k cfg.Samples times.
+func (cfg Config) samplesFor(k int) int {
+	if k == 0 {
+		return 1
 	}
-	rng := rand.New(rand.NewSource(mix(cfg.Seed, 1, uint64(id.k), uint64(id.sample))))
-	fs, err := SampleFailures(f, cfg.Scenario, id.k, rng)
+	return cfg.Samples
+}
+
+// worker is one goroutine's reusable scoring state: a checker, one rng
+// reseeded from mix(...) before every draw (Seed resets it to exactly the
+// state rand.NewSource builds), and the pattern and index buffers trials
+// are drawn into. Every draw reseeds and every analysis resets the
+// checker, so results never depend on which worker scored a set.
+type worker struct {
+	chk *analysis.Checker
+	rng *rand.Rand
+	p   *permutation.Permutation
+	sc  permutation.PatternScratch
+	// routers[si] is scheme si's router on the current failure set, nil
+	// when it failed to build.
+	routers []routing.Router
+}
+
+func newWorker(f *topology.FoldedClos, schemes int) *worker {
+	return &worker{
+		chk:     analysis.NewChecker(f.Net),
+		rng:     rand.New(rand.NewSource(0)),
+		p:       permutation.New(f.Ports()),
+		routers: make([]routing.Router, schemes),
+	}
+}
+
+// runSet measures every scheme against one sampled failure set, writing
+// scheme si's cell to out[si]. The failure set, the surviving hosts and
+// each trial pattern are drawn once, seeded by (k, sample) only, and
+// scored against every scheme's router, so all schemes face identical
+// damage and identical traffic.
+func (w *worker) runSet(f *topology.FoldedClos, cfg Config, id setID, out []cellResult) {
+	// A scheme that cannot instantiate loses every pattern.
+	lost := cellResult{routerFailed: true, patterns: cfg.Trials, routeFailures: cfg.Trials}
+	w.rng.Seed(mix(cfg.Seed, 1, uint64(id.k), uint64(id.sample)))
+	fs, err := SampleFailures(f, cfg.Scenario, id.k, w.rng)
+	var view *topology.FailureView
+	if err == nil {
+		view, err = fs.View(f)
+	}
 	if err != nil {
-		return lost()
+		for si := range out {
+			out[si] = lost
+		}
+		return
 	}
-	view, err := fs.View(f)
-	if err != nil {
-		return lost()
+	for si, scheme := range cfg.Schemes {
+		r, err := BuildRouter(f, scheme, view, cfg.Seed)
+		if err != nil {
+			r, out[si] = nil, lost
+		}
+		w.routers[si] = r
 	}
-	r, err := BuildRouter(f, cfg.Schemes[id.scheme], view, cfg.Seed)
-	if err != nil {
-		return lost()
-	}
-	alive := view.AliveHosts()
+	w.trials(f, cfg, id, view.AliveHosts(), out)
+}
+
+// trials scores cfg.Trials patterns over the surviving hosts against every
+// built router, then optionally simulates one more pattern per scheme.
+func (w *worker) trials(f *topology.FoldedClos, cfg Config, id setID, alive []int, out []cellResult) {
 	if len(alive) < 2 {
-		return res // nothing left to communicate
+		return // nothing left to communicate
 	}
-	chk := analysis.NewChecker(f.Net)
-	prng := rand.New(rand.NewSource(mix(cfg.Seed, 2, uint64(id.k), uint64(id.sample))))
+	w.rng.Seed(mix(cfg.Seed, 2, uint64(id.k), uint64(id.sample)))
 	for trial := 0; trial < cfg.Trials; trial++ {
-		p := randomAlivePerm(f.Ports(), alive, prng)
-		res.patterns++
-		if err := chk.AnalyzePattern(r, p); err != nil {
-			res.routeFailures++
+		permutation.RandomAmongInto(w.rng, w.p, alive, &w.sc)
+		for si, r := range w.routers {
+			if r != nil {
+				w.score(r, &out[si])
+			}
+		}
+	}
+	if !cfg.Sim {
+		return
+	}
+	drawn := false
+	for si, r := range w.routers {
+		if r == nil || out[si].routed == 0 {
 			continue
 		}
-		res.routed++
-		ml := chk.MaxLoad()
-		res.sumMaxLoad += int64(ml)
-		if ml > res.maxLinkLoad {
-			res.maxLinkLoad = ml
+		if !drawn {
+			w.rng.Seed(mix(cfg.Seed, 3, uint64(id.k), uint64(id.sample)))
+			permutation.RandomAmongInto(w.rng, w.p, alive, &w.sc)
+			drawn = true
 		}
-		if chk.HasContention() {
-			res.blocked++
-		}
-	}
-	if cfg.Sim && res.routed > 0 {
-		srng := rand.New(rand.NewSource(mix(cfg.Seed, 3, uint64(id.k), uint64(id.sample))))
-		p := randomAlivePerm(f.Ports(), alive, srng)
-		if acc, ok := simAccepted(f, r, p, cfg, mix(cfg.Seed, 4, uint64(id.k), uint64(id.sample))); ok {
-			res.simRan = true
-			res.acceptedLoad = acc
+		if acc, ok := simAccepted(f, r, w.p, cfg, mix(cfg.Seed, 4, uint64(id.k), uint64(id.sample))); ok {
+			out[si].simRan = true
+			out[si].acceptedLoad = acc
 		}
 	}
-	return res
 }
 
-// randomAlivePerm draws a uniform permutation of the surviving hosts,
-// embedded in the full host space as a partial permutation.
-func randomAlivePerm(ports int, alive []int, rng *rand.Rand) *permutation.Permutation {
-	p := permutation.New(ports)
-	for i, j := range rng.Perm(len(alive)) {
-		_ = p.Add(alive[i], alive[j]) // distinct srcs/dsts by construction
+// score analyzes the current pattern under r and folds the outcome into
+// res. Once the checker's scratch has grown it allocates nothing for the
+// pairwise schemes and only the plan's slices for the adaptive one.
+func (w *worker) score(r routing.Router, res *cellResult) {
+	res.patterns++
+	if err := w.chk.AnalyzePattern(r, w.p); err != nil {
+		res.routeFailures++
+		return
 	}
-	return p
+	res.routed++
+	ml := w.chk.MaxLoad()
+	res.sumMaxLoad += int64(ml)
+	if ml > res.maxLinkLoad {
+		res.maxLinkLoad = ml
+	}
+	if w.chk.HasContention() {
+		res.blocked++
+	}
 }
 
 // simAccepted runs one open-loop simulation at offered load 1.0 over a
@@ -360,7 +402,7 @@ func simAccepted(f *topology.FoldedClos, r routing.Router, p *permutation.Permut
 // All floating-point aggregates are computed here from exact integer (or
 // order-fixed float) sums, which is what makes parallel output
 // byte-identical to sequential.
-func reduce(f *topology.FoldedClos, cfg Config, samplesFor func(int) int, cells []cellResult) *api.FailuresReport {
+func reduce(f *topology.FoldedClos, cfg Config, cells []cellResult) *api.FailuresReport {
 	rep := &api.FailuresReport{
 		Network:     f.Net.Name,
 		Hosts:       f.Ports(),
@@ -371,18 +413,19 @@ func reduce(f *topology.FoldedClos, cfg Config, samplesFor func(int) int, cells 
 		Seed:        cfg.Seed,
 		Sim:         cfg.Sim,
 	}
-	i := 0
-	for _, scheme := range cfg.Schemes {
+	nSchemes := len(cfg.Schemes)
+	for si, scheme := range cfg.Schemes {
 		curve := api.FailureCurve{Scheme: scheme}
+		set := 0
 		for k := 0; k <= cfg.MaxFailures; k++ {
 			pt := api.FailurePoint{Failures: k}
 			var sumMax int64
 			var sumAcc float64
 			minAcc := math.Inf(1)
 			routed, simCount := 0, 0
-			for s := 0; s < samplesFor(k); s++ {
-				c := cells[i]
-				i++
+			for s := 0; s < cfg.samplesFor(k); s++ {
+				c := cells[set*nSchemes+si]
+				set++
 				pt.Samples++
 				if c.routerFailed {
 					pt.RouterFailures++

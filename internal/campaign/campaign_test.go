@@ -3,9 +3,15 @@ package campaign
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math/rand"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/permutation"
 	"repro/internal/topology"
 )
 
@@ -64,26 +70,85 @@ func Scenarios() []Scenario {
 	return []Scenario{ScenarioLinks, ScenarioTops, ScenarioTopsCorrelated, ScenarioPods}
 }
 
-// The tentpole determinism claim: a parallel campaign is byte-identical
-// to the sequential one.
+// The determinism claim: a campaign on a worker pool is byte-identical to
+// the sequential one. The unit of parallel work is a failure set scored
+// for every scheme, so the pool sizes include ones that do and do not
+// divide the seven sets; M = n² makes the spared scheme fail from k = 1
+// (router failures on some schemes of a set, not others), and the default
+// M gives it spares; the simulator runs in half the cases.
 func TestRunParallelMatchesSequential(t *testing.T) {
 	for _, sc := range Scenarios() {
-		cfg := Config{
-			N: 2, R: 4, Scenario: sc, MaxFailures: 3, Samples: 2, Trials: 8, Seed: 7, Sim: true,
+		for _, m := range []int{4, 0} {
+			for _, sim := range []bool{false, true} {
+				cfg := Config{
+					N: 2, M: m, R: 4, Scenario: sc, MaxFailures: 3, Samples: 2, Trials: 8, Seed: 7, Sim: sim,
+				}
+				seq, err := Run(context.Background(), cfg)
+				if err != nil {
+					t.Fatalf("%s m=%d sim=%v sequential: %v", sc, m, sim, err)
+				}
+				sj, _ := json.Marshal(seq)
+				for _, workers := range []int{2, 3, 8} {
+					cfg.Workers = workers
+					par, err := Run(context.Background(), cfg)
+					if err != nil {
+						t.Fatalf("%s m=%d sim=%v workers=%d: %v", sc, m, sim, workers, err)
+					}
+					if pj, _ := json.Marshal(par); string(sj) != string(pj) {
+						t.Fatalf("%s m=%d sim=%v workers=%d: parallel output differs from sequential:\n%s\nvs\n%s",
+							sc, m, sim, workers, sj, pj)
+					}
+				}
+			}
 		}
-		seq, err := Run(context.Background(), cfg)
-		if err != nil {
-			t.Fatalf("%s sequential: %v", sc, err)
+	}
+}
+
+// cancelAfter is a context that cancels itself on the n-th look at its
+// Done channel, so a test can stop Run part-way through its feed of
+// failure sets without racing a timer.
+type cancelAfter struct {
+	context.Context
+	cancel context.CancelFunc
+	looks  atomic.Int32
+	n      int32
+}
+
+func (c *cancelAfter) Done() <-chan struct{} {
+	if c.looks.Add(1) == c.n {
+		c.cancel()
+	}
+	return c.Context.Done()
+}
+
+// TestRunCancelMidCampaign cancels a campaign after a few failure sets
+// have been handed out: Run must return ctx.Err(), and no worker
+// goroutine may outlive it.
+func TestRunCancelMidCampaign(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		before := runtime.NumGoroutine()
+		parent, cancel := context.WithCancel(context.Background())
+		ctx := &cancelAfter{Context: parent, cancel: cancel, n: 4}
+		rep, err := Run(ctx, Config{
+			N: 2, R: 4, Scenario: ScenarioLinks, MaxFailures: 6, Samples: 3, Trials: 20, Seed: 3, Workers: workers,
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) || rep != nil {
+			t.Fatalf("workers=%d: Run = %v, %v; want nil, context.Canceled", workers, rep, err)
 		}
-		cfg.Workers = 8
-		par, err := Run(context.Background(), cfg)
-		if err != nil {
-			t.Fatalf("%s parallel: %v", sc, err)
+		// Run has waited for its workers, so none may still be scoring;
+		// give the exiting goroutines the moment they need to disappear
+		// from the count.
+		buf := make([]byte, 1<<20)
+		if st := string(buf[:runtime.Stack(buf, true)]); strings.Contains(st, "campaign.(*worker)") {
+			t.Fatalf("workers=%d: a worker is still scoring after Run returned:\n%s", workers, st)
 		}
-		sj, _ := json.Marshal(seq)
-		pj, _ := json.Marshal(par)
-		if string(sj) != string(pj) {
-			t.Fatalf("scenario %s: parallel output differs from sequential:\n%s\nvs\n%s", sc, sj, pj)
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				t.Fatalf("workers=%d: %d goroutines before Run, %d after", workers, before, runtime.NumGoroutine())
+			}
+			runtime.Gosched()
 		}
 	}
 }
@@ -113,7 +178,8 @@ func TestNoRouterEmitsFailedPath(t *testing.T) {
 			if len(alive) < 2 {
 				continue
 			}
-			p := randomAlivePerm(f.Ports(), alive, rng)
+			p := permutation.New(f.Ports())
+			permutation.RandomAmongInto(rng, p, alive, &permutation.PatternScratch{})
 			for _, scheme := range DefaultSchemes() {
 				r, err := BuildRouter(f, scheme, view, 5)
 				if err != nil {

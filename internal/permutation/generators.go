@@ -90,6 +90,21 @@ func RandomPartialInto(rng *rand.Rand, p *Permutation, density float64, sc *Patt
 	}
 }
 
+// RandomAmongInto refills p with a uniform permutation among hosts: source
+// hosts[i] sends to hosts[π(i)], where π is drawn exactly as
+// rng.Perm(len(hosts)) draws it, and every other endpoint is Unused. hosts
+// must be distinct endpoints of p. The index buffer comes from sc, so once
+// it has grown to len(hosts) no draw allocates.
+func RandomAmongInto(rng *rand.Rand, p *Permutation, hosts []int, sc *PatternScratch) {
+	sc.dests = permInto(rng, sc.dests, len(hosts))
+	for i := range p.dst {
+		p.dst[i] = Unused
+	}
+	for i, j := range sc.dests {
+		p.dst[hosts[i]] = hosts[j]
+	}
+}
+
 // Shift returns the cyclic shift i→(i+k) mod n. Shift(n, 0) is the
 // identity; with k a multiple of the per-switch host count it produces the
 // switch-level shift patterns used in the bisection experiments.

@@ -68,6 +68,40 @@ func TestRandomPartialIntoMatchesOriginal(t *testing.T) {
 	}
 }
 
+// TestRandomAmongIntoMatchesOriginal replays the campaign's original
+// surviving-host draw — rand.Perm over the hosts, embedded pair by pair
+// with Add — and checks the pooled variant reproduces both the pattern and
+// the rng state, on host subsets with gaps.
+func TestRandomAmongIntoMatchesOriginal(t *testing.T) {
+	rngA := rand.New(rand.NewSource(11))
+	rngB := rand.New(rand.NewSource(11))
+	sc := &PatternScratch{}
+	for n := 1; n <= 12; n++ {
+		p := New(n)
+		for trial := 0; trial < 25; trial++ {
+			var hosts []int
+			for h := 0; h < n; h++ {
+				if (h+trial)%3 != 0 {
+					hosts = append(hosts, h)
+				}
+			}
+			want := New(n)
+			for i, j := range rngA.Perm(len(hosts)) {
+				if err := want.Add(hosts[i], hosts[j]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			RandomAmongInto(rngB, p, hosts, sc)
+			if !p.Equal(want) {
+				t.Fatalf("n=%d trial %d: RandomAmongInto %s != original %s", n, trial, p, want)
+			}
+		}
+		if a, b := rngA.Int63(), rngB.Int63(); a != b {
+			t.Fatalf("n=%d: rng streams diverged after RandomAmongInto (%d vs %d)", n, a, b)
+		}
+	}
+}
+
 // TestRandomIntoAllocationFree pins the pooled generators' reason to
 // exist: refilling a pattern allocates nothing once the scratch is sized.
 func TestRandomIntoAllocationFree(t *testing.T) {
@@ -83,6 +117,12 @@ func TestRandomIntoAllocationFree(t *testing.T) {
 		RandomPartialInto(rng, p, 0.5, sc)
 	}); avg != 0 {
 		t.Fatalf("RandomPartialInto allocates %v per run", avg)
+	}
+	hosts := []int{0, 2, 3, 5, 8, 13, 15}
+	if avg := testing.AllocsPerRun(100, func() {
+		RandomAmongInto(rng, p, hosts, sc)
+	}); avg != 0 {
+		t.Fatalf("RandomAmongInto allocates %v per run", avg)
 	}
 }
 

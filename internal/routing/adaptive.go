@@ -94,6 +94,13 @@ func (r *NonblockingAdaptive) topIndex(conf, q, key int) int {
 // level), along with the number of configurations consumed. Plan ignores
 // the physical m, so experiments can measure how many top switches any
 // permutation needs; Route enforces m.
+//
+// Plan works on flat arrays: pairs come sorted by source, so each source
+// switch's cross-switch pairs form one contiguous run (the CSR grouping of
+// line 1), and keys lie in [0, n), so the first pair of each key is a
+// slot in an n-entry array. It allocates pairs, tops and one scratch
+// slice, and its result is a pure function of p — nothing depends on map
+// iteration order.
 func (r *NonblockingAdaptive) Plan(p *permutation.Permutation) (tops []int, pairs []permutation.Pair, confs int, err error) {
 	if p.N() != r.F.Ports() {
 		return nil, nil, 0, fmt.Errorf("routing: pattern over %d endpoints, network has %d", p.N(), r.F.Ports())
@@ -101,41 +108,51 @@ func (r *NonblockingAdaptive) Plan(p *permutation.Permutation) (tops []int, pair
 	pairs = p.Pairs()
 	tops = make([]int, len(pairs))
 	n := r.F.N
-
-	// Group cross-switch pairs by source switch (line 1).
-	bySrc := make(map[int][]int) // source switch -> indices into pairs
-	for i, pr := range pairs {
+	// Scratch: one source switch's unrouted pairs; the first pair of each
+	// key under the partition being tried and under the best one so far;
+	// and the partitions used in the current configuration.
+	scratch := make([]int, 3*n+r.C+1)
+	remBuf, cand, best, used := scratch[:n:n], scratch[n:2*n], scratch[2*n:3*n], scratch[3*n:]
+	for i := range tops {
 		tops[i] = -1
-		if pr.Src != pr.Dst && pr.Src/n != pr.Dst/n {
-			v := pr.Src / n
-			bySrc[v] = append(bySrc[v], i)
-		}
 	}
-
-	maxConf := 0
-	for _, rem := range bySrc {
+	for lo := 0; lo < len(pairs); {
+		// Line 1: the cross-switch pairs of source switch v, ascending.
+		v := pairs[lo].Src / n
+		rem := remBuf[:0]
+		hi := lo
+		for ; hi < len(pairs) && pairs[hi].Src/n == v; hi++ {
+			if pr := pairs[hi]; pr.Src != pr.Dst && pr.Dst/n != v {
+				rem = append(rem, hi)
+			}
+		}
+		lo = hi
 		conf := 0
 		for len(rem) > 0 {
 			// Line 5: allocate a new configuration.
-			usedPart := make([]bool, r.C+1)
+			clear(used)
 			for len(rem) > 0 {
 				// Line 7: the largest key-distinct subset over unused
-				// partitions (or the first non-empty partition in the
-				// first-fit ablation).
-				bestQ, bestKeys := -1, map[int]int(nil)
+				// partitions (or the first unused partition in the
+				// first-fit ablation); ties keep the lower partition.
+				bestQ, bestCount := -1, 0
 				for q := 0; q <= r.C; q++ {
-					if usedPart[q] {
+					if used[q] != 0 {
 						continue
 					}
-					keys := make(map[int]int, len(rem))
+					for k := range cand {
+						cand[k] = -1
+					}
+					count := 0
 					for _, idx := range rem {
-						k := r.PartitionKey(q, pairs[idx].Dst)
-						if _, dup := keys[k]; !dup {
-							keys[k] = idx
+						if k := r.PartitionKey(q, pairs[idx].Dst); cand[k] < 0 {
+							cand[k] = idx
+							count++
 						}
 					}
-					if bestQ == -1 || len(keys) > len(bestKeys) {
-						bestQ, bestKeys = q, keys
+					if bestQ == -1 || count > bestCount {
+						bestQ, bestCount = q, count
+						cand, best = best, cand
 					}
 					if r.FirstFit {
 						break
@@ -145,15 +162,15 @@ func (r *NonblockingAdaptive) Plan(p *permutation.Permutation) (tops []int, pair
 					break // configuration exhausted (line 6)
 				}
 				// Lines 8–10: route the subset, mark partition used.
-				routed := make(map[int]bool, len(bestKeys))
-				for key, idx := range bestKeys {
-					tops[idx] = r.topIndex(conf, bestQ, key)
-					routed[idx] = true
+				for key, idx := range best {
+					if idx >= 0 {
+						tops[idx] = r.topIndex(conf, bestQ, key)
+					}
 				}
-				usedPart[bestQ] = true
+				used[bestQ] = 1
 				next := rem[:0]
 				for _, idx := range rem {
-					if !routed[idx] {
+					if tops[idx] < 0 {
 						next = append(next, idx)
 					}
 				}
@@ -161,26 +178,44 @@ func (r *NonblockingAdaptive) Plan(p *permutation.Permutation) (tops []int, pair
 			}
 			conf++
 		}
-		if conf > maxConf {
-			maxConf = conf
-		}
+		confs = max(confs, conf)
 	}
-	return tops, pairs, maxConf, nil
+	return tops, pairs, confs, nil
 }
 
 // Route runs Plan and materializes paths, verifying that the physical
 // network has enough top-level switches: m ≥ confs·(c+1)·n.
 func (r *NonblockingAdaptive) Route(p *permutation.Permutation) (*Assignment, error) {
-	tops, pairs, confs, err := r.Plan(p)
+	tops, pairs, confs, need, err := r.plan(p)
 	if err != nil {
 		return nil, err
 	}
-	need := confs * (r.C + 1) * r.F.N
+	return r.assemble(pairs, tops, confs, need, identTop), nil
+}
+
+// AppendPatternLinks implements PatternLinkAppender: the links of Route's
+// paths, with Route's errors, without building them.
+func (r *NonblockingAdaptive) AppendPatternLinks(p *permutation.Permutation, links []topology.LinkID, ends []int) ([]topology.LinkID, []int, error) {
+	tops, pairs, _, _, err := r.plan(p)
+	if err != nil {
+		return links, ends, err
+	}
+	links, ends = r.appendPlanLinks(pairs, tops, nil, links, ends)
+	return links, ends, nil
+}
+
+// plan runs Plan and checks that the configurations fit in the physical m.
+func (r *NonblockingAdaptive) plan(p *permutation.Permutation) (tops []int, pairs []permutation.Pair, confs, need int, err error) {
+	tops, pairs, confs, err = r.Plan(p)
+	if err != nil {
+		return nil, nil, 0, 0, err
+	}
+	need = confs * (r.C + 1) * r.F.N
 	if need > r.F.M {
-		return nil, fmt.Errorf("routing: pattern needs %d top switches (%d configurations of %d), network has m=%d",
+		return nil, nil, 0, 0, fmt.Errorf("routing: pattern needs %d top switches (%d configurations of %d), network has m=%d",
 			need, confs, (r.C+1)*r.F.N, r.F.M)
 	}
-	return r.assemble(pairs, tops, confs, need, identTop), nil
+	return tops, pairs, confs, need, nil
 }
 
 func identTop(t int) int { return t }
@@ -210,6 +245,30 @@ func (r *NonblockingAdaptive) assemble(pairs []permutation.Pair, tops []int, con
 		}
 	}
 	return a
+}
+
+// appendPlanLinks is assemble's link-only twin: it appends each planned
+// pair's links, in pair order and in RouteVia's link order, to links and
+// the end offset of its span to ends. physTop maps a logical top-switch
+// slot to a physical switch; nil is the identity.
+func (r *NonblockingAdaptive) appendPlanLinks(pairs []permutation.Pair, tops, physTop []int, links []topology.LinkID, ends []int) ([]topology.LinkID, []int) {
+	f, n := r.F, r.F.N
+	for i, pr := range pairs {
+		if pr.Src != pr.Dst {
+			sv, sk := pr.Src/n, pr.Src%n
+			dv, dk := pr.Dst/n, pr.Dst%n
+			if t := tops[i]; t < 0 {
+				links = append(links, f.HostUpLink(sv, sk), f.HostDownLink(dv, dk))
+			} else {
+				if physTop != nil {
+					t = physTop[t]
+				}
+				links = append(links, f.HostUpLink(sv, sk), f.UpLink(sv, t), f.DownLink(t, dv), f.HostDownLink(dv, dk))
+			}
+		}
+		ends = append(ends, len(links))
+	}
+	return links, ends
 }
 
 // RequiredM reports how many top-level switches the algorithm needs for

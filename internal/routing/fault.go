@@ -37,9 +37,9 @@ import (
 // checkPairsAlive rejects patterns that use a detached host (a host whose
 // bottom switch failed): no route of any kind exists for such a pair.
 func checkPairsAlive(view *topology.FailureView, p *permutation.Permutation) error {
-	for _, pr := range p.Pairs() {
-		if !view.HostAlive(pr.Src) || !view.HostAlive(pr.Dst) {
-			return fmt.Errorf("routing: pair %d->%d uses a detached host (failed bottom switch)", pr.Src, pr.Dst)
+	for s, n := 0, p.N(); s < n; s++ {
+		if d := p.Dst(s); d != permutation.Unused && (!view.HostAlive(s) || !view.HostAlive(d)) {
+			return fmt.Errorf("routing: pair %d->%d uses a detached host (failed bottom switch)", s, d)
 		}
 	}
 	return nil
@@ -58,7 +58,8 @@ func pairCheckAlive(view *topology.FailureView) func(src, dst int) error {
 // AvoidingAdaptive is NONBLOCKINGADAPTIVE over the intact top switches of
 // a failure view: configuration blocks are laid out over those switches in
 // ascending order, and a pattern fails when it needs more of them than
-// remain.
+// remain. Route builds the paths; AppendPatternLinks lays out the same
+// links without them, for scoring many patterns cheaply.
 type AvoidingAdaptive struct {
 	ad   *NonblockingAdaptive
 	view *topology.FailureView
@@ -82,42 +83,57 @@ func (r *AvoidingAdaptive) Name() string { return "adaptive-avoiding" }
 // Route plans the pattern and materializes paths over intact top switches
 // only.
 func (r *AvoidingAdaptive) Route(p *permutation.Permutation) (*Assignment, error) {
-	if err := checkPairsAlive(r.view, p); err != nil {
-		return nil, err
-	}
-	tops, pairs, confs, err := r.ad.Plan(p)
+	tops, pairs, confs, need, err := r.plan(p)
 	if err != nil {
 		return nil, err
-	}
-	need := confs * (r.ad.C + 1) * r.ad.F.N
-	if need > len(r.intact) {
-		return nil, fmt.Errorf("routing: pattern needs %d top switches, only %d healthy of m=%d",
-			need, len(r.intact), r.ad.F.M)
 	}
 	return r.ad.assemble(pairs, tops, confs, need, func(t int) int { return r.intact[t] }), nil
 }
 
-// SparedDeterministic is the Theorem-3 scheme hardened with spare top
-// switches: ftree(n+m, r) with m = n²+s. Traffic class (i, j) normally
-// uses top switch i·n+j; when that switch is not intact the class moves,
-// whole, to a dedicated spare. Because each class still owns a private top
-// switch, Lemma 1 is preserved and the network remains nonblocking for up
-// to s simultaneous failures.
-type SparedDeterministic struct {
-	F *topology.FoldedClos
-	// remap[class] is the physical top switch serving the class.
-	remap []int
-	// view is the failure view the remap was built for; it also rejects
-	// pairs whose endpoint host is detached by a bottom-switch failure.
-	view *topology.FailureView
+// AppendPatternLinks implements PatternLinkAppender: the links Route's
+// paths would carry, laid out per pair over the same intact switches, with
+// Route's errors.
+func (r *AvoidingAdaptive) AppendPatternLinks(p *permutation.Permutation, links []topology.LinkID, ends []int) ([]topology.LinkID, []int, error) {
+	tops, pairs, _, _, err := r.plan(p)
+	if err != nil {
+		return links, ends, err
+	}
+	links, ends = r.ad.appendPlanLinks(pairs, tops, r.intact, links, ends)
+	return links, ends, nil
 }
 
-// NewSparedDeterministicView builds the spared Theorem-3 scheme for a
-// failure view: classes whose top switch is not intact move to intact
-// spares, and pairs with detached endpoints are rejected. It requires
-// m ≥ n² and errors when the failures exhaust the spares (a class would
-// have to share a switch, which provably blocks).
-func NewSparedDeterministicView(f *topology.FoldedClos, view *topology.FailureView) (*SparedDeterministic, error) {
+// plan rejects detached endpoints, runs Plan, and checks that the
+// configurations fit on the intact switches.
+func (r *AvoidingAdaptive) plan(p *permutation.Permutation) (tops []int, pairs []permutation.Pair, confs, need int, err error) {
+	if err := checkPairsAlive(r.view, p); err != nil {
+		return nil, nil, 0, 0, err
+	}
+	tops, pairs, confs, err = r.ad.Plan(p)
+	if err != nil {
+		return nil, nil, 0, 0, err
+	}
+	need = confs * (r.ad.C + 1) * r.ad.F.N
+	if need > len(r.intact) {
+		return nil, nil, 0, 0, fmt.Errorf("routing: pattern needs %d top switches, only %d healthy of m=%d",
+			need, len(r.intact), r.ad.F.M)
+	}
+	return tops, pairs, confs, need, nil
+}
+
+// NewSparedDeterministicView builds the Theorem-3 scheme hardened with
+// spare top switches for a failure view: ftree(n+m, r) with m = n²+s.
+// Traffic class (i, j) normally uses top switch i·n+j; when that switch is
+// not intact the class moves, whole, to a dedicated intact spare. Because
+// each class still owns a private top switch, Lemma 1 is preserved and the
+// network remains nonblocking for up to s simultaneous failures. Pairs
+// with detached endpoints are rejected. It requires m ≥ n² and errors when
+// the failures exhaust the spares (a class would have to share a switch,
+// which provably blocks).
+//
+// The result is an FtreeSinglePath whose TopChoice is the spare remap (as
+// NewNaiveRemapView's is the naive fold), so it shares PathFor, Route and
+// the allocation-free AppendPairLinks with every other single-path scheme.
+func NewSparedDeterministicView(f *topology.FoldedClos, view *topology.FailureView) (*FtreeSinglePath, error) {
 	n2 := f.N * f.N
 	if f.M < n2 {
 		return nil, fmt.Errorf("routing: spared scheme needs m >= n² (%d >= %d)", f.M, n2)
@@ -126,6 +142,7 @@ func NewSparedDeterministicView(f *topology.FoldedClos, view *topology.FailureVi
 	intact := view.IntactTops()
 	spares := intact[sort.SearchInts(intact, n2):]
 	healthySpares := len(spares)
+	// remap[class] is the physical top switch serving the class.
 	remap := make([]int, n2)
 	for class := range remap {
 		if view.TopIntact(class) {
@@ -142,41 +159,13 @@ func NewSparedDeterministicView(f *topology.FoldedClos, view *topology.FailureVi
 		remap[class] = spares[0]
 		spares = spares[1:]
 	}
-	return &SparedDeterministic{F: f, remap: remap, view: view}, nil
-}
-
-// Name returns "paper-deterministic-spared".
-func (r *SparedDeterministic) Name() string { return "paper-deterministic-spared" }
-
-// PathFor routes one SD pair through its class's (possibly remapped) top
-// switch.
-func (r *SparedDeterministic) PathFor(src, dst int) (topology.Path, error) {
-	n := r.F.N
-	if src < 0 || src >= r.F.Ports() || dst < 0 || dst >= r.F.Ports() {
-		return topology.Path{}, fmt.Errorf("host index out of range: %d or %d", src, dst)
-	}
-	if !r.view.HostAlive(src) || !r.view.HostAlive(dst) {
-		return topology.Path{}, fmt.Errorf("routing: pair %d->%d uses a detached host (failed bottom switch)", src, dst)
-	}
-	if src == dst {
-		return topology.Path{Nodes: []topology.NodeID{topology.NodeID(src)}}, nil
-	}
-	if src/n == dst/n {
-		return r.F.RouteVia(topology.NodeID(src), topology.NodeID(dst), 0), nil
-	}
-	class := (src%n)*n + dst%n
-	return r.F.RouteVia(topology.NodeID(src), topology.NodeID(dst), r.remap[class]), nil
-}
-
-// Route assigns a path to every SD pair of the pattern.
-func (r *SparedDeterministic) Route(p *permutation.Permutation) (*Assignment, error) {
-	return routePairwise(r.F.Net, p, func(s, d int) ([]topology.Path, error) {
-		path, err := r.PathFor(s, d)
-		if err != nil {
-			return nil, err
-		}
-		return []topology.Path{path}, nil
-	})
+	n := f.N
+	return &FtreeSinglePath{
+		F:          f,
+		RouterName: "paper-deterministic-spared",
+		TopChoice:  func(src, dst int) int { return remap[(src%n)*n+dst%n] },
+		PairCheck:  pairCheckAlive(view),
+	}, nil
 }
 
 // NewNaiveRemapView is the *broken* failure response the spared scheme

@@ -82,12 +82,19 @@ func TestSparedDeterministicSurvivesFailures(t *testing.T) {
 	// m = n² + 3 spares; fail 3 class switches: still exactly nonblocking.
 	n, r := 3, 7
 	f := topology.NewFoldedClos(n, n*n+3, r)
-	sp, err := routing.NewSparedDeterministicView(f, failedTopsView(t, f, 0, 4, 8))
+	view := failedTopsView(t, f, 0, 4, 8)
+	sp, err := routing.NewSparedDeterministicView(f, view)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp.UsesFailedSwitch() {
-		t.Fatal("remap landed on a failed switch")
+	// No class may be remapped onto a failed switch: every pair's path
+	// must be healthy.
+	for s := 0; s < f.Ports(); s++ {
+		for d := 0; d < f.Ports(); d++ {
+			if p, err := sp.PathFor(s, d); err != nil || !view.PathHealthy(p) {
+				t.Fatalf("pair %d->%d: path %v (err %v) crosses a failed switch", s, d, p.Nodes, err)
+			}
+		}
 	}
 	res, err := analysis.CheckLemma1AllPairs(sp, f.Ports())
 	if err != nil {

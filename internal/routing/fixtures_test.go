@@ -313,15 +313,3 @@ func (o *ClosOnline) Reset() {
 		_ = o.Disconnect(s)
 	}
 }
-
-// UsesFailedSwitch reports whether any remapped class lands on a switch
-// that is not intact in the view (always false for a successfully
-// constructed router).
-func (r *SparedDeterministic) UsesFailedSwitch() bool {
-	for _, t := range r.remap {
-		if !r.view.TopIntact(t) {
-			return true
-		}
-	}
-	return false
-}

@@ -24,7 +24,9 @@ import (
 // endpoints: LocalReroute is a PairRouter, cacheable in route tables and
 // byte-reproducible across runs, while still modeling the independent
 // per-switch coin flips of the scheme (distinct pairs get unrelated
-// streams).
+// streams). It is also a PairLinkAppender: PathFor and AppendPairLinks run
+// one walk, and the link-only form lets campaigns and sweeps score a
+// pattern without building paths.
 //
 // The walk gives up after a visit budget of 4+⌈log₂ m⌉ top switches; on a
 // connected degraded fabric the random deflections escape any local
@@ -58,25 +60,57 @@ func (r *LocalReroute) Name() string { return "local-reroute" }
 // endpoint is detached, a switch has no healthy escape link, or the visit
 // budget is exhausted.
 func (r *LocalReroute) PathFor(src, dst int) (topology.Path, error) {
+	var nodes []topology.NodeID
+	links, err := r.walk(src, dst, nil, &nodes)
+	if err != nil {
+		return topology.Path{}, err
+	}
+	return topology.Path{Nodes: nodes, Links: links}, nil
+}
+
+// AppendPairLinks implements PairLinkAppender: the same walk as PathFor,
+// recording only the links, so campaign trials and verification sweeps
+// score local rerouting without building a Path.
+func (r *LocalReroute) AppendPairLinks(src, dst int, buf []topology.LinkID) ([]topology.LinkID, error) {
+	links, err := r.walk(src, dst, buf, nil)
+	if err != nil {
+		return buf, err
+	}
+	return links, nil
+}
+
+// walk is the one deflection-walk body behind PathFor and AppendPairLinks.
+// It appends the route's links to links and, when nodes is non-nil, the
+// nodes it visits to *nodes; with nodes nil it allocates nothing beyond
+// links' growth. Errors are the same on both paths.
+func (r *LocalReroute) walk(src, dst int, links []topology.LinkID, nodes *[]topology.NodeID) ([]topology.LinkID, error) {
 	f, v, n := r.F, r.view, r.F.N
 	if src < 0 || src >= f.Ports() || dst < 0 || dst >= f.Ports() {
-		return topology.Path{}, fmt.Errorf("host index out of range: %d or %d", src, dst)
+		return links, fmt.Errorf("host index out of range: %d or %d", src, dst)
 	}
 	if !v.HostAlive(src) || !v.HostAlive(dst) {
-		return topology.Path{}, fmt.Errorf("routing: pair %d->%d uses a detached host (failed bottom switch)", src, dst)
+		return links, fmt.Errorf("routing: pair %d->%d uses a detached host (failed bottom switch)", src, dst)
+	}
+	if nodes != nil {
+		*nodes = append(*nodes, topology.NodeID(src))
 	}
 	if src == dst {
-		return topology.Path{Nodes: []topology.NodeID{topology.NodeID(src)}}, nil
+		return links, nil
 	}
 	sv, sk := src/n, src%n
 	dv, dk := dst/n, dst%n
+	if nodes != nil {
+		*nodes = append(*nodes, f.Bottom(sv))
+	}
+	links = append(links, f.HostUpLink(sv, sk))
 	if sv == dv {
-		return f.RouteVia(topology.NodeID(src), topology.NodeID(dst), 0), nil
+		if nodes != nil {
+			*nodes = append(*nodes, topology.NodeID(dst))
+		}
+		return append(links, f.HostDownLink(dv, dk)), nil
 	}
 	pref := ((src%n)*n + dst%n) % f.M // Theorem-3 class switch (folded for small m)
 	state := uint64(pairSeed(r.seed, src, dst))
-	nodes := []topology.NodeID{topology.NodeID(src), f.Bottom(sv)}
-	links := []topology.LinkID{f.HostUpLink(sv, sk)}
 	cur, lastTop := sv, -1
 	for visit := 0; visit < r.maxVisits; visit++ {
 		var t int
@@ -86,26 +120,31 @@ func (r *LocalReroute) PathFor(src, dst int) (topology.Path, error) {
 			t = r.pickTop(cur, lastTop, &state)
 		}
 		if t < 0 {
-			return topology.Path{}, fmt.Errorf("routing: local reroute for %d->%d stuck at bottom switch %d: no healthy uplink", src, dst, cur)
+			return links, fmt.Errorf("routing: local reroute for %d->%d stuck at bottom switch %d: no healthy uplink", src, dst, cur)
 		}
-		nodes = append(nodes, f.Top(t))
+		if nodes != nil {
+			*nodes = append(*nodes, f.Top(t))
+		}
 		links = append(links, f.UpLink(cur, t))
 		if !v.TrunkFailed(dv, t) {
-			nodes = append(nodes, f.Bottom(dv), topology.NodeID(dst))
-			links = append(links, f.DownLink(t, dv), f.HostDownLink(dv, dk))
-			return topology.Path{Nodes: nodes, Links: links}, nil
+			if nodes != nil {
+				*nodes = append(*nodes, f.Bottom(dv), topology.NodeID(dst))
+			}
+			return append(links, f.DownLink(t, dv), f.HostDownLink(dv, dk)), nil
 		}
 		// The top switch cannot reach the destination: bounce down to a
 		// random healthy bottom switch and retry from there.
 		w := r.pickBottom(t, cur, &state)
 		if w < 0 {
-			return topology.Path{}, fmt.Errorf("routing: local reroute for %d->%d stuck at top switch %d: no healthy downlink", src, dst, t)
+			return links, fmt.Errorf("routing: local reroute for %d->%d stuck at top switch %d: no healthy downlink", src, dst, t)
 		}
-		nodes = append(nodes, f.Bottom(w))
+		if nodes != nil {
+			*nodes = append(*nodes, f.Bottom(w))
+		}
 		links = append(links, f.DownLink(t, w))
 		cur, lastTop = w, t
 	}
-	return topology.Path{}, fmt.Errorf("routing: local reroute for %d->%d exceeded %d top-switch visits", src, dst, r.maxVisits)
+	return links, fmt.Errorf("routing: local reroute for %d->%d exceeded %d top-switch visits", src, dst, r.maxVisits)
 }
 
 // pickTop draws a uniform healthy uplink of bottom switch b, avoiding the

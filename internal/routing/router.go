@@ -96,6 +96,22 @@ type PairLinkAppender interface {
 	AppendPairLinks(src, dst int, buf []topology.LinkID) ([]topology.LinkID, error)
 }
 
+// PatternLinkAppender is the Assignment-free fast path for
+// pattern-dependent routers (the adaptive schemes): the router plans the
+// whole pattern, then writes each pair's links into caller buffers instead
+// of materializing Path values, so a checker reusing the buffers scores a
+// pattern with only the plan's own allocations. Implementations must fail
+// exactly when Route fails, with the same error, and otherwise report
+// exactly the links of Route's paths.
+type PatternLinkAppender interface {
+	Router
+	// AppendPatternLinks routes p and appends, pair by pair in ascending
+	// source order (the order of Assignment.Pairs), the links of each
+	// pair's path to links, and the end offset in links of each pair's
+	// span to ends. Self-pairs contribute an empty span.
+	AppendPatternLinks(p *permutation.Permutation, links []topology.LinkID, ends []int) ([]topology.LinkID, []int, error)
+}
+
 // routePairwise assembles an Assignment for a pattern using a per-pair
 // path-set function.
 func routePairwise(net *topology.Network, p *permutation.Permutation, pathsFor func(s, d int) ([]topology.Path, error)) (*Assignment, error) {
