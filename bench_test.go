@@ -344,8 +344,8 @@ func BenchmarkWorstCaseSearch(b *testing.B) {
 }
 
 // BenchmarkOpenLoop times one full-load open-loop run on the nonblocking
-// network — the dense-event-core hot path (pooled packets, value-based
-// heap, slice-indexed link state).
+// network — the dense-event-core hot path (pooled packets, two-bucket
+// time wheel, slice-indexed link state).
 func BenchmarkOpenLoop(b *testing.B) {
 	f := fclos.NewNonblockingFtree(3, 12)
 	r, err := fclos.NewPaperDeterministic(f)

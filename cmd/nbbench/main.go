@@ -39,6 +39,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"testing"
 
 	fclos "repro"
@@ -50,13 +51,18 @@ import (
 // incompatible change to benchFile/benchResult.
 const benchSchemaVersion = 1
 
-// benchResult is one benchmark's measurement: min-of-reps timing, the
-// deterministic allocation profile, and a payload of simulator metrics
-// (accepted load, utilization, makespans) that double as correctness
-// anchors for the numbers being timed.
+// benchResult is one benchmark's measurement: min-of-reps timing (what
+// the gate compares), the median and relative spread of the reps' timings
+// (so a reader can tell box noise from a regression), the deterministic
+// allocation profile, and a payload of simulator metrics (accepted load,
+// utilization, makespans) that double as correctness anchors for the
+// numbers being timed.
 type benchResult struct {
-	Name     string             `json:"name"`
-	NsPerOp  float64            `json:"ns_op"`
+	Name     string  `json:"name"`
+	NsPerOp  float64 `json:"ns_op"`
+	NsMedian float64 `json:"ns_op_median,omitempty"`
+	// NsSpread is (max − min) / median of the reps' ns/op.
+	NsSpread float64            `json:"ns_op_spread,omitempty"`
 	BytesOp  int64              `json:"bytes_op"`
 	AllocsOp int64              `json:"allocs_op"`
 	Metrics  map[string]float64 `json:"metrics,omitempty"`
@@ -398,18 +404,17 @@ func buildBenchmarks() ([]benchmark, error) {
 
 // measure runs bm reps times under testing.Benchmark and keeps the
 // minimum per-op numbers: min-of-N filters scheduler noise, which only
-// ever slows a run down.
+// ever slows a run down. The median and spread of the timings ride along
+// to show how noisy the minimum is.
 func measure(bm benchmark, reps int) benchResult {
 	out := benchResult{Name: bm.name, Metrics: bm.met}
-	for i := 0; i < reps; i++ {
+	ns := make([]float64, reps)
+	for i := range ns {
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			bm.fn(b)
 		})
-		ns := float64(r.T.Nanoseconds()) / float64(r.N)
-		if i == 0 || ns < out.NsPerOp {
-			out.NsPerOp = ns
-		}
+		ns[i] = float64(r.T.Nanoseconds()) / float64(r.N)
 		if a := r.AllocsPerOp(); i == 0 || a < out.AllocsOp {
 			out.AllocsOp = a
 		}
@@ -417,7 +422,20 @@ func measure(bm benchmark, reps int) benchResult {
 			out.BytesOp = by
 		}
 	}
+	out.NsPerOp, out.NsMedian, out.NsSpread = summarize(ns)
 	return out
+}
+
+// summarize returns the minimum, the median and the relative spread
+// ((max − min) / median) of one benchmark's per-rep ns/op; it sorts ns.
+func summarize(ns []float64) (lo, median, spread float64) {
+	slices.Sort(ns)
+	n := len(ns)
+	median = ns[n/2]
+	if n%2 == 0 {
+		median = (ns[n/2-1] + ns[n/2]) / 2
+	}
+	return ns[0], median, (ns[n-1] - ns[0]) / median
 }
 
 // allocSlack is the allocs/op increase the gate tolerates over a baseline
@@ -498,8 +516,8 @@ func measureSuite(out io.Writer, outPath, cpuProfile, memProfile string, reps in
 	fresh := &benchFile{Schema: benchSchemaVersion, Go: runtime.Version()}
 	for _, bm := range benches {
 		res := measure(bm, reps)
-		fmt.Fprintf(out, "%-20s %12.0f ns/op %10d B/op %8d allocs/op\n",
-			res.Name, res.NsPerOp, res.BytesOp, res.AllocsOp)
+		fmt.Fprintf(out, "%-20s %12.0f ns/op (median %12.0f, spread %5.1f%%) %10d B/op %8d allocs/op\n",
+			res.Name, res.NsPerOp, res.NsMedian, 100*res.NsSpread, res.BytesOp, res.AllocsOp)
 		fresh.Results = append(fresh.Results, res)
 	}
 	if cpuProfile != "" {
@@ -562,10 +580,14 @@ func main() {
 		baselinePath = flag.String("baseline", "", "gate the measured results against this JSON baseline")
 		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the measured benchmark bodies to this path")
 		memProfile   = flag.String("memprofile", "", "write a post-GC heap profile to this path after measuring")
-		reps         = flag.Int("reps", 3, "benchmark repetitions; min-of-reps is reported")
+		reps         = flag.Int("reps", 3, "benchmark repetitions; min-of-reps is gated, median and spread are reported")
 		nsRegress    = flag.Float64("max-ns-regress", 0.25, "allowed fractional ns/op regression before the gate fails")
 	)
 	flag.Parse()
+	if *reps < 1 {
+		fmt.Fprintln(os.Stderr, "nbbench: -reps must be at least 1")
+		os.Exit(2)
+	}
 	fresh, err := measureSuite(os.Stdout, *outPath, *cpuProfile, *memProfile, *reps)
 	if err == nil && *baselinePath != "" {
 		err = gateAgainst(os.Stdout, fresh, *baselinePath, *nsRegress)

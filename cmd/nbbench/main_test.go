@@ -132,6 +132,22 @@ func TestMeasureMinOfReps(t *testing.T) {
 	}
 }
 
+func TestSummarizeMedianAndSpread(t *testing.T) {
+	for _, c := range []struct {
+		ns                 []float64
+		lo, median, spread float64
+	}{
+		{[]float64{5}, 5, 5, 0},
+		{[]float64{300, 100, 200}, 100, 200, 1},
+		{[]float64{400, 100, 200, 300}, 100, 250, 1.2},
+	} {
+		lo, median, spread := summarize(c.ns)
+		if lo != c.lo || median != c.median || spread != c.spread {
+			t.Errorf("summarize(%v) = %v, %v, %v; want %v, %v, %v", c.ns, lo, median, spread, c.lo, c.median, c.spread)
+		}
+	}
+}
+
 func TestBuildBenchmarksConstructs(t *testing.T) {
 	benches, err := buildBenchmarks()
 	if err != nil {

@@ -70,6 +70,7 @@ func RunFtreeAdaptive(f *topology.FoldedClos, p *permutation.Permutation, cfg Co
 	// keyFlowOrder: the adaptive engine's OldestFirst historically
 	// arbitrates by (flow, idx) alone.
 	c := newEventCore(nLinks, len(pairs), L, cfg.Arbiter, keyFlowOrder)
+	c.reserve(len(pairs) * cfg.PacketsPerPair)
 	c.linkBusy = res.LinkBusy
 	if cfg.Collector != nil {
 		cfg.Collector.BeginRun(nLinks, L)
@@ -151,9 +152,9 @@ func RunFtreeAdaptive(f *topology.FoldedClos, p *permutation.Permutation, cfg Co
 			bestT, bestCost := 0, int64(1<<62)
 			for off := 0; off < f.M; off++ {
 				t := (off + int(pkt.idx)) % f.M
-				cost := c.linkFreeAt[f.UpLink(sv, t)] + int64(len(c.queues[f.UpLink(sv, t)]))*L
+				cost := c.linkFreeAt[f.UpLink(sv, t)] + int64(c.qLen[f.UpLink(sv, t)])*L
 				if mode == AdaptOracle {
-					dc := c.linkFreeAt[f.DownLink(t, dv)] + int64(len(c.queues[f.DownLink(t, dv)]))*L
+					dc := c.linkFreeAt[f.DownLink(t, dv)] + int64(c.qLen[f.DownLink(t, dv)])*L
 					if dc > cost {
 						cost = dc
 					}

@@ -1,15 +1,43 @@
 package sim
 
-import "repro/internal/topology"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+
+	"repro/internal/topology"
+)
 
 // The shared dense event core behind all three simulation engines (Run,
 // RunFtreeAdaptive, OpenLoop). Link IDs are small consecutive integers, so
 // every piece of per-link state — queues, free times, round-robin cursors,
 // busy accounting — lives in slices indexed by LinkID. Packets live in one
-// pooled slice and are referenced by index, and the event heap stores
-// events by value, so a simulation performs O(1) heap allocations total
-// regardless of packet count: the engines that previously allocated one
-// object per packet and two per hop now only grow a handful of slices.
+// pooled slice and are referenced by index; a link's queue is a FIFO list
+// threaded through the pool. Every buffer is sized once, from the link
+// count and the engine's known packet count, so a run performs the same
+// number of heap allocations regardless of how many packets it simulates.
+//
+// Events live on a two-bucket time wheel instead of a priority queue. The
+// wheel is exact because every event lands on a multiple of the packet
+// length L: injections sit on L-cycle slots (cycle 0 for the closed-loop
+// engines), and tryStart, the only other scheduler, always schedules both
+// the started packet's arrival at its next node and the link's
+// re-arbitration at now+L. Ordered by (time, packet before link free,
+// push order) — the order the simulators have always used — one cycle
+// therefore pops
+//
+//  1. that cycle's injections, in push order (all injections are pushed
+//     before the event loop starts, so they precede everything else);
+//  2. the packet arrivals scheduled during the previous cycle, in
+//     scheduling order;
+//  3. the link frees scheduled during the previous cycle, in scheduling
+//     order.
+//
+// So the core keeps the injections in one list sorted once by (time, pool
+// index), plus a current and a next bucket of arrivals and link frees. A
+// link starts at most one packet per cycle, so a bucket never holds more
+// than one entry per link. Each event costs O(1); an idle gap jumps
+// straight to the next injection.
 //
 // The core is NOT safe for concurrent use; the multi-run drivers in
 // drivers.go give each goroutine its own engine run.
@@ -42,9 +70,10 @@ type corePacket struct {
 	idx      int32
 	path     int32
 	hop      int32
+	next     int32 // next packet in the same link queue; -1 = tail
+	measured bool  // inside the measurement window (open loop)
 	arbKey   int64 // OldestFirst key, maintained per arbKeyPolicy
 	injected int64 // injection cycle (open loop)
-	measured bool  // inside the measurement window (open loop)
 }
 
 // coreEvent is a simulator event: a packet (by pool index) becoming ready
@@ -53,7 +82,6 @@ type corePacket struct {
 // same cycle so a freed link sees every packet that arrived this cycle.
 type coreEvent struct {
 	time int64
-	seq  int64 // tie-break for determinism
 	pkt  int32 // pool index, or linkFreeEvent
 	link topology.LinkID
 }
@@ -61,17 +89,13 @@ type coreEvent struct {
 // linkFreeEvent marks a coreEvent as a link-free event.
 const linkFreeEvent = int32(-1)
 
-func coreEventLess(a, b *coreEvent) bool {
-	if a.time != b.time {
-		return a.time < b.time
-	}
-	if (a.pkt < 0) != (b.pkt < 0) {
-		return b.pkt < 0 // packet arrivals first
-	}
-	return a.seq < b.seq
+// injection is a packet scheduled before the event loop starts.
+type injection struct {
+	time int64
+	pkt  int32
 }
 
-// eventCore bundles the event heap, the pooled packets and the dense
+// eventCore bundles the event wheel, the pooled packets and the dense
 // per-link state shared by every engine.
 type eventCore struct {
 	L         int64        // packet length in flits = cycles per link
@@ -79,13 +103,34 @@ type eventCore struct {
 	keyPolicy arbKeyPolicy // OldestFirst key semantics
 	nFlows    int32        // round-robin wrap modulus
 
-	pkts       []corePacket
-	heap       []coreEvent
-	seq        int64
-	queues     [][]int32 // queued packet pool indices, per link
-	linkFreeAt []int64
-	rrLast     []int32 // last served flow per link; -1 = none yet
-	linkBusy   []int64 // optional busy accounting (aliases Result.LinkBusy)
+	pkts []corePacket
+
+	// Injections, sorted by (time, pool index) on the first pop; injNext
+	// is the next one to pop.
+	inj     []injection
+	injNext int
+	sorted  bool
+
+	// The wheel: now is the cycle being popped, curPkts/curFree its
+	// arrivals and link frees (consumed up to curPkt/curFreeI), and
+	// nextPkts/nextFree the ones tryStart scheduled for cycle nextAt.
+	// tryStart appends to both next buckets at once, so they are empty
+	// together.
+	now      int64
+	curPkts  []int32
+	curFree  []topology.LinkID
+	curPkt   int
+	curFreeI int
+	nextPkts []int32
+	nextFree []topology.LinkID
+	nextAt   int64
+
+	// Per-link FIFO queues threaded through corePacket.next: head and
+	// tail pool indices (valid while qLen > 0) and the queue length.
+	qHead, qTail, qLen []int32
+	linkFreeAt         []int64
+	rrLast             []int32 // last served flow per link; -1 = none yet
+	linkBusy           []int64 // optional busy accounting (aliases Result.LinkBusy)
 
 	// Observability: nil met = off. Every hook hides behind one nil
 	// check, so a collector-less run pays nothing; per-packet wait
@@ -102,7 +147,13 @@ func newEventCore(nLinks, nFlows int, L int64, arb Arbiter, pol arbKeyPolicy) *e
 		arb:        arb,
 		keyPolicy:  pol,
 		nFlows:     int32(nFlows),
-		queues:     make([][]int32, nLinks),
+		curPkts:    make([]int32, 0, nLinks),
+		curFree:    make([]topology.LinkID, 0, nLinks),
+		nextPkts:   make([]int32, 0, nLinks),
+		nextFree:   make([]topology.LinkID, 0, nLinks),
+		qHead:      make([]int32, nLinks),
+		qTail:      make([]int32, nLinks),
+		qLen:       make([]int32, nLinks),
 		linkFreeAt: make([]int64, nLinks),
 		rrLast:     make([]int32, nLinks),
 	}
@@ -112,130 +163,150 @@ func newEventCore(nLinks, nFlows int, L int64, arb Arbiter, pol arbKeyPolicy) *e
 	return c
 }
 
+// reserve sizes the packet pool and the injection list for n packets.
+func (c *eventCore) reserve(n int) {
+	c.pkts = make([]corePacket, 0, n)
+	c.inj = make([]injection, 0, n)
+}
+
 // newPacket appends p to the pool and returns its index.
 func (c *eventCore) newPacket(p corePacket) int32 {
 	c.pkts = append(c.pkts, p)
 	return int32(len(c.pkts) - 1)
 }
 
-// pushPacket schedules packet pi to compete for its next link at cycle t.
+// pushPacket schedules packet pi to be injected at cycle t. Every
+// injection must be pushed before the event loop schedules anything, on
+// a multiple of the packet length: the wheel's ordering argument rests on
+// both, so a violation panics instead of silently reordering events.
 func (c *eventCore) pushPacket(t int64, pi int32) {
-	c.push(coreEvent{time: t, pkt: pi})
-}
-
-// pushLinkFree schedules link l to re-arbitrate at cycle t.
-func (c *eventCore) pushLinkFree(t int64, l topology.LinkID) {
-	c.push(coreEvent{time: t, pkt: linkFreeEvent, link: l})
-}
-
-func (c *eventCore) push(e coreEvent) {
-	e.seq = c.seq
-	c.seq++
-	h := append(c.heap, e)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !coreEventLess(&h[i], &h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
+	if c.sorted || len(c.nextFree) > 0 {
+		panic("sim: pushPacket after the event loop started")
 	}
-	c.heap = h
+	if t%c.L != 0 {
+		panic(fmt.Sprintf("sim: injection at cycle %d is not a multiple of the packet length %d", t, c.L))
+	}
+	c.inj = append(c.inj, injection{time: t, pkt: pi})
 }
 
-func (c *eventCore) empty() bool { return len(c.heap) == 0 }
+// empty reports whether no event is left. The current bucket's link frees
+// pop after its arrivals, so curFree alone tells whether it is drained.
+func (c *eventCore) empty() bool {
+	return c.injNext == len(c.inj) && c.curFreeI == len(c.curFree) && len(c.nextFree) == 0
+}
 
+// pop removes and returns the next event; the core must not be empty.
 func (c *eventCore) pop() coreEvent {
-	h := c.heap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(h) && coreEventLess(&h[l], &h[m]) {
-			m = l
-		}
-		if r < len(h) && coreEventLess(&h[r], &h[m]) {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
+	if !c.sorted {
+		// Pool indices grow in push order, so (time, pool index) is the
+		// push order within a cycle; the keys are unique, so an unstable
+		// sort suffices.
+		slices.SortFunc(c.inj, func(a, b injection) int {
+			if a.time != b.time {
+				return cmp.Compare(a.time, b.time)
+			}
+			return cmp.Compare(a.pkt, b.pkt)
+		})
+		c.sorted = true
 	}
-	c.heap = h
-	return top
+	for {
+		if c.injNext < len(c.inj) && c.inj[c.injNext].time == c.now {
+			c.injNext++
+			return coreEvent{time: c.now, pkt: c.inj[c.injNext-1].pkt}
+		}
+		if c.curPkt < len(c.curPkts) {
+			c.curPkt++
+			return coreEvent{time: c.now, pkt: c.curPkts[c.curPkt-1]}
+		}
+		if c.curFreeI < len(c.curFree) {
+			c.curFreeI++
+			return coreEvent{time: c.now, pkt: linkFreeEvent, link: c.curFree[c.curFreeI-1]}
+		}
+		c.advance()
+	}
 }
 
-// arbitrate picks the queue position the link serves next. OldestFirst
-// orders by (arbKey, flow, idx); RoundRobin orders flows cyclically after
-// the last served one, wrapping modulo the flow count (a fresh link,
-// rrLast = -1, serves flows in ascending order starting at flow 0), with
-// packet idx breaking same-flow ties.
-func (c *eventCore) arbitrate(l topology.LinkID, q []int32) int {
-	best := 0
+// advance moves the wheel to the earliest pending cycle once the current
+// one is drained: the next bucket's cycle, or across an idle gap to the
+// next injection, whichever comes first.
+func (c *eventCore) advance() {
+	pending := len(c.nextFree) > 0
+	if c.injNext < len(c.inj) {
+		if t := c.inj[c.injNext].time; !pending || t < c.nextAt {
+			c.now = t
+			return
+		}
+	} else if !pending {
+		panic("sim: pop on an empty event core")
+	}
+	c.curPkts, c.nextPkts = c.nextPkts, c.curPkts[:0]
+	c.curFree, c.nextFree = c.nextFree, c.curFree[:0]
+	c.curPkt, c.curFreeI = 0, 0
+	c.now = c.nextAt
+}
+
+// arbitrate picks the packet link l serves next from its non-empty queue
+// and returns it with its predecessor in the queue (-1 at the head).
+// OldestFirst orders by (arbKey, flow, idx); RoundRobin orders flows
+// cyclically after the last served one, wrapping modulo the flow count (a
+// fresh link, rrLast = -1, serves flows in ascending order starting at
+// flow 0), with packet idx breaking same-flow ties. Exact ties keep the
+// earlier-queued packet.
+func (c *eventCore) arbitrate(l topology.LinkID) (best, prev int32) {
+	best, prev = c.qHead[l], -1
+	b := &c.pkts[best]
 	switch c.arb {
 	case OldestFirst:
-		for i := 1; i < len(q); i++ {
-			a, b := &c.pkts[q[i]], &c.pkts[q[best]]
-			if a.arbKey != b.arbKey {
-				if a.arbKey < b.arbKey {
-					best = i
-				}
-				continue
-			}
-			if a.flow != b.flow {
-				if a.flow < b.flow {
-					best = i
-				}
-				continue
-			}
-			if a.idx < b.idx {
-				best = i
+		for q, pi := best, b.next; pi >= 0; q, pi = pi, c.pkts[pi].next {
+			a := &c.pkts[pi]
+			if a.arbKey < b.arbKey || a.arbKey == b.arbKey &&
+				(a.flow < b.flow || a.flow == b.flow && a.idx < b.idx) {
+				best, prev, b = pi, q, a
 			}
 		}
 	case RoundRobin:
 		last := c.rrLast[l]
-		bestKey := c.nFlows // keys are in [0, nFlows)
-		for i, pi := range q {
-			p := &c.pkts[pi]
-			key := p.flow - last - 1
-			if key < 0 {
-				key += c.nFlows
+		key := func(p *corePacket) int32 {
+			k := p.flow - last - 1
+			if k < 0 {
+				k += c.nFlows
 			}
-			if key < bestKey || (key == bestKey && p.idx < c.pkts[q[best]].idx) {
-				bestKey = key
-				best = i
+			return k
+		}
+		bestKey := key(b)
+		for q, pi := best, b.next; pi >= 0; q, pi = pi, c.pkts[pi].next {
+			a := &c.pkts[pi]
+			if k := key(a); k < bestKey || k == bestKey && a.idx < b.idx {
+				best, prev, b, bestKey = pi, q, a, k
 			}
 		}
 	}
-	return best
+	return best, prev
 }
 
 // tryStart arbitrates link l at cycle now: if the link is free and has
 // queued packets it dequeues the winner, occupies the link for L cycles,
 // advances the packet's hop and schedules both the packet's arrival at the
-// next node and the link's re-arbitration. Returns the started packet's
-// pool index, or -1 if the link stays idle.
+// next node and the link's re-arbitration at now+L. Returns the started
+// packet's pool index, or -1 if the link stays idle.
 func (c *eventCore) tryStart(l topology.LinkID, now int64) int32 {
-	if c.linkFreeAt[l] > now {
+	if c.linkFreeAt[l] > now || c.qLen[l] == 0 {
 		return -1
 	}
-	q := c.queues[l]
-	if len(q) == 0 {
-		return -1
-	}
-	best := c.arbitrate(l, q)
-	pi := q[best]
-	c.queues[l] = append(q[:best], q[best+1:]...)
+	pi, prev := c.arbitrate(l)
 	p := &c.pkts[pi]
+	if prev < 0 {
+		c.qHead[l] = p.next
+	} else {
+		c.pkts[prev].next = p.next
+	}
+	if c.qTail[l] == pi {
+		c.qTail[l] = prev
+	}
+	c.qLen[l]--
 	c.rrLast[l] = p.flow
-	c.linkFreeAt[l] = now + c.L
+	at := now + c.L
+	c.linkFreeAt[l] = at
 	if c.linkBusy != nil {
 		c.linkBusy[l] += c.L
 	}
@@ -244,20 +315,32 @@ func (c *eventCore) tryStart(l topology.LinkID, now int64) int32 {
 	}
 	p.hop++
 	if c.keyPolicy == keyReadyAt {
-		p.arbKey = now + c.L
+		p.arbKey = at
 	}
-	c.pushPacket(now+c.L, pi)
-	c.pushLinkFree(now+c.L, l)
+	if len(c.nextFree) == 0 {
+		c.nextAt = at
+	} else if at != c.nextAt {
+		panic(fmt.Sprintf("sim: event scheduled for cycle %d while cycle %d is pending", at, c.nextAt))
+	}
+	c.nextPkts = append(c.nextPkts, pi)
+	c.nextFree = append(c.nextFree, l)
 	return pi
 }
 
-// enqueue adds packet pi to link l's queue and starts it immediately if
-// the link is idle. stage classifies the hop for the metrics layer and is
-// ignored when no collector is attached.
+// enqueue appends packet pi to link l's queue and starts it immediately
+// if the link is idle. stage classifies the hop for the metrics layer and
+// is ignored when no collector is attached.
 func (c *eventCore) enqueue(l topology.LinkID, pi int32, now int64, stage int) {
 	if c.met != nil {
 		c.met.PacketQueued(l, pi, stage, now)
 	}
-	c.queues[l] = append(c.queues[l], pi)
+	c.pkts[pi].next = -1
+	if c.qLen[l] == 0 {
+		c.qHead[l] = pi
+	} else {
+		c.pkts[c.qTail[l]].next = pi
+	}
+	c.qTail[l] = pi
+	c.qLen[l]++
 	c.tryStart(l, now)
 }

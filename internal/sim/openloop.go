@@ -114,23 +114,23 @@ func OpenLoop(net *topology.Network, pairs [][2]int, pathsFor func(s, d int) ([]
 	}
 
 	totalPerFlow := cfg.WarmupPackets + cfg.MeasuredPackets
-	// Pre-draw injection times: a Bernoulli(rate) process per packet slot
-	// of width L cycles approximates rate·capacity offered load.
-	injections := make([][]int64, len(pairs))
-	for i := range pairs {
-		times := make([]int64, 0, totalPerFlow)
+	// Pre-draw injection times, flow by flow: a Bernoulli(rate) process
+	// per packet slot of width L cycles approximates rate·capacity offered
+	// load. Flow fi's times are injections[fi*totalPerFlow:][:totalPerFlow].
+	injections := make([]int64, len(pairs)*totalPerFlow)
+	for i := 0; i < len(injections); i += totalPerFlow {
 		var t int64
-		for len(times) < totalPerFlow {
+		for k := i; k < i+totalPerFlow; t += L {
 			if rng.Float64() < cfg.Rate {
-				times = append(times, t)
+				injections[k] = t
+				k++
 			}
-			t += L
 		}
-		injections[i] = times
 	}
 
 	res := &OpenLoopResult{OfferedLoad: cfg.Rate}
 	c := newEventCore(net.NumLinks(), len(pairs), L, cfg.Arbiter, keyInjection)
+	c.reserve(len(injections))
 	if cfg.Collector != nil {
 		cfg.Collector.BeginRun(net.NumLinks(), L)
 		c.met = cfg.Collector
@@ -145,7 +145,7 @@ func OpenLoop(net *topology.Network, pairs [][2]int, pathsFor func(s, d int) ([]
 	// delivered; zero-hop (self-pair) packets never enter the network.
 	outstanding := 0
 	for fi := range pairs {
-		for k, t := range injections[fi] {
+		for k, t := range injections[fi*totalPerFlow:][:totalPerFlow] {
 			measured := k >= cfg.WarmupPackets
 			if measured && (firstMeasuredInjection == -1 || t < firstMeasuredInjection) {
 				firstMeasuredInjection = t

@@ -194,6 +194,7 @@ func Run(net *topology.Network, flows []Flow, cfg Config) (*Result, error) {
 	}
 
 	c := newEventCore(nLinks, len(flows), L, cfg.Arbiter, keyReadyAt)
+	c.reserve(len(flows) * cfg.PacketsPerPair)
 	c.linkBusy = res.LinkBusy
 	if cfg.Collector != nil {
 		cfg.Collector.BeginRun(nLinks, L)
