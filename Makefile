@@ -11,7 +11,7 @@ RACE_PKGS ?= ./internal/sim/ ./internal/analysis/ ./internal/routing/ ./internal
 FUZZTIME ?= 30s
 FUZZ_TARGETS := ./internal/routing/:FuzzEdgeColorBipartite ./internal/routing/:FuzzBenesLooping ./internal/routing/:FuzzRouteTableParity ./internal/permutation/:FuzzCanonicalParity ./internal/permutation/:FuzzParse ./internal/analysis/:FuzzLemma1Parity
 
-.PHONY: all build test race cover bench bench-json bench-gate fuzz-smoke batch-smoke coordinator-smoke frontier-smoke design-smoke fault-smoke nbperf-check report report-check tables tables-check examples examples-check clean
+.PHONY: all build test race cover bench bench-json bench-gate fuzz-smoke batch-smoke coordinator-smoke frontier-smoke design-smoke fault-smoke nbperf-check report report-check tables tables-check examples examples-check loc clean
 
 all: build test
 
@@ -75,6 +75,12 @@ race:
 # target vets and tests it so a library change cannot break it unseen.
 nbperf-check:
 	cd nbperf && $(GO) vet ./... && $(GO) test ./...
+
+# Non-test Go line count of the main module, excluding the separate
+# nbperf/ benchmark module: the figure a simplicity change reports its net
+# deletion in.
+loc:
+	@find . -path ./nbperf -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
 
 cover:
 	$(GO) test -coverprofile=cover.out ./internal/...

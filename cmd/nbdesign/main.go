@@ -21,7 +21,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -153,34 +152,10 @@ func runRemote(ctx context.Context, addr string, cat *api.DesignCatalog, noPrune
 	if !strings.Contains(addr, "://") {
 		addr = "http://" + addr
 	}
-	body, err := json.Marshal(api.DesignRequest{Catalog: *cat, NoPrune: noPrune, TimeoutMs: timeoutMs})
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, strings.TrimRight(addr, "/")+"/v1/design", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		var e api.ErrorReport
-		if json.Unmarshal(out, &e) == nil && e.Error != "" {
-			return nil, fmt.Errorf("%s: %s", resp.Status, e.Error)
-		}
-		return nil, fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(out)))
-	}
 	var rep api.DesignReport
-	if err := json.Unmarshal(out, &rep); err != nil {
-		return nil, fmt.Errorf("decode report: %w", err)
+	req := api.DesignRequest{Catalog: *cat, NoPrune: noPrune, TimeoutMs: timeoutMs}
+	if err := api.PostJSON(ctx, strings.TrimRight(addr, "/")+"/v1/design", &req, http.StatusOK, &rep); err != nil {
+		return nil, err
 	}
 	return &rep, nil
 }

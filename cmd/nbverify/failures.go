@@ -1,10 +1,7 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -77,34 +74,9 @@ func runFailuresRemote(ctx context.Context, out io.Writer, remote string, n, m, 
 			Sim:         o.sim,
 		},
 	}
-	body, err := json.Marshal(&q)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, remote+"/v1/failures", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<24))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		var er api.ErrorReport
-		if json.Unmarshal(raw, &er) == nil && er.Error != "" {
-			return fmt.Errorf("remote rejected campaign (%d): %s", resp.StatusCode, er.Error)
-		}
-		return fmt.Errorf("remote rejected campaign: status %d", resp.StatusCode)
-	}
 	var rep api.FailuresReport
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		return fmt.Errorf("decode campaign report: %w", err)
+	if err := api.PostJSON(ctx, remote+"/v1/failures", &q, http.StatusOK, &rep); err != nil {
+		return err
 	}
 	campaign.Render(out, &rep)
 	return nil

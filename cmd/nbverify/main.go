@@ -100,11 +100,6 @@ func main() {
 	}
 }
 
-// run keeps the pre-context signature for tests and in-process callers.
-func run(out io.Writer, n, m, r int, scheme string, trials int, seed int64, maxExh int, firstBlocked, verbose bool, pattern string) error {
-	return runCtx(context.Background(), out, n, m, r, scheme, 0, trials, seed, maxExh, firstBlocked, false, verbose, pattern)
-}
-
 func runCtx(ctx context.Context, out io.Writer, n, m, r int, scheme string, sprayWidth, trials int, seed int64, maxExh int, firstBlocked, sym, verbose bool, pattern string) error {
 	f := topology.NewFoldedClos(n, m, r)
 	fmt.Fprintf(out, "network: %s (%d hosts, %d switches)\n", f.Net.Name, f.Ports(), f.Switches())

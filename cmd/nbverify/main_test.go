@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -9,8 +10,8 @@ import (
 func verify(t *testing.T, n, m, r int, scheme, pattern string) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := run(&buf, n, m, r, scheme, 50, 1, 8, false, true, pattern); err != nil {
-		t.Fatalf("run(%s): %v", scheme, err)
+	if err := runCtx(context.Background(), &buf, n, m, r, scheme, 0, 50, 1, 8, false, false, true, pattern); err != nil {
+		t.Fatalf("runCtx(%s): %v", scheme, err)
 	}
 	return buf.String()
 }
@@ -87,16 +88,16 @@ func TestVerifyExplicitPattern(t *testing.T) {
 
 func TestVerifyErrors(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, 2, 4, 5, "nosuch", 10, 1, 8, false, false, ""); err == nil {
+	if err := runCtx(context.Background(), &buf, 2, 4, 5, "nosuch", 0, 10, 1, 8, false, false, false, ""); err == nil {
 		t.Fatal("unknown scheme accepted")
 	}
-	if err := run(&buf, 2, 3, 5, "paper", 10, 1, 8, false, false, ""); err == nil {
+	if err := runCtx(context.Background(), &buf, 2, 3, 5, "paper", 0, 10, 1, 8, false, false, false, ""); err == nil {
 		t.Fatal("paper with m<n² should error")
 	}
-	if err := run(&buf, 2, 4, 5, "paper", 10, 1, 8, false, false, "bogus"); err == nil {
+	if err := runCtx(context.Background(), &buf, 2, 4, 5, "paper", 0, 10, 1, 8, false, false, false, "bogus"); err == nil {
 		t.Fatal("malformed pattern accepted")
 	}
-	if err := run(&buf, 2, 1, 4, "adaptive", 10, 1, 99, false, false, ""); err == nil {
+	if err := runCtx(context.Background(), &buf, 2, 1, 4, "adaptive", 0, 10, 1, 99, false, false, false, ""); err == nil {
 		t.Fatal("adaptive m=1 sweep should surface route error")
 	}
 }
@@ -105,7 +106,7 @@ func TestVerifyFirstBlockedStopsEarly(t *testing.T) {
 	// greedy-local on 2+4,5 blocks; first-blocked mode must stop at the
 	// first contended pattern instead of sweeping all 10!.
 	var buf bytes.Buffer
-	if err := run(&buf, 2, 4, 5, "greedy-local", 50, 1, 10, true, false, ""); err != nil {
+	if err := runCtx(context.Background(), &buf, 2, 4, 5, "greedy-local", 0, 50, 1, 10, true, false, false, ""); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	out := buf.String()

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -37,12 +36,8 @@ func runRemote(ctx context.Context, out io.Writer, remote string, q *api.Request
 	if !strings.Contains(remote, "://") {
 		remote = "http://" + remote
 	}
-	body, err := json.Marshal(q)
-	if err != nil {
-		return err
-	}
-	acc, err := postSweep(ctx, remote, body)
-	if err != nil {
+	var acc api.SweepAccepted
+	if err := api.PostJSON(ctx, remote+"/v1/verify/sweep", q, http.StatusAccepted, &acc); err != nil {
 		return err
 	}
 	if acc.Workers > 0 {
@@ -71,35 +66,6 @@ func runRemote(ctx context.Context, out io.Writer, remote string, q *api.Request
 	}
 	report(out, res, "exhaustive")
 	return nil
-}
-
-func postSweep(ctx context.Context, remote string, body []byte) (*api.SweepAccepted, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, remote+"/v1/verify/sweep", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		var er api.ErrorReport
-		if json.Unmarshal(out, &er) == nil && er.Error != "" {
-			return nil, fmt.Errorf("remote rejected sweep (%d): %s", resp.StatusCode, er.Error)
-		}
-		return nil, fmt.Errorf("remote rejected sweep: status %d", resp.StatusCode)
-	}
-	var acc api.SweepAccepted
-	if err := json.Unmarshal(out, &acc); err != nil {
-		return nil, fmt.Errorf("decode sweep acceptance: %w", err)
-	}
-	return &acc, nil
 }
 
 // followEvents consumes the job's SSE stream, printing one progress line

@@ -28,7 +28,7 @@ func badRequest(format string, args ...any) error {
 // normalize fills CLI-equivalent defaults in place. It runs before
 // validation and cache keying, so a request spelling out the defaults and
 // one omitting them share a cache entry. It only fills absent values —
-// range enforcement is Job.Validate's (validateCommon's) responsibility,
+// range enforcement is endpoint.prepare's (validateCommon's) responsibility,
 // and Seed distinguishes absent (nil → 1) from an explicit zero.
 func normalize(q *api.Request) {
 	if q.Topo == "" {
@@ -97,8 +97,9 @@ type target struct {
 	ftree  *topology.FoldedClos // nil for mnt
 }
 
-// buildTarget mirrors the nbsim/nbverify construction switches. Every
-// failure is a bad request: the engines only see targets that exist.
+// buildTarget constructs the requested topology and router by their CLI
+// names (routing.NewFtreeRouter on ftree). Every failure is a bad request:
+// the engines only see targets that exist.
 func buildTarget(q *api.Request) (*target, error) {
 	switch q.Topo {
 	case "ftree":
@@ -309,23 +310,19 @@ func runWorstCase(ctx context.Context, q *api.Request) (any, error) {
 	return rep, nil
 }
 
-// runSim answers POST /v1/sim with the `nbsim -json` report. The packet
-// simulators do not poll mid-run — cancellation is honored between the
-// queue and the start of the simulation — so deadlines bound queue wait
-// plus one run.
+// runSim answers POST /v1/sim and nbsim with the `nbsim -json` report;
+// validateSim has pinned the arbiter, the pattern name and open_loop's
+// topology. The packet simulators do not poll mid-run — cancellation is
+// honored between the queue and the start of the simulation — so
+// deadlines bound queue wait plus one run.
 func runSim(ctx context.Context, q *api.Request) (any, error) {
 	t, err := buildTarget(q)
 	if err != nil {
 		return nil, err
 	}
-	cfg := sim.Config{PacketFlits: q.Flits, PacketsPerPair: q.Pkts, Seed: q.SeedValue()}
-	switch q.Arbiter {
-	case "round-robin":
-		cfg.Arbiter = sim.RoundRobin
-	case "oldest-first":
+	cfg := sim.Config{PacketFlits: q.Flits, PacketsPerPair: q.Pkts, Seed: q.SeedValue(), Arbiter: sim.RoundRobin}
+	if q.Arbiter == "oldest-first" {
 		cfg.Arbiter = sim.OldestFirst
-	default:
-		return nil, badRequest("unknown arbiter %q", q.Arbiter)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -337,9 +334,6 @@ func runSim(ctx context.Context, q *api.Request) (any, error) {
 	}
 
 	if q.OpenLoop {
-		if t.ftree == nil {
-			return nil, badRequest("open_loop supports topo ftree only")
-		}
 		pr, ok := t.router.(routing.PairRouter)
 		if !ok {
 			return nil, badRequest("open_loop needs a single-path deterministic routing (got %s)", t.router.Name())

@@ -11,10 +11,10 @@ import (
 	"repro/internal/design"
 )
 
-// designOp is the metrics key of POST /v1/design. The endpoint is not a
-// Job: its body is a DesignRequest, not a Request, and its tier-2 probes
-// are the jobs — each one fans through the bounded worker pool and the
-// shared result store exactly like a POST /v1/verify would.
+// designOp is the metrics key of POST /v1/design. It is not in the
+// endpoint registry: its body is a DesignRequest, not a Request, and its
+// tier-2 probes are the jobs — each one fans through the bounded worker
+// pool and the shared result store exactly like a POST /v1/verify would.
 const designOp = "design"
 
 // IsBadRequest reports whether err is (or wraps) a request-validation
@@ -25,27 +25,12 @@ func IsBadRequest(err error) bool {
 	return errors.As(err, &errBadRequest{})
 }
 
-// RunVerifyRequest answers one verification request with POST /v1/verify
-// semantics — normalize, validate, run — without a server instance.
-// cmd/nbdesign's local mode feeds the planner through this.
-func RunVerifyRequest(ctx context.Context, q *api.Request) (*api.VerifyReport, error) {
-	normalize(q)
-	if err := verifyJob.Validate(q); err != nil {
-		return nil, err
-	}
-	out, err := runVerify(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	return out.(*api.VerifyReport), nil
-}
-
 // VerifyCacheKey returns the canonical result-store key POST /v1/verify
 // computes for q. The design planner memoizes probes under exactly these
 // keys (a parity test pins it), so explorer and server share one cache.
 func VerifyCacheKey(q api.Request) string {
 	normalize(&q)
-	return verifyJob.Key(&q)
+	return verifyEndpoint.key(&q)
 }
 
 // designVerifier adapts the worker pool to the planner's VerifyFunc: each
@@ -55,8 +40,7 @@ func VerifyCacheKey(q api.Request) string {
 // the whole plan.
 func (s *Server) designVerifier() design.VerifyFunc {
 	return func(ctx context.Context, q *api.Request) (*api.VerifyReport, error) {
-		normalize(q)
-		if err := verifyJob.Validate(q); err != nil {
+		if err := verifyEndpoint.prepare(q); err != nil {
 			if IsBadRequest(err) {
 				return nil, fmt.Errorf("%w: %v", design.ErrInfeasible, err)
 			}

@@ -44,15 +44,6 @@ func normalizeFailures(q *api.Request) {
 }
 
 func validateFailures(q *api.Request) error {
-	if len(q.ShardPrefix) > 0 {
-		return badRequest("shard_prefix is only valid on /v1/verify/shard")
-	}
-	if len(q.SymShard) > 0 {
-		return badRequest("sym_shard is only valid on /v1/verify/shard")
-	}
-	if q.SymReduce {
-		return badRequest("sym_reduce is only valid on verify endpoints")
-	}
 	if q.Topo != "ftree" {
 		return badRequest("fault campaigns support topo ftree only (have %q)", q.Topo)
 	}

@@ -7,71 +7,97 @@ import (
 	"repro/internal/api"
 )
 
-// Job is one engine behind the HTTP surface. The three endpoints (verify,
-// worstcase, sim) are instances of this interface, and everything above it
-// — the handler pipeline, the result store, the batch endpoint — is
-// engine-agnostic: decode → normalize → Validate → Key → store lookup →
-// Run on the worker pool → Encode → store fill. Adding an engine is one
-// registry entry, and a validation rule added here holds on every path
-// that can reach a worker (single requests and batch items alike).
-type Job interface {
-	// Op names the job: its /v1/<op> route and its metrics key.
-	Op() string
-	// Validate rejects out-of-range or dangerous parameters with an
-	// errBadRequest before the request can occupy a worker. It runs on
-	// normalized requests.
-	Validate(q *api.Request) error
-	// Key is the canonical result-store key for a normalized request.
-	// Equal keys compute byte-identical responses.
-	Key(q *api.Request) string
-	// Run executes the engine under ctx (deadline + client disconnect).
-	Run(ctx context.Context, q *api.Request) (any, error)
-	// Encode marshals Run's report into the response body bytes.
-	Encode(v any) ([]byte, error)
-}
-
-// jobDef is the shared Job implementation: a name plus validate/run hooks.
-// Key and Encode are uniform across engines (canonicalized request key,
-// JSON body).
-type jobDef struct {
-	op       string
-	validate func(q *api.Request) error
+// endpoint is one engine behind the HTTP surface: verify, verify/shard,
+// worstcase, sim and failures. Every caller of an engine — the handler
+// pipeline, batch items, sweeps, design probes and the CLIs — enters
+// through the same path: prepare (normalize → validate), key, then run on
+// a worker. A validation rule added here therefore holds on every path
+// that can reach a worker.
+type endpoint struct {
+	op       string                     // the /v1/<op> route and metrics key
+	validate func(q *api.Request) error // the endpoint's own rules; nil for none
 	run      func(ctx context.Context, q *api.Request) (any, error)
 }
 
-func (j *jobDef) Op() string { return j.op }
-
-func (j *jobDef) Validate(q *api.Request) error {
+// prepare normalizes q in place, then rejects it with an errBadRequest
+// before it can occupy a worker: the shared ranges and caps first, then
+// fields that belong to another endpoint, then the endpoint's own rules.
+func (e *endpoint) prepare(q *api.Request) error {
+	normalize(q)
 	if err := validateCommon(q); err != nil {
 		return err
 	}
-	return j.validate(q)
+	if err := rejectForeign(e.op, q); err != nil {
+		return err
+	}
+	if e.validate == nil {
+		return nil
+	}
+	return e.validate(q)
 }
 
-func (j *jobDef) Key(q *api.Request) string { return q.CacheKey(j.op) }
+// key is the canonical result-store key of a prepared request. Equal keys
+// compute byte-identical responses.
+func (e *endpoint) key(q *api.Request) string { return q.CacheKey(e.op) }
 
-func (j *jobDef) Run(ctx context.Context, q *api.Request) (any, error) {
-	return j.run(ctx, q)
+// body runs the engine under ctx (deadline + client disconnect) and
+// marshals its report into the response body bytes.
+func (e *endpoint) body(ctx context.Context, q *api.Request) ([]byte, error) {
+	out, err := e.run(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(out)
 }
 
-func (j *jobDef) Encode(v any) ([]byte, error) { return json.Marshal(v) }
-
-// The job registry. Handler() derives the /v1/* routes from it, and the
-// batch endpoint reuses verifyJob for its items.
+// The endpoint registry. Handler() derives the /v1/* routes from it, and
+// the batch and sweep endpoints reuse verifyEndpoint.
 var (
-	verifyJob    Job = &jobDef{op: "verify", validate: validateVerify, run: runVerify}
-	shardJob     Job = &jobDef{op: "verify/shard", validate: validateShard, run: runShard}
-	worstcaseJob Job = &jobDef{op: "worstcase", validate: validateWorstCase, run: runWorstCase}
-	simJob       Job = &jobDef{op: "sim", validate: validateSim, run: runSim}
-	failuresJob  Job = &jobDef{op: "failures", validate: validateFailures, run: runFailures}
+	verifyEndpoint = &endpoint{op: "verify", validate: validateVerify, run: runVerify}
+	simEndpoint    = &endpoint{op: "sim", validate: validateSim, run: runSim}
 
-	jobs = []Job{verifyJob, shardJob, worstcaseJob, simJob, failuresJob}
+	endpoints = []*endpoint{
+		verifyEndpoint,
+		{op: "verify/shard", validate: validateShard, run: runShard},
+		{op: "worstcase", run: runWorstCase},
+		simEndpoint,
+		{op: "failures", validate: validateFailures, run: runFailures},
+	}
 )
+
+// runRequest answers q with POST /v1/<e.op> semantics — prepare, then run
+// — without a server instance.
+func runRequest[R any](ctx context.Context, e *endpoint, q *api.Request) (R, error) {
+	var zero R
+	if err := e.prepare(q); err != nil {
+		return zero, err
+	}
+	out, err := e.run(ctx, q)
+	if err != nil {
+		return zero, err
+	}
+	return out.(R), nil
+}
+
+// RunVerifyRequest answers one verification request with POST /v1/verify
+// semantics. cmd/nbdesign's local mode feeds the planner through this.
+func RunVerifyRequest(ctx context.Context, q *api.Request) (*api.VerifyReport, error) {
+	return runRequest[*api.VerifyReport](ctx, verifyEndpoint, q)
+}
+
+// RunSimRequest answers one simulation request with POST /v1/sim
+// semantics; cmd/nbsim is a thin client of it. q is normalized in place,
+// so the caller reads the effective parameters back from it.
+func RunSimRequest(ctx context.Context, q *api.Request) (*api.SimReport, error) {
+	return runRequest[*api.SimReport](ctx, simEndpoint, q)
+}
 
 // Service-wide size caps. A request may not build a topology bigger than
 // this no matter what it asks for: topology construction happens on a
 // worker and cannot be cancelled by a deadline, so an absurd size would
-// monopolize (or OOM) the pool. The CLIs remain uncapped.
+// monopolize (or OOM) the pool. nbsim and nbdesign's local mode enter
+// through the same path and take the same caps; nbverify and nbtables
+// stay uncapped.
 const (
 	maxRequestHosts  = 1 << 20 // hosts in the requested topology
 	maxRequestLinks  = 1 << 22 // duplex links in the requested topology
@@ -181,21 +207,33 @@ func validateCommon(q *api.Request) error {
 	return nil
 }
 
+// rejectForeign refuses fields that belong to another endpoint: the shard
+// fields outside /v1/verify/shard, sym_reduce outside the verify
+// endpoints, and a failures block outside /v1/failures.
+func rejectForeign(op string, q *api.Request) error {
+	if op != "verify/shard" {
+		if len(q.ShardPrefix) > 0 {
+			return badRequest("shard_prefix is only valid on /v1/verify/shard")
+		}
+		if len(q.SymShard) > 0 {
+			return badRequest("sym_shard is only valid on /v1/verify/shard")
+		}
+		if q.SymReduce && op != "verify" {
+			return badRequest("sym_reduce is only valid on verify endpoints")
+		}
+	}
+	if q.Failures != nil && op != "failures" {
+		return badRequest("failures block is only valid on /v1/failures")
+	}
+	return nil
+}
+
 // validateVerify refuses engine options the mode cannot honor, and forced
 // exhaustive sweeps whose factorial pattern space exceeds the
 // max_exhaustive cap — previously such a request (80 hosts → 80!
 // patterns) started enumerating and only a deadline could kill it.
 // Raising max_exhaustive in the request is the explicit opt-in.
 func validateVerify(q *api.Request) error {
-	if len(q.ShardPrefix) > 0 {
-		return badRequest("shard_prefix is only valid on /v1/verify/shard")
-	}
-	if len(q.SymShard) > 0 {
-		return badRequest("sym_shard is only valid on /v1/verify/shard")
-	}
-	if q.Failures != nil {
-		return badRequest("failures block is only valid on /v1/failures")
-	}
 	switch q.Mode {
 	case "auto", "exact", "exhaustive", "exhaustive-parallel", "random":
 	default:
@@ -225,9 +263,6 @@ func validateVerify(q *api.Request) error {
 // exhaustive sweep — a coordinator fanning a big sweep raises
 // max_exhaustive explicitly on every shard request.
 func validateShard(q *api.Request) error {
-	if q.Failures != nil {
-		return badRequest("failures block is only valid on /v1/failures")
-	}
 	h := requestHosts(q)
 	if len(q.SymShard) > 0 {
 		// A symmetry-reduced shard: one contiguous range of top-level
@@ -277,35 +312,7 @@ func validateShard(q *api.Request) error {
 	return nil
 }
 
-func validateWorstCase(q *api.Request) error {
-	if len(q.ShardPrefix) > 0 {
-		return badRequest("shard_prefix is only valid on /v1/verify/shard")
-	}
-	if len(q.SymShard) > 0 {
-		return badRequest("sym_shard is only valid on /v1/verify/shard")
-	}
-	if q.SymReduce {
-		return badRequest("sym_reduce is only valid on verify endpoints")
-	}
-	if q.Failures != nil {
-		return badRequest("failures block is only valid on /v1/failures")
-	}
-	return nil
-}
-
 func validateSim(q *api.Request) error {
-	if len(q.ShardPrefix) > 0 {
-		return badRequest("shard_prefix is only valid on /v1/verify/shard")
-	}
-	if len(q.SymShard) > 0 {
-		return badRequest("sym_shard is only valid on /v1/verify/shard")
-	}
-	if q.SymReduce {
-		return badRequest("sym_reduce is only valid on verify endpoints")
-	}
-	if q.Failures != nil {
-		return badRequest("failures block is only valid on /v1/failures")
-	}
 	switch q.Arbiter {
 	case "round-robin", "oldest-first":
 	default:

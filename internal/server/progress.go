@@ -164,12 +164,11 @@ func (s *Server) sweepHandler(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decode request: "+err.Error())
 		return
 	}
-	normalize(&q)
 	// A sweep IS a forced exhaustive-parallel verify: same validation
 	// (including the max_exhaustive opt-in), same canonical key, and a
 	// final body byte-identical to /v1/verify in that mode.
 	q.Mode = "exhaustive-parallel"
-	if err := verifyJob.Validate(&q); err != nil {
+	if err := verifyEndpoint.prepare(&q); err != nil {
 		em.errors.Add(1)
 		writeError(w, http.StatusBadRequest, err.Error())
 		return

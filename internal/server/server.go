@@ -9,9 +9,10 @@
 // repeated design-space queries cheap (a pluggable result store over
 // canonicalized requests — in-memory LRU or a persistent file-backed
 // backend that survives restarts — plus a batch endpoint that
-// deduplicates identical points within one call). Every engine sits
-// behind the uniform Job interface in jobs.go; the handler pipeline,
-// the store, and the batch fan-out are engine-agnostic. Long sweeps honor
+// deduplicates identical points within one call). Every engine is one
+// endpoint value in jobs.go, and every caller — handlers, batch items,
+// sweeps, design probes, and the nbsim and nbdesign CLIs — enters it
+// through the same prepare → run path. Long sweeps honor
 // per-request deadlines and client disconnects through the context
 // plumbing in internal/analysis, and shutdown drains in-flight jobs
 // before the process exits.
@@ -126,16 +127,16 @@ type Server struct {
 	sweepCancel context.CancelFunc
 }
 
-// batchOp is the metrics key for /v1/verify/batch (it is not a Job — it
-// fans items through verifyJob).
+// batchOp is the metrics key for /v1/verify/batch (it is not an endpoint
+// of its own — it fans items through verifyEndpoint).
 const batchOp = "verify_batch"
 
-// opNames lists every metrics endpoint key: the registered jobs plus the
-// batch endpoint.
+// opNames lists every metrics endpoint key: the registered endpoints plus
+// the batch, sweep and design endpoints.
 func opNames() []string {
-	names := make([]string, 0, len(jobs)+3)
-	for _, jb := range jobs {
-		names = append(names, jb.Op())
+	names := make([]string, 0, len(endpoints)+3)
+	for _, e := range endpoints {
+		names = append(names, e.op)
 	}
 	return append(names, batchOp, sweepOp, designOp)
 }
@@ -241,14 +242,14 @@ func (s *Server) timeoutFor(ms int64) time.Duration {
 	return timeout
 }
 
-// Handler returns the nbserve routing table, derived from the job
+// Handler returns the nbserve routing table, derived from the endpoint
 // registry plus the batch and introspection endpoints.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	for _, jb := range jobs {
-		mux.HandleFunc("/v1/"+jb.Op(), s.jobHandler(jb))
+	for _, e := range endpoints {
+		mux.HandleFunc("/v1/"+e.op, s.jobHandler(e))
 	}
-	mux.HandleFunc("/v1/verify/batch", s.batchHandler(verifyJob))
+	mux.HandleFunc("/v1/verify/batch", s.batchHandler)
 	mux.HandleFunc("POST /v1/design", s.designHandler)
 	mux.HandleFunc("POST /v1/verify/sweep", s.sweepHandler)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.jobStatusHandler)
@@ -284,12 +285,12 @@ func errStatus(err error) (int, string) {
 }
 
 // jobHandler wires one POST endpoint through the full pipeline:
-// decode → normalize → validate → store lookup → enqueue (429 on
-// overflow) → wait under the request deadline → store fill → respond. The
+// decode → prepare → store lookup → enqueue (429 on overflow) → wait
+// under the request deadline → store fill → respond. The
 // X-Nbserve-Cache header says whether the body came from the result store
 // ("hit") or a fresh job ("miss").
-func (s *Server) jobHandler(jb Job) http.HandlerFunc {
-	em := s.met.endpoints[jb.Op()]
+func (s *Server) jobHandler(e *endpoint) http.HandlerFunc {
+	em := s.met.endpoints[e.op]
 	return func(w http.ResponseWriter, r *http.Request) {
 		em.requests.Add(1)
 		if r.Method != http.MethodPost {
@@ -305,14 +306,13 @@ func (s *Server) jobHandler(jb Job) http.HandlerFunc {
 			writeError(w, http.StatusBadRequest, "decode request: "+err.Error())
 			return
 		}
-		normalize(&q)
-		if err := jb.Validate(&q); err != nil {
+		if err := e.prepare(&q); err != nil {
 			em.errors.Add(1)
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 
-		key := jb.Key(&q)
+		key := e.key(&q)
 		if !q.NoCache {
 			if body, ok := s.store.Get(key); ok {
 				em.cacheHits.Add(1)
@@ -327,11 +327,7 @@ func (s *Server) jobHandler(jb Job) http.HandlerFunc {
 		defer cancel()
 
 		j := &job{ctx: ctx, done: make(chan jobResult, 1), run: func(ctx context.Context) ([]byte, error) {
-			out, err := jb.Run(ctx, &q)
-			if err != nil {
-				return nil, err
-			}
-			return jb.Encode(out)
+			return e.body(ctx, &q)
 		}}
 		if err := s.enqueue(j); err != nil {
 			em.errors.Add(1)

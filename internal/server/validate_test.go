@@ -11,7 +11,7 @@ import (
 	"repro/internal/api"
 )
 
-// TestValidation pins the single enforcement point on the Job interface:
+// TestValidation pins the single enforcement point, endpoint.prepare:
 // out-of-range execution parameters that normalize used to pass straight
 // into the engines (it only fills zero values, so negatives flowed
 // through) are rejected with 400 before a worker sees them. The metrics
