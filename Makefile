@@ -4,7 +4,7 @@ GO ?= go
 
 # Single source of truth for the race-detector package list; CI runs
 # `make race` so the two can never drift.
-RACE_PKGS ?= ./internal/sim/ ./internal/analysis/ ./internal/routing/ ./internal/experiments/ ./internal/workload/ ./internal/server/ ./internal/store/ ./internal/permutation/ ./internal/campaign/
+RACE_PKGS ?= ./internal/sim/ ./internal/analysis/ ./internal/routing/ ./internal/experiments/ ./internal/workload/ ./internal/server/ ./internal/store/ ./internal/permutation/ ./internal/campaign/ ./internal/design/
 
 # Per-target budget for the fuzz smoke pass (`go test -fuzz` accepts one
 # target per invocation). Entries are package:target.
@@ -23,13 +23,14 @@ test:
 	$(GO) test ./...
 
 # Batch-endpoint smoke: the mixed 50-point batch (duplicates + one invalid
-# item), dedup/cache-hit counters, and the persistent-store restart path.
+# item), dedup/cache-hit counters, the persistent-store restart path, and
+# the error-status matrix (429/503/405 on every work route and batch item).
 # CI runs this as its own step so a batch regression is named in the log.
 # The smoke targets run their test subsets through scripts/run_tests.sh,
 # which fails when an alternative of the -run pattern lists no test, so a
 # rename cannot silently empty a target.
 batch-smoke:
-	GO="$(GO)" ./scripts/run_tests.sh ./internal/server/ 'TestBatch|TestFileStoreRestartHit'
+	GO="$(GO)" ./scripts/run_tests.sh ./internal/server/ 'TestBatch|TestFileStoreRestartHit|TestErrorStatusMatrix'
 
 # Coordinator smoke: the in-process distributed-parity tests (byte-identical
 # merge, worker kill, checkpoint resume, SSE), then real binaries on

@@ -129,13 +129,7 @@ func runLocal(ctx context.Context, cat *api.DesignCatalog, noPrune bool, cacheSi
 	memo := store.NewMemory(cacheSize)
 	defer memo.Close()
 	opts := design.Options{
-		Verify: func(ctx context.Context, q *api.Request) (*api.VerifyReport, error) {
-			rep, err := server.RunVerifyRequest(ctx, q)
-			if err != nil && server.IsBadRequest(err) {
-				return nil, fmt.Errorf("%w: %v", design.ErrInfeasible, err)
-			}
-			return rep, err
-		},
+		Verify:  server.DesignProbe,
 		Memo:    memo,
 		NoPrune: noPrune,
 	}

@@ -9,7 +9,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -21,17 +20,6 @@ import (
 	"repro/internal/server"
 	"repro/internal/store"
 )
-
-// localVerify adapts the in-process /v1/verify engine to the planner,
-// translating validation rejections into ErrInfeasible exactly like
-// cmd/nbdesign's local mode.
-func localVerify(ctx context.Context, q *api.Request) (*api.VerifyReport, error) {
-	rep, err := server.RunVerifyRequest(ctx, q)
-	if err != nil && server.IsBadRequest(err) {
-		return nil, fmt.Errorf("%w: %v", design.ErrInfeasible, err)
-	}
-	return rep, err
-}
 
 func TestValidateCatalogRejects(t *testing.T) {
 	cases := []struct {
@@ -70,7 +58,7 @@ func TestValidateCatalogRejects(t *testing.T) {
 func TestSearchMinMMatchesLinearScan(t *testing.T) {
 	ctx := context.Background()
 	v := api.DesignVerify{MaxHosts: 48, MaxExhaustive: 7, Trials: 100, Seed: 1}
-	opts := design.Options{Verify: localVerify, Memo: store.NewMemory(512)}
+	opts := design.Options{Verify: server.DesignProbe, Memo: store.NewMemory(512)}
 	defer opts.Memo.Close()
 
 	cases := []struct {
@@ -99,7 +87,7 @@ func TestSearchMinMMatchesLinearScan(t *testing.T) {
 			Pattern: "random", Flits: 4, Pkts: 8, Arbiter: "round-robin",
 			SymReduce: true,
 		}
-		rep, err := localVerify(ctx, q)
+		rep, err := server.DesignProbe(ctx, q)
 		if err != nil {
 			t.Fatalf("probe ftree(%d+%d,%d)/%s: %v", n, m, r, router, err)
 		}
@@ -157,7 +145,7 @@ func TestPlanParetoCatalog(t *testing.T) {
 	cat := loadCatalog(t, "../../catalogs/pareto.json")
 	memo := store.NewMemory(4096)
 	defer memo.Close()
-	rep, err := design.Plan(context.Background(), cat, design.Options{Verify: localVerify, Memo: memo})
+	rep, err := design.Plan(context.Background(), cat, design.Options{Verify: server.DesignProbe, Memo: memo})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +181,7 @@ func TestNoPruneFrontierEquality(t *testing.T) {
 	run := func(noPrune bool) *api.DesignReport {
 		memo := store.NewMemory(2048)
 		defer memo.Close()
-		rep, err := design.Plan(context.Background(), cat, design.Options{Verify: localVerify, Memo: memo, NoPrune: noPrune})
+		rep, err := design.Plan(context.Background(), cat, design.Options{Verify: server.DesignProbe, Memo: memo, NoPrune: noPrune})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,7 +313,7 @@ func TestPlanDeterministic(t *testing.T) {
 	run := func() []byte {
 		memo := store.NewMemory(2048)
 		defer memo.Close()
-		rep, err := design.Plan(context.Background(), cat, design.Options{Verify: localVerify, Memo: memo})
+		rep, err := design.Plan(context.Background(), cat, design.Options{Verify: server.DesignProbe, Memo: memo})
 		if err != nil {
 			t.Fatal(err)
 		}

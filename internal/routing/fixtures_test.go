@@ -12,95 +12,6 @@ import (
 // tests. No program routes with them, so they are compiled into test
 // binaries only.
 
-// KAryDestMod is static destination-keyed up*/down* routing for the
-// k-ary n-tree [14]: at every up hop the freed switch digit is taken from
-// the destination address — the same d-mod-k family as on m-port n-trees.
-type KAryDestMod struct {
-	T *topology.KAryNTree
-}
-
-// NewKAryDestMod builds the router.
-func NewKAryDestMod(t *topology.KAryNTree) *KAryDestMod { return &KAryDestMod{T: t} }
-
-// Name returns "kary-dest-mod".
-func (r *KAryDestMod) Name() string { return "kary-dest-mod" }
-
-// PathFor routes (src, dst) with up-hop choices taken from the destination
-// address digits.
-func (r *KAryDestMod) PathFor(src, dst int) (topology.Path, error) {
-	if src < 0 || src >= r.T.Hosts() || dst < 0 || dst >= r.T.Hosts() {
-		return topology.Path{}, fmt.Errorf("host index out of range: %d or %d", src, dst)
-	}
-	if src == dst {
-		return topology.Path{Nodes: []topology.NodeID{topology.NodeID(src)}}, nil
-	}
-	s, d := topology.NodeID(src), topology.NodeID(dst)
-	hops := r.T.NumUpHops(s, d)
-	choices := make([]int, hops)
-	x := dst
-	for l := 0; l < hops; l++ {
-		choices[l] = x % r.T.K
-		x /= r.T.K
-	}
-	return r.T.UpDownPath(s, d, choices)
-}
-
-// Route assigns a path to every SD pair of the pattern.
-func (r *KAryDestMod) Route(p *permutation.Permutation) (*Assignment, error) {
-	return routePairwise(r.T.Net, p, func(s, d int) ([]topology.Path, error) {
-		path, err := r.PathFor(s, d)
-		if err != nil {
-			return nil, err
-		}
-		return []topology.Path{path}, nil
-	})
-}
-
-// KAryRandomFixed freezes a uniformly random up-path per SD pair on the
-// k-ary n-tree, reproducible per seed.
-type KAryRandomFixed struct {
-	T    *topology.KAryNTree
-	seed int64
-}
-
-// NewKAryRandomFixed builds the router.
-func NewKAryRandomFixed(t *topology.KAryNTree, seed int64) *KAryRandomFixed {
-	return &KAryRandomFixed{T: t, seed: seed}
-}
-
-// Name returns "kary-random-fixed".
-func (r *KAryRandomFixed) Name() string { return "kary-random-fixed" }
-
-// PathFor routes (src, dst) over a seeded random up-path.
-func (r *KAryRandomFixed) PathFor(src, dst int) (topology.Path, error) {
-	if src < 0 || src >= r.T.Hosts() || dst < 0 || dst >= r.T.Hosts() {
-		return topology.Path{}, fmt.Errorf("host index out of range: %d or %d", src, dst)
-	}
-	if src == dst {
-		return topology.Path{Nodes: []topology.NodeID{topology.NodeID(src)}}, nil
-	}
-	s, d := topology.NodeID(src), topology.NodeID(dst)
-	hops := r.T.NumUpHops(s, d)
-	rng := pairRNG(r.seed, src, dst)
-	choices := make([]int, hops)
-	for l := range choices {
-		choices[l] = rng.Intn(r.T.K)
-	}
-	putPairRNG(rng)
-	return r.T.UpDownPath(s, d, choices)
-}
-
-// Route assigns a path to every SD pair of the pattern.
-func (r *KAryRandomFixed) Route(p *permutation.Permutation) (*Assignment, error) {
-	return routePairwise(r.T.Net, p, func(s, d int) ([]topology.Path, error) {
-		path, err := r.PathFor(s, d)
-		if err != nil {
-			return nil, err
-		}
-		return []topology.Path{path}, nil
-	})
-}
-
 // MNTSpray is traffic-oblivious multipath on FT(m, n): each pair may use
 // Width sampled up-paths (all distinct digit choices when Width covers the
 // full diversity). Packets spray over the set per-packet in the simulator.

@@ -58,8 +58,6 @@ func TestRouterNames(t *testing.T) {
 		"paper-multi-level":               routing.NewMultiLevelPaper(ml),
 		"crossbar":                        routing.NewCrossbarRouter(topology.NewCrossbar(4)),
 		"benes-looping":                   routing.NewBenesLooping(topology.NewBenes(2)),
-		"kary-dest-mod":                   routing.NewKAryDestMod(topology.NewKAryNTree(2, 2)),
-		"kary-random-fixed":               routing.NewKAryRandomFixed(topology.NewKAryNTree(2, 2), 1),
 	}
 	for name, r := range want {
 		if got := r.Name(); got != name {

@@ -333,11 +333,8 @@ func TestRouteTableSpansCoverPermutationPairs(t *testing.T) {
 
 // TestSweepMatchesCheckOnTestRouters runs the engines on the routers that
 // live in test code: the delta sweep over each router's route table must
-// count exactly the permutations a per-pattern Check finds contended, and
-// on the single-path k-ary routers the Lemma-1 kernel must agree with the
-// sweep's verdict.
+// count exactly the permutations a per-pattern Check finds contended.
 func TestSweepMatchesCheckOnTestRouters(t *testing.T) {
-	kary := topology.NewKAryNTree(2, 3)
 	mnt := topology.NewMPortNTree(4, 2)
 	spray, err := routing.NewMNTSpray(mnt, 2, 1)
 	if err != nil {
@@ -352,8 +349,6 @@ func TestSweepMatchesCheckOnTestRouters(t *testing.T) {
 		r     routing.Router
 		hosts int
 	}{
-		{routing.NewKAryDestMod(kary), kary.Hosts()},
-		{routing.NewKAryRandomFixed(kary, 9), kary.Hosts()},
 		{spray, mnt.Hosts()},
 		{pm, f.Ports()},
 	} {
@@ -375,15 +370,6 @@ func TestSweepMatchesCheckOnTestRouters(t *testing.T) {
 		if res.Blocked != blocked || res.Tested != permutation.CountFull(c.hosts) {
 			t.Fatalf("%s: sweep blocked %d/%d, per-pattern Check %d/%d",
 				c.r.Name(), res.Blocked, res.Tested, blocked, permutation.CountFull(c.hosts))
-		}
-		if pr, ok := c.r.(routing.PairRouter); ok {
-			lemma, err := analysis.CheckLemma1AllPairs(pr, c.hosts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if lemma.Nonblocking != res.Nonblocking() {
-				t.Fatalf("%s: Lemma 1 nonblocking=%v, sweep %v", c.r.Name(), lemma.Nonblocking, res.Nonblocking())
-			}
 		}
 	}
 }

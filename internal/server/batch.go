@@ -21,7 +21,7 @@ type batchGroup struct {
 	cache  string // hit | miss (duplicates beyond the first become dedup)
 	errMsg string
 	body   []byte
-	done   chan jobResult // non-nil while a job is in flight
+	done   <-chan jobResult // non-nil while a job is in flight
 }
 
 // batchHandler answers POST /v1/verify/batch: many verify points in one
@@ -36,28 +36,16 @@ type batchGroup struct {
 func (s *Server) batchHandler(w http.ResponseWriter, r *http.Request) {
 	em := s.met.endpoints[batchOp]
 	em.requests.Add(1)
-	if r.Method != http.MethodPost {
-		em.errors.Add(1)
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	var batch api.BatchRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&batch); err != nil {
-		em.errors.Add(1)
-		writeError(w, http.StatusBadRequest, "decode batch: "+err.Error())
+	if !decode(w, r, em, "batch", &batch) {
 		return
 	}
 	if len(batch.Items) == 0 {
-		em.errors.Add(1)
-		writeError(w, http.StatusBadRequest, "batch has no items")
+		fail(w, em, badRequest("batch has no items"))
 		return
 	}
 	if len(batch.Items) > s.cfg.MaxBatchItems {
-		em.errors.Add(1)
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch has %d items, limit %d", len(batch.Items), s.cfg.MaxBatchItems))
+		fail(w, em, badRequest("batch has %d items, limit %d", len(batch.Items), s.cfg.MaxBatchItems))
 		return
 	}
 	s.met.batches.Add(1)
@@ -99,13 +87,10 @@ func (s *Server) batchHandler(w http.ResponseWriter, r *http.Request) {
 	var toRun []*batchGroup
 	for _, g := range order {
 		if !noCache && !g.req.NoCache {
-			if body, ok := s.store.Get(g.key); ok {
+			if body, ok := s.lookup(em, g.key); ok {
 				g.status, g.cache, g.body = http.StatusOK, "hit", body
-				em.cacheHits.Add(1)
-				s.met.storeHits.Add(1)
 				continue
 			}
-			s.met.storeMisses.Add(1)
 		}
 		toRun = append(toRun, g)
 	}
@@ -116,7 +101,6 @@ func (s *Server) batchHandler(w http.ResponseWriter, r *http.Request) {
 	if len(toRun) > s.cfg.QueueDepth {
 		em.errors.Add(1)
 		s.met.jobsRejected.Add(int64(len(toRun)))
-		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests,
 			fmt.Sprintf("batch needs %d job slots, queue capacity is %d", len(toRun), s.cfg.QueueDepth))
 		return
@@ -130,44 +114,28 @@ func (s *Server) batchHandler(w http.ResponseWriter, r *http.Request) {
 	// per-item 429 instead of failing the batch.
 	for _, g := range toRun {
 		req := g.req
-		j := &job{ctx: ctx, done: make(chan jobResult, 1), run: func(ctx context.Context) ([]byte, error) {
+		done, err := s.submit(ctx, func(ctx context.Context) ([]byte, error) {
 			return verifyEndpoint.body(ctx, req)
-		}}
-		if err := s.enqueue(j); err != nil {
-			if err == errQueueFull {
-				g.status, g.errMsg = http.StatusTooManyRequests, err.Error()
-			} else {
-				g.status, g.errMsg = http.StatusServiceUnavailable, err.Error()
-			}
+		})
+		if err != nil {
+			g.status, g.errMsg = errStatus(err)
 			continue
 		}
-		g.done = j.done
+		g.done = done
 		rep.JobsRun++
 	}
 	for _, g := range toRun {
 		if g.done == nil {
 			continue
 		}
-		// Wait for the group's result or the batch deadline, whichever
-		// comes first — a dead batch must not serialize behind queued
-		// work it will never use. Abandoned jobs are skipped by the
-		// worker (dead ctx) and their handback lands in the buffered
-		// done channel.
-		var res jobResult
-		select {
-		case res = <-g.done:
-		case <-ctx.Done():
-			res = jobResult{err: ctx.Err()}
-		}
-		g.done = nil
+		res := await(ctx, g.done)
 		if res.err != nil {
 			g.status, g.errMsg = errStatus(res.err)
 			continue
 		}
 		g.status, g.cache, g.body = http.StatusOK, "miss", res.body
 		if !noCache && !g.req.NoCache {
-			s.store.Put(g.key, res.body)
-			s.met.storePuts.Add(1)
+			s.fill(g.key, res.body)
 		}
 	}
 
@@ -195,8 +163,7 @@ func (s *Server) batchHandler(w http.ResponseWriter, r *http.Request) {
 
 	body, err := json.Marshal(&rep)
 	if err != nil {
-		em.errors.Add(1)
-		writeError(w, http.StatusInternalServerError, err.Error())
+		fail(w, em, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, "batch", body)

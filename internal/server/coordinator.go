@@ -308,7 +308,9 @@ func (p *sweepPlan) checkReport(shard []int, rep *api.ShardReport) error {
 //   - a blocking sweep under deeper-than-level-1 sharding ⇒ sub-shard
 //     witnesses cannot reproduce the level-1 Heap-order witness, so the
 //     lowest blocked top-level shard is re-scanned first-blocked-only in
-//     its native enumeration order.
+//     its native enumeration order. A level-1 witness that fails replay
+//     is re-derived the same way, so a worker that claims a non-blocking
+//     shard blocks fails the sweep instead of certifying it.
 func (s *Server) mergeCoordinated(ctx context.Context, plan *sweepPlan, results []*api.ShardReport) (*analysis.SweepResult, error) {
 	merged := &analysis.SweepResult{}
 	firstBlocked := -1
@@ -345,17 +347,17 @@ func (s *Server) mergeCoordinated(ctx context.Context, plan *sweepPlan, results 
 		merged.FirstBlocked = w
 		return merged, nil
 	}
-	if len(plan.shards[firstBlocked]) <= 1 {
-		// Level-1 sharding: the worker's witness IS the parallel engine's
-		// (same shard, same engine selection, same enumeration order).
-		p, err := permutation.Parse(plan.t.hosts, results[firstBlocked].FirstBlocked)
-		if err != nil {
-			return nil, fmt.Errorf("shard %s: bad witness: %w", results[firstBlocked].Shard, err)
+	shard := plan.shards[firstBlocked]
+	if len(shard) == 1 {
+		// Level-1 sharding: an honest worker's witness IS the parallel
+		// engine's (same shard, same engine selection, same enumeration
+		// order), so it is kept once it replays.
+		if w := plan.replay(shard, results[firstBlocked].FirstBlocked); w != nil {
+			merged.FirstBlocked = w
+			return merged, nil
 		}
-		merged.FirstBlocked = p
-		return merged, nil
 	}
-	top := plan.shards[firstBlocked][0]
+	top := shard[0]
 	fb, _, err := analysis.Sweep(ctx, plan.t.router, plan.t.hosts, analysis.Spec{Prefix: []int{top}, FirstBlocked: true})
 	if err != nil {
 		return nil, err
@@ -365,4 +367,24 @@ func (s *Server) mergeCoordinated(ctx context.Context, plan *sweepPlan, results 
 	}
 	merged.FirstBlocked = fb.FirstBlocked
 	return merged, nil
+}
+
+// replay returns a prefix shard's reported witness only if it parses, lies
+// inside the shard's prefix and, routed through the plan's router, shows
+// contention; nil means the worker's witness cannot be trusted.
+func (p *sweepPlan) replay(shard []int, witness string) *permutation.Permutation {
+	w, err := permutation.Parse(p.t.hosts, witness)
+	if err != nil {
+		return nil
+	}
+	for s, d := range shard {
+		if w.Dst(s) != d {
+			return nil
+		}
+	}
+	a, err := p.t.router.Route(w)
+	if err != nil || !analysis.Check(a).HasContention() {
+		return nil
+	}
+	return w
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,7 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/api"
+	"repro/internal/permutation"
 	"repro/internal/store"
 )
 
@@ -543,9 +546,9 @@ func TestMetricsConformance(t *testing.T) {
 	}
 }
 
-// newLyingWorker starts a worker node whose shard reports claim one more
-// tested pattern than the worker actually swept.
-func newLyingWorker(t *testing.T) *httptest.Server {
+// newLyingWorker starts a worker node that passes each of its successful
+// shard reports through lie before answering.
+func newLyingWorker(t *testing.T, lie func(rep *api.ShardReport)) *httptest.Server {
 	t.Helper()
 	ws := New(Config{Workers: 4, QueueDepth: 64})
 	t.Cleanup(ws.Close)
@@ -556,7 +559,7 @@ func newLyingWorker(t *testing.T) *httptest.Server {
 		body := rec.Body.Bytes()
 		var rep api.ShardReport
 		if r.URL.Path == "/v1/verify/shard" && rec.Code == http.StatusOK && json.Unmarshal(body, &rep) == nil {
-			rep.Tested++
+			lie(&rep)
 			body, _ = json.Marshal(&rep)
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -577,7 +580,7 @@ func TestCoordinatedSweepRejectsInflatedCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive sweeps in -short")
 	}
-	honest, liar := newWorkerServer(t), newLyingWorker(t)
+	honest, liar := newWorkerServer(t), newLyingWorker(t, func(rep *api.ShardReport) { rep.Tested++ })
 	q := api.Request{N: 2, M: 2, R: 4, Routing: "dest-mod"}
 	want := localVerifyBody(t, q)
 
@@ -621,6 +624,82 @@ func TestCoordinatedSweepRejectsInflatedCounts(t *testing.T) {
 		if st.State != "failed" || !strings.Contains(st.Error, "tested") {
 			t.Fatalf("sym=%v: liar-only sweep state %s (%q), want failed on the tested count", lq.SymReduce, st.State, st.Error)
 		}
+	}
+}
+
+// TestCoordinatedSweepReplaysWitness: the coordinator keeps a level-1
+// shard's witness only if it lies in the shard's prefix and replays as
+// contended. Shard 0 always goes to the liar (the lowest free worker), and
+// its counts stay honest. A witness swapped for a contention-free pattern
+// or for a blocking pattern of another shard is re-derived, so the result
+// stays byte-identical to the local engine; a liar that claims a
+// non-blocking shard blocks fails the sweep instead of certifying it.
+func TestCoordinatedSweepReplaysWitness(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exhaustive sweeps in -short")
+	}
+	blocking := api.Request{N: 2, M: 2, R: 4, Routing: "dest-mod"}
+	tq := blocking
+	tq.Mode = "exhaustive-parallel"
+	if err := verifyEndpoint.prepare(&tq); err != nil {
+		t.Fatal(err)
+	}
+	tg, err := buildTarget(&tq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, _, err := analysis.Sweep(context.Background(), tg.router, tg.hosts, analysis.Spec{Prefix: []int{1}, FirstBlocked: true})
+	if err != nil || other.FirstBlocked == nil {
+		t.Fatalf("no blocked pattern in shard 1: %v", err)
+	}
+	contentionFree := permutation.Identity(tg.hosts).String()
+
+	for _, tc := range []struct {
+		name    string
+		q       api.Request
+		witness string
+		claim   bool // also claim a blocked pattern
+	}{
+		{"contention-free witness", blocking, contentionFree, false},
+		{"out-of-prefix witness", blocking, other.FirstBlocked.String(), false},
+		{"non-blocking shard", api.Request{N: 2, M: 4, R: 4, Routing: "paper"}, contentionFree, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var lied atomic.Bool
+			liar := newLyingWorker(t, func(rep *api.ShardReport) {
+				if rep.Shard != "0" {
+					return
+				}
+				if tc.claim {
+					rep.Blocked = 1
+				}
+				if rep.Blocked > 0 {
+					rep.FirstBlocked = tc.witness
+					lied.Store(true)
+				}
+			})
+			_, ts := newCoordinator(t, &CoordinatorConfig{
+				Workers:          []string{liar.URL, newWorkerServer(t).URL},
+				ShardConcurrency: 2,
+			}, nil)
+			sq := tc.q
+			st := waitSweep(t, ts.URL, postSweep(t, ts.URL, &sq).JobID)
+			if !lied.Load() {
+				t.Fatal("the liar never answered a blocked shard 0")
+			}
+			if tc.claim {
+				if st.State != "failed" || !strings.Contains(st.Error, "re-derivation found no blocked pattern") {
+					t.Fatalf("sweep state %s (%q), want failed on the re-derivation", st.State, st.Error)
+				}
+				return
+			}
+			if st.State != "done" {
+				t.Fatalf("sweep state %s: %s", st.State, st.Error)
+			}
+			if got, want := string(st.Result), localVerifyBody(t, tc.q); got != want {
+				t.Fatalf("result with a lying witness differs:\n got %s\nwant %s", got, want)
+			}
+		})
 	}
 }
 

@@ -17,12 +17,23 @@ import (
 // pool and the shared result store exactly like a POST /v1/verify would.
 const designOp = "design"
 
-// IsBadRequest reports whether err is (or wraps) a request-validation
-// rejection — the class the HTTP surface answers with 400. Exported for
-// the design planner's adapters: a probe refused by validation means the
-// candidate is not constructible there, not that the run failed.
-func IsBadRequest(err error) bool {
-	return errors.As(err, &errBadRequest{})
+// infeasible translates a request-validation rejection into
+// design.ErrInfeasible: a probe the service refuses means the candidate is
+// not constructible there, not that the run failed, so the planner treats
+// the point as not-nonblocking instead of failing the whole plan.
+func infeasible(err error) error {
+	if errors.As(err, &errBadRequest{}) {
+		return fmt.Errorf("%w: %v", design.ErrInfeasible, err)
+	}
+	return err
+}
+
+// DesignProbe answers one design-planner probe in-process with POST
+// /v1/verify semantics, reporting a request the service would refuse as
+// design.ErrInfeasible. cmd/nbdesign's local mode plans through it.
+func DesignProbe(ctx context.Context, q *api.Request) (*api.VerifyReport, error) {
+	rep, err := RunVerifyRequest(ctx, q)
+	return rep, infeasible(err)
 }
 
 // VerifyCacheKey returns the canonical result-store key POST /v1/verify
@@ -33,43 +44,24 @@ func VerifyCacheKey(q api.Request) string {
 	return verifyEndpoint.key(&q)
 }
 
-// designVerifier adapts the worker pool to the planner's VerifyFunc: each
-// tier-2 probe is enqueued as a regular job (backpressure, deadlines, and
-// metrics included) and validation rejections come back as ErrInfeasible
-// so the planner treats the point as not-nonblocking instead of failing
-// the whole plan.
+// designVerifier is DesignProbe on the worker pool: each tier-2 probe
+// runs as a regular job (backpressure, deadlines, and metrics included).
 func (s *Server) designVerifier() design.VerifyFunc {
 	return func(ctx context.Context, q *api.Request) (*api.VerifyReport, error) {
 		if err := verifyEndpoint.prepare(q); err != nil {
-			if IsBadRequest(err) {
-				return nil, fmt.Errorf("%w: %v", design.ErrInfeasible, err)
-			}
-			return nil, err
+			return nil, infeasible(err)
 		}
 		var rep *api.VerifyReport
-		j := &job{ctx: ctx, done: make(chan jobResult, 1), run: func(ctx context.Context) ([]byte, error) {
+		_, err := s.do(ctx, func(ctx context.Context) ([]byte, error) {
 			out, err := runVerify(ctx, q)
-			if err != nil {
-				return nil, err
-			}
-			rep = out.(*api.VerifyReport)
-			return nil, nil
-		}}
-		if err := s.enqueue(j); err != nil {
+			rep, _ = out.(*api.VerifyReport)
 			return nil, err
+		})
+		if err != nil {
+			// rep is only safe to read once the job handed back.
+			return nil, infeasible(err)
 		}
-		select {
-		case res := <-j.done:
-			if res.err != nil {
-				if IsBadRequest(res.err) {
-					return nil, fmt.Errorf("%w: %v", design.ErrInfeasible, res.err)
-				}
-				return nil, res.err
-			}
-			return rep, nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+		return rep, nil
 	}
 }
 
@@ -82,16 +74,11 @@ func (s *Server) designHandler(w http.ResponseWriter, r *http.Request) {
 	em := s.met.endpoints[designOp]
 	em.requests.Add(1)
 	var req api.DesignRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		em.errors.Add(1)
-		writeError(w, http.StatusBadRequest, "decode request: "+err.Error())
+	if !decode(w, r, em, "request", &req) {
 		return
 	}
 	if err := design.ValidateCatalog(&req.Catalog); err != nil {
-		em.errors.Add(1)
-		writeError(w, http.StatusBadRequest, err.Error())
+		fail(w, em, errBadRequest{err})
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeoutFor(req.TimeoutMs))
@@ -102,23 +89,12 @@ func (s *Server) designHandler(w http.ResponseWriter, r *http.Request) {
 		NoPrune: req.NoPrune,
 	})
 	if err != nil {
-		em.errors.Add(1)
-		switch {
-		case errors.Is(err, errQueueFull):
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, err.Error())
-		case errors.Is(err, errServerClosing):
-			writeError(w, http.StatusServiceUnavailable, err.Error())
-		default:
-			status, msg := errStatus(err)
-			writeError(w, status, msg)
-		}
+		fail(w, em, err)
 		return
 	}
 	body, err := json.Marshal(rep)
 	if err != nil {
-		em.errors.Add(1)
-		writeError(w, http.StatusInternalServerError, err.Error())
+		fail(w, em, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, "miss", body)

@@ -157,11 +157,7 @@ func (s *Server) sweepHandler(w http.ResponseWriter, r *http.Request) {
 	em := s.met.endpoints[sweepOp]
 	em.requests.Add(1)
 	var q api.Request
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&q); err != nil {
-		em.errors.Add(1)
-		writeError(w, http.StatusBadRequest, "decode request: "+err.Error())
+	if !decode(w, r, em, "request", &q) {
 		return
 	}
 	// A sweep IS a forced exhaustive-parallel verify: same validation
@@ -169,8 +165,7 @@ func (s *Server) sweepHandler(w http.ResponseWriter, r *http.Request) {
 	// final body byte-identical to /v1/verify in that mode.
 	q.Mode = "exhaustive-parallel"
 	if err := verifyEndpoint.prepare(&q); err != nil {
-		em.errors.Add(1)
-		writeError(w, http.StatusBadRequest, err.Error())
+		fail(w, em, err)
 		return
 	}
 	key := q.CacheKey("verify")
@@ -190,15 +185,12 @@ func (s *Server) sweepHandler(w http.ResponseWriter, r *http.Request) {
 	if !q.NoCache {
 		// Finished earlier (by a sweep or a plain verify): a pre-completed
 		// job hands the stored body to the job endpoints unchanged.
-		if body, ok := s.store.Get(key); ok {
-			em.cacheHits.Add(1)
-			s.met.storeHits.Add(1)
+		if body, ok := s.lookup(em, key); ok {
 			sj := s.newSweep(&sweepPlan{key: key}, "")
 			sj.finish(body)
 			accepted(sj)
 			return
 		}
-		s.met.storeMisses.Add(1)
 		// Identical sweep already running: follow it instead of redoing
 		// the work.
 		s.sweepMu.Lock()
@@ -212,9 +204,7 @@ func (s *Server) sweepHandler(w http.ResponseWriter, r *http.Request) {
 
 	plan, err := s.planSweep(&q, key)
 	if err != nil {
-		em.errors.Add(1)
-		status, msg := errStatus(err)
-		writeError(w, status, msg)
+		fail(w, em, err)
 		return
 	}
 	dedupKey := key
@@ -357,8 +347,7 @@ func (s *Server) runSweep(sj *sweepJob, q *api.Request, plan *sweepPlan) {
 		return
 	}
 	if !q.NoCache {
-		s.store.Put(sj.key, body)
-		s.met.storePuts.Add(1)
+		s.fill(sj.key, body)
 	}
 	sj.finish(body)
 }

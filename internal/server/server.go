@@ -12,7 +12,11 @@
 // deduplicates identical points within one call). Every engine is one
 // endpoint value in jobs.go, and every caller — handlers, batch items,
 // sweeps, design probes, and the nbsim and nbdesign CLIs — enters it
-// through the same prepare → run path. Long sweeps honor
+// through the same prepare → run path. The runtime plumbing exists once
+// too: every handler decodes through decode, reads and fills the result
+// store through lookup and fill, runs work through the pool round trip
+// (submit, await, or do for both), and answers errors through errStatus's
+// one error → status map. Long sweeps honor
 // per-request deadlines and client disconnects through the context
 // plumbing in internal/analysis, and shutdown drains in-flight jobs
 // before the process exits.
@@ -202,8 +206,8 @@ func (s *Server) worker() {
 	}
 }
 
-// enqueue errors: the queue is full (caller answers 429) or the server
-// is shutting down (503).
+// enqueue errors: the queue is full (429) or the server is shutting down
+// (503); errStatus maps both.
 var (
 	errQueueFull     = errors.New("job queue full")
 	errServerClosing = errors.New("server shutting down")
@@ -229,6 +233,60 @@ func (s *Server) enqueue(j *job) error {
 	}
 }
 
+// submit enqueues run as a job under ctx and returns the channel its
+// result arrives on.
+func (s *Server) submit(ctx context.Context, run func(context.Context) ([]byte, error)) (<-chan jobResult, error) {
+	j := &job{ctx: ctx, done: make(chan jobResult, 1), run: run}
+	if err := s.enqueue(j); err != nil {
+		return nil, err
+	}
+	return j.done, nil
+}
+
+// await waits for a submitted job's result OR ctx — never just the
+// result: a job whose deadline passes while still queued must fail now,
+// not after the whole queue ahead of it drains. The worker that
+// eventually dequeues the abandoned job sees the dead ctx, skips the run,
+// decrements the queue gauge, and its handback lands in the buffered done
+// channel without blocking.
+func await(ctx context.Context, done <-chan jobResult) jobResult {
+	select {
+	case res := <-done:
+		return res
+	case <-ctx.Done():
+		return jobResult{err: ctx.Err()}
+	}
+}
+
+// do runs run on the worker pool and waits for it under ctx.
+func (s *Server) do(ctx context.Context, run func(context.Context) ([]byte, error)) ([]byte, error) {
+	done, err := s.submit(ctx, run)
+	if err != nil {
+		return nil, err
+	}
+	res := await(ctx, done)
+	return res.body, res.err
+}
+
+// lookup reads key from the result store, counting the hit against em or
+// the miss.
+func (s *Server) lookup(em *endpointMetrics, key string) ([]byte, bool) {
+	body, ok := s.store.Get(key)
+	if ok {
+		em.cacheHits.Add(1)
+		s.met.storeHits.Add(1)
+	} else {
+		s.met.storeMisses.Add(1)
+	}
+	return body, ok
+}
+
+// fill writes a freshly computed body to the result store.
+func (s *Server) fill(key string, body []byte) {
+	s.store.Put(key, body)
+	s.met.storePuts.Add(1)
+}
+
 // timeoutFor resolves a client-requested deadline against the configured
 // default and cap.
 func (s *Server) timeoutFor(ms int64) time.Duration {
@@ -243,13 +301,15 @@ func (s *Server) timeoutFor(ms int64) time.Duration {
 }
 
 // Handler returns the nbserve routing table, derived from the endpoint
-// registry plus the batch and introspection endpoints.
+// registry plus the batch and introspection endpoints. The work routes
+// are POST-only; the mux answers any other method with 405 and an Allow
+// header.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	for _, e := range endpoints {
-		mux.HandleFunc("/v1/"+e.op, s.jobHandler(e))
+		mux.HandleFunc("POST /v1/"+e.op, s.jobHandler(e))
 	}
-	mux.HandleFunc("/v1/verify/batch", s.batchHandler)
+	mux.HandleFunc("POST /v1/verify/batch", s.batchHandler)
 	mux.HandleFunc("POST /v1/design", s.designHandler)
 	mux.HandleFunc("POST /v1/verify/sweep", s.sweepHandler)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.jobStatusHandler)
@@ -267,11 +327,15 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// errStatus maps a job error to its HTTP status and message. Shared by the
-// single-request handler (response status) and the batch handler
-// (per-item status).
+// errStatus maps a job error to its HTTP status and message. Shared by
+// every handler (response status) and the batch handler (per-item
+// status).
 func errStatus(err error) (int, string) {
 	switch {
+	case errors.Is(err, errQueueFull):
+		return http.StatusTooManyRequests, err.Error()
+	case errors.Is(err, errServerClosing):
+		return http.StatusServiceUnavailable, err.Error()
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout, "deadline exceeded: " + err.Error()
 	case errors.Is(err, context.Canceled):
@@ -284,85 +348,63 @@ func errStatus(err error) (int, string) {
 	}
 }
 
-// jobHandler wires one POST endpoint through the full pipeline:
-// decode → prepare → store lookup → enqueue (429 on overflow) → wait
-// under the request deadline → store fill → respond. The
-// X-Nbserve-Cache header says whether the body came from the result store
-// ("hit") or a fresh job ("miss").
+// fail counts err against em and answers it with errStatus's mapping.
+func fail(w http.ResponseWriter, em *endpointMetrics, err error) {
+	em.errors.Add(1)
+	status, msg := errStatus(err)
+	writeError(w, status, msg)
+}
+
+// decode strictly decodes r's JSON body into v (unknown fields are
+// errors). On failure it answers 400 "decode <what>: …", counted against
+// em, and reports false.
+func decode(w http.ResponseWriter, r *http.Request, em *endpointMetrics, what string, v any) bool {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err != nil {
+		fail(w, em, badRequest("decode %s: %v", what, err))
+	}
+	return err == nil
+}
+
+// jobHandler wires one endpoint through the full pipeline: decode →
+// prepare → store lookup → run on the pool under the request deadline →
+// store fill → respond. The X-Nbserve-Cache header says whether the body
+// came from the result store ("hit") or a fresh job ("miss").
 func (s *Server) jobHandler(e *endpoint) http.HandlerFunc {
 	em := s.met.endpoints[e.op]
 	return func(w http.ResponseWriter, r *http.Request) {
 		em.requests.Add(1)
-		if r.Method != http.MethodPost {
-			em.errors.Add(1)
-			writeError(w, http.StatusMethodNotAllowed, "POST only")
-			return
-		}
 		var q api.Request
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&q); err != nil {
-			em.errors.Add(1)
-			writeError(w, http.StatusBadRequest, "decode request: "+err.Error())
+		if !decode(w, r, em, "request", &q) {
 			return
 		}
 		if err := e.prepare(&q); err != nil {
-			em.errors.Add(1)
-			writeError(w, http.StatusBadRequest, err.Error())
+			fail(w, em, err)
 			return
 		}
-
 		key := e.key(&q)
 		if !q.NoCache {
-			if body, ok := s.store.Get(key); ok {
-				em.cacheHits.Add(1)
-				s.met.storeHits.Add(1)
+			if body, ok := s.lookup(em, key); ok {
 				writeJSON(w, http.StatusOK, "hit", body)
 				return
 			}
-			s.met.storeMisses.Add(1)
 		}
 
 		ctx, cancel := context.WithTimeout(r.Context(), s.timeoutFor(q.TimeoutMs))
 		defer cancel()
-
-		j := &job{ctx: ctx, done: make(chan jobResult, 1), run: func(ctx context.Context) ([]byte, error) {
+		body, err := s.do(ctx, func(ctx context.Context) ([]byte, error) {
 			return e.body(ctx, &q)
-		}}
-		if err := s.enqueue(j); err != nil {
-			em.errors.Add(1)
-			if err == errQueueFull {
-				w.Header().Set("Retry-After", "1")
-				writeError(w, http.StatusTooManyRequests, err.Error())
-			} else {
-				writeError(w, http.StatusServiceUnavailable, err.Error())
-			}
-			return
-		}
-
-		// Wait for the result OR the request deadline — never just the
-		// result: a job whose deadline passes while still queued must get
-		// its 504 now, not after the whole queue ahead of it drains. The
-		// worker that eventually dequeues the abandoned job sees the dead
-		// ctx, skips the run, decrements the queue gauge, and its handback
-		// lands in the buffered done channel without blocking.
-		var res jobResult
-		select {
-		case res = <-j.done:
-		case <-ctx.Done():
-			res = jobResult{err: ctx.Err()}
-		}
-		if res.err != nil {
-			em.errors.Add(1)
-			status, msg := errStatus(res.err)
-			writeError(w, status, msg)
+		})
+		if err != nil {
+			fail(w, em, err)
 			return
 		}
 		if !q.NoCache {
-			s.store.Put(key, res.body)
-			s.met.storePuts.Add(1)
+			s.fill(key, body)
 		}
-		writeJSON(w, http.StatusOK, "miss", res.body)
+		writeJSON(w, http.StatusOK, "miss", body)
 	}
 }
 
@@ -374,9 +416,14 @@ func writeJSON(w http.ResponseWriter, status int, cacheState string, body []byte
 	w.Write([]byte("\n"))
 }
 
+// writeError answers msg as an ErrorReport; a 429 also carries
+// Retry-After.
 func writeError(w http.ResponseWriter, status int, msg string) {
 	body, _ := json.Marshal(api.ErrorReport{Error: msg})
 	w.Header().Set("Content-Type", "application/json")
+	if status == http.StatusTooManyRequests {
+		w.Header().Set("Retry-After", "1")
+	}
 	w.WriteHeader(status)
 	w.Write(body)
 	w.Write([]byte("\n"))

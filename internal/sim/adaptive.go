@@ -72,24 +72,7 @@ func RunFtreeAdaptive(f *topology.FoldedClos, p *permutation.Permutation, cfg Co
 	c := newEventCore(nLinks, len(pairs), L, cfg.Arbiter, keyFlowOrder)
 	c.reserve(len(pairs) * cfg.PacketsPerPair)
 	c.linkBusy = res.LinkBusy
-	if cfg.Collector != nil {
-		cfg.Collector.BeginRun(nLinks, L)
-		c.met = cfg.Collector
-	}
-
-	deliver := func(flow int32, now int64) {
-		res.Delivered++
-		res.SumLatency += now
-		if now > res.Makespan {
-			res.Makespan = now
-		}
-		if now > res.FlowFinish[flow] {
-			res.FlowFinish[flow] = now
-		}
-		if c.met != nil {
-			c.met.PacketDelivered(now)
-		}
-	}
+	c.observe(cfg.Collector, nLinks)
 
 	// linkOf maps a packet's current stage to its next link.
 	linkOf := func(pkt *corePacket) topology.LinkID {
@@ -114,26 +97,15 @@ func RunFtreeAdaptive(f *topology.FoldedClos, p *permutation.Permutation, cfg Co
 		for k := 0; k < cfg.PacketsPerPair; k++ {
 			res.TotalPackets++
 			if pr.Src == pr.Dst {
-				deliver(int32(fi), 0)
+				res.deliver(int32(fi), 0, c.met)
 				continue
 			}
 			c.pushPacket(0, c.newPacket(corePacket{flow: int32(fi), idx: int32(k)}))
 		}
 	}
 
-	var wall int64
-	for !c.empty() {
-		e := c.pop()
-		if e.time > cfg.MaxCycles {
-			res.Aborted = true
-			break
-		}
-		wall = e.time
-		if e.pkt == linkFreeEvent {
-			c.tryStart(e.link, e.time)
-			continue
-		}
-		pkt := &c.pkts[e.pkt]
+	res.Metrics, res.Aborted = c.drive(cfg.MaxCycles, func(pi int32, now int64) {
+		pkt := &c.pkts[pi]
 		pr := pairs[pkt.flow]
 		sv := pr.Src / f.N
 		dv := pr.Dst / f.N
@@ -142,8 +114,8 @@ func RunFtreeAdaptive(f *topology.FoldedClos, p *permutation.Permutation, cfg Co
 			pkt.hop = 3
 		}
 		if pkt.hop == 4 {
-			deliver(pkt.flow, e.time)
-			continue
+			res.deliver(pkt.flow, now, c.met)
+			return
 		}
 		if pkt.hop == 1 && sv != dv {
 			// The adaptive decision: pick the top switch whose relevant
@@ -172,11 +144,7 @@ func RunFtreeAdaptive(f *topology.FoldedClos, p *permutation.Permutation, cfg Co
 			}
 		}
 		// The adaptive pipeline stage (0..3) is exactly the metrics stage.
-		c.enqueue(linkOf(pkt), e.pkt, e.time, int(pkt.hop))
-	}
-	if c.met != nil {
-		c.met.EndRun(wall)
-		res.Metrics = metricsOf(cfg.Collector)
-	}
+		c.enqueue(linkOf(pkt), pi, now, int(pkt.hop))
+	})
 	return res, nil
 }

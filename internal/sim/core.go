@@ -163,6 +163,14 @@ func newEventCore(nLinks, nFlows int, L int64, arb Arbiter, pol arbKeyPolicy) *e
 	return c
 }
 
+// observe attaches col (nil = off) and opens its run over nLinks links.
+func (c *eventCore) observe(col Collector, nLinks int) {
+	if col != nil {
+		col.BeginRun(nLinks, c.L)
+		c.met = col
+	}
+}
+
 // reserve sizes the packet pool and the injection list for n packets.
 func (c *eventCore) reserve(n int) {
 	c.pkts = make([]corePacket, 0, n)
@@ -343,4 +351,32 @@ func (c *eventCore) enqueue(l topology.LinkID, pi int32, now int64, stage int) {
 	c.qTail[l] = pi
 	c.qLen[l]++
 	c.tryStart(l, now)
+}
+
+// drive is the event loop every engine runs once its injections are
+// pushed. It pops events until none is left or one lies past maxCycles
+// (aborted), restarts arbitration on every link-free event, and hands
+// every packet arrival to arrive, which delivers the packet or enqueues
+// it on its next link. The collector's run closes at the last popped
+// cycle; m is its payload (nil without a default collector).
+func (c *eventCore) drive(maxCycles int64, arrive func(pi int32, now int64)) (m *Metrics, aborted bool) {
+	var wall int64
+	for !c.empty() {
+		e := c.pop()
+		if e.time > maxCycles {
+			aborted = true
+			break
+		}
+		wall = e.time
+		if e.pkt == linkFreeEvent {
+			c.tryStart(e.link, e.time)
+			continue
+		}
+		arrive(e.pkt, e.time)
+	}
+	if c.met != nil {
+		c.met.EndRun(wall)
+		m = metricsOf(c.met)
+	}
+	return m, aborted
 }

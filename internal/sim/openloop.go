@@ -131,10 +131,7 @@ func OpenLoop(net *topology.Network, pairs [][2]int, pathsFor func(s, d int) ([]
 	res := &OpenLoopResult{OfferedLoad: cfg.Rate}
 	c := newEventCore(net.NumLinks(), len(pairs), L, cfg.Arbiter, keyInjection)
 	c.reserve(len(injections))
-	if cfg.Collector != nil {
-		cfg.Collector.BeginRun(net.NumLinks(), L)
-		c.met = cfg.Collector
-	}
+	c.observe(cfg.Collector, net.NumLinks())
 	// lat records measured end-to-end latencies; P99 comes from its
 	// power-of-two-bucket quantile instead of a sort over a retained
 	// latency slice (exact below 4096 cycles — see Histogram).
@@ -169,47 +166,33 @@ func OpenLoop(net *topology.Network, pairs [][2]int, pathsFor func(s, d int) ([]
 		}
 	}
 
-	var wall int64
-	for !c.empty() {
-		e := c.pop()
-		if e.time > cfg.MaxCycles {
-			// Abort: saturation means packets were still in flight, not
-			// merely that a (possibly vacuous) event sat beyond the
-			// horizon.
-			res.Saturated = outstanding > 0
-			res.Undelivered = outstanding
-			break
-		}
-		wall = e.time
-		if e.pkt == linkFreeEvent {
-			c.tryStart(e.link, e.time)
-			continue
-		}
-		p := &c.pkts[e.pkt]
+	var aborted bool
+	res.Metrics, aborted = c.drive(cfg.MaxCycles, func(pi int32, now int64) {
+		p := &c.pkts[pi]
 		path := pathSets[p.flow][p.path]
 		if int(p.hop) >= path.Len() {
 			outstanding--
 			if p.measured {
 				res.Delivered++
-				lat.Observe(e.time - p.injected)
-				if e.time > lastDelivery {
-					lastDelivery = e.time
-				}
+				lat.Observe(now - p.injected)
+				lastDelivery = max(lastDelivery, now)
 				if c.met != nil {
-					c.met.PacketDelivered(e.time - p.injected)
+					c.met.PacketDelivered(now - p.injected)
 				}
 			}
-			continue
+			return
 		}
 		stage := 0
 		if c.met != nil {
 			stage = hopStage(int(p.hop), path.Len())
 		}
-		c.enqueue(path.Links[p.hop], e.pkt, e.time, stage)
-	}
-	if c.met != nil {
-		c.met.EndRun(wall)
-		res.Metrics = metricsOf(cfg.Collector)
+		c.enqueue(path.Links[p.hop], pi, now, stage)
+	})
+	if aborted {
+		// Saturation means packets were still in flight, not merely that
+		// a (possibly vacuous) event sat beyond the horizon.
+		res.Saturated = outstanding > 0
+		res.Undelivered = outstanding
 	}
 
 	if res.Delivered > 0 {

@@ -165,6 +165,18 @@ func (r *Result) Slowdown(reference *Result) float64 {
 	return float64(r.Makespan) / float64(reference.Makespan)
 }
 
+// deliver records one of flow's packets delivered at cycle now (closed
+// loop: every packet was injected at cycle 0, so now is its latency).
+func (r *Result) deliver(flow int32, now int64, met Collector) {
+	r.Delivered++
+	r.SumLatency += now
+	r.Makespan = max(r.Makespan, now)
+	r.FlowFinish[flow] = max(r.FlowFinish[flow], now)
+	if met != nil {
+		met.PacketDelivered(now)
+	}
+}
+
 // Run simulates the flows over the network and returns the metrics.
 func Run(net *topology.Network, flows []Flow, cfg Config) (*Result, error) {
 	if err := cfg.normalize(); err != nil {
@@ -196,24 +208,7 @@ func Run(net *topology.Network, flows []Flow, cfg Config) (*Result, error) {
 	c := newEventCore(nLinks, len(flows), L, cfg.Arbiter, keyReadyAt)
 	c.reserve(len(flows) * cfg.PacketsPerPair)
 	c.linkBusy = res.LinkBusy
-	if cfg.Collector != nil {
-		cfg.Collector.BeginRun(nLinks, L)
-		c.met = cfg.Collector
-	}
-
-	deliver := func(flow int32, now int64) {
-		res.Delivered++
-		res.SumLatency += now
-		if now > res.Makespan {
-			res.Makespan = now
-		}
-		if now > res.FlowFinish[flow] {
-			res.FlowFinish[flow] = now
-		}
-		if c.met != nil {
-			c.met.PacketDelivered(now)
-		}
-	}
+	c.observe(cfg.Collector, nLinks)
 
 	// Inject all packets at cycle 0.
 	for fi, f := range flows {
@@ -227,41 +222,26 @@ func Run(net *topology.Network, flows []Flow, cfg Config) (*Result, error) {
 				pathIdx = rng.Intn(len(f.Paths))
 			}
 			if f.Paths[pathIdx].Len() == 0 {
-				deliver(int32(fi), 0) // self-pair: no network traversal
+				res.deliver(int32(fi), 0, c.met) // self-pair: no network traversal
 				continue
 			}
 			c.pushPacket(0, c.newPacket(corePacket{flow: int32(fi), idx: int32(k), path: int32(pathIdx)}))
 		}
 	}
 
-	var wall int64
-	for !c.empty() {
-		e := c.pop()
-		if e.time > cfg.MaxCycles {
-			res.Aborted = true
-			break
-		}
-		wall = e.time
-		if e.pkt == linkFreeEvent {
-			c.tryStart(e.link, e.time)
-			continue
-		}
-		p := &c.pkts[e.pkt]
+	res.Metrics, res.Aborted = c.drive(cfg.MaxCycles, func(pi int32, now int64) {
+		p := &c.pkts[pi]
 		path := flows[p.flow].Paths[p.path]
 		if int(p.hop) >= path.Len() {
-			deliver(p.flow, e.time)
-			continue
+			res.deliver(p.flow, now, c.met)
+			return
 		}
 		stage := 0
 		if c.met != nil {
 			stage = hopStage(int(p.hop), path.Len())
 		}
-		c.enqueue(path.Links[p.hop], e.pkt, e.time, stage)
-	}
-	if c.met != nil {
-		c.met.EndRun(wall)
-		res.Metrics = metricsOf(cfg.Collector)
-	}
+		c.enqueue(path.Links[p.hop], pi, now, stage)
+	})
 	return res, nil
 }
 

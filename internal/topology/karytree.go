@@ -72,55 +72,6 @@ func (t *KAryNTree) SwitchID(l, w int) NodeID {
 	return t.lvlBase[l] + NodeID(w)
 }
 
-// NumUpHops reports the number of up hops (beyond the leaf switch) a
-// src→dst path needs: the highest digit position where the host addresses
-// differ, 0 when they share a leaf switch.
-func (t *KAryNTree) NumUpHops(src, dst NodeID) int {
-	s := toDigits(int(src), t.K, t.Levels)
-	d := toDigits(int(dst), t.K, t.Levels)
-	for j := t.Levels - 1; j >= 1; j-- {
-		if s[j] != d[j] {
-			return j
-		}
-	}
-	return 0
-}
-
-// UpDownPath returns the up*/down* path from src to dst; upChoices supplies
-// the freed digit at each up hop (length ≥ NumUpHops(src, dst)).
-func (t *KAryNTree) UpDownPath(src, dst NodeID, upChoices []int) (Path, error) {
-	if src == dst {
-		return Path{}, fmt.Errorf("topology: src == dst")
-	}
-	k, n := t.K, t.Levels
-	sdig := toDigits(int(src), k, n)
-	ddig := toDigits(int(dst), k, n)
-	apex := t.NumUpHops(src, dst)
-	if len(upChoices) < apex {
-		return Path{}, fmt.Errorf("topology: need %d up choices, have %d", apex, len(upChoices))
-	}
-	w := make([]int, n-1) // w[j] is switch digit w_j; leaf switch has w_j = u_{j+1}
-	for j := 0; j < n-1; j++ {
-		w[j] = sdig[j+1]
-	}
-	idx := func() int { return fromDigits(w, k) }
-	nodes := []NodeID{src, t.SwitchID(0, idx())}
-	for l := 0; l < apex; l++ {
-		c := upChoices[l]
-		if c < 0 || c >= k {
-			return Path{}, fmt.Errorf("topology: up choice %d out of [0,%d)", c, k)
-		}
-		w[l] = c
-		nodes = append(nodes, t.SwitchID(l+1, idx()))
-	}
-	for l := apex; l > 0; l-- {
-		w[l-1] = ddig[l]
-		nodes = append(nodes, t.SwitchID(l-1, idx()))
-	}
-	nodes = append(nodes, dst)
-	return t.Net.PathBetween(nodes...)
-}
-
 // Validate performs structural self-checks.
 func (t *KAryNTree) Validate() error {
 	g := t.Net

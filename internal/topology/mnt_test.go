@@ -170,46 +170,7 @@ func TestKAryNTreeCounts(t *testing.T) {
 	}
 }
 
-func TestKAryNTreePathsAllPairs(t *testing.T) {
-	for _, c := range []struct{ k, n int }{{2, 3}, {3, 2}, {3, 3}} {
-		tr := NewKAryNTree(c.k, c.n)
-		rng := rand.New(rand.NewSource(11))
-		for s := 0; s < tr.Hosts(); s++ {
-			for d := 0; d < tr.Hosts(); d++ {
-				if s == d {
-					continue
-				}
-				hops := tr.NumUpHops(NodeID(s), NodeID(d))
-				choices := make([]int, hops)
-				for i := range choices {
-					choices[i] = rng.Intn(c.k)
-				}
-				p, err := tr.UpDownPath(NodeID(s), NodeID(d), choices)
-				if err != nil {
-					t.Fatalf("%d-ary %d-tree %d->%d: %v", c.k, c.n, s, d, err)
-				}
-				if !p.Valid(tr.Net) {
-					t.Fatalf("%d-ary %d-tree %d->%d invalid path", c.k, c.n, s, d)
-				}
-				if want := 2 + 2*hops; p.Len() != want {
-					t.Fatalf("%d-ary %d-tree %d->%d length %d, want %d", c.k, c.n, s, d, p.Len(), want)
-				}
-			}
-		}
-	}
-}
-
 func TestKAryNTreeErrors(t *testing.T) {
-	tr := NewKAryNTree(2, 2)
-	if _, err := tr.UpDownPath(0, 0, nil); err == nil {
-		t.Fatal("src == dst should error")
-	}
-	if _, err := tr.UpDownPath(0, 3, nil); err == nil {
-		t.Fatal("missing choices should error")
-	}
-	if _, err := tr.UpDownPath(0, 3, []int{5}); err == nil {
-		t.Fatal("bad choice should error")
-	}
 	func() {
 		defer func() {
 			if recover() == nil {
