@@ -9,7 +9,7 @@ RACE_PKGS ?= ./internal/sim/ ./internal/analysis/ ./internal/routing/ ./internal
 # Per-target budget for the fuzz smoke pass (`go test -fuzz` accepts one
 # target per invocation). Entries are package:target.
 FUZZTIME ?= 30s
-FUZZ_TARGETS := ./internal/routing/:FuzzEdgeColorBipartite ./internal/routing/:FuzzBenesLooping ./internal/routing/:FuzzRouteTableParity ./internal/permutation/:FuzzCanonicalParity ./internal/permutation/:FuzzParse ./internal/analysis/:FuzzLemma1Parity
+FUZZ_TARGETS := ./internal/routing/:FuzzEdgeColorBipartite ./internal/routing/:FuzzBenesLooping ./internal/routing/:FuzzRouteTableParity ./internal/permutation/:FuzzCanonicalParity ./internal/permutation/:FuzzParse ./internal/analysis/:FuzzLemma1Parity ./internal/analysis/:FuzzLemma1VsSweep
 
 .PHONY: all build test race cover bench bench-json bench-gate fuzz-smoke batch-smoke coordinator-smoke frontier-smoke design-smoke fault-smoke nbperf-check report report-check tables tables-check examples examples-check loc clean
 

@@ -176,6 +176,40 @@ func buildBenchmarks() ([]benchmark, error) {
 		})
 	}
 
+	// SweepExhaustiveN10Spray: all 10! permutations of ftree(2+4, 5) under
+	// full spray, 98% of them blocked, through the parallel pool on one
+	// worker — the pruned count's home ground: a contended partial pattern
+	// stands for all its completions. Counts are pinned at setup and per
+	// iteration.
+	{
+		f := fclos.NewFoldedClos(2, 4, 5)
+		r := fclos.NewFullSpray(f)
+		hosts := f.Ports()
+		spec := fclos.SweepSpec{Parallel: true, Workers: 1}
+		const patterns, blocked = 3628800, 3554272
+		sweep := func() error {
+			res, _, err := fclos.Sweep(ctx, r, hosts, spec)
+			if err != nil || res.Tested != patterns || res.Blocked != blocked {
+				return fmt.Errorf("n=10 spray sweep drifted: tested=%d blocked=%d err=%v", res.Tested, res.Blocked, err)
+			}
+			return nil
+		}
+		if err := sweep(); err != nil {
+			return nil, err
+		}
+		benches = append(benches, benchmark{
+			name: "SweepExhaustiveN10Spray",
+			fn: func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if err := sweep(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			},
+			met: map[string]float64{"patterns": patterns, "blocked": blocked},
+		})
+	}
+
 	// Lemma1AllPairs: the exact all-pairs Lemma-1 decision on the Table-I
 	// network under dest-mod routing — one flat-array fold over all 6320
 	// SD pairs, then the violated link's view rebuilt for the witness. The

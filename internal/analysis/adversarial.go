@@ -96,7 +96,7 @@ func (s *WorstCaseSearch) RunCtx(ctx context.Context) (*WorstCaseResult, error) 
 		best.Evaluated++
 		consider(curC, curL)
 		for step := 0; step < s.Steps; step++ {
-			if k.stop() {
+			if k.stop(1) {
 				return finish(ctx.Err())
 			}
 			// Swap the destinations of two random sources.

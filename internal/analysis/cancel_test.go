@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -184,5 +185,77 @@ func TestSweepCtxCancelPrompt(t *testing.T) {
 			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestPrunedSweepCancelAtFirstProgress cancels a Parallel sweep of the
+// ftree(2+4,5) spray routing — 10 hosts, 98% of the patterns blocked, so
+// the pruned walk counts most of them in whole subtrees — from inside its
+// first progress callback. The sweep must return ctx.Err() within the
+// stride and report deltas that sum to its partial counters. A pruned
+// subtree advances the stride by its size, so each worker's first callback
+// comes within one stride plus one subtree (at most 8! patterns below a
+// level-1 prefix) of its start. A worker checks the stride before
+// counting, so after the signal it accounts for less than one more
+// stride: with one worker the sweep stops at the very poll that delivered
+// the callback. A second worker may also hold, unreported, the subtree
+// counted right after its last poll and the patterns after it within
+// that stride.
+func TestPrunedSweepCancelAtFirstProgress(t *testing.T) {
+	f := topology.NewFoldedClos(2, 4, 5)
+	r := routing.NewFullSpray(f)
+	hosts := f.Ports()
+	stride, subtree := cancelCheckMask+1, factorials[hosts-2]
+	for _, workers := range []int{1, 2} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var mu sync.Mutex
+		var tested, blocked, first int
+		fn := func(dt, db int) {
+			mu.Lock()
+			defer mu.Unlock()
+			tested += dt
+			blocked += db
+			if first == 0 {
+				first = tested
+				cancel()
+			}
+		}
+		res, _, err := Sweep(ctx, r, hosts, Spec{Parallel: true, Workers: workers, Progress: fn})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		if tested != res.Tested || blocked != res.Blocked {
+			t.Fatalf("workers=%d: deltas sum to (%d,%d), partial result (%d,%d)", workers, tested, blocked, res.Tested, res.Blocked)
+		}
+		if first == 0 || first > workers*(stride+subtree) {
+			t.Fatalf("workers=%d: first callback after %d patterns: the stride does not count pruned patterns", workers, first)
+		}
+		if bound := first + (workers-1)*(2*stride+subtree); res.Tested > bound {
+			t.Fatalf("workers=%d: %d patterns counted, first callback at %d: more than the stride allows (%d)", workers, res.Tested, first, bound)
+		}
+	}
+}
+
+// TestPrunedSweepProgressStride runs the same sweep to completion on one
+// worker: every progress delta covers at most one stride plus the one
+// pruned subtree counted right after the previous poll, because a pruned
+// subtree advances the stride by its size rather than by one.
+func TestPrunedSweepProgressStride(t *testing.T) {
+	f := topology.NewFoldedClos(2, 4, 5)
+	r := routing.NewFullSpray(f)
+	hosts := f.Ports()
+	var tested, calls, largest int
+	fn := func(dt, _ int) {
+		tested += dt
+		calls++
+		largest = max(largest, dt)
+	}
+	res := mustSweep(t, r, hosts, Spec{Parallel: true, Workers: 1, Progress: fn})
+	if tested != res.Tested {
+		t.Fatalf("deltas sum to %d, result %d", tested, res.Tested)
+	}
+	if bound := cancelCheckMask + 1 + factorials[hosts-2]; largest > bound {
+		t.Fatalf("a progress delta of %d patterns (%d calls): more than one stride and one subtree (%d)", largest, calls, bound)
 	}
 }

@@ -1,8 +1,11 @@
 package analysis
 
 import (
+	"slices"
+
 	"repro/internal/permutation"
 	"repro/internal/routing"
+	"repro/internal/topology"
 )
 
 // DeltaChecker is the incremental counterpart of Checker for enumerations
@@ -28,6 +31,12 @@ import (
 //     load-2 boundary, and maxLoad is re-derived from the countAt
 //     histogram only when the previous maximum's witness count drops to
 //     zero — which, because loads move by ±1, walks at most one step.
+//
+// The pruned exhaustive count (kernel.count) drives the same state one pair
+// at a time instead: add and remove load and unload a single pair, loads
+// only grow as pairs are added, and Swap walks the last few sources in
+// Heap order. maxCompletionLoad turns the state of a partial pattern into
+// the exact maximum link load over all of its completions.
 //
 // A DeltaChecker is NOT safe for concurrent use; parallel sweeps give each
 // worker its own checker over one shared (immutable) RouteTable.
@@ -65,6 +74,28 @@ func NewDeltaChecker(t *routing.RouteTable) *DeltaChecker {
 // paid once per enumeration shard or hill-climb restart. p may be partial;
 // Unused sources load nothing. p.N() must equal the table's host count.
 func (d *DeltaChecker) Reset(p *permutation.Permutation) {
+	d.clear()
+	for s := range d.dst {
+		dt := p.Dst(s)
+		d.dst[s] = dt
+		d.add(s, dt)
+	}
+}
+
+// resetPrefix is Reset for the partial pattern in which sources
+// 0..len(prefix)−1 send to prefix and every other source is Unused.
+func (d *DeltaChecker) resetPrefix(prefix []int) {
+	d.clear()
+	for s := range d.dst {
+		d.dst[s] = permutation.Unused
+	}
+	for s, dt := range prefix {
+		d.dst[s] = dt
+		d.add(s, dt)
+	}
+}
+
+func (d *DeltaChecker) clear() {
 	for i := range d.load {
 		d.load[i] = 0
 	}
@@ -72,11 +103,6 @@ func (d *DeltaChecker) Reset(p *permutation.Permutation) {
 		d.countAt[i] = 0
 	}
 	d.contended, d.maxLoad = 0, 0
-	for s := range d.dst {
-		dt := p.Dst(s)
-		d.dst[s] = dt
-		d.add(s, dt)
-	}
 }
 
 // add loads every link of pair (s, dt); dt < 0 (Unused) loads nothing.
@@ -150,3 +176,35 @@ func (d *DeltaChecker) MaxLoad() int { return d.maxLoad }
 
 // ContendedCount is the number of links carrying two or more pairs.
 func (d *DeltaChecker) ContendedCount() int { return d.contended }
+
+// maxCompletionLoad is the largest load that any completion of the current
+// partial pattern puts on one link, or best if that is larger. A
+// completion sends the free sources from..n−1 to the destinations that
+// used leaves unmarked, in any bijection. By the argument of
+// WorstCaseLinkLoad, applied to the free pairs, its worst load on link l
+// is the partial pattern's load[l] plus a maximum matching among the free
+// pairs whose span crosses l: any such matching extends to a completion,
+// since the free sources and destinations it leaves over pair up in any
+// way. A link whose load plus free-source count cannot beat best is
+// skipped. m must be sized for the table's host count.
+func (d *DeltaChecker) maxCompletionLoad(from int, used []bool, m *matching, best int) int {
+	n := len(d.dst)
+	for l := range d.load {
+		base := int(d.load[l])
+		if base+n-from <= best {
+			continue
+		}
+		m.adj, m.off = m.adj[:0], m.off[:0]
+		for s := from; s < n; s++ {
+			m.off = append(m.off, int32(len(m.adj)))
+			for dt, u := range used {
+				if !u && slices.Contains(d.t.PairLinks(s, dt), topology.LinkID(l)) {
+					m.adj = append(m.adj, int32(dt))
+				}
+			}
+		}
+		m.off = append(m.off, int32(len(m.adj)))
+		best = max(best, base+m.size())
+	}
+	return best
+}

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/permutation"
 	"repro/internal/routing"
@@ -20,9 +21,11 @@ type Spec struct {
 	// order. Counts, MaxLinkLoad and a routing error (the canonical
 	// sequential-order first one) equal the sequential sweep's;
 	// FirstBlocked is the first blocked pattern of the lowest blocked
-	// level-1 shard, not the sequential sweep's Heap-order witness. On
-	// cancellation the merged partial counters depend on where each worker
-	// observed the signal: progress indicators only.
+	// level-1 shard, not the sequential sweep's Heap-order witness. Under
+	// the delta engine the workers only count (see kernel.count), and the
+	// calling goroutine re-walks that one shard for its witness after the
+	// merge. On cancellation the merged partial counters depend on where
+	// each worker observed the signal: progress indicators only.
 	Parallel bool
 	Workers  int
 	// FirstBlocked stops at the first blocked pattern: Tested counts the
@@ -66,11 +69,15 @@ type Spec struct {
 // mode — that need to show liveness without slowing the hot loop. The
 // hooks share the sweep kernel's strided cancellation poll: the callback
 // fires at most once per cancelCheckMask+1 patterns plus one flush per
-// enumeration (and per shard in the parallel pool).
+// enumeration (and per shard in the parallel pool). The stride counts
+// patterns accounted for, not patterns visited: the delta engine's pruned
+// count takes a blocked subtree of up to (hosts−2)! patterns in one step,
+// so one delta can be that large.
 
 // ProgressFunc receives incremental sweep progress: the number of patterns
 // tested and found blocked since the previous call from the same sweep
-// goroutine. Parallel sweeps invoke one callback concurrently from every
+// goroutine. A witness re-derivation after a pruned count reports nothing:
+// its patterns are already counted. Parallel sweeps invoke one callback concurrently from every
 // worker, so implementations must be safe for concurrent use (atomic adds
 // are the intended shape); deltas from all workers sum to the final
 // SweepResult counters. Callbacks run on the sweep hot path — keep them
@@ -207,11 +214,21 @@ const cancelCheckMask = 1<<12 - 1
 // DeltaChecker over a shared route table when the router's per-pair link
 // sets are pattern-independent, else the scratch Checker, which re-routes
 // every pattern with r. Both are held by value, so a scorer on a sweep's
-// stack costs no allocation beyond its checker's buffers.
+// stack costs no allocation beyond its checker's buffers and, for the
+// pruned walk, its own scratch, allocated once per scorer.
 type scorer struct {
 	d DeltaChecker // in use when d.t != nil
 	c Checker
 	r routing.Router
+	// The pruned walk's state (kernel.count). used[dt] marks a destination
+	// taken by the prefix or an enclosing node and is sized on the first
+	// walk; leafC holds the leaf enumeration's Heap counters; pruned says
+	// whether the current walk counted a subtree without visiting it; m is
+	// sized on the first walk that prunes.
+	used   []bool
+	leafC  [pruneLeaf]int
+	pruned bool
+	m      matching
 }
 
 func (s *scorer) delta() bool { return s.d.t != nil }
@@ -321,11 +338,14 @@ func (e engine) kernel(ctx context.Context, res *SweepResult, firstOnly bool, fn
 	return kernel{sc: e.scorer(), res: res, firstOnly: firstOnly, ctx: ctx, fn: fn, weight: 1, mask: cancelCheckMask}
 }
 
-// stop advances the stride counter and, once per stride, reports progress
-// and polls ctx. It reports whether ctx fired.
-func (k *kernel) stop() bool {
-	k.tick++
-	return k.tick&k.mask == 0 && k.poll()
+// stop advances the stride counter by n patterns and, when that crosses a
+// stride boundary, reports progress and polls ctx. It reports whether ctx
+// fired.
+func (k *kernel) stop(n uint) bool {
+	t := k.tick + n
+	crossed := t&^k.mask != k.tick&^k.mask
+	k.tick = t
+	return crossed && k.poll()
 }
 
 func (k *kernel) poll() bool {
@@ -338,27 +358,36 @@ func (k *kernel) poll() bool {
 // sources i and j (i < 0: no swap), and counts it as k.weight patterns of
 // the full space. It reports whether the walk goes on.
 func (k *kernel) visit(p *permutation.Permutation, i, j int) bool {
-	if k.stop() {
+	if k.stop(1) {
 		return false
 	}
 	if err := k.sc.load(p, i, j); err != nil {
 		k.res.RouteErr = fmt.Errorf("analysis: pattern %s: %w", p, err)
 		return false
 	}
+	if !k.tally() {
+		return true
+	}
+	if k.res.FirstBlocked == nil {
+		// Enumerators reuse p; retain a copy.
+		k.res.FirstBlocked = p.Clone()
+	}
+	return !k.firstOnly
+}
+
+// tally counts the scorer's current pattern as k.weight patterns and
+// reports whether it is blocked.
+func (k *kernel) tally() bool {
 	res := k.res
 	res.Tested += k.weight
 	if m := k.sc.maxLoad(); m > res.MaxLinkLoad {
 		res.MaxLinkLoad = m
 	}
 	if k.sc.contended() == 0 {
-		return true
+		return false
 	}
 	res.Blocked += k.weight
-	if res.FirstBlocked == nil {
-		// Enumerators reuse p; retain a copy.
-		res.FirstBlocked = p.Clone()
-	}
-	return !k.firstOnly
+	return true
 }
 
 // flush reports the counters accumulated since the last report.
@@ -391,26 +420,46 @@ func (k *kernel) finish() error {
 
 // walk runs the kernel over one prefix shard — every pattern whose sources
 // 0..len(prefix)−1 send to prefix — or over the whole space when prefix is
-// empty. The delta scorer needs swap-adjacent patterns and always walks
-// Heap order. The scratch scorer walks Heap order when heap is set (the
-// sequential sweep) and lexicographic order otherwise (prefix shards and
-// the parallel pool): each mode's FirstBlocked witness is the first
-// blocked pattern in that order.
+// empty. A delta scorer counts the shard with the pruned walk (count),
+// which leaves FirstBlocked to a second, early-exit walk (witness), unless
+// the kernel stops at the first blocked pattern. Early-exit walks visit
+// every pattern in an enumeration order whose first blocked pattern is the
+// mode's witness. The delta scorer needs swap-adjacent patterns and always
+// walks Heap order. The scratch scorer walks Heap order when heap is set
+// (the sequential sweep) and lexicographic order otherwise (prefix shards
+// and the parallel pool).
 func (k *kernel) walk(hosts int, prefix []int, heap bool) {
-	if !k.sc.delta() && !heap {
+	switch {
+	case k.prunes(hosts) && !k.firstOnly:
+		k.count(hosts, prefix)
+	case !k.sc.delta() && !heap:
 		permutation.EnumerateFullPrefixSeq(hosts, prefix, func(p *permutation.Permutation) bool {
 			return k.visit(p, -1, -1)
 		})
-		return
-	}
-	if len(prefix) == 0 {
+	case len(prefix) == 0:
 		permutation.EnumerateFullSwaps(hosts, k.visit)
-	} else {
+	default:
 		permutation.EnumerateFullPrefixSeqSwaps(hosts, prefix, k.visit)
 	}
 }
 
-// sweep runs one walk (see kernel.walk) on a fresh scorer.
+// witness returns the first blocked pattern of one shard in the early-exit
+// walk's order (see walk), scanned on k's own scorer with progress off:
+// the pruned count already reported the shard's patterns, so k.res gets
+// its counters back afterwards. Call it only for a shard known to block;
+// it returns nil if ctx fires first.
+func (k *kernel) witness(hosts int, prefix []int, heap bool) *permutation.Permutation {
+	res := k.res
+	saved, fn, firstOnly := *res, k.fn, k.firstOnly
+	k.fn, k.firstOnly = nil, true
+	k.walk(hosts, prefix, heap)
+	w := res.FirstBlocked
+	*res, k.fn, k.firstOnly = saved, fn, firstOnly
+	return w
+}
+
+// sweep runs one walk (see kernel.walk) on a fresh scorer, and the witness
+// walk when the pruned count found the shard blocked.
 func (e engine) sweep(ctx context.Context, prefix []int, heap, firstOnly bool, fn ProgressFunc) (*SweepResult, error) {
 	res := &SweepResult{}
 	if err := ctx.Err(); err != nil {
@@ -418,19 +467,184 @@ func (e engine) sweep(ctx context.Context, prefix []int, heap, firstOnly bool, f
 	}
 	k := e.kernel(ctx, res, firstOnly, fn)
 	k.walk(e.hosts, prefix, heap)
+	if res.Blocked > 0 && res.FirstBlocked == nil && !k.cancelled {
+		res.FirstBlocked = k.witness(e.hosts, prefix, heap)
+	}
 	return res, k.finish()
 }
 
-// parallel is the one worker pool: it fans the n level-1 prefix shards
-// over workers goroutines (≤ 0 selects GOMAXPROCS), each owning one kernel
-// and scorer, and merges the shard results in shard order, so FirstBlocked
-// is the first blocked pattern of the lowest blocked level-1 shard — not
-// the sequential sweep's witness. Every worker polls ctx on the kernel
-// stride, the feeder stops once ctx fires, and all workers are joined
-// before return. A routing error in any shard stops the pool; the other
-// shards' partial counters are then racy, so the result is instead the
-// canonical sequential-order first routing error (SweepFirstRouteErr),
-// which depends only on the router.
+// The pruned walk. A route table exists only for a router whose per-pair
+// link sets do not depend on the pattern, and adding a pair to a partial
+// pattern only ever raises link loads. So a partial pattern that contends
+// still contends in every full pattern that extends it: all (n−depth)! of
+// them are blocked, and the walk counts them at once instead of visiting
+// them. That argument fails for adaptive and global routers, whose paths
+// depend on the whole pattern; they have no route table and never reach
+// this walk.
+
+// pruneLeaf is the number of last sources the pruned walk does not recurse
+// on: their pruneLeaf! arrangements are walked in Heap order, one
+// DeltaChecker.Swap per pattern like the unpruned walk, so a walk that
+// prunes nothing costs what the plain Heap walk costs. Recursing down to
+// the last source would pay an add and a remove per pattern instead.
+const pruneLeaf = 4
+
+// factorials[i] is i!, for every i whose factorial fits in an int.
+var factorials = func() []int {
+	f := []int{1}
+	for i := 1; f[i-1]*i/i == f[i-1]; i++ {
+		f = append(f, f[i-1]*i)
+	}
+	return f
+}()
+
+// prunes reports whether k counts with the pruned walk: it needs a delta
+// scorer, and a host count whose whole space hosts! is representable, so
+// no sum of pruned subtree sizes can overflow the counters.
+func (k *kernel) prunes(hosts int) bool {
+	return k.sc.delta() && hosts < len(factorials)
+}
+
+// count is the pruned walk over one prefix shard. It assigns sources from
+// len(prefix) upward, each to every free destination in ascending order,
+// and counts a contended partial pattern's completions as tested and
+// blocked without visiting them (see above); the last pruneLeaf sources
+// take the free destinations left in a Heap enumeration (leaves). Its
+// visiting order is no enumeration order, so FirstBlocked stays nil. With
+// firstOnly it stops at the first blocked pattern or pruned subtree: a
+// probe for whether the shard blocks.
+//
+// MaxLinkLoad is exact. When nothing was pruned, every pattern was visited
+// and it is the largest load seen. Otherwise it is the largest load any
+// completion of the prefix puts on one link, by bipartite matching
+// (DeltaChecker.maxCompletionLoad), computed once per walk.
+func (k *kernel) count(hosts int, prefix []int) {
+	sc := &k.sc
+	if sc.used == nil {
+		sc.used = make([]bool, hosts)
+	}
+	clear(sc.used)
+	for _, dt := range prefix {
+		sc.used[dt] = true
+	}
+	sc.d.resetPrefix(prefix)
+	sc.pruned = false
+	if sc.d.contended > 0 {
+		sc.pruned = true
+		k.prune(factorials[hosts-len(prefix)])
+	} else {
+		k.dfs(len(prefix))
+	}
+	if sc.pruned && !k.cancelled && !k.firstOnly {
+		if sc.m.off == nil {
+			sc.m = newMatching(hosts)
+		}
+		k.res.MaxLinkLoad = sc.d.maxCompletionLoad(len(prefix), sc.used, &sc.m, k.res.MaxLinkLoad)
+	}
+}
+
+// dfs walks every completion of the uncontended partial pattern that
+// assigns sources 0..s−1. It reports whether the walk goes on.
+func (k *kernel) dfs(s int) bool {
+	sc := &k.sc
+	n := len(sc.used)
+	if n-s <= pruneLeaf {
+		return k.leaves(s)
+	}
+	for dt, taken := range sc.used {
+		if taken {
+			continue
+		}
+		sc.d.add(s, dt)
+		var more bool
+		if sc.d.contended > 0 {
+			sc.pruned = true
+			more = k.prune(factorials[n-s-1])
+		} else {
+			sc.used[dt] = true
+			more = k.dfs(s + 1)
+			sc.used[dt] = false
+		}
+		sc.d.remove(s, dt)
+		if !more {
+			return false
+		}
+	}
+	return true
+}
+
+// leaves gives sources base..n−1 the free destinations in ascending order,
+// scores every arrangement of them in Heap order, and unloads them. It
+// reports whether the walk goes on.
+func (k *kernel) leaves(base int) bool {
+	d := &k.sc.d
+	n := len(d.dst)
+	s := base
+	for dt, taken := range k.sc.used {
+		if !taken {
+			d.dst[s] = dt
+			d.add(s, dt)
+			s++
+		}
+	}
+	more := k.score()
+	c := k.sc.leafC[:n-base]
+	clear(c)
+	// Heap's algorithm as in permutation.EnumerateFullSwaps; c[0] stays 0,
+	// so each swap restarts the scan at i = 1.
+	for i := 1; more && i < len(c); {
+		if c[i] < i {
+			a := 0
+			if i%2 == 1 {
+				a = c[i]
+			}
+			d.Swap(base+a, base+i)
+			more = k.score()
+			c[i]++
+			i = 1
+		} else {
+			c[i] = 0
+			i++
+		}
+	}
+	for s := base; s < n; s++ {
+		d.remove(s, d.dst[s])
+		d.dst[s] = permutation.Unused
+	}
+	return more
+}
+
+// score counts the pattern the delta scorer holds. It reports whether the
+// walk goes on.
+func (k *kernel) score() bool {
+	return !k.stop(1) && (!k.tally() || !k.firstOnly)
+}
+
+// prune counts size patterns, the completions of a contended partial
+// pattern, as tested and blocked; the stride advances by all of them. It
+// reports whether the walk goes on.
+func (k *kernel) prune(size int) bool {
+	if k.stop(uint(size)) {
+		return false
+	}
+	k.res.Tested += size
+	k.res.Blocked += size
+	return !k.firstOnly
+}
+
+// parallel is the one worker pool: it fans the n level-1 prefix shards,
+// taken in ascending order, over workers goroutines (≤ 0 selects
+// GOMAXPROCS; the calling goroutine is one of them), each owning one
+// kernel and scorer, and merges the shard results in shard order, so
+// FirstBlocked is the first blocked pattern of the lowest blocked level-1
+// shard — not the sequential sweep's witness. A pruned count leaves it to
+// the calling goroutine's kernel, which walks just that shard again after
+// the merge. Every worker polls ctx on the kernel stride and takes no
+// shard once ctx fires, and all workers are joined before return. A
+// routing error in any shard stops the pool; the other shards' partial
+// counters are then racy, so the result is instead the canonical
+// sequential-order first routing error (SweepFirstRouteErr), which depends
+// only on the router.
 func (e engine) parallel(ctx context.Context, workers int, fn ProgressFunc) (*SweepResult, error) {
 	if e.hosts <= 1 {
 		return e.sweep(ctx, nil, true, false, fn)
@@ -444,36 +658,35 @@ func (e engine) parallel(ctx context.Context, workers int, fn ProgressFunc) (*Sw
 	results := make([]SweepResult, e.hosts)
 	pool, abort := context.WithCancel(ctx)
 	defer abort()
-	shards := make(chan int)
+	var next atomic.Int64
+	work := func(k *kernel, prefix []int) {
+		for !k.cancelled && pool.Err() == nil {
+			shard := int(next.Add(1) - 1)
+			if shard >= e.hosts {
+				break
+			}
+			prefix[0] = shard
+			k.use(&results[shard])
+			k.walk(e.hosts, prefix, false)
+			if k.res.RouteErr != nil {
+				k.cancelled = true
+				abort()
+			}
+		}
+		k.flush()
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < min(workers, e.hosts); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			k := e.kernel(pool, nil, false, fn)
-			for shard := range shards {
-				if k.cancelled {
-					continue // drain the channel so the feeder never blocks
-				}
-				k.use(&results[shard])
-				k.walk(e.hosts, []int{shard}, false)
-				if k.res.RouteErr != nil {
-					k.cancelled = true
-					abort()
-				}
-			}
-			k.flush()
+			work(&k, []int{0})
 		}()
 	}
-feed:
-	for shard := 0; shard < e.hosts; shard++ {
-		select {
-		case shards <- shard:
-		case <-pool.Done():
-			break feed
-		}
-	}
-	close(shards)
+	k := e.kernel(pool, nil, false, fn)
+	prefix := []int{0}
+	work(&k, prefix)
 	wg.Wait()
 	merged := MergeShardSweeps(results)
 	if err := ctx.Err(); err != nil {
@@ -485,7 +698,17 @@ feed:
 	if merged.RouteErr != nil {
 		return SweepFirstRouteErr(e.r, e.hosts), nil
 	}
-	return merged, nil
+	if merged.Blocked > 0 && merged.FirstBlocked == nil {
+		for shard := range results {
+			if results[shard].Blocked > 0 {
+				prefix[0] = shard
+				k.use(&results[shard])
+				merged.FirstBlocked = k.witness(e.hosts, prefix, false)
+				break
+			}
+		}
+	}
+	return merged, ctx.Err()
 }
 
 // SweepFirstRouteErr scans the full enumeration in sequential order and

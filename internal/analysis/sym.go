@@ -61,22 +61,34 @@ func SymApplicable(r routing.Router, hosts, blockSize int) *SymStats {
 // witness re-derives the FirstBlocked witness the unreduced sweep reports:
 // in the Parallel merge order (first blocked pattern of the lowest level-1
 // prefix shard) or in sequential Heap order. Call it only when the sweep is
-// known blocked, so the early-exit scan terminates at the witness.
+// known blocked, so the early-exit scan terminates at the witness. In
+// merge order a delta scorer first probes each shard with the pruned walk,
+// which stops at the shard's first contended partial pattern, and scans
+// for the witness only in the first shard the probe finds blocked.
 func (e engine) witness(ctx context.Context, parallelOrder bool) (*permutation.Permutation, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	var probe SweepResult
+	k := e.kernel(ctx, &probe, true, nil)
 	if !parallelOrder {
-		res, err := e.sweep(ctx, nil, true, true, nil)
-		return res.FirstBlocked, err
+		k.walk(e.hosts, nil, true)
+		return probe.FirstBlocked, k.finish()
 	}
-	for shard := 0; shard < e.hosts; shard++ {
-		res, err := e.sweep(ctx, []int{shard}, false, true, nil)
-		if err != nil {
-			return nil, err
+	prefix := []int{0}
+	for shard := 0; shard < e.hosts && !k.cancelled; shard++ {
+		prefix[0] = shard
+		if k.prunes(e.hosts) {
+			probe.Blocked = 0
+			if k.count(e.hosts, prefix); probe.Blocked == 0 {
+				continue
+			}
 		}
-		if res.FirstBlocked != nil {
-			return res.FirstBlocked, nil
+		if w := k.witness(e.hosts, prefix, false); w != nil {
+			return w, nil
 		}
 	}
-	return nil, nil
+	return nil, k.finish()
 }
 
 // prepareSym runs the three applicability gates — geometry, route table,

@@ -49,8 +49,9 @@ func WorstCaseLinkLoad(r routing.PairRouter, hosts int) (*WorstLoadResult, error
 	}
 	slices.Sort(ids)
 	out := &WorstLoadResult{PerLink: make(map[topology.LinkID]int, len(ids)), Link: topology.NoLink}
+	m := newMatching(hosts)
 	for _, id := range ids {
-		load, _ := maxMatching(views[id])
+		load := m.ofView(views[id])
 		out.PerLink[id] = load
 		// Ascending IDs with a strict comparison: ties break toward the
 		// lowest link ID.
@@ -62,50 +63,21 @@ func WorstCaseLinkLoad(r routing.PairRouter, hosts int) (*WorstLoadResult, error
 	return out, nil
 }
 
-// maxMatching computes a maximum matching of a link's SD pairs (sources
-// left, destinations right) by augmenting paths — Kuhn's algorithm,
-// adequate for per-link pair sets. matchDst[j] is the index into
-// view.Sources matched to view.Dests[j], or -1 when unmatched.
-func maxMatching(view *LinkSDView) (count int, matchDst []int) {
-	srcIdx := make(map[int]int, len(view.Sources))
-	for i, s := range view.Sources {
-		srcIdx[s] = i
-	}
-	dstIdx := make(map[int]int, len(view.Dests))
-	for i, d := range view.Dests {
-		dstIdx[d] = i
-	}
-	adj := make([][]int, len(view.Sources))
-	for _, pr := range view.Pairs {
-		si := srcIdx[pr.Src]
-		adj[si] = append(adj[si], dstIdx[pr.Dst])
-	}
-	matchDst = make([]int, len(view.Dests))
-	for i := range matchDst {
-		matchDst[i] = -1
-	}
-	seen := make([]bool, len(view.Dests))
-	var try func(u int) bool
-	try = func(u int) bool {
-		for _, v := range adj[u] {
-			if seen[v] {
-				continue
-			}
-			seen[v] = true
-			if matchDst[v] == -1 || try(matchDst[v]) {
-				matchDst[v] = u
-				return true
-			}
+// ofView builds the bipartite graph of a link's SD pairs on m, numbering
+// the sources in view.Sources order, and returns its maximum matching's
+// size: m.owner[d] is then the matched source's position in view.Sources,
+// or −1. view.Pairs come in (s, d) order, so each source's pairs are one
+// run and the sources appear in view.Sources order.
+func (m *matching) ofView(view *LinkSDView) int {
+	m.adj, m.off = m.adj[:0], m.off[:0]
+	for i, pr := range view.Pairs {
+		if i == 0 || pr.Src != view.Pairs[i-1].Src {
+			m.off = append(m.off, int32(len(m.adj)))
 		}
-		return false
+		m.adj = append(m.adj, int32(pr.Dst))
 	}
-	for u := range adj {
-		clear(seen)
-		if try(u) {
-			count++
-		}
-	}
-	return count, matchDst
+	m.off = append(m.off, int32(len(m.adj)))
+	return m.size()
 }
 
 // WorstCasePermutationFor constructs a permutation realizing the
@@ -123,15 +95,67 @@ func WorstCasePermutationFor(r routing.PairRouter, hosts int, link topology.Link
 	if len(view.Pairs) == 0 {
 		return nil, fmt.Errorf("analysis: link %d carries no SD pairs", link)
 	}
-	_, matchDst := maxMatching(view)
+	m := newMatching(hosts)
+	m.ofView(view)
 	p := permutation.New(hosts)
-	for v, u := range matchDst {
+	for d, u := range m.owner {
 		if u == -1 {
 			continue
 		}
-		if err := p.Add(view.Sources[u], view.Dests[v]); err != nil {
+		if err := p.Add(view.Sources[u], d); err != nil {
 			return nil, fmt.Errorf("analysis: matching not permutation-compatible: %w", err)
 		}
 	}
 	return p, nil
+}
+
+// matching is the reusable scratch of a maximum bipartite matching between
+// sources, numbered from 0, and destination hosts: adj[off[i]:off[i+1]]
+// lists the destinations source i may take. One buffer holds it all, so a
+// caller that keeps it pays one allocation for every matching it runs.
+type matching struct {
+	adj, off []int32
+	// owner[dt] is the source matched to dt, or −1.
+	owner []int32
+	// seen[dt] == stamp marks dt as visited by the current augmentation.
+	seen  []int32
+	stamp int32
+}
+
+func newMatching(hosts int) matching {
+	buf := make([]int32, hosts*hosts+3*hosts+1)
+	adj, buf := buf[:0:hosts*hosts], buf[hosts*hosts:]
+	off, buf := buf[:0:hosts+1], buf[hosts+1:]
+	return matching{adj: adj, off: off, owner: buf[:hosts], seen: buf[hosts:]}
+}
+
+// size returns the maximum matching's size, grown one source at a time by
+// augmenting paths (Kuhn's algorithm).
+func (m *matching) size() int {
+	for i := range m.owner {
+		m.owner[i], m.seen[i] = -1, 0
+	}
+	m.stamp = 0
+	k := 0
+	for i := int32(0); int(i)+1 < len(m.off); i++ {
+		m.stamp++
+		if m.augment(i) {
+			k++
+		}
+	}
+	return k
+}
+
+func (m *matching) augment(i int32) bool {
+	for _, dt := range m.adj[m.off[i]:m.off[i+1]] {
+		if m.seen[dt] == m.stamp {
+			continue
+		}
+		m.seen[dt] = m.stamp
+		if o := m.owner[dt]; o < 0 || m.augment(o) {
+			m.owner[dt] = i
+			return true
+		}
+	}
+	return false
 }

@@ -96,16 +96,6 @@ func TestString(t *testing.T) {
 	}
 }
 
-func TestInverse(t *testing.T) {
-	p := Shift(6, 2)
-	inv := p.Inverse()
-	for i := 0; i < 6; i++ {
-		if inv.Dst(p.Dst(i)) != i {
-			t.Fatalf("inverse broken at %d", i)
-		}
-	}
-}
-
 func TestIdentityShift(t *testing.T) {
 	id := Identity(4)
 	if !id.Full() {
@@ -352,23 +342,14 @@ func TestCountFullOverflowPanics(t *testing.T) {
 	CountFull(30)
 }
 
-// Property: Random always yields a valid full permutation whose inverse
-// composes to the identity.
+// Property: Random always yields a valid full permutation — every source
+// sends, no destination twice — so it has an inverse.
 func TestQuickRandomInverse(t *testing.T) {
 	f := func(seed int64, sz uint8) bool {
 		n := int(sz%32) + 1
 		rng := rand.New(rand.NewSource(seed))
 		p := Random(rng, n)
-		if p.Validate() != nil || !p.Full() {
-			return false
-		}
-		inv := p.Inverse()
-		for i := 0; i < n; i++ {
-			if inv.Dst(p.Dst(i)) != i {
-				return false
-			}
-		}
-		return true
+		return p.Validate() == nil && p.Full()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -442,53 +423,6 @@ func TestEnumerateFullPrefixLocal(t *testing.T) {
 	}
 }
 
-func TestCompose(t *testing.T) {
-	p := Shift(6, 1)
-	q := Shift(6, 2)
-	pq, err := p.Compose(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pq.Equal(Shift(6, 3)) {
-		t.Fatalf("shift composition wrong: %s", pq)
-	}
-	// Composing with the inverse gives the identity.
-	id, err := p.Compose(p.Inverse())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !id.Equal(Identity(6)) {
-		t.Fatal("p ∘ p⁻¹ ≠ id")
-	}
-	// Partial composition drops unrouted chains.
-	part, _ := FromPairs(4, []Pair{{0, 1}})
-	other, _ := FromPairs(4, []Pair{{2, 3}})
-	out, err := part.Compose(other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Size() != 0 {
-		t.Fatalf("disjoint composition should be empty: %s", out)
-	}
-	if _, err := p.Compose(Identity(4)); err == nil {
-		t.Fatal("size mismatch accepted")
-	}
-}
-
-func TestIsDerangement(t *testing.T) {
-	if Identity(3).IsDerangement() {
-		t.Fatal("identity is not a derangement")
-	}
-	if !Shift(4, 1).IsDerangement() {
-		t.Fatal("shift by 1 is a derangement")
-	}
-	// Idle endpoints are not fixed points.
-	p, _ := FromPairs(4, []Pair{{0, 1}})
-	if !p.IsDerangement() {
-		t.Fatal("partial non-fixed pattern should be a derangement")
-	}
-}
-
 func TestCrossSwitchFraction(t *testing.T) {
 	// SwitchShift: every pair crosses.
 	if got := SwitchShift(2, 4, 1).CrossSwitchFraction(2); got != 1 {
@@ -526,55 +460,6 @@ func (p *Permutation) Equal(q *Permutation) bool {
 	}
 	for i := range p.dst {
 		if p.dst[i] != q.dst[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Inverse returns the permutation with every pair reversed. It is only
-// defined for valid permutations (distinct destinations); for partial
-// permutations unused destinations stay unused.
-func (p *Permutation) Inverse() *Permutation {
-	inv := New(len(p.dst))
-	for s, d := range p.dst {
-		if d != Unused {
-			inv.dst[d] = s
-		}
-	}
-	return inv
-}
-
-// Compose returns the permutation "q after p": source s sends to
-// q.Dst(p.Dst(s)). A pair survives only when both stages route it (s used
-// by p and p's destination used as a source by q). Both patterns must have
-// the same endpoint count.
-func (p *Permutation) Compose(q *Permutation) (*Permutation, error) {
-	if len(p.dst) != len(q.dst) {
-		return nil, fmt.Errorf("permutation: composing sizes %d and %d", len(p.dst), len(q.dst))
-	}
-	out := New(len(p.dst))
-	for s, mid := range p.dst {
-		if mid == Unused {
-			continue
-		}
-		d := q.dst[mid]
-		if d == Unused {
-			continue
-		}
-		if err := out.Add(s, d); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// IsDerangement reports whether no endpoint sends to itself (idle
-// endpoints do not count as fixed points). Derangements are the patterns
-// where every pair actually crosses the network.
-func (p *Permutation) IsDerangement() bool {
-	for s, d := range p.dst {
-		if d != Unused && d == s {
 			return false
 		}
 	}
