@@ -7,11 +7,12 @@ GO ?= go
 RACE_PKGS ?= ./internal/sim/ ./internal/analysis/ ./internal/routing/ ./internal/experiments/ ./internal/workload/ ./internal/server/ ./internal/store/ ./internal/permutation/ ./internal/campaign/ ./internal/design/
 
 # Per-target budget for the fuzz smoke pass (`go test -fuzz` accepts one
-# target per invocation). Entries are package:target.
+# target per invocation). Entries are package:target; fuzz-targets-check
+# fails when a Fuzz* function of the main module is missing from the list.
 FUZZTIME ?= 30s
-FUZZ_TARGETS := ./internal/routing/:FuzzEdgeColorBipartite ./internal/routing/:FuzzBenesLooping ./internal/routing/:FuzzRouteTableParity ./internal/permutation/:FuzzCanonicalParity ./internal/permutation/:FuzzParse ./internal/analysis/:FuzzLemma1Parity ./internal/analysis/:FuzzLemma1VsSweep
+FUZZ_TARGETS := ./internal/routing/:FuzzEdgeColorBipartite ./internal/routing/:FuzzBenesLooping ./internal/routing/:FuzzRouteTableParity ./internal/permutation/:FuzzCanonicalParity ./internal/permutation/:FuzzParse ./internal/permutation/:FuzzGenerators ./internal/analysis/:FuzzLemma1Parity ./internal/analysis/:FuzzLemma1VsSweep ./internal/store/:FuzzFileReplay
 
-.PHONY: all build test race cover bench bench-json bench-gate fuzz-smoke batch-smoke coordinator-smoke frontier-smoke design-smoke fault-smoke nbperf-check report report-check tables tables-check examples examples-check loc clean
+.PHONY: all build test race cover bench bench-json bench-gate fuzz-smoke fuzz-targets-check batch-smoke coordinator-smoke frontier-smoke design-smoke fault-smoke nbperf-check report report-check tables tables-check examples examples-check loc clean
 
 all: build test
 
@@ -100,14 +101,19 @@ bench-json:
 bench-gate:
 	$(GO) run ./cmd/nbbench -baseline BENCH_sim.json -out BENCH_fresh.json
 
-# Short fuzz pass over the routing invariant targets (seed corpus plus
-# $(FUZZTIME) of new inputs per target).
+# Short fuzz pass over every fuzz target (seed corpus plus $(FUZZTIME) of
+# new inputs per target).
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; target=$${t#*:}; \
 		echo "fuzz $$target in $$pkg ($(FUZZTIME))"; \
 		$(GO) test $$pkg -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) || exit 1; \
 	done
+
+# FUZZ_TARGETS must name exactly the module's Fuzz* functions (fast; CI
+# runs it in the test job).
+fuzz-targets-check:
+	./scripts/check_fuzz_targets.sh $(FUZZ_TARGETS)
 
 # Regenerate the full experiment report (EXPERIMENTS.md's backing artifact).
 report:

@@ -29,18 +29,28 @@ func main() {
 		topo   = flag.String("topo", "ftree", "topology: ftree | nonblocking | mnt | kary | clos | three-level | multi | benes | crossbar")
 		n      = flag.Int("n", 2, "hosts per bottom switch (ftree/nonblocking/clos/three-level)")
 		m      = flag.Int("m", 4, "top/middle switches (ftree/clos)")
-		r      = flag.Int("r", 5, "bottom switches (ftree/nonblocking/clos); for three-level defaults to n³+n²")
+		r      = flag.Int("r", 5, "bottom switches (ftree/nonblocking/clos); three-level accepts only its canonical n³+n²")
 		k      = flag.Int("k", 2, "arity (kary)")
 		ports  = flag.Int("ports", 8, "switch ports (mnt) or host count (crossbar)")
 		levels = flag.Int("levels", 2, "tree levels (mnt/kary)")
 		dot    = flag.Bool("dot", false, "emit Graphviz DOT instead of a summary")
 	)
 	flag.Parse()
+	if *topo == "three-level" && !flagSet("r") {
+		*r = 0 // the canonical size
+	}
 
 	if err := run(os.Stdout, *topo, *n, *m, *r, *k, *ports, *levels, *dot); err != nil {
 		fmt.Fprintln(os.Stderr, "ftree:", err)
 		os.Exit(1)
 	}
+}
+
+// flagSet reports whether the named flag was given on the command line.
+func flagSet(name string) bool {
+	set := false
+	flag.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
 }
 
 func run(out io.Writer, topo string, n, m, r, k, ports, levels int, dot bool) error {
@@ -75,11 +85,12 @@ func run(out io.Writer, topo string, n, m, r, k, ports, levels int, dot bool) er
 		summary = fmt.Sprintf("%s: %d ports, strict-sense nonblocking iff m ≥ 2n−1 (%v), rearrangeable iff m ≥ n (%v) — telephone environment only",
 			c.Net.Name, c.Ports(), m >= 2*n-1, m >= n)
 	case "three-level":
-		rr := r
-		if rr == 5 { // the flag default: use the canonical size
-			rr = n*n*n + n*n
+		// The canonical three-level network: r = n³+n² bottom switches.
+		// r = 0 selects it; any other size has no recursive construction.
+		if canon := n*n*n + n*n; r != 0 && r != canon {
+			return fmt.Errorf("three-level needs r = n³+n² = %d, got -r %d", canon, r)
 		}
-		t := topology.NewThreeLevelFtree(n, rr)
+		t := topology.NewMultiFtree(n, 3)
 		net, validate = t.Net, t.Validate
 		summary = fmt.Sprintf("%s: %d hosts, %d switches (recursive nonblocking construction)",
 			t.Net.Name, t.Ports(), t.Switches())

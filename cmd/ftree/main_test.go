@@ -18,7 +18,8 @@ func TestRunSummaries(t *testing.T) {
 		{"mnt", 2, 4, 5, 2, 20, 2, "FT(20,2): 200 hosts, 30 switches"},
 		{"kary", 2, 4, 5, 3, 8, 2, "3-ary 2-tree: 9 hosts, 6 switches"},
 		{"clos", 3, 5, 4, 2, 8, 2, "Clos(3,5,4): 12 ports, strict-sense nonblocking iff m ≥ 2n−1 (true)"},
-		{"three-level", 2, 4, 5, 2, 8, 2, "ftree3(2,12): 24 hosts, 52 switches"},
+		{"three-level", 2, 4, 0, 2, 8, 2, "ftree3(n=2): 24 hosts, 52 switches"},
+		{"three-level", 2, 4, 12, 2, 8, 2, "ftree3(n=2): 24 hosts, 52 switches"},
 		{"crossbar", 2, 4, 5, 2, 16, 2, "crossbar(16): 16 hosts, 1 switch"},
 	} {
 		var buf bytes.Buffer
@@ -76,5 +77,12 @@ func TestRunNewTopologies(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "benes(8): 8 terminals, 5 stages") {
 		t.Fatalf("benes output: %s", buf.String())
+	}
+}
+
+func TestRunThreeLevelRejectsNonCanonicalR(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run(&buf, "three-level", 2, 4, 5, 2, 8, 2, false); err == nil || !strings.Contains(err.Error(), "n³+n² = 12") {
+		t.Fatalf("three-level -r 5: err %v", err)
 	}
 }

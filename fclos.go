@@ -4,8 +4,8 @@
 // internal packages:
 //
 //   - builders for folded-Clos fat-trees ftree(n+m, r), three-stage Clos
-//     networks, m-port n-trees, k-ary n-trees, crossbars, Benes networks
-//     and the paper's recursive three-level nonblocking construction;
+//     networks, m-port n-trees, k-ary n-trees, crossbars and Benes
+//     networks;
 //   - the Theorem-3 nonblocking single-path deterministic routing, the
 //     local adaptive algorithm NONBLOCKINGADAPTIVE, and baselines
 //     (destination-mod static routing, oblivious spraying, rearrangeable
@@ -67,10 +67,6 @@ var (
 	NewMPortNTree = topology.NewMPortNTree
 	// NewKAryNTree builds the k-ary n-tree of Petrini and Vanneschi.
 	NewKAryNTree = topology.NewKAryNTree
-	// NewThreeLevelFtree builds the recursive three-level nonblocking
-	// network with n hosts per bottom switch and r bottom switches (r
-	// divisible by n); the canonical instance uses r = n³+n².
-	NewThreeLevelFtree = topology.NewThreeLevelFtree
 	// NewBenes builds the Benes network B(k) on 2^k terminals.
 	NewBenes = topology.NewBenes
 	// WriteDOT renders a network in Graphviz DOT format.

@@ -60,9 +60,6 @@ func TestPublicTopologiesAndDOT(t *testing.T) {
 	if fclos.NewKAryNTree(2, 3).Hosts() != 8 {
 		t.Fatal("2-ary 3-tree")
 	}
-	if fclos.NewThreeLevelFtree(2, 12).Ports() != 24 {
-		t.Fatal("3-level")
-	}
 }
 
 func TestPublicConditionsAndCost(t *testing.T) {

@@ -31,7 +31,19 @@ type pathUnion struct {
 
 func (u pathUnion) Name() string { return u.a.Name() + "+" + u.b.Name() }
 
-func (u pathUnion) PathsFor(s, d int) ([]topology.Path, error) {
+// AppendPairLinks appends the links of pathsFor's set.
+func (u pathUnion) AppendPairLinks(s, d int, buf []topology.LinkID) ([]topology.LinkID, error) {
+	ps, err := u.pathsFor(s, d)
+	if err != nil {
+		return buf, err
+	}
+	for _, p := range ps {
+		buf = append(buf, p.Links...)
+	}
+	return buf, nil
+}
+
+func (u pathUnion) pathsFor(s, d int) ([]topology.Path, error) {
 	pa, err := u.a.PathFor(s, d)
 	if err != nil {
 		return nil, err
@@ -50,7 +62,7 @@ func (u pathUnion) Route(p *permutation.Permutation) (*routing.Assignment, error
 	pairs := p.Pairs()
 	a := &routing.Assignment{Net: u.net, Pairs: pairs, PathSets: make([][]topology.Path, len(pairs))}
 	for i, pr := range pairs {
-		ps, err := u.PathsFor(pr.Src, pr.Dst)
+		ps, err := u.pathsFor(pr.Src, pr.Dst)
 		if err != nil {
 			return nil, err
 		}

@@ -13,8 +13,8 @@ import (
 
 // deltaRouters builds the pattern-independent router zoo the delta engine
 // is property-tested against: single-path fat-tree schemes (nonblocking
-// and blocking), oblivious multipath sets, and PathFor-only m-port n-tree
-// routers, each paired with its host count.
+// and blocking), oblivious multipath sets, and m-port n-tree routers, each
+// paired with its host count.
 func deltaRouters(t *testing.T) []struct {
 	r     routing.Router
 	hosts int

@@ -49,37 +49,22 @@ func foldEndpoint(cur, x int32) int32 {
 	return lemma1Many
 }
 
-// pairLinker streams one SD pair's links from a single-path router: through
-// the allocation-free AppendPairLinks into one reused buffer when the router
-// has it, else through PathFor.
+// pairLinker streams one SD pair's links from a single-path router's
+// AppendPairLinks into one reused buffer.
 type pairLinker struct {
 	r   routing.PairRouter
-	la  routing.PairLinkAppender
 	buf []topology.LinkID
-}
-
-func newPairLinker(r routing.PairRouter) pairLinker {
-	la, _ := r.(routing.PairLinkAppender)
-	return pairLinker{r: r, la: la}
 }
 
 // links returns pair (s, d)'s links, valid until the next call. Routing
 // errors are wrapped with the pair, and a negative link ID is rejected the
 // way routing.BuildRouteTable rejects it.
 func (pl *pairLinker) links(s, d int) ([]topology.LinkID, error) {
-	var links []topology.LinkID
-	var err error
-	if pl.la != nil {
-		pl.buf, err = pl.la.AppendPairLinks(s, d, pl.buf[:0])
-		links = pl.buf
-	} else {
-		var p topology.Path
-		p, err = pl.r.PathFor(s, d)
-		links = p.Links
-	}
+	links, err := pl.r.AppendPairLinks(s, d, pl.buf[:0])
 	if err != nil {
 		return nil, fmt.Errorf("analysis: routing pair %d->%d: %w", s, d, err)
 	}
+	pl.buf = links
 	for _, l := range links {
 		if l < 0 {
 			return nil, fmt.Errorf("analysis: routing pair %d->%d: invalid link id %d", s, d, l)
@@ -124,7 +109,7 @@ type lemma1Kernel struct {
 }
 
 func newLemma1Kernel(r routing.PairRouter) *lemma1Kernel {
-	return &lemma1Kernel{pairLinker: newPairLinker(r)}
+	return &lemma1Kernel{pairLinker: pairLinker{r: r}}
 }
 
 // fold routes every pair (s, d), s ≠ d, and folds its endpoints into each
@@ -201,24 +186,25 @@ func CheckLemma1AllPairs(r routing.PairRouter, hosts int) (*Lemma1Result, error)
 	return k.result(hosts)
 }
 
-// LinkViews routes every SD pair (s ≠ d) with r.PathFor and groups the
-// pairs by the links they cross: the per-link accounting of Fig. 3 for
-// every loaded link. Each view lists its pairs in (s, d) order and its
-// distinct sources and destinations in first-appearance order. It is the
-// input of the worst-case load analysis, and the reference the Lemma-1
-// kernel is tested against.
+// LinkViews routes every SD pair (s ≠ d) with r and groups the pairs by
+// the links they cross: the per-link accounting of Fig. 3 for every loaded
+// link. Each view lists its pairs in (s, d) order and its distinct sources
+// and destinations in first-appearance order. It is the input of the
+// worst-case load analysis, and the reference the Lemma-1 kernel is tested
+// against.
 func LinkViews(r routing.PairRouter, hosts int) (map[topology.LinkID]*LinkSDView, error) {
 	views := make(map[topology.LinkID]*LinkSDView)
+	pl := pairLinker{r: r}
 	for s := 0; s < hosts; s++ {
 		for d := 0; d < hosts; d++ {
 			if s == d {
 				continue
 			}
-			p, err := r.PathFor(s, d)
+			links, err := pl.links(s, d)
 			if err != nil {
-				return nil, fmt.Errorf("analysis: routing pair %d->%d: %w", s, d, err)
+				return nil, err
 			}
-			for _, l := range p.Links {
+			for _, l := range links {
 				v := views[l]
 				if v == nil {
 					v = &LinkSDView{Link: l}

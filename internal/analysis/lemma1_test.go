@@ -73,10 +73,6 @@ func assertLemma1Parity(t *testing.T, r routing.PairRouter, hosts int) {
 	check("kernel", got, err)
 }
 
-// pathForOnly hides a router's AppendPairLinks, forcing the kernel onto
-// its PathFor fallback.
-type pathForOnly struct{ routing.PairRouter }
-
 // ftreeZoo lists the single-path ftree routers defined on f, including the
 // fault-aware ones on a small failure set and a TopChoice that fails for
 // sources ≥ 4.
@@ -139,7 +135,6 @@ func TestLemma1KernelMatchesLinkViewsFtreeZoo(t *testing.T) {
 		f := topology.NewFoldedClos(c.n, c.m, c.r)
 		for _, r := range ftreeZoo(t, f) {
 			assertLemma1Parity(t, r, f.Ports())
-			assertLemma1Parity(t, pathForOnly{r}, f.Ports())
 		}
 	}
 }
@@ -150,14 +145,11 @@ func TestLemma1KernelMatchesLinkViewsOtherFamilies(t *testing.T) {
 		assertLemma1Parity(t, routing.NewMNTDestMod(tr), tr.Hosts())
 		assertLemma1Parity(t, routing.NewMNTRandomFixed(tr, 9), tr.Hosts())
 	}
-	tl := topology.NewThreeLevelFtree(2, 12)
-	assertLemma1Parity(t, routing.NewThreeLevelPaper(tl), tl.Ports())
 	ml := topology.NewMultiFtree(2, 3)
 	assertLemma1Parity(t, routing.NewMultiLevelPaper(ml), ml.Ports())
 }
 
-// tamperedRouter rewrites every pair's link stream, through both
-// AppendPairLinks and PathFor.
+// tamperedRouter rewrites every pair's link stream.
 type tamperedRouter struct {
 	*routing.FtreeSinglePath
 	tamper func(s, d int, links []topology.LinkID) []topology.LinkID
@@ -169,12 +161,6 @@ func (r tamperedRouter) AppendPairLinks(src, dst int, buf []topology.LinkID) ([]
 	return append(buf[:n], r.tamper(src, dst, buf[n:])...), err
 }
 
-func (r tamperedRouter) PathFor(src, dst int) (topology.Path, error) {
-	p, err := r.FtreeSinglePath.PathFor(src, dst)
-	p.Links = r.tamper(src, dst, p.Links)
-	return p, err
-}
-
 // TestLemma1ViolationKeepsRepeatedLinks pins the one-entry-per-occurrence
 // rule of LinkSDView.Pairs: a path crossing the violated link twice lists
 // its pair twice, in the kernel's view as in LinkViews.
@@ -183,15 +169,13 @@ func TestLemma1ViolationKeepsRepeatedLinks(t *testing.T) {
 	twice := tamperedRouter{routing.NewDestMod(f), func(_, _ int, links []topology.LinkID) []topology.LinkID {
 		return append(append([]topology.LinkID(nil), links...), links...)
 	}}
-	for _, r := range []routing.PairRouter{twice, pathForOnly{twice}} {
-		assertLemma1Parity(t, r, f.Ports())
-		res, err := CheckLemma1AllPairs(r, f.Ports())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v := res.Violation; v == nil || len(v.Pairs) < 2 || v.Pairs[0] != v.Pairs[1] {
-			t.Fatalf("violation %+v: want each pair listed twice", v)
-		}
+	assertLemma1Parity(t, twice, f.Ports())
+	res, err := CheckLemma1AllPairs(twice, f.Ports())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := res.Violation; v == nil || len(v.Pairs) < 2 || v.Pairs[0] != v.Pairs[1] {
+		t.Fatalf("violation %+v: want each pair listed twice", v)
 	}
 }
 
@@ -207,13 +191,11 @@ func TestCheckLemma1AllPairsRejectsNegativeLinkID(t *testing.T) {
 		}
 		return links
 	}}
-	for _, r := range []routing.PairRouter{neg, pathForOnly{neg}} {
-		if _, err := CheckLemma1AllPairs(r, f.Ports()); errText(err) != want {
-			t.Fatalf("sequential: error %q, want %q", errText(err), want)
-		}
-		if _, err := WorstCasePermutationFor(r, f.Ports(), 0); errText(err) != want {
-			t.Fatalf("WorstCasePermutationFor: error %q, want %q", errText(err), want)
-		}
+	if _, err := CheckLemma1AllPairs(neg, f.Ports()); errText(err) != want {
+		t.Fatalf("sequential: error %q, want %q", errText(err), want)
+	}
+	if _, err := WorstCasePermutationFor(neg, f.Ports(), 0); errText(err) != want {
+		t.Fatalf("WorstCasePermutationFor: error %q, want %q", errText(err), want)
 	}
 }
 

@@ -87,7 +87,7 @@ func (m *matching) ofView(view *LinkSDView) int {
 // Only the requested link's view is built, by the single-link pass the
 // Lemma-1 kernel uses for its violation.
 func WorstCasePermutationFor(r routing.PairRouter, hosts int, link topology.LinkID) (*permutation.Permutation, error) {
-	pl := newPairLinker(r)
+	pl := pairLinker{r: r}
 	view, err := pl.linkView(hosts, link)
 	if err != nil {
 		return nil, err

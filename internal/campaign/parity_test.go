@@ -39,66 +39,6 @@ func sampledViews(t *testing.T, f *topology.FoldedClos, sc Scenario, samples int
 	return views
 }
 
-// TestPairLinksMatchPathFor is the parity bar for the pairwise fault
-// routers' link-only paths: on every pair (self-pairs and detached hosts
-// included) of every failure set SampleFailures draws over all four
-// scenarios, AppendPairLinks must return exactly PathFor's links, or fail
-// with exactly PathFor's error. The fabric is small and the draws go up to
-// the whole scenario domain, so every local-reroute failure mode — stuck
-// at a bottom switch, visit budget exhausted, detached host — must occur.
-func TestPairLinksMatchPathFor(t *testing.T) {
-	f := topology.NewFoldedClos(2, 5, 5)
-	rng := rand.New(rand.NewSource(17))
-	seen := map[string]int{}
-	for _, sc := range Scenarios() {
-		for _, view := range sampledViews(t, f, sc, 3, rng) {
-			for _, scheme := range []string{SchemeLocal, SchemeSpared, SchemeNaive} {
-				r, err := BuildRouter(f, scheme, view, 3)
-				if err != nil {
-					continue // spares exhausted or every class switch failed
-				}
-				pr := r.(routing.PairRouter)
-				la, ok := r.(routing.PairLinkAppender)
-				if !ok {
-					t.Fatalf("%s does not implement PairLinkAppender", scheme)
-				}
-				buf := []topology.LinkID{99} // a prefix AppendPairLinks must keep
-				for s := 0; s < f.Ports(); s++ {
-					for d := 0; d < f.Ports(); d++ {
-						path, perr := pr.PathFor(s, d)
-						got, aerr := la.AppendPairLinks(s, d, buf[:1])
-						if fmt.Sprint(perr) != fmt.Sprint(aerr) {
-							t.Fatalf("%s/%s %d->%d: PathFor error %v, AppendPairLinks error %v", sc, scheme, s, d, perr, aerr)
-						}
-						if perr != nil {
-							seen[errKind(perr)]++
-							continue
-						}
-						if got[0] != 99 || !slices.Equal(got[1:], path.Links) {
-							t.Fatalf("%s/%s %d->%d: AppendPairLinks %v, PathFor links %v", sc, scheme, s, d, got, path.Links)
-						}
-					}
-				}
-			}
-		}
-	}
-	for _, kind := range []string{"stuck at bottom switch", "exceeded", "detached host"} {
-		if seen[kind] == 0 {
-			t.Errorf("no %q failure observed (seen %v): the draws must exercise every error path", kind, seen)
-		}
-	}
-}
-
-// errKind classifies a pairwise routing error by its message.
-func errKind(err error) string {
-	for _, kind := range []string{"stuck at bottom switch", "stuck at top switch", "exceeded", "detached host"} {
-		if strings.Contains(err.Error(), kind) {
-			return kind
-		}
-	}
-	return err.Error()
-}
-
 // TestAdaptivePatternLinksMatchRoute is the parity bar for the adaptive
 // routers' Assignment-free scoring: AnalyzePattern must report what
 // Analyze(Route(p)) reports — the same per-link pairs, contended links and

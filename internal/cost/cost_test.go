@@ -71,7 +71,7 @@ func TestTableIMatchesBuiltTopologies(t *testing.T) {
 	}
 	for _, n := range []int{2, 3} {
 		d := ThreeLevelNonblocking(n)
-		tl := topology.NewThreeLevelFtree(n, n*n*n+n*n)
+		tl := topology.NewMultiFtree(n, 3)
 		if tl.Switches() != d.Switches || tl.Ports() != d.Ports {
 			t.Errorf("ftree3(n=%d): formula %d/%d vs built %d/%d", n, d.Switches, d.Ports, tl.Switches(), tl.Ports())
 		}

@@ -456,13 +456,14 @@ func (t *MultiLevelResult) Render(w io.Writer) {
 	tw.Flush()
 }
 
-// ThreeLevel verifies the recursive construction and reports its cost.
+// ThreeLevel verifies the recursive three-level construction (the L = 3
+// canonical network) and reports its cost.
 func ThreeLevel(n int) (*ThreeLevelResult, error) {
-	tl := topology.NewThreeLevelFtree(n, n*n*n+n*n)
+	tl := topology.NewMultiFtree(n, 3)
 	if err := tl.Validate(); err != nil {
 		return nil, err
 	}
-	rt := routing.NewThreeLevelPaper(tl)
+	rt := routing.NewMultiLevelPaper(tl)
 	l1, err := analysis.CheckLemma1AllPairs(rt, tl.Ports())
 	if err != nil {
 		return nil, err

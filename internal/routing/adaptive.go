@@ -190,7 +190,7 @@ func (r *NonblockingAdaptive) Route(p *permutation.Permutation) (*Assignment, er
 	if err != nil {
 		return nil, err
 	}
-	return r.assemble(pairs, tops, confs, need, identTop), nil
+	return r.assignPlan(pairs, tops, nil, confs, need), nil
 }
 
 // AppendPatternLinks implements PatternLinkAppender: the links of Route's
@@ -218,53 +218,30 @@ func (r *NonblockingAdaptive) plan(p *permutation.Permutation) (tops []int, pair
 	return tops, pairs, confs, need, nil
 }
 
-func identTop(t int) int { return t }
-
-// assemble materializes a planned assignment: each pair's logical top-switch
-// slot is mapped to a physical switch by physTop (the identity on a healthy
-// network; the healthy-switch renumbering when avoiding failures). It is the
-// single path-construction body shared by Route and AvoidingAdaptive.Route,
-// so the degraded path cannot drift from the healthy one.
-func (r *NonblockingAdaptive) assemble(pairs []permutation.Pair, tops []int, confs, need int, physTop func(int) int) *Assignment {
-	a := &Assignment{
-		Net:             r.F.Net,
-		Pairs:           pairs,
-		PathSets:        make([][]topology.Path, len(pairs)),
-		Configurations:  confs,
-		TopSwitchesUsed: need,
-	}
-	for i, pr := range pairs {
-		switch {
-		case pr.Src == pr.Dst:
-			a.PathSets[i] = selfPath(topology.NodeID(pr.Src))
-		case tops[i] < 0:
-			// Intra-switch pair: RouteVia ignores the top switch.
-			a.PathSets[i] = []topology.Path{r.F.RouteVia(topology.NodeID(pr.Src), topology.NodeID(pr.Dst), 0)}
-		default:
-			a.PathSets[i] = []topology.Path{r.F.RouteVia(topology.NodeID(pr.Src), topology.NodeID(pr.Dst), physTop(tops[i]))}
-		}
-	}
+// assignPlan is Route's Assignment for a planned pattern: appendPlanLinks's
+// spans, one path per pair, with the plan's configuration and top-switch
+// counts.
+func (r *NonblockingAdaptive) assignPlan(pairs []permutation.Pair, tops, physTop []int, confs, need int) *Assignment {
+	links, ends := r.appendPlanLinks(pairs, tops, physTop, make([]topology.LinkID, 0, 4*len(pairs)), make([]int, 0, len(pairs)))
+	a := spanAssignment(r.F.Net, pairs, links, ends)
+	a.Configurations, a.TopSwitchesUsed = confs, need
 	return a
 }
 
-// appendPlanLinks is assemble's link-only twin: it appends each planned
-// pair's links, in pair order and in RouteVia's link order, to links and
-// the end offset of its span to ends. physTop maps a logical top-switch
-// slot to a physical switch; nil is the identity.
+// appendPlanLinks is the adaptive routers' one path-construction body,
+// behind both Route and AppendPatternLinks: it appends each planned pair's
+// links, in pair order and in RouteVia's link order, to links and the end
+// offset of its span to ends. physTop maps a logical top-switch slot to a
+// physical switch (the healthy-switch renumbering when avoiding failures);
+// nil is the identity.
 func (r *NonblockingAdaptive) appendPlanLinks(pairs []permutation.Pair, tops, physTop []int, links []topology.LinkID, ends []int) ([]topology.LinkID, []int) {
-	f, n := r.F, r.F.N
 	for i, pr := range pairs {
 		if pr.Src != pr.Dst {
-			sv, sk := pr.Src/n, pr.Src%n
-			dv, dk := pr.Dst/n, pr.Dst%n
-			if t := tops[i]; t < 0 {
-				links = append(links, f.HostUpLink(sv, sk), f.HostDownLink(dv, dk))
-			} else {
-				if physTop != nil {
-					t = physTop[t]
-				}
-				links = append(links, f.HostUpLink(sv, sk), f.UpLink(sv, t), f.DownLink(t, dv), f.HostDownLink(dv, dk))
+			t := tops[i] // −1 for an intra-switch pair, which ignores it
+			if t >= 0 && physTop != nil {
+				t = physTop[t]
 			}
+			links = r.F.AppendRouteVia(links, pr.Src, pr.Dst, t)
 		}
 		ends = append(ends, len(links))
 	}
@@ -311,7 +288,7 @@ func (r *GreedyLocal) Route(p *permutation.Permutation) (*Assignment, error) {
 	for i, pr := range pairs {
 		switch {
 		case pr.Src == pr.Dst:
-			a.PathSets[i] = selfPath(topology.NodeID(pr.Src))
+			a.PathSets[i] = []topology.Path{{}}
 		case pr.Src/n == pr.Dst/n:
 			a.PathSets[i] = []topology.Path{r.F.RouteVia(topology.NodeID(pr.Src), topology.NodeID(pr.Dst), 0)}
 		default:

@@ -30,46 +30,9 @@ type FtreeSinglePath struct {
 // Name returns the scheme name.
 func (r *FtreeSinglePath) Name() string { return r.RouterName }
 
-// PathFor routes one SD pair: intra-switch pairs go through their bottom
-// switch only; cross-switch pairs go through top switch TopChoice(s, d).
-func (r *FtreeSinglePath) PathFor(src, dst int) (topology.Path, error) {
-	n := r.F.N
-	if src < 0 || src >= r.F.Ports() || dst < 0 || dst >= r.F.Ports() {
-		return topology.Path{}, fmt.Errorf("host index out of range: %d or %d", src, dst)
-	}
-	if r.PairCheck != nil {
-		if err := r.PairCheck(src, dst); err != nil {
-			return topology.Path{}, err
-		}
-	}
-	if src == dst {
-		return topology.Path{Nodes: []topology.NodeID{topology.NodeID(src)}}, nil
-	}
-	sv, dv := src/n, dst/n
-	if sv == dv {
-		return r.F.RouteVia(topology.NodeID(src), topology.NodeID(dst), 0), nil
-	}
-	t := r.TopChoice(src, dst)
-	if t < 0 || t >= r.F.M {
-		return topology.Path{}, fmt.Errorf("TopChoice(%d,%d) = %d out of [0,%d)", src, dst, t, r.F.M)
-	}
-	return r.F.RouteVia(topology.NodeID(src), topology.NodeID(dst), t), nil
-}
-
-// Route assigns a path to every SD pair of the pattern.
-func (r *FtreeSinglePath) Route(p *permutation.Permutation) (*Assignment, error) {
-	return routePairwise(r.F.Net, p, func(s, d int) ([]topology.Path, error) {
-		path, err := r.PathFor(s, d)
-		if err != nil {
-			return nil, err
-		}
-		return []topology.Path{path}, nil
-	})
-}
-
-// AppendPairLinks implements PairLinkAppender: it appends the link IDs of
-// PathFor(src, dst) without building the Path, keeping verification sweeps
-// allocation-free.
+// AppendPairLinks routes one SD pair: intra-switch pairs go through their
+// bottom switch only; cross-switch pairs go through top switch
+// TopChoice(s, d).
 func (r *FtreeSinglePath) AppendPairLinks(src, dst int, buf []topology.LinkID) ([]topology.LinkID, error) {
 	n := r.F.N
 	if src < 0 || src >= r.F.Ports() || dst < 0 || dst >= r.F.Ports() {
@@ -83,20 +46,22 @@ func (r *FtreeSinglePath) AppendPairLinks(src, dst int, buf []topology.LinkID) (
 	if src == dst {
 		return buf, nil
 	}
-	sv, sk := src/n, src%n
-	dv, dk := dst/n, dst%n
-	if sv == dv {
-		return append(buf, r.F.HostUpLink(sv, sk), r.F.HostDownLink(dv, dk)), nil
+	t := 0
+	if src/n != dst/n {
+		t = r.TopChoice(src, dst)
+		if t < 0 || t >= r.F.M {
+			return buf, fmt.Errorf("TopChoice(%d,%d) = %d out of [0,%d)", src, dst, t, r.F.M)
+		}
 	}
-	t := r.TopChoice(src, dst)
-	if t < 0 || t >= r.F.M {
-		return buf, fmt.Errorf("TopChoice(%d,%d) = %d out of [0,%d)", src, dst, t, r.F.M)
-	}
-	return append(buf,
-		r.F.HostUpLink(sv, sk),
-		r.F.UpLink(sv, t),
-		r.F.DownLink(t, dv),
-		r.F.HostDownLink(dv, dk)), nil
+	return r.F.AppendRouteVia(buf, src, dst, t), nil
+}
+
+// PathFor returns AppendPairLinks's route as a Path.
+func (r *FtreeSinglePath) PathFor(src, dst int) (topology.Path, error) { return pathOf(r, src, dst) }
+
+// Route assigns a path to every SD pair of the pattern.
+func (r *FtreeSinglePath) Route(p *permutation.Permutation) (*Assignment, error) {
+	return routePairwise(r.F.Net, r, p)
 }
 
 // NewPaperDeterministic returns the Theorem-3 routing algorithm for

@@ -58,8 +58,8 @@ func pairCheckAlive(view *topology.FailureView) func(src, dst int) error {
 // AvoidingAdaptive is NONBLOCKINGADAPTIVE over the intact top switches of
 // a failure view: configuration blocks are laid out over those switches in
 // ascending order, and a pattern fails when it needs more of them than
-// remain. Route builds the paths; AppendPatternLinks lays out the same
-// links without them, for scoring many patterns cheaply.
+// remain. AppendPatternLinks lays out the links, for scoring many patterns
+// cheaply; Route cuts the same links into paths.
 type AvoidingAdaptive struct {
 	ad   *NonblockingAdaptive
 	view *topology.FailureView
@@ -87,7 +87,7 @@ func (r *AvoidingAdaptive) Route(p *permutation.Permutation) (*Assignment, error
 	if err != nil {
 		return nil, err
 	}
-	return r.ad.assemble(pairs, tops, confs, need, func(t int) int { return r.intact[t] }), nil
+	return r.ad.assignPlan(pairs, tops, r.intact, confs, need), nil
 }
 
 // AppendPatternLinks implements PatternLinkAppender: the links Route's
@@ -131,8 +131,9 @@ func (r *AvoidingAdaptive) plan(p *permutation.Permutation) (tops []int, pairs [
 // which provably blocks).
 //
 // The result is an FtreeSinglePath whose TopChoice is the spare remap (as
-// NewNaiveRemapView's is the naive fold), so it shares PathFor, Route and
-// the allocation-free AppendPairLinks with every other single-path scheme.
+// NewNaiveRemapView's is the naive fold), so it shares the one
+// AppendPairLinks body, and PathFor and Route over it, with every other
+// single-path scheme.
 func NewSparedDeterministicView(f *topology.FoldedClos, view *topology.FailureView) (*FtreeSinglePath, error) {
 	n2 := f.N * f.N
 	if f.M < n2 {

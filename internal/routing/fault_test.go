@@ -46,8 +46,8 @@ func TestAdaptiveRouteAvoidingStaysNonblocking(t *testing.T) {
 		}
 		for _, ps := range a.PathSets {
 			for _, path := range ps {
-				for _, node := range path.Nodes {
-					nd := f.Net.Node(node)
+				for _, l := range path.Links {
+					nd := f.Net.Node(f.Net.Link(l).To)
 					if nd.Kind == topology.Switch && nd.Level == 2 && !failed.TopIntact(nd.Index) {
 						t.Fatalf("path uses failed top switch %d", nd.Index)
 					}
@@ -92,7 +92,7 @@ func TestSparedDeterministicSurvivesFailures(t *testing.T) {
 	for s := 0; s < f.Ports(); s++ {
 		for d := 0; d < f.Ports(); d++ {
 			if p, err := sp.PathFor(s, d); err != nil || !view.PathHealthy(p) {
-				t.Fatalf("pair %d->%d: path %v (err %v) crosses a failed switch", s, d, p.Nodes, err)
+				t.Fatalf("pair %d->%d: path %v (err %v) crosses a failed switch", s, d, p.Links, err)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/permutation"
 	"repro/internal/topology"
@@ -33,12 +34,12 @@ func NewMNTSpray(t *topology.MPortNTree, width int, seed int64) (*MNTSpray, erro
 // Name returns "mnt-spray-<width>".
 func (r *MNTSpray) Name() string { return fmt.Sprintf("mnt-spray-%d", r.Width) }
 
-// PathsFor returns the pair's path set: every distinct up-digit choice
-// when the diversity k^hops ≤ Width, otherwise Width distinct sampled
-// choices.
-func (r *MNTSpray) PathsFor(src, dst int) ([]topology.Path, error) {
+// AppendPairLinks appends the links of the pair's path set: every distinct
+// up-digit choice when the diversity k^hops ≤ Width, otherwise Width
+// distinct sampled choices.
+func (r *MNTSpray) AppendPairLinks(src, dst int, buf []topology.LinkID) ([]topology.LinkID, error) {
 	if src == dst {
-		return selfPath(topology.NodeID(src)), nil
+		return buf, nil
 	}
 	s, d := topology.NodeID(src), topology.NodeID(dst)
 	hops := r.T.NumUpHops(s, d)
@@ -47,50 +48,39 @@ func (r *MNTSpray) PathsFor(src, dst int) ([]topology.Path, error) {
 	for i := 0; i < hops; i++ {
 		total *= k
 	}
-	var paths []topology.Path
+	codes := make([]int, 0, min(total, r.Width))
 	if total <= r.Width {
-		choices := make([]int, hops)
 		for code := 0; code < total; code++ {
-			x := code
-			for l := 0; l < hops; l++ {
-				choices[l] = x % k
-				x /= k
-			}
-			p, err := r.T.UpDownPath(s, d, choices)
-			if err != nil {
-				return nil, err
-			}
-			paths = append(paths, p)
+			codes = append(codes, code)
 		}
-		return paths, nil
+	} else {
+		rng := pairRNG(r.seed, src, dst)
+		for len(codes) < r.Width {
+			if code := rng.Intn(total); !slices.Contains(codes, code) {
+				codes = append(codes, code)
+			}
+		}
+		putPairRNG(rng)
 	}
-	rng := pairRNG(r.seed, src, dst)
-	defer putPairRNG(rng)
-	seen := map[int]bool{}
-	for len(paths) < r.Width {
-		code := rng.Intn(total)
-		if seen[code] {
-			continue
-		}
-		seen[code] = true
-		choices := make([]int, hops)
-		x := code
+	links := buf
+	choices := make([]int, hops)
+	for _, code := range codes {
 		for l := 0; l < hops; l++ {
-			choices[l] = x % k
-			x /= k
+			choices[l] = code % k
+			code /= k
 		}
 		p, err := r.T.UpDownPath(s, d, choices)
 		if err != nil {
-			return nil, err
+			return buf, err
 		}
-		paths = append(paths, p)
+		links = append(links, p.Links...)
 	}
-	return paths, nil
+	return links, nil
 }
 
 // Route assigns the full path set to every SD pair.
 func (r *MNTSpray) Route(p *permutation.Permutation) (*Assignment, error) {
-	return routePairwise(r.T.Net, p, r.PathsFor)
+	return routePairwise(r.T.Net, r, p)
 }
 
 // NewPaperMultipath returns the multipath variant of the Theorem-3 scheme:

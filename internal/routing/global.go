@@ -193,7 +193,7 @@ func (r *GlobalRearrangeable) Route(p *permutation.Permutation) (*Assignment, er
 	a := &Assignment{Net: r.F.Net, Pairs: pairs, PathSets: make([][]topology.Path, len(pairs)), TopSwitchesUsed: used}
 	for i, pr := range pairs {
 		if pr.Src == pr.Dst {
-			a.PathSets[i] = selfPath(topology.NodeID(pr.Src))
+			a.PathSets[i] = []topology.Path{{}}
 		} else if pr.Src/n == pr.Dst/n {
 			a.PathSets[i] = []topology.Path{r.F.RouteVia(topology.NodeID(pr.Src), topology.NodeID(pr.Dst), 0)}
 		}

@@ -24,9 +24,7 @@ import (
 // endpoints: LocalReroute is a PairRouter, cacheable in route tables and
 // byte-reproducible across runs, while still modeling the independent
 // per-switch coin flips of the scheme (distinct pairs get unrelated
-// streams). It is also a PairLinkAppender: PathFor and AppendPairLinks run
-// one walk, and the link-only form lets campaigns and sweeps score a
-// pattern without building paths.
+// streams).
 //
 // The walk gives up after a visit budget of 4+⌈log₂ m⌉ top switches; on a
 // connected degraded fabric the random deflections escape any local
@@ -56,57 +54,24 @@ func NewLocalReroute(f *topology.FoldedClos, view *topology.FailureView, seed in
 // Name returns "local-reroute".
 func (r *LocalReroute) Name() string { return "local-reroute" }
 
-// PathFor walks the deflection route for one SD pair. It errors when an
-// endpoint is detached, a switch has no healthy escape link, or the visit
-// budget is exhausted.
-func (r *LocalReroute) PathFor(src, dst int) (topology.Path, error) {
-	var nodes []topology.NodeID
-	links, err := r.walk(src, dst, nil, &nodes)
-	if err != nil {
-		return topology.Path{}, err
-	}
-	return topology.Path{Nodes: nodes, Links: links}, nil
-}
-
-// AppendPairLinks implements PairLinkAppender: the same walk as PathFor,
-// recording only the links, so campaign trials and verification sweeps
-// score local rerouting without building a Path.
+// AppendPairLinks walks the deflection route for one SD pair and appends
+// its links. It errors when an endpoint is detached, a switch has no
+// healthy escape link, or the visit budget is exhausted.
 func (r *LocalReroute) AppendPairLinks(src, dst int, buf []topology.LinkID) ([]topology.LinkID, error) {
-	links, err := r.walk(src, dst, buf, nil)
-	if err != nil {
-		return buf, err
-	}
-	return links, nil
-}
-
-// walk is the one deflection-walk body behind PathFor and AppendPairLinks.
-// It appends the route's links to links and, when nodes is non-nil, the
-// nodes it visits to *nodes; with nodes nil it allocates nothing beyond
-// links' growth. Errors are the same on both paths.
-func (r *LocalReroute) walk(src, dst int, links []topology.LinkID, nodes *[]topology.NodeID) ([]topology.LinkID, error) {
 	f, v, n := r.F, r.view, r.F.N
 	if src < 0 || src >= f.Ports() || dst < 0 || dst >= f.Ports() {
-		return links, fmt.Errorf("host index out of range: %d or %d", src, dst)
+		return buf, fmt.Errorf("host index out of range: %d or %d", src, dst)
 	}
 	if !v.HostAlive(src) || !v.HostAlive(dst) {
-		return links, fmt.Errorf("routing: pair %d->%d uses a detached host (failed bottom switch)", src, dst)
-	}
-	if nodes != nil {
-		*nodes = append(*nodes, topology.NodeID(src))
+		return buf, fmt.Errorf("routing: pair %d->%d uses a detached host (failed bottom switch)", src, dst)
 	}
 	if src == dst {
-		return links, nil
+		return buf, nil
 	}
 	sv, sk := src/n, src%n
 	dv, dk := dst/n, dst%n
-	if nodes != nil {
-		*nodes = append(*nodes, f.Bottom(sv))
-	}
-	links = append(links, f.HostUpLink(sv, sk))
+	links := append(buf, f.HostUpLink(sv, sk))
 	if sv == dv {
-		if nodes != nil {
-			*nodes = append(*nodes, topology.NodeID(dst))
-		}
 		return append(links, f.HostDownLink(dv, dk)), nil
 	}
 	pref := ((src%n)*n + dst%n) % f.M // Theorem-3 class switch (folded for small m)
@@ -120,32 +85,26 @@ func (r *LocalReroute) walk(src, dst int, links []topology.LinkID, nodes *[]topo
 			t = r.pickTop(cur, lastTop, &state)
 		}
 		if t < 0 {
-			return links, fmt.Errorf("routing: local reroute for %d->%d stuck at bottom switch %d: no healthy uplink", src, dst, cur)
-		}
-		if nodes != nil {
-			*nodes = append(*nodes, f.Top(t))
+			return buf, fmt.Errorf("routing: local reroute for %d->%d stuck at bottom switch %d: no healthy uplink", src, dst, cur)
 		}
 		links = append(links, f.UpLink(cur, t))
 		if !v.TrunkFailed(dv, t) {
-			if nodes != nil {
-				*nodes = append(*nodes, f.Bottom(dv), topology.NodeID(dst))
-			}
 			return append(links, f.DownLink(t, dv), f.HostDownLink(dv, dk)), nil
 		}
 		// The top switch cannot reach the destination: bounce down to a
 		// random healthy bottom switch and retry from there.
 		w := r.pickBottom(t, cur, &state)
 		if w < 0 {
-			return links, fmt.Errorf("routing: local reroute for %d->%d stuck at top switch %d: no healthy downlink", src, dst, t)
-		}
-		if nodes != nil {
-			*nodes = append(*nodes, f.Bottom(w))
+			return buf, fmt.Errorf("routing: local reroute for %d->%d stuck at top switch %d: no healthy downlink", src, dst, t)
 		}
 		links = append(links, f.DownLink(t, w))
 		cur, lastTop = w, t
 	}
-	return links, fmt.Errorf("routing: local reroute for %d->%d exceeded %d top-switch visits", src, dst, r.maxVisits)
+	return buf, fmt.Errorf("routing: local reroute for %d->%d exceeded %d top-switch visits", src, dst, r.maxVisits)
 }
+
+// PathFor returns AppendPairLinks's route as a Path.
+func (r *LocalReroute) PathFor(src, dst int) (topology.Path, error) { return pathOf(r, src, dst) }
 
 // pickTop draws a uniform healthy uplink of bottom switch b, avoiding the
 // top the packet just bounced off when another choice exists.
@@ -204,11 +163,5 @@ func (r *LocalReroute) pickBottom(t, from int, state *uint64) int {
 
 // Route assigns a deflection path to every SD pair of the pattern.
 func (r *LocalReroute) Route(p *permutation.Permutation) (*Assignment, error) {
-	return routePairwise(r.F.Net, p, func(s, d int) ([]topology.Path, error) {
-		path, err := r.PathFor(s, d)
-		if err != nil {
-			return nil, err
-		}
-		return []topology.Path{path}, nil
-	})
+	return routePairwise(r.F.Net, r, p)
 }

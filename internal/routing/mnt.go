@@ -23,11 +23,11 @@ func NewMNTDestMod(t *topology.MPortNTree) *MNTDestMod { return &MNTDestMod{T: t
 // Name returns "mnt-dest-mod".
 func (r *MNTDestMod) Name() string { return "mnt-dest-mod" }
 
-// PathFor routes (src, dst) with up-hop choices derived from the
+// AppendPairLinks routes (src, dst) with up-hop choices derived from the
 // destination host index: choice at up hop l is digit l of dst in base k.
-func (r *MNTDestMod) PathFor(src, dst int) (topology.Path, error) {
+func (r *MNTDestMod) AppendPairLinks(src, dst int, buf []topology.LinkID) ([]topology.LinkID, error) {
 	if src == dst {
-		return topology.Path{Nodes: []topology.NodeID{topology.NodeID(src)}}, nil
+		return buf, nil
 	}
 	s, d := topology.NodeID(src), topology.NodeID(dst)
 	hops := r.T.NumUpHops(s, d)
@@ -37,18 +37,19 @@ func (r *MNTDestMod) PathFor(src, dst int) (topology.Path, error) {
 		choices[l] = x % r.T.K
 		x /= r.T.K
 	}
-	return r.T.UpDownPath(s, d, choices)
+	path, err := r.T.UpDownPath(s, d, choices)
+	if err != nil {
+		return buf, err
+	}
+	return append(buf, path.Links...), nil
 }
+
+// PathFor returns AppendPairLinks's route as a Path.
+func (r *MNTDestMod) PathFor(src, dst int) (topology.Path, error) { return pathOf(r, src, dst) }
 
 // Route assigns a path to every SD pair of the pattern.
 func (r *MNTDestMod) Route(p *permutation.Permutation) (*Assignment, error) {
-	return routePairwise(r.T.Net, p, func(s, d int) ([]topology.Path, error) {
-		path, err := r.PathFor(s, d)
-		if err != nil {
-			return nil, err
-		}
-		return []topology.Path{path}, nil
-	})
+	return routePairwise(r.T.Net, r, p)
 }
 
 // MNTRandomFixed is static routing with a uniformly random but fixed
@@ -67,11 +68,11 @@ func NewMNTRandomFixed(t *topology.MPortNTree, seed int64) *MNTRandomFixed {
 // Name returns "mnt-random-fixed".
 func (r *MNTRandomFixed) Name() string { return "mnt-random-fixed" }
 
-// PathFor routes (src, dst) over the up-path whose digit choices are drawn
-// from a per-pair seeded generator.
-func (r *MNTRandomFixed) PathFor(src, dst int) (topology.Path, error) {
+// AppendPairLinks routes (src, dst) over the up-path whose digit choices
+// are drawn from a per-pair seeded generator.
+func (r *MNTRandomFixed) AppendPairLinks(src, dst int, buf []topology.LinkID) ([]topology.LinkID, error) {
 	if src == dst {
-		return topology.Path{Nodes: []topology.NodeID{topology.NodeID(src)}}, nil
+		return buf, nil
 	}
 	s, d := topology.NodeID(src), topology.NodeID(dst)
 	hops := r.T.NumUpHops(s, d)
@@ -81,56 +82,19 @@ func (r *MNTRandomFixed) PathFor(src, dst int) (topology.Path, error) {
 		choices[l] = rng.Intn(r.T.K)
 	}
 	putPairRNG(rng)
-	return r.T.UpDownPath(s, d, choices)
+	path, err := r.T.UpDownPath(s, d, choices)
+	if err != nil {
+		return buf, err
+	}
+	return append(buf, path.Links...), nil
 }
+
+// PathFor returns AppendPairLinks's route as a Path.
+func (r *MNTRandomFixed) PathFor(src, dst int) (topology.Path, error) { return pathOf(r, src, dst) }
 
 // Route assigns a path to every SD pair of the pattern.
 func (r *MNTRandomFixed) Route(p *permutation.Permutation) (*Assignment, error) {
-	return routePairwise(r.T.Net, p, func(s, d int) ([]topology.Path, error) {
-		path, err := r.PathFor(s, d)
-		if err != nil {
-			return nil, err
-		}
-		return []topology.Path{path}, nil
-	})
-}
-
-// ThreeLevelPaper wraps the recursive Theorem-3 routing of the three-level
-// nonblocking construction (Discussion §IV.A): the outer level picks
-// virtual top network (i, j), the inner level re-applies the same rule to
-// the virtual switch's port numbers.
-type ThreeLevelPaper struct {
-	T *topology.ThreeLevelFtree
-}
-
-// NewThreeLevelPaper builds the router.
-func NewThreeLevelPaper(t *topology.ThreeLevelFtree) *ThreeLevelPaper {
-	return &ThreeLevelPaper{T: t}
-}
-
-// Name returns "paper-three-level".
-func (r *ThreeLevelPaper) Name() string { return "paper-three-level" }
-
-// PathFor routes one SD pair through the recursive construction.
-func (r *ThreeLevelPaper) PathFor(src, dst int) (topology.Path, error) {
-	if src < 0 || src >= r.T.Ports() || dst < 0 || dst >= r.T.Ports() {
-		return topology.Path{}, fmt.Errorf("host index out of range: %d or %d", src, dst)
-	}
-	if src == dst {
-		return topology.Path{Nodes: []topology.NodeID{topology.NodeID(src)}}, nil
-	}
-	return r.T.Route(topology.NodeID(src), topology.NodeID(dst)), nil
-}
-
-// Route assigns a path to every SD pair of the pattern.
-func (r *ThreeLevelPaper) Route(p *permutation.Permutation) (*Assignment, error) {
-	return routePairwise(r.T.Net, p, func(s, d int) ([]topology.Path, error) {
-		path, err := r.PathFor(s, d)
-		if err != nil {
-			return nil, err
-		}
-		return []topology.Path{path}, nil
-	})
+	return routePairwise(r.T.Net, r, p)
 }
 
 // MultiLevelPaper wraps the recursive Theorem-3 routing of the generic
@@ -149,26 +113,23 @@ func NewMultiLevelPaper(t *topology.MultiFtree) *MultiLevelPaper {
 // Name returns "paper-multi-level".
 func (r *MultiLevelPaper) Name() string { return "paper-multi-level" }
 
-// PathFor routes one SD pair through the recursive construction.
-func (r *MultiLevelPaper) PathFor(src, dst int) (topology.Path, error) {
+// AppendPairLinks routes one SD pair through the recursive construction.
+func (r *MultiLevelPaper) AppendPairLinks(src, dst int, buf []topology.LinkID) ([]topology.LinkID, error) {
 	if src < 0 || src >= r.T.Ports() || dst < 0 || dst >= r.T.Ports() {
-		return topology.Path{}, fmt.Errorf("host index out of range: %d or %d", src, dst)
+		return buf, fmt.Errorf("host index out of range: %d or %d", src, dst)
 	}
 	if src == dst {
-		return topology.Path{Nodes: []topology.NodeID{topology.NodeID(src)}}, nil
+		return buf, nil
 	}
-	return r.T.Route(topology.NodeID(src), topology.NodeID(dst)), nil
+	return append(buf, r.T.Route(topology.NodeID(src), topology.NodeID(dst)).Links...), nil
 }
+
+// PathFor returns AppendPairLinks's route as a Path.
+func (r *MultiLevelPaper) PathFor(src, dst int) (topology.Path, error) { return pathOf(r, src, dst) }
 
 // Route assigns a path to every SD pair of the pattern.
 func (r *MultiLevelPaper) Route(p *permutation.Permutation) (*Assignment, error) {
-	return routePairwise(r.T.Net, p, func(s, d int) ([]topology.Path, error) {
-		path, err := r.PathFor(s, d)
-		if err != nil {
-			return nil, err
-		}
-		return []topology.Path{path}, nil
-	})
+	return routePairwise(r.T.Net, r, p)
 }
 
 // CrossbarRouter routes on the reference crossbar: every pair crosses the
@@ -183,24 +144,21 @@ func NewCrossbarRouter(x *topology.Crossbar) *CrossbarRouter { return &CrossbarR
 // Name returns "crossbar".
 func (r *CrossbarRouter) Name() string { return "crossbar" }
 
-// PathFor routes one pair through the crossbar.
-func (r *CrossbarRouter) PathFor(src, dst int) (topology.Path, error) {
+// AppendPairLinks routes one pair through the crossbar.
+func (r *CrossbarRouter) AppendPairLinks(src, dst int, buf []topology.LinkID) ([]topology.LinkID, error) {
 	if src < 0 || src >= r.X.N || dst < 0 || dst >= r.X.N {
-		return topology.Path{}, fmt.Errorf("host index out of range: %d or %d", src, dst)
+		return buf, fmt.Errorf("host index out of range: %d or %d", src, dst)
 	}
 	if src == dst {
-		return topology.Path{Nodes: []topology.NodeID{topology.NodeID(src)}}, nil
+		return buf, nil
 	}
-	return r.X.Route(src, dst), nil
+	return append(buf, r.X.Route(src, dst).Links...), nil
 }
+
+// PathFor returns AppendPairLinks's route as a Path.
+func (r *CrossbarRouter) PathFor(src, dst int) (topology.Path, error) { return pathOf(r, src, dst) }
 
 // Route assigns a path to every SD pair of the pattern.
 func (r *CrossbarRouter) Route(p *permutation.Permutation) (*Assignment, error) {
-	return routePairwise(r.X.Net, p, func(s, d int) ([]topology.Path, error) {
-		path, err := r.PathFor(s, d)
-		if err != nil {
-			return nil, err
-		}
-		return []topology.Path{path}, nil
-	})
+	return routePairwise(r.X.Net, r, p)
 }

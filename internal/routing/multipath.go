@@ -27,42 +27,10 @@ type FtreeMultipath struct {
 // Name returns the scheme name.
 func (r *FtreeMultipath) Name() string { return r.RouterName }
 
-// PathsFor returns every path the pair's packets may take.
-func (r *FtreeMultipath) PathsFor(src, dst int) ([]topology.Path, error) {
-	n := r.F.N
-	if src < 0 || src >= r.F.Ports() || dst < 0 || dst >= r.F.Ports() {
-		return nil, fmt.Errorf("host index out of range: %d or %d", src, dst)
-	}
-	if src == dst {
-		return selfPath(topology.NodeID(src)), nil
-	}
-	if src/n == dst/n {
-		return []topology.Path{r.F.RouteVia(topology.NodeID(src), topology.NodeID(dst), 0)}, nil
-	}
-	set := r.TopSet(src, dst)
-	if len(set) == 0 {
-		return nil, fmt.Errorf("empty top-switch set for pair %d->%d", src, dst)
-	}
-	paths := make([]topology.Path, len(set))
-	for i, t := range set {
-		if t < 0 || t >= r.F.M {
-			return nil, fmt.Errorf("TopSet(%d,%d) contains %d out of [0,%d)", src, dst, t, r.F.M)
-		}
-		paths[i] = r.F.RouteVia(topology.NodeID(src), topology.NodeID(dst), t)
-	}
-	return paths, nil
-}
-
-// Route assigns the full path set to every SD pair of the pattern.
-func (r *FtreeMultipath) Route(p *permutation.Permutation) (*Assignment, error) {
-	return routePairwise(r.F.Net, p, r.PathsFor)
-}
-
-// AppendPairLinks implements PairLinkAppender: it appends the link IDs of
-// every path in PathsFor(src, dst) without building Path values, with
-// identical error conditions and messages. Links shared by several paths
-// of the set (the host up/down links, always) repeat in the output; the
-// accounting layer deduplicates per pair.
+// AppendPairLinks appends the links of every path the pair's packets may
+// take, one path per top switch of the set in set order. Links shared by
+// several paths of the set (the host up/down links, always) repeat in the
+// output; the accounting layer deduplicates per pair.
 func (r *FtreeMultipath) AppendPairLinks(src, dst int, buf []topology.LinkID) ([]topology.LinkID, error) {
 	n := r.F.N
 	if src < 0 || src >= r.F.Ports() || dst < 0 || dst >= r.F.Ports() {
@@ -71,26 +39,26 @@ func (r *FtreeMultipath) AppendPairLinks(src, dst int, buf []topology.LinkID) ([
 	if src == dst {
 		return buf, nil
 	}
-	sv, sk := src/n, src%n
-	dv, dk := dst/n, dst%n
-	if sv == dv {
-		return append(buf, r.F.HostUpLink(sv, sk), r.F.HostDownLink(dv, dk)), nil
+	if src/n == dst/n {
+		return r.F.AppendRouteVia(buf, src, dst, 0), nil
 	}
 	set := r.TopSet(src, dst)
 	if len(set) == 0 {
 		return buf, fmt.Errorf("empty top-switch set for pair %d->%d", src, dst)
 	}
+	links := buf
 	for _, t := range set {
 		if t < 0 || t >= r.F.M {
 			return buf, fmt.Errorf("TopSet(%d,%d) contains %d out of [0,%d)", src, dst, t, r.F.M)
 		}
-		buf = append(buf,
-			r.F.HostUpLink(sv, sk),
-			r.F.UpLink(sv, t),
-			r.F.DownLink(t, dv),
-			r.F.HostDownLink(dv, dk))
+		links = r.F.AppendRouteVia(links, src, dst, t)
 	}
-	return buf, nil
+	return links, nil
+}
+
+// Route assigns the full path set to every SD pair of the pattern.
+func (r *FtreeMultipath) Route(p *permutation.Permutation) (*Assignment, error) {
+	return routePairwise(r.F.Net, r, p)
 }
 
 // NewFullSpray returns the maximal oblivious multipath scheme: every

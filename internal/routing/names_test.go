@@ -8,10 +8,17 @@ import (
 	"repro/internal/topology"
 )
 
-// TestRouterNames pins every scheme's reported name — these strings appear
-// in experiment tables, reports and CLI output, so renames must be
-// deliberate.
-func TestRouterNames(t *testing.T) {
+// zooRouter is one entry of the router zoo: a router and the host count
+// of the network it routes on.
+type zooRouter struct {
+	r     routing.Router
+	hosts int
+}
+
+// routerZoo builds one router of every scheme on a small network, keyed by
+// the name it must report.
+func routerZoo(t *testing.T) map[string]zooRouter {
+	t.Helper()
 	f := topology.NewFoldedClos(2, 4, 5)
 	paper, err := routing.NewPaperDeterministic(f)
 	if err != nil {
@@ -35,32 +42,37 @@ func TestRouterNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tl := topology.NewThreeLevelFtree(2, 12)
 	ml := topology.NewMultiFtree(2, 2)
-	want := map[string]interface{ Name() string }{
-		"paper-deterministic":             paper,
-		"paper-deterministic-folded(m=4)": routing.NewPaperDeterministicFolded(f),
-		"dest-mod":                        routing.NewDestMod(f),
-		"source-mod":                      routing.NewSourceMod(f),
-		"dest-switch-mod":                 routing.NewDestSwitchMod(f),
-		"random-fixed":                    routing.NewRandomFixed(f, 1),
-		"full-spray":                      routing.NewFullSpray(f),
-		"spray-2":                         spray,
-		"paper-multipath-row":             pmp,
-		"nonblocking-adaptive":            ad,
-		"nonblocking-adaptive-firstfit":   ff,
-		"greedy-local":                    routing.NewGreedyLocal(f),
-		"global-rearrangeable":            routing.NewGlobalRearrangeable(f),
-		"mnt-dest-mod":                    routing.NewMNTDestMod(mnt),
-		"mnt-random-fixed":                routing.NewMNTRandomFixed(mnt, 1),
-		"mnt-spray-2":                     mntSpray,
-		"paper-three-level":               routing.NewThreeLevelPaper(tl),
-		"paper-multi-level":               routing.NewMultiLevelPaper(ml),
-		"crossbar":                        routing.NewCrossbarRouter(topology.NewCrossbar(4)),
-		"benes-looping":                   routing.NewBenesLooping(topology.NewBenes(2)),
+	hosts := f.Ports()
+	return map[string]zooRouter{
+		"paper-deterministic":             {paper, hosts},
+		"paper-deterministic-folded(m=4)": {routing.NewPaperDeterministicFolded(f), hosts},
+		"dest-mod":                        {routing.NewDestMod(f), hosts},
+		"source-mod":                      {routing.NewSourceMod(f), hosts},
+		"dest-switch-mod":                 {routing.NewDestSwitchMod(f), hosts},
+		"random-fixed":                    {routing.NewRandomFixed(f, 1), hosts},
+		"full-spray":                      {routing.NewFullSpray(f), hosts},
+		"spray-2":                         {spray, hosts},
+		"paper-multipath-row":             {pmp, hosts},
+		"nonblocking-adaptive":            {ad, hosts},
+		"nonblocking-adaptive-firstfit":   {ff, hosts},
+		"greedy-local":                    {routing.NewGreedyLocal(f), hosts},
+		"global-rearrangeable":            {routing.NewGlobalRearrangeable(f), hosts},
+		"mnt-dest-mod":                    {routing.NewMNTDestMod(mnt), mnt.Hosts()},
+		"mnt-random-fixed":                {routing.NewMNTRandomFixed(mnt, 1), mnt.Hosts()},
+		"mnt-spray-2":                     {mntSpray, mnt.Hosts()},
+		"paper-multi-level":               {routing.NewMultiLevelPaper(ml), ml.Ports()},
+		"crossbar":                        {routing.NewCrossbarRouter(topology.NewCrossbar(4)), 4},
+		"benes-looping":                   {routing.NewBenesLooping(topology.NewBenes(2)), 4},
 	}
-	for name, r := range want {
-		if got := r.Name(); got != name {
+}
+
+// TestRouterNames pins every scheme's reported name — these strings appear
+// in experiment tables, reports and CLI output, so renames must be
+// deliberate.
+func TestRouterNames(t *testing.T) {
+	for name, z := range routerZoo(t) {
+		if got := z.r.Name(); got != name {
 			t.Errorf("Name() = %q, want %q", got, name)
 		}
 	}

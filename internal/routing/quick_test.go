@@ -45,7 +45,7 @@ func TestQuickPaperRouterPathStructure(t *testing.T) {
 				return false
 			}
 			wantTop := f.Top((s%f.N)*f.N + d%f.N)
-			return p.Nodes[2] == wantTop
+			return f.Net.Link(p.Links[1]).To == wantTop
 		}
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {

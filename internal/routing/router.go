@@ -12,7 +12,17 @@
 //
 // All routers consume a permutation pattern over host indices and produce
 // an Assignment: the set of paths that will carry each SD pair's traffic.
-// Contention properties of assignments are judged by package analysis.
+// A path is the list of links it loads — Definition 2's nonblocking
+// property is about link contention alone — and contention properties of
+// assignments are judged by package analysis.
+//
+// Each scheme has one routing body. A pattern-independent router
+// implements PairLinkAppender: AppendPairLinks appends one pair's links,
+// and Route (and PathFor, for single-path PairRouters) wrap it. A
+// pattern-dependent adaptive router implements PatternLinkAppender, whose
+// per-pair spans its Route cuts into an Assignment. Only Benes looping,
+// global rearrangeable and greedy local routing build paths in Route
+// itself.
 //
 // Every router in this package is safe for concurrent Route/PathFor calls:
 // routing state is fixed at construction and per-call scratch is local.
@@ -61,48 +71,38 @@ type Router interface {
 	Route(p *permutation.Permutation) (*Assignment, error)
 }
 
-// PairRouter is implemented by single-path deterministic routers, which
-// can route an SD pair in isolation — the property that defines
-// "deterministic" in the paper: the path depends only on (src, dst).
-type PairRouter interface {
-	Router
-	// PathFor returns the unique path for the SD pair (src, dst), given
-	// as host indices.
-	PathFor(src, dst int) (topology.Path, error)
-}
-
-// MultiPairRouter is implemented by traffic-oblivious multi-path routers:
-// the path *set* depends only on (src, dst); packets are spread over the
-// set by a policy that does not see the traffic pattern.
-type MultiPairRouter interface {
-	Router
-	// PathsFor returns every path packets of (src, dst) may take.
-	PathsFor(src, dst int) ([]topology.Path, error)
-}
-
-// PairLinkAppender is the allocation-free fast path for contention
-// accounting: routers that can enumerate the links of one SD pair's path
-// set directly — without materializing Path or Assignment values — let
-// verification sweeps analyze a pattern with zero allocations per pair.
-// Implementations must report exactly the links PathFor/PathsFor would,
-// with identical error conditions and messages, so sweep results are
-// independent of which code path analyzed them.
+// PairLinkAppender is implemented by every router whose route for an SD
+// pair depends only on (src, dst) — single-path deterministic routers and
+// traffic-oblivious multi-path ones alike. AppendPairLinks is such a
+// router's one routing body: Route, PathFor, route tables, the Lemma-1
+// kernel and the simulator's path sets all derive from it, and contention
+// accounting consumes its links directly with no allocation per pair.
 type PairLinkAppender interface {
 	Router
 	// AppendPairLinks appends every link of the pair's path set to buf
-	// and returns it. Self-pairs (src == dst) append nothing. Links of a
-	// multipath set may repeat; the accounting layer deduplicates per
-	// pair.
+	// and returns it; on error it returns buf unchanged. Self-pairs
+	// (src == dst) append nothing. A multipath set's paths follow one
+	// another, each ending on the link into dst, so links shared by
+	// several paths repeat; the accounting layer deduplicates per pair.
 	AppendPairLinks(src, dst int, buf []topology.LinkID) ([]topology.LinkID, error)
 }
 
-// PatternLinkAppender is the Assignment-free fast path for
-// pattern-dependent routers (the adaptive schemes): the router plans the
-// whole pattern, then writes each pair's links into caller buffers instead
-// of materializing Path values, so a checker reusing the buffers scores a
-// pattern with only the plan's own allocations. Implementations must fail
-// exactly when Route fails, with the same error, and otherwise report
-// exactly the links of Route's paths.
+// PairRouter is implemented by single-path deterministic routers, which
+// route an SD pair in isolation over one path — the property that defines
+// "deterministic" in the paper: the path depends only on (src, dst).
+type PairRouter interface {
+	PairLinkAppender
+	// PathFor returns the unique path for the SD pair (src, dst), given
+	// as host indices: AppendPairLinks's links as a Path.
+	PathFor(src, dst int) (topology.Path, error)
+}
+
+// PatternLinkAppender is implemented by pattern-dependent routers (the
+// adaptive schemes): the router plans the whole pattern, then writes each
+// pair's links into caller buffers, so a checker reusing the buffers
+// scores a pattern with only the plan's own allocations. It is the
+// routers' one path-construction body: their Route cuts its spans into an
+// Assignment.
 type PatternLinkAppender interface {
 	Router
 	// AppendPatternLinks routes p and appends, pair by pair in ascending
@@ -112,25 +112,58 @@ type PatternLinkAppender interface {
 	AppendPatternLinks(p *permutation.Permutation, links []topology.LinkID, ends []int) ([]topology.LinkID, []int, error)
 }
 
-// routePairwise assembles an Assignment for a pattern using a per-pair
-// path-set function.
-func routePairwise(net *topology.Network, p *permutation.Permutation, pathsFor func(s, d int) ([]topology.Path, error)) (*Assignment, error) {
+// routePairwise is Route for every pairwise router: it appends the links
+// of p's pairs, in ascending source order, through la.AppendPairLinks and
+// cuts them into an Assignment. The first failing pair's error is wrapped
+// with the pair ("routing pair s->d: ...").
+func routePairwise(net *topology.Network, la PairLinkAppender, p *permutation.Permutation) (*Assignment, error) {
 	pairs := p.Pairs()
-	a := &Assignment{Net: net, Pairs: pairs, PathSets: make([][]topology.Path, len(pairs))}
+	links := make([]topology.LinkID, 0, 4*len(pairs)) // a two-level route per pair
+	ends := make([]int, len(pairs))
 	for i, pr := range pairs {
-		ps, err := pathsFor(pr.Src, pr.Dst)
-		if err != nil {
+		var err error
+		if links, err = la.AppendPairLinks(pr.Src, pr.Dst, links); err != nil {
 			return nil, fmt.Errorf("routing pair %d->%d: %w", pr.Src, pr.Dst, err)
 		}
-		a.PathSets[i] = ps
+		ends[i] = len(links)
 	}
-	return a, nil
+	return spanAssignment(net, pairs, links, ends), nil
 }
 
-// selfPath is the degenerate path of a self-pair (s == d): the traffic
-// never leaves the host, so it occupies no network link.
-func selfPath(host topology.NodeID) []topology.Path {
-	return []topology.Path{{Nodes: []topology.NodeID{host}}}
+// pathOf is PathFor for every single-path pairwise router.
+func pathOf(la PairLinkAppender, src, dst int) (topology.Path, error) {
+	links, err := la.AppendPairLinks(src, dst, nil)
+	return topology.Path{Links: links}, err
+}
+
+// spanAssignment cuts a pattern's link spans into an Assignment: pair i's
+// span ends at ends[i] in links and holds its paths back to back. Every
+// path of a pair ends on the link into its destination — the span's last
+// link — so a path closes wherever that link occurs. The empty span of a
+// self-pair is one empty path. The paths share links as their backing
+// array, capacity-limited so an append to one cannot overwrite another.
+func spanAssignment(net *topology.Network, pairs []permutation.Pair, links []topology.LinkID, ends []int) *Assignment {
+	paths := make([]topology.Path, 0, len(pairs))
+	pathEnds := make([]int, len(pairs))
+	lo := 0
+	for i, hi := range ends {
+		if lo == hi {
+			paths = append(paths, topology.Path{})
+		}
+		for start, j := lo, lo; j < hi; j++ {
+			if links[j] == links[hi-1] {
+				paths = append(paths, topology.Path{Links: links[start : j+1 : j+1]})
+				start = j + 1
+			}
+		}
+		pathEnds[i], lo = len(paths), hi
+	}
+	a := &Assignment{Net: net, Pairs: pairs, PathSets: make([][]topology.Path, len(pairs))}
+	lo = 0
+	for i, hi := range pathEnds {
+		a.PathSets[i], lo = paths[lo:hi:hi], hi
+	}
+	return a
 }
 
 // ErrUnknownScheme is returned (wrapped, with the name) by NewFtreeRouter

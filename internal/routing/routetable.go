@@ -58,51 +58,18 @@ type RouteTable struct {
 	name     string
 }
 
-// pairLinkAppendFunc adapts r to the AppendPairLinks shape, preferring the
-// allocation-free PairLinkAppender fast path and falling back to
-// materialized PathsFor/PathFor output (build-time only, so the
-// allocations are paid once). Routers implementing none of the pairwise
-// interfaces are pattern-dependent by contract and are rejected.
-func pairLinkAppendFunc(r Router) (func(src, dst int, buf []topology.LinkID) ([]topology.LinkID, error), error) {
-	switch rr := r.(type) {
-	case PairLinkAppender:
-		return rr.AppendPairLinks, nil
-	case MultiPairRouter:
-		return func(src, dst int, buf []topology.LinkID) ([]topology.LinkID, error) {
-			paths, err := rr.PathsFor(src, dst)
-			if err != nil {
-				return buf, err
-			}
-			for _, p := range paths {
-				buf = append(buf, p.Links...)
-			}
-			return buf, nil
-		}, nil
-	case PairRouter:
-		return func(src, dst int, buf []topology.LinkID) ([]topology.LinkID, error) {
-			p, err := rr.PathFor(src, dst)
-			if err != nil {
-				return buf, err
-			}
-			return append(buf, p.Links...), nil
-		}, nil
-	}
-	return nil, ErrPatternDependent
-}
-
 // BuildRouteTable precomputes every SD pair's deduplicated link set for a
-// router with pattern-independent paths (PairLinkAppender, MultiPairRouter
-// or PairRouter — checked in that order). It returns ErrPatternDependent
-// for routers with none of those interfaces, and the first per-pair
-// routing failure, in ascending (src, dst) order, wrapped exactly as the
-// routing layer wraps it ("routing pair s->d: ...").
+// router with pattern-independent paths: a PairLinkAppender. It returns
+// ErrPatternDependent for any other router, and the first per-pair routing
+// failure, in ascending (src, dst) order, wrapped exactly as the routing
+// layer wraps it ("routing pair s->d: ...").
 func BuildRouteTable(r Router, hosts int) (*RouteTable, error) {
 	if hosts < 0 {
 		return nil, fmt.Errorf("routing: negative host count %d", hosts)
 	}
-	appendLinks, err := pairLinkAppendFunc(r)
-	if err != nil {
-		return nil, err
+	la, ok := r.(PairLinkAppender)
+	if !ok {
+		return nil, ErrPatternDependent
 	}
 	t := &RouteTable{
 		hosts: hosts,
@@ -111,11 +78,12 @@ func BuildRouteTable(r Router, hosts int) (*RouteTable, error) {
 		name:  r.Name(),
 	}
 	var buf []topology.LinkID
+	var err error
 	dedup := linkDedup{epoch: routeTableStartEpoch}
 	idx := 0
 	for s := 0; s < hosts; s++ {
 		for d := 0; d < hosts; d++ {
-			buf, err = appendLinks(s, d, buf[:0])
+			buf, err = la.AppendPairLinks(s, d, buf[:0])
 			if err != nil {
 				return nil, fmt.Errorf("routing pair %d->%d: %w", s, d, err)
 			}

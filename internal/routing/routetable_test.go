@@ -144,7 +144,7 @@ func TestBuildRouteTablePairRouterFallback(t *testing.T) {
 			}
 		}
 	}
-	// MNTSpray implements MultiPairRouter; its table must build too.
+	// MNTSpray is a multipath PairLinkAppender; its table must build too.
 	spray, err := routing.NewMNTSpray(tr, 2, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -208,59 +208,6 @@ func TestBuildRouteTableErrors(t *testing.T) {
 	tab, err := routing.BuildRouteTable(good, 0)
 	if err != nil || tab.Entries() != 0 || tab.NumLinks() != 0 {
 		t.Fatalf("empty table: %v %+v", err, tab)
-	}
-}
-
-// TestFtreeMultipathAppendPairLinksMatchesPathsFor pins the new fast path
-// on FtreeMultipath against its materialized PathsFor output, including
-// error parity on a malformed TopSet.
-func TestFtreeMultipathAppendPairLinksMatchesPathsFor(t *testing.T) {
-	f := topology.NewFoldedClos(2, 4, 3)
-	spray, err := routing.NewKSpray(f, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pm, err := routing.NewPaperMultipath(topology.NewFoldedClos(2, 4, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range []*routing.FtreeMultipath{spray, routing.NewFullSpray(f), pm} {
-		for s := 0; s < f.Ports(); s++ {
-			for d := 0; d < f.Ports(); d++ {
-				links, err := r.AppendPairLinks(s, d, nil)
-				if err != nil {
-					t.Fatalf("%s AppendPairLinks(%d,%d): %v", r.Name(), s, d, err)
-				}
-				paths, err := r.PathsFor(s, d)
-				if err != nil {
-					t.Fatalf("%s PathsFor(%d,%d): %v", r.Name(), s, d, err)
-				}
-				var want []topology.LinkID
-				for _, p := range paths {
-					want = append(want, p.Links...)
-				}
-				if !sameLinks(links, want) {
-					t.Fatalf("%s pair %d->%d: append %v, paths %v", r.Name(), s, d, links, want)
-				}
-			}
-		}
-		// Out-of-range errors match.
-		_, errA := r.AppendPairLinks(-1, 0, nil)
-		_, errP := r.PathsFor(-1, 0)
-		if errA == nil || errP == nil || errA.Error() != errP.Error() {
-			t.Fatalf("%s: out-of-range errors differ: %v vs %v", r.Name(), errA, errP)
-		}
-	}
-	// Malformed TopSet errors must be identical on both paths.
-	for _, bad := range []*routing.FtreeMultipath{
-		{F: f, RouterName: "empty-set", TopSet: func(int, int) []int { return nil }},
-		{F: f, RouterName: "oob-set", TopSet: func(int, int) []int { return []int{99} }},
-	} {
-		_, errA := bad.AppendPairLinks(0, 2, nil)
-		_, errP := bad.PathsFor(0, 2)
-		if errA == nil || errP == nil || errA.Error() != errP.Error() {
-			t.Fatalf("%s: errors differ: %v vs %v", bad.RouterName, errA, errP)
-		}
 	}
 }
 

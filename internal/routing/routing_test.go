@@ -3,6 +3,7 @@ package routing_test
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -181,13 +182,8 @@ func TestPaperDeterministicFoldedEqualsExactWhenProvisioned(t *testing.T) {
 			if err1 != nil || err2 != nil {
 				t.Fatal(err1, err2)
 			}
-			if len(p1.Nodes) != len(p2.Nodes) {
-				t.Fatalf("path shapes differ for %d->%d", s, d)
-			}
-			for i := range p1.Nodes {
-				if p1.Nodes[i] != p2.Nodes[i] {
-					t.Fatalf("paths differ for %d->%d", s, d)
-				}
+			if !slices.Equal(p1.Links, p2.Links) {
+				t.Fatalf("paths differ for %d->%d", s, d)
 			}
 		}
 	}
@@ -318,27 +314,15 @@ func TestKSprayWidths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := r.PathsFor(0, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ps) != 2 {
+	if ps := pathSet(t, r, f.Ports(), 0, 6); len(ps) != 2 {
 		t.Fatalf("paths = %d, want 2", len(ps))
 	}
 	// Intra-switch pair: single local path.
-	ps, err = r.PathsFor(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ps) != 1 || ps[0].Len() != 2 {
+	if ps := pathSet(t, r, f.Ports(), 0, 1); len(ps) != 1 || ps[0].Len() != 2 {
 		t.Fatal("intra-switch multipath should be the single local path")
 	}
 	// Self pair.
-	ps, err = r.PathsFor(3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ps) != 1 || ps[0].Len() != 0 {
+	if ps := pathSet(t, r, f.Ports(), 3, 3); len(ps) != 1 || ps[0].Len() != 0 {
 		t.Fatal("self pair should be linkless")
 	}
 }
@@ -648,4 +632,19 @@ func TestGreedyLocalMechanics(t *testing.T) {
 	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// pathSet routes the one-pair pattern src->dst over hosts endpoints with r
+// and returns the pair's path set.
+func pathSet(t *testing.T, r routing.Router, hosts, src, dst int) []topology.Path {
+	t.Helper()
+	p, err := permutation.FromPairs(hosts, []permutation.Pair{{Src: src, Dst: dst}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := r.Route(p)
+	if err != nil {
+		t.Fatalf("%s %d->%d: %v", r.Name(), src, dst, err)
+	}
+	return a.PathSets[0]
 }

@@ -218,6 +218,62 @@ func TestCoordinatedSweepWorkerKill(t *testing.T) {
 	}
 }
 
+// TestCoordinatedSweepHangingWorker: a worker that accepts shard requests
+// and never answers costs each of its shards one ShardTimeout; the shard
+// is then retried on the healthy worker, the result stays byte-identical
+// to the local engine, and the job finishes within the retry budget of
+// (ShardRetries+1)·ShardTimeout plus the backoffs.
+func TestCoordinatedSweepHangingWorker(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exhaustive sweeps in -short")
+	}
+	healthy := newWorkerServer(t)
+	var hung atomic.Int64
+	release := make(chan struct{})
+	hanging := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hung.Add(1)
+		select {
+		case <-r.Context().Done(): // the coordinator gave up on the shard
+		case <-release:
+		}
+	}))
+	t.Cleanup(hanging.Close)
+	t.Cleanup(func() { close(release) }) // runs first: Close waits for handlers
+
+	q := api.Request{N: 2, M: 2, R: 4, Routing: "dest-mod"}
+	want := localVerifyBody(t, q)
+	const timeout = 500 * time.Millisecond
+	cc := &CoordinatorConfig{
+		Workers:          []string{hanging.URL, healthy.URL},
+		ShardConcurrency: 2,
+		ShardTimeout:     timeout,
+	}
+	_, ts := newCoordinator(t, cc, nil)
+	start := time.Now()
+	acc := postSweep(t, ts.URL, &q)
+	st := waitSweep(t, ts.URL, acc.JobID)
+	elapsed := time.Since(start)
+	if st.State != "done" {
+		t.Fatalf("sweep state %s: %s", st.State, st.Error)
+	}
+	if got := string(st.Result); got != want {
+		t.Fatalf("result with a hanging worker differs:\n got %s\nwant %s", got, want)
+	}
+	if hung.Load() == 0 {
+		t.Fatal("no shard was sent to the hanging worker")
+	}
+	if m := getMetrics(t, ts.URL); m.ShardsRetried == 0 {
+		t.Fatal("hung shards were not retried")
+	}
+	budget := time.Duration(cc.ShardRetries+1) * timeout
+	for i := 0; i < cc.ShardRetries; i++ {
+		budget += cc.RetryBackoff << i
+	}
+	if elapsed > budget {
+		t.Fatalf("sweep took %v, want within %v", elapsed, budget)
+	}
+}
+
 // TestCoordinatedSweepResume proves checkpoint resume across coordinator
 // restarts: a first coordinator whose worker fails every shard with
 // leading digit >= 2 checkpoints shards 0 and 1, then fails the sweep;

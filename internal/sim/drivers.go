@@ -109,7 +109,7 @@ func CompareToCrossbar(net *topology.Network, r routing.Router, hosts, trials, w
 // LoadSweepParallel runs OpenLoop at each offered load for a fixed
 // permutation and router, one goroutine per load, producing the classic
 // latency/throughput curve in rate order. pathsFor adapts any router (see
-// PairPathsFunc, or pass a multipath router's PathsFor) and must be safe
+// PairPathsFunc and AssignmentPathsFunc) and must be safe
 // for concurrent calls; every adapter in this package is. Each point
 // derives all randomness from its own seeded generator, so the curve does
 // not depend on scheduling. A non-nil base.Collector turns metrics on:

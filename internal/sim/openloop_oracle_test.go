@@ -277,7 +277,10 @@ func TestOpenLoopMatchesOracle(t *testing.T) {
 	p2 := [][2]int{{0, 4}, {2, 5}}
 	// Oblivious multipath: random per-packet path choice.
 	f3 := topology.NewFoldedClos(2, 4, 4)
-	spray := routing.NewFullSpray(f3)
+	sprayed, err := routing.NewFullSpray(f3).Route(permutation.SwitchShift(2, 4, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	p3 := permPairsFor(permutation.SwitchShift(2, 4, 1))
 	// Self-pairs only: degenerate measurement window.
 	f4 := topology.NewFoldedClos(2, 4, 3)
@@ -291,7 +294,7 @@ func TestOpenLoopMatchesOracle(t *testing.T) {
 			tc{"nonblocking", f1.Net, p1, PairPathsFunc(r1), []float64{0.05, 0.4, 1.0}, 0, arb},
 			tc{"contended", f2.Net, p2, PairPathsFunc(collide), []float64{0.3, 1.0}, 0, arb},
 			tc{"contended-abort", f2.Net, p2, PairPathsFunc(collide), []float64{1.0}, 200, arb},
-			tc{"multipath", f3.Net, p3, spray.PathsFor, []float64{0.5, 1.0}, 0, arb},
+			tc{"multipath", f3.Net, p3, AssignmentPathsFunc(sprayed), []float64{0.5, 1.0}, 0, arb},
 			tc{"self-pairs", f4.Net, [][2]int{{1, 1}, {2, 2}}, PairPathsFunc(r4), []float64{0.5}, 0, arb},
 		)
 	}

@@ -96,9 +96,12 @@ func TestOpenLoopContendedSaturatesBelowFullLoad(t *testing.T) {
 
 func TestOpenLoopMultipathAdapter(t *testing.T) {
 	f := topology.NewFoldedClos(2, 4, 4)
-	spray := routing.NewFullSpray(f)
-	pairs := permPairsFor(permutation.SwitchShift(2, 4, 1))
-	res, err := OpenLoop(f.Net, pairs, spray.PathsFor, openCfg(0.5))
+	p := permutation.SwitchShift(2, 4, 1)
+	a, err := routing.NewFullSpray(f).Route(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := OpenLoop(f.Net, permPairsFor(p), AssignmentPathsFunc(a), openCfg(0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +177,7 @@ func TestOpenLoopConfigValidation(t *testing.T) {
 	}
 	// Invalid path surfaces.
 	badPaths := func(s, d int) ([]topology.Path, error) {
-		return []topology.Path{{Nodes: []topology.NodeID{0, 1}, Links: []topology.LinkID{999}}}, nil
+		return []topology.Path{{Links: []topology.LinkID{999}}}, nil
 	}
 	if _, err := OpenLoop(f.Net, pairs, badPaths, openCfg(0.5)); err == nil {
 		t.Error("invalid path accepted")

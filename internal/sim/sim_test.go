@@ -215,7 +215,7 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal("empty path set accepted")
 	}
 	// Invalid path rejected.
-	badPath := topology.Path{Nodes: []topology.NodeID{0, 1}, Links: []topology.LinkID{999}}
+	badPath := topology.Path{Links: []topology.LinkID{999}}
 	if _, err := Run(f.Net, []Flow{{Paths: []topology.Path{badPath}}}, defaultCfg()); err == nil {
 		t.Fatal("invalid path accepted")
 	}

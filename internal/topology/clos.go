@@ -163,10 +163,7 @@ func (c *Clos) EgressLink(i int) LinkID {
 func (c *Clos) RouteVia(s, d, j int) Path {
 	si := s / c.N
 	di := d / c.N
-	return Path{
-		Nodes: []NodeID{c.InTerminal(s), c.InputSwitch(si), c.MiddleSwitch(j), c.OutputSwitch(di), c.OutTerminal(d)},
-		Links: []LinkID{c.IngressLink(s), c.UpLink(si, j), c.DownLink(j, di), c.EgressLink(d)},
-	}
+	return Path{Links: []LinkID{c.IngressLink(s), c.UpLink(si, j), c.DownLink(j, di), c.EgressLink(d)}}
 }
 
 // Validate performs structural self-checks and returns the first
@@ -221,8 +218,6 @@ type Crossbar struct {
 	N int
 	// Net is the underlying directed graph.
 	Net *Network
-
-	sw NodeID
 }
 
 // NewCrossbar builds an N-port crossbar.
@@ -234,9 +229,9 @@ func NewCrossbar(n int) *Crossbar {
 	for i := 0; i < n; i++ {
 		x.Net.AddNode(Host, 0, i, fmt.Sprintf("h%d", i))
 	}
-	x.sw = x.Net.AddNode(Switch, 1, 0, "xbar")
+	sw := x.Net.AddNode(Switch, 1, 0, "xbar")
 	for i := 0; i < n; i++ {
-		x.Net.AddDuplex(x.HostID(i), x.sw)
+		x.Net.AddDuplex(x.HostID(i), sw)
 	}
 	return x
 }
@@ -251,10 +246,7 @@ func (x *Crossbar) HostID(i int) NodeID {
 
 // Route returns the two-hop path from host s to host d through the switch.
 func (x *Crossbar) Route(s, d int) Path {
-	up := LinkID(2 * s)
-	down := LinkID(2*d + 1)
-	return Path{
-		Nodes: []NodeID{x.HostID(s), x.sw, x.HostID(d)},
-		Links: []LinkID{up, down},
-	}
+	x.HostID(s)
+	x.HostID(d)
+	return Path{Links: []LinkID{LinkID(2 * s), LinkID(2*d + 1)}}
 }

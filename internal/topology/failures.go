@@ -251,15 +251,12 @@ func (v *FailureView) LinkFailed(id LinkID) bool {
 	return v.trunkDown[int(id-f.trunkBase)/2]
 }
 
-// PathHealthy reports whether p traverses no failed link or node.
+// PathHealthy reports whether p traverses no failed link or node: each
+// link, and both of its end nodes, must be up.
 func (v *FailureView) PathHealthy(p Path) bool {
 	for _, l := range p.Links {
-		if v.LinkFailed(l) {
-			return false
-		}
-	}
-	for _, n := range p.Nodes {
-		if v.NodeFailed(n) {
+		lk := v.F.Net.Link(l)
+		if v.LinkFailed(l) || v.NodeFailed(lk.From) || v.NodeFailed(lk.To) {
 			return false
 		}
 	}

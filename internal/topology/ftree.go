@@ -155,23 +155,18 @@ func (f *FoldedClos) RouteVia(src, dst NodeID, t int) Path {
 	if src == dst {
 		panic("topology: RouteVia requires distinct src and dst")
 	}
-	sv, sk := f.HostSwitch(src), f.HostLocal(src)
-	dv, dk := f.HostSwitch(dst), f.HostLocal(dst)
+	return Path{Links: f.AppendRouteVia(nil, int(src-f.hostBase), int(dst-f.hostBase), t)}
+}
+
+// AppendRouteVia appends RouteVia's links for the pair of distinct host
+// indices (src, dst) to buf: the one place that knows a two-level route.
+func (f *FoldedClos) AppendRouteVia(buf []LinkID, src, dst, t int) []LinkID {
+	sv, sk := src/f.N, src%f.N
+	dv, dk := dst/f.N, dst%f.N
 	if sv == dv {
-		return Path{
-			Nodes: []NodeID{src, f.Bottom(sv), dst},
-			Links: []LinkID{f.HostUpLink(sv, sk), f.HostDownLink(dv, dk)},
-		}
+		return append(buf, f.HostUpLink(sv, sk), f.HostDownLink(dv, dk))
 	}
-	return Path{
-		Nodes: []NodeID{src, f.Bottom(sv), f.Top(t), f.Bottom(dv), dst},
-		Links: []LinkID{
-			f.HostUpLink(sv, sk),
-			f.UpLink(sv, t),
-			f.DownLink(t, dv),
-			f.HostDownLink(dv, dk),
-		},
-	}
+	return append(buf, f.HostUpLink(sv, sk), f.UpLink(sv, t), f.DownLink(t, dv), f.HostDownLink(dv, dk))
 }
 
 // Validate performs structural self-checks: port budgets of every switch,

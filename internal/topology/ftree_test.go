@@ -3,6 +3,7 @@ package topology
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -66,17 +67,15 @@ func TestFoldedClosRouteVia(t *testing.T) {
 		t.Fatal("RouteVia produced invalid path")
 	}
 	want := []NodeID{src, f.Bottom(0), f.Top(1), f.Bottom(2), dst}
-	for i, n := range want {
-		if p.Nodes[i] != n {
-			t.Fatalf("node %d = %d, want %d", i, p.Nodes[i], n)
-		}
+	if got := pathNodes(f.Net, p); !slices.Equal(got, want) {
+		t.Fatalf("nodes %v, want %v", got, want)
 	}
 	if p.Links[1] != f.UpLink(0, 1) || p.Links[2] != f.DownLink(1, 2) {
 		t.Fatal("trunk link IDs mismatch")
 	}
 	// Same-switch SD pair bypasses the top level.
 	p = f.RouteVia(f.HostID(1, 0), f.HostID(1, 1), 2)
-	if p.Len() != 2 || p.Nodes[1] != f.Bottom(1) {
+	if p.Len() != 2 || f.Net.Link(p.Links[0]).To != f.Bottom(1) {
 		t.Fatalf("intra-switch path wrong: %+v", p)
 	}
 	if !p.Valid(f.Net) {
@@ -193,11 +192,12 @@ func TestCrossbar(t *testing.T) {
 	if x.Net.NumHosts() != 5 || x.Net.NumSwitches() != 1 {
 		t.Fatal("crossbar counts wrong")
 	}
-	if x.Net.Radix(x.sw) != 5 {
+	sw := NodeID(x.N) // the switch follows the hosts
+	if x.Net.Radix(sw) != 5 {
 		t.Fatal("crossbar radix wrong")
 	}
 	p := x.Route(1, 3)
-	if !p.Valid(x.Net) {
+	if !p.Valid(x.Net) || !slices.Equal(pathNodes(x.Net, p), []NodeID{1, sw, 3}) {
 		t.Fatalf("crossbar path invalid: %+v", p)
 	}
 	if p.Len() != 2 {

@@ -13,6 +13,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 )
 
 // NodeID identifies a node (host or switch) within one Network.
@@ -222,44 +223,40 @@ func (g *Network) FindLink(from, to NodeID) LinkID {
 	return NoLink
 }
 
-// Path is a route through the network: Nodes has one more element than
-// Links, Links[i] connects Nodes[i] to Nodes[i+1].
+// Path is a route through the network as the directed links it loads, in
+// travel order: Links[i+1] leaves the node Links[i] enters. Contention is a
+// property of links alone (Definition 2), so a route stores nothing else.
+// A self-pair's path has no links.
 type Path struct {
-	Nodes []NodeID
 	Links []LinkID
 }
 
 // Len reports the number of links (hops) on the path.
 func (p Path) Len() int { return len(p.Links) }
 
-// Valid reports whether the path is internally consistent within g: each
-// link must exist and connect the adjacent node pair.
+// Valid reports whether the path is a walk in g: every link exists and
+// each one leaves the node the previous one entered. The empty path of a
+// self-pair is valid.
 func (p Path) Valid(g *Network) bool {
-	if len(p.Nodes) != len(p.Links)+1 {
-		return false
-	}
-	if len(p.Nodes) == 0 {
-		return false
-	}
 	for i, l := range p.Links {
 		if l < 0 || int(l) >= len(g.links) {
 			return false
 		}
-		lk := g.links[l]
-		if lk.From != p.Nodes[i] || lk.To != p.Nodes[i+1] {
+		if i > 0 && g.links[l].From != g.links[p.Links[i-1]].To {
 			return false
 		}
 	}
 	return true
 }
 
-// PathBetween assembles a Path from a node sequence, resolving each hop's
-// link ID. It returns an error if any consecutive pair is not adjacent.
+// PathBetween resolves a node sequence into the Path of its hops. It
+// returns an error if the sequence is empty or any consecutive pair is not
+// adjacent.
 func (g *Network) PathBetween(nodes ...NodeID) (Path, error) {
 	if len(nodes) == 0 {
 		return Path{}, fmt.Errorf("topology: empty path")
 	}
-	p := Path{Nodes: nodes, Links: make([]LinkID, 0, len(nodes)-1)}
+	p := Path{Links: make([]LinkID, 0, len(nodes)-1)}
 	for i := 0; i+1 < len(nodes); i++ {
 		l := g.FindLink(nodes[i], nodes[i+1])
 		if l == NoLink {
@@ -281,7 +278,7 @@ func (g *Network) ShortestPath(src, dst NodeID) (Path, error) {
 		return Path{}, err
 	}
 	if src == dst {
-		return Path{Nodes: []NodeID{src}}, nil
+		return Path{}, nil
 	}
 	prev := make([]LinkID, len(g.nodes))
 	for i := range prev {
@@ -309,21 +306,15 @@ func (g *Network) ShortestPath(src, dst NodeID) (Path, error) {
 	return Path{}, fmt.Errorf("topology: no path from %d to %d", src, dst)
 }
 
+// tracePath follows prev back from dst to src and returns the links in
+// travel order.
 func (g *Network) tracePath(src, dst NodeID, prev []LinkID) Path {
-	var rlinks []LinkID
-	cur := dst
-	for cur != src {
-		l := prev[cur]
-		rlinks = append(rlinks, l)
-		cur = g.links[l].From
+	var links []LinkID
+	for cur := dst; cur != src; cur = g.links[prev[cur]].From {
+		links = append(links, prev[cur])
 	}
-	p := Path{Nodes: make([]NodeID, 0, len(rlinks)+1), Links: make([]LinkID, 0, len(rlinks))}
-	p.Nodes = append(p.Nodes, src)
-	for i := len(rlinks) - 1; i >= 0; i-- {
-		p.Links = append(p.Links, rlinks[i])
-		p.Nodes = append(p.Nodes, g.links[rlinks[i]].To)
-	}
-	return p
+	slices.Reverse(links)
+	return Path{Links: links}
 }
 
 // Connected reports whether every node can reach every other node following

@@ -120,7 +120,7 @@ func TestShortestPathSelf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Len() != 0 || len(p.Nodes) != 1 {
+	if p.Len() != 0 || !p.Valid(f.Net) {
 		t.Fatalf("self path = %+v", p)
 	}
 }
@@ -145,21 +145,40 @@ func TestPathBetweenRejectsNonAdjacent(t *testing.T) {
 
 func TestPathValidRejectsCorrupt(t *testing.T) {
 	f := NewFoldedClos(2, 2, 3)
-	p, err := f.Net.PathBetween(f.HostID(0, 0), f.Bottom(0))
+	p, err := f.Net.PathBetween(f.HostID(0, 0), f.Bottom(0), f.HostID(0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !p.Valid(f.Net) {
 		t.Fatal("valid path reported invalid")
 	}
-	bad := Path{Nodes: p.Nodes, Links: []LinkID{p.Links[0] + 1}}
-	if bad.Valid(f.Net) {
-		t.Fatal("corrupt path reported valid")
+	// Links that exist but do not chain: the second leaves bottom switch
+	// 1, not bottom switch 0 where the first ends.
+	if bad := (Path{Links: []LinkID{p.Links[0], f.HostDownLink(1, 0)}}); bad.Valid(f.Net) {
+		t.Fatal("broken chain reported valid")
 	}
-	empty := Path{}
-	if empty.Valid(f.Net) {
-		t.Fatal("empty path reported valid")
+	if bad := (Path{Links: []LinkID{LinkID(f.Net.NumLinks())}}); bad.Valid(f.Net) {
+		t.Fatal("missing link reported valid")
 	}
+	if bad := (Path{Links: []LinkID{-1}}); bad.Valid(f.Net) {
+		t.Fatal("negative link reported valid")
+	}
+	if empty := (Path{}); !empty.Valid(f.Net) {
+		t.Fatal("a self-pair's empty path reported invalid")
+	}
+}
+
+// pathNodes lists the nodes p visits: its first link's tail, then each
+// link's head.
+func pathNodes(g *Network, p Path) []NodeID {
+	if p.Len() == 0 {
+		return nil
+	}
+	nodes := []NodeID{g.Link(p.Links[0]).From}
+	for _, l := range p.Links {
+		nodes = append(nodes, g.Link(l).To)
+	}
+	return nodes
 }
 
 func TestConnected(t *testing.T) {

@@ -81,7 +81,7 @@ func TestMPortNTreeUpDownPathsAllPairs(t *testing.T) {
 				if !p.Valid(ft.Net) {
 					t.Fatalf("FT(%d,%d) path %d->%d invalid", c[0], c[1], s, d)
 				}
-				if p.Nodes[0] != s || p.Nodes[len(p.Nodes)-1] != d {
+				if ft.Net.Link(p.Links[0]).From != s || ft.Net.Link(p.Links[p.Len()-1]).To != d {
 					t.Fatalf("FT(%d,%d) path endpoints wrong", c[0], c[1])
 				}
 				if want := 2 + 2*hops; p.Len() != want {
@@ -104,7 +104,7 @@ func TestMPortNTreePathDiversity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mid := p.Nodes[2]
+		mid := ft.Net.Link(p.Links[1]).To
 		if seen[mid] {
 			t.Fatalf("top switch %d reused", mid)
 		}
@@ -179,86 +179,6 @@ func TestKAryNTreeErrors(t *testing.T) {
 		}()
 		NewKAryNTree(1, 2)
 	}()
-}
-
-func TestThreeLevelFtreeStructure(t *testing.T) {
-	for _, n := range []int{2, 3} {
-		r := n*n*n + n*n
-		tl := NewThreeLevelFtree(n, r)
-		if err := tl.Validate(); err != nil {
-			t.Fatalf("ftree3(n=%d): %v", n, err)
-		}
-		if tl.Ports() != n*n*n*n+n*n*n {
-			t.Fatalf("ftree3(n=%d): ports = %d, want n^4+n^3", n, tl.Ports())
-		}
-		// Corrected switch count: 2n^4 + 2n^3 + n^2 (the paper prints
-		// 2n^4+3n^3+n^2; see EXPERIMENTS.md E8).
-		want := 2*n*n*n*n + 2*n*n*n + n*n
-		if tl.Switches() != want {
-			t.Fatalf("ftree3(n=%d): switches = %d, want %d", n, tl.Switches(), want)
-		}
-		// Canonical construction: every physical switch has radix n+n².
-		radix := n + n*n
-		for v := 0; v < tl.R; v++ {
-			if d := tl.Net.Radix(tl.Bottom(v)); d != radix {
-				t.Fatalf("bottom radix %d, want %d", d, radix)
-			}
-		}
-		if d := tl.Net.Radix(tl.InnerBottom(0, 0)); d != radix {
-			t.Fatalf("inner bottom radix %d, want %d", d, radix)
-		}
-		if d := tl.Net.Radix(tl.InnerTop(0, 0)); d != radix {
-			t.Fatalf("inner top radix %d, want %d", d, radix)
-		}
-	}
-}
-
-func TestThreeLevelFtreeRoutes(t *testing.T) {
-	n := 2
-	tl := NewThreeLevelFtree(n, n*n*n+n*n)
-	hosts := tl.Net.Hosts()
-	for _, s := range hosts {
-		for _, d := range hosts {
-			if s == d {
-				continue
-			}
-			p := tl.Route(s, d)
-			if !p.Valid(tl.Net) {
-				t.Fatalf("route %d->%d invalid", s, d)
-			}
-			if p.Nodes[0] != s || p.Nodes[len(p.Nodes)-1] != d {
-				t.Fatalf("route %d->%d endpoints wrong", s, d)
-			}
-			sv, dv := tl.HostSwitch(s), tl.HostSwitch(d)
-			switch {
-			case sv == dv:
-				if p.Len() != 2 {
-					t.Fatalf("intra-switch route length %d", p.Len())
-				}
-			case sv/n == dv/n:
-				if p.Len() != 4 {
-					t.Fatalf("same-inner-bottom route length %d", p.Len())
-				}
-			default:
-				if p.Len() != 6 {
-					t.Fatalf("full route length %d", p.Len())
-				}
-			}
-		}
-	}
-}
-
-func TestThreeLevelFtreeInvalidParams(t *testing.T) {
-	for _, c := range [][2]int{{0, 4}, {2, 0}, {2, 5}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewThreeLevelFtree(%v) should panic", c)
-				}
-			}()
-			NewThreeLevelFtree(c[0], c[1])
-		}()
-	}
 }
 
 func TestDigitHelpers(t *testing.T) {

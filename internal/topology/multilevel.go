@@ -7,13 +7,12 @@ import "fmt"
 // L-level network supports n^(L+1) + n^L hosts using only (n+n²)-port
 // switches. Level 2 is ftree(n+n², n+n²); level L replaces each of the n²
 // top-level "switches" of ftree(n+n², r_L) — which must have radix
-// r_L = ports(L−1) = n^L + n^(L−1) — with a complete (L−1)-level network. By induction every level is nonblocking under the recursive
-// Theorem-3 routing (each virtual switch sees at most a partial permutation
-// of its ports).
-//
-// The explicit ThreeLevelFtree builder is the L = 3 special case with a
-// flat address layout; MultiFtree trades a little lookup indirection for
-// arbitrary depth.
+// r_L = ports(L−1) = n^L + n^(L−1) — with a complete (L−1)-level network.
+// By induction every level is nonblocking under the recursive Theorem-3
+// routing (each virtual switch sees at most a partial permutation of its
+// ports). L = 3 is the three-level network of the Discussion: n⁴+n³ hosts
+// from (n+n²)-port switches, with the top switches (not the bottom ones,
+// following Theorem 1) replaced by sub-networks.
 type MultiFtree struct {
 	// N is the hosts-per-bottom-switch parameter.
 	N int

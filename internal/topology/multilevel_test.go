@@ -6,13 +6,17 @@ import (
 import "testing"
 
 func TestMultiFtreeMatchesClosedForms(t *testing.T) {
-	cases := []struct{ n, levels, ports, switches int }{
-		{2, 2, 12, 10},   // ftree(2+4,6): n³+n² = 12 hosts, 2n²+n = 10
-		{3, 2, 36, 21},   // 2n²+n = 21
-		{4, 2, 80, 36},   // Table I row 1
-		{2, 3, 24, 52},   // matches ThreeLevelFtree
-		{3, 3, 108, 225}, // matches ThreeLevelFtree
-		{2, 4, 48, 232},  // S(4) = n⁴+n³ + n²·S(3)
+	// Every port of every switch is cabled, so the directed link count is
+	// switches·(n+n²) + hosts. The three-level rows are the Discussion's
+	// construction, with 2n⁴+2n³+n² switches (the paper prints
+	// 2n⁴+3n³+n²; see EXPERIMENTS.md E8).
+	cases := []struct{ n, levels, ports, switches, links int }{
+		{2, 2, 12, 10, 72},     // ftree(2+4,6): n³+n² = 12 hosts, 2n²+n = 10
+		{3, 2, 36, 21, 288},    // 2n²+n = 21
+		{4, 2, 80, 36, 800},    // Table I row 1
+		{2, 3, 24, 52, 336},    // three-level, n = 2
+		{3, 3, 108, 225, 2808}, // three-level, n = 3
+		{2, 4, 48, 232, 1440},  // S(4) = n⁴+n³ + n²·S(3)
 	}
 	for _, c := range cases {
 		m := NewMultiFtree(c.n, c.levels)
@@ -22,29 +26,14 @@ func TestMultiFtreeMatchesClosedForms(t *testing.T) {
 		if m.Switches() != c.switches {
 			t.Errorf("ftree%d(n=%d): switches %d, want %d", c.levels, c.n, m.Switches(), c.switches)
 		}
+		if m.Net.NumLinks() != c.links {
+			t.Errorf("ftree%d(n=%d): links %d, want %d", c.levels, c.n, m.Net.NumLinks(), c.links)
+		}
 		if m.Switches() != ExpectedSwitches(c.n, c.levels) {
 			t.Errorf("ftree%d(n=%d): recursion formula mismatch", c.levels, c.n)
 		}
 		if err := m.Validate(); err != nil {
 			t.Errorf("ftree%d(n=%d): %v", c.levels, c.n, err)
-		}
-	}
-}
-
-func TestMultiFtreeAgreesWithThreeLevelFtree(t *testing.T) {
-	// The generic builder and the explicit 3-level builder must produce
-	// networks of identical size and switch radix.
-	for _, n := range []int{2, 3} {
-		generic := NewMultiFtree(n, 3)
-		explicit := NewThreeLevelFtree(n, n*n*n+n*n)
-		if generic.Ports() != explicit.Ports() {
-			t.Errorf("n=%d: ports %d vs %d", n, generic.Ports(), explicit.Ports())
-		}
-		if generic.Switches() != explicit.Switches() {
-			t.Errorf("n=%d: switches %d vs %d", n, generic.Switches(), explicit.Switches())
-		}
-		if generic.Net.NumLinks() != explicit.Net.NumLinks() {
-			t.Errorf("n=%d: links %d vs %d", n, generic.Net.NumLinks(), explicit.Net.NumLinks())
 		}
 	}
 }
@@ -61,13 +50,39 @@ func TestMultiFtreeRoutesAllPairs(t *testing.T) {
 				if !p.Valid(m.Net) {
 					t.Fatalf("ftree%d(n=%d): invalid path %d->%d", c[1], c[0], s, d)
 				}
-				if p.Nodes[0] != NodeID(s) || p.Nodes[len(p.Nodes)-1] != NodeID(d) {
+				if m.Net.Link(p.Links[0]).From != NodeID(s) || m.Net.Link(p.Links[p.Len()-1]).To != NodeID(d) {
 					t.Fatalf("endpoints wrong for %d->%d", s, d)
 				}
 				// Path length: 2 hops per level crossed, up to 2·levels.
 				if p.Len() > 2*c[1] {
 					t.Fatalf("path %d->%d length %d exceeds 2·levels=%d", s, d, p.Len(), 2*c[1])
 				}
+			}
+		}
+	}
+}
+
+// TestThreeLevelFtreeRoutes checks every route of the Discussion's
+// three-level network by locality: hosts on one bottom switch are 2 hops
+// apart, hosts under one inner bottom switch (n² consecutive hosts) 4, and
+// all others cross the whole network in 6.
+func TestThreeLevelFtreeRoutes(t *testing.T) {
+	const n = 2
+	m := NewMultiFtree(n, 3)
+	for s := 0; s < m.Ports(); s++ {
+		for d := 0; d < m.Ports(); d++ {
+			if s == d {
+				continue
+			}
+			want := 6
+			switch {
+			case s/n == d/n:
+				want = 2
+			case s/(n*n) == d/(n*n):
+				want = 4
+			}
+			if p := m.Route(m.HostID(s), m.HostID(d)); !p.Valid(m.Net) || p.Len() != want {
+				t.Fatalf("route %d->%d: %v, want a valid %d-hop path", s, d, p.Links, want)
 			}
 		}
 	}
