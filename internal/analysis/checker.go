@@ -42,9 +42,11 @@ type Checker struct {
 	maxLoad   int
 	pairs     int
 	// linkBuf is scratch for PairLinkAppender and PatternLinkAppender
-	// routers; ends delimits the latter's per-pair spans in it.
+	// routers; ends delimits the latter's per-pair spans in it, and plan is
+	// their planning scratch.
 	linkBuf []topology.LinkID
 	ends    []int
+	plan    routing.PlanScratch
 }
 
 // NewChecker returns a Checker with scratch sized for net. A nil net is
@@ -142,7 +144,7 @@ func (c *Checker) AnalyzePattern(r routing.Router, p *permutation.Permutation) e
 	case routing.PairLinkAppender:
 		return c.analyzePairs(rr, p)
 	case routing.PatternLinkAppender:
-		links, ends, err := rr.AppendPatternLinks(p, c.linkBuf[:0], c.ends[:0])
+		links, ends, err := rr.AppendPatternLinks(p, c.linkBuf[:0], c.ends[:0], &c.plan)
 		c.linkBuf, c.ends = links, ends
 		if err != nil {
 			return err

@@ -7,8 +7,7 @@ package api
 
 import (
 	"encoding/json"
-	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/sim"
 )
@@ -102,52 +101,97 @@ type Request struct {
 // The op is prefixed because the same topology tuple means different work
 // on different endpoints.
 func (q *Request) CacheKey(op string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s|topo=%s,n=%d,m=%d,r=%d,ports=%d,levels=%d", op, q.Topo, q.N, q.M, q.R, q.Ports, q.Levels)
-	fmt.Fprintf(&b, "|routing=%s,spray=%d", q.Routing, q.SprayWidth)
-	fmt.Fprintf(&b, "|mode=%s,trials=%d,seed=%d,maxexh=%d,fb=%t", q.Mode, q.Trials, q.SeedValue(), q.MaxExhaustive, q.FirstBlocked)
-	fmt.Fprintf(&b, "|restarts=%d,steps=%d", q.Restarts, q.Steps)
-	fmt.Fprintf(&b, "|pattern=%s,flits=%d,pkts=%d,arbiter=%s,open=%t", q.Pattern, q.Flits, q.Pkts, q.Arbiter, q.OpenLoop)
+	var buf [256]byte // fits every key short of long shard prefixes
+	return string(q.AppendCacheKey(buf[:0], op))
+}
+
+// AppendCacheKey appends CacheKey(op) to dst and returns the extended
+// buffer, so hot paths can build keys in a reused buffer.
+func (q *Request) AppendCacheKey(dst []byte, op string) []byte {
+	b := appendString(append(dst, op...), "|topo=", q.Topo)
+	b = appendInt(b, ",n=", q.N)
+	b = appendInt(b, ",m=", q.M)
+	b = appendInt(b, ",r=", q.R)
+	b = appendInt(b, ",ports=", q.Ports)
+	b = appendInt(b, ",levels=", q.Levels)
+	b = appendString(b, "|routing=", q.Routing)
+	b = appendInt(b, ",spray=", q.SprayWidth)
+	b = appendString(b, "|mode=", q.Mode)
+	b = appendInt(b, ",trials=", q.Trials)
+	b = strconv.AppendInt(append(b, ",seed="...), q.SeedValue(), 10)
+	b = appendInt(b, ",maxexh=", q.MaxExhaustive)
+	b = appendBool(b, ",fb=", q.FirstBlocked)
+	b = appendInt(b, "|restarts=", q.Restarts)
+	b = appendInt(b, ",steps=", q.Steps)
+	b = appendString(b, "|pattern=", q.Pattern)
+	b = appendInt(b, ",flits=", q.Flits)
+	b = appendInt(b, ",pkts=", q.Pkts)
+	b = appendString(b, ",arbiter=", q.Arbiter)
+	b = appendBool(b, ",open=", q.OpenLoop)
 	if len(q.ShardPrefix) > 0 {
 		// Appended only when set so every pre-existing key is unchanged.
-		fmt.Fprintf(&b, "|shard=%s", ShardID(q.ShardPrefix))
+		b = appendShardID(append(b, "|shard="...), q.ShardPrefix)
 	}
 	if len(q.SymShard) == 2 {
 		// A sym shard computes a different partial result than the whole
 		// sweep (or any prefix shard), so it keys separately. SymReduce
 		// itself stays out of the key: a symmetry-reduced sweep's final
 		// report is byte-identical to the full engine's.
-		fmt.Fprintf(&b, "|symshard=%s", SymShardID(q.SymShard[0], q.SymShard[1]))
+		b = appendSymShardID(append(b, "|symshard="...), q.SymShard[0], q.SymShard[1])
 	}
-	if q.Failures != nil {
+	if fr := q.Failures; fr != nil {
 		// Appended only when set so every pre-existing key is unchanged.
-		fr := q.Failures
-		fmt.Fprintf(&b, "|failures=%s,max=%d,samples=%d,ftrials=%d,schemes=%s,fsim=%t",
-			fr.Scenario, fr.MaxFailures, fr.Samples, fr.Trials, strings.Join(fr.Schemes, "+"), fr.Sim)
+		b = appendString(b, "|failures=", fr.Scenario)
+		b = appendInt(b, ",max=", fr.MaxFailures)
+		b = appendInt(b, ",samples=", fr.Samples)
+		b = appendInt(b, ",ftrials=", fr.Trials)
+		b = append(b, ",schemes="...)
+		for i, s := range fr.Schemes {
+			if i > 0 {
+				b = append(b, '+')
+			}
+			b = append(b, s...)
+		}
+		b = appendBool(b, ",fsim=", fr.Sim)
 	}
-	return b.String()
+	return b
+}
+
+// appendString, appendInt and appendBool append a "name=value" key field.
+func appendString(b []byte, name, v string) []byte { return append(append(b, name...), v...) }
+
+func appendInt(b []byte, name string, v int) []byte {
+	return strconv.AppendInt(append(b, name...), int64(v), 10)
+}
+
+func appendBool(b []byte, name string, v bool) []byte {
+	return strconv.AppendBool(append(b, name...), v)
 }
 
 // ShardID renders a shard prefix as the canonical dotted string used in
 // cache keys, checkpoint keys, and progress events: "2.0.1" for prefix
 // [2 0 1]. Empty prefix renders as "" (the whole space).
-func ShardID(prefix []int) string {
-	var b strings.Builder
+func ShardID(prefix []int) string { return string(appendShardID(nil, prefix)) }
+
+func appendShardID(b []byte, prefix []int) []byte {
 	for i, d := range prefix {
 		if i > 0 {
-			b.WriteByte('.')
+			b = append(b, '.')
 		}
-		fmt.Fprintf(&b, "%d", d)
+		b = strconv.AppendInt(b, int64(d), 10)
 	}
-	return b.String()
+	return b
 }
 
 // SymShardID renders a symmetry-reduced shard range as the canonical
 // string used in cache keys, checkpoint keys, and shard reports:
 // "sym.2.5" for necklace indices [2, 5). The "sym." prefix keeps these
 // IDs disjoint from prefix-shard IDs, which are digits and dots only.
-func SymShardID(lo, hi int) string {
-	return fmt.Sprintf("sym.%d.%d", lo, hi)
+func SymShardID(lo, hi int) string { return string(appendSymShardID(nil, lo, hi)) }
+
+func appendSymShardID(b []byte, lo, hi int) []byte {
+	b = strconv.AppendInt(append(b, "sym."...), int64(lo), 10)
+	return strconv.AppendInt(append(b, '.'), int64(hi), 10)
 }
 
 // SeedPtr returns v as a *int64, for constructing Request literals with an

@@ -2,6 +2,9 @@ package api
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -76,5 +79,112 @@ func TestShardKeying(t *testing.T) {
 	}
 	if !strings.Contains(a.CacheKey("verify/shard"), "|shard=0") {
 		t.Fatalf("key missing shard segment: %s", a.CacheKey("verify/shard"))
+	}
+}
+
+// cacheKeyOracle is CacheKey's former fmt-based body, kept as the oracle
+// the strconv implementation must reproduce byte for byte.
+func cacheKeyOracle(q *Request, op string) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s|topo=%s,n=%d,m=%d,r=%d,ports=%d,levels=%d", op, q.Topo, q.N, q.M, q.R, q.Ports, q.Levels)
+	fmt.Fprintf(&b, "|routing=%s,spray=%d", q.Routing, q.SprayWidth)
+	fmt.Fprintf(&b, "|mode=%s,trials=%d,seed=%d,maxexh=%d,fb=%t", q.Mode, q.Trials, q.SeedValue(), q.MaxExhaustive, q.FirstBlocked)
+	fmt.Fprintf(&b, "|restarts=%d,steps=%d", q.Restarts, q.Steps)
+	fmt.Fprintf(&b, "|pattern=%s,flits=%d,pkts=%d,arbiter=%s,open=%t", q.Pattern, q.Flits, q.Pkts, q.Arbiter, q.OpenLoop)
+	if len(q.ShardPrefix) > 0 {
+		var sb strings.Builder
+		for i, d := range q.ShardPrefix {
+			if i > 0 {
+				sb.WriteByte('.')
+			}
+			fmt.Fprintf(&sb, "%d", d)
+		}
+		fmt.Fprintf(&b, "|shard=%s", sb.String())
+	}
+	if len(q.SymShard) == 2 {
+		fmt.Fprintf(&b, "|symshard=%s", fmt.Sprintf("sym.%d.%d", q.SymShard[0], q.SymShard[1]))
+	}
+	if q.Failures != nil {
+		fr := q.Failures
+		fmt.Fprintf(&b, "|failures=%s,max=%d,samples=%d,ftrials=%d,schemes=%s,fsim=%t",
+			fr.Scenario, fr.MaxFailures, fr.Samples, fr.Trials, strings.Join(fr.Schemes, "+"), fr.Sim)
+	}
+	return b.String()
+}
+
+// TestAppendCacheKeyMatchesOracle draws seeded random requests that set
+// every field CacheKey reads — nil and explicit (zero, negative) seeds,
+// shard prefixes, sym shards of both lengths, failures blocks with zero to
+// several schemes, both values of every bool, negative and extreme ints —
+// and checks CacheKey, AppendCacheKey on a reused non-empty buffer, and the
+// shard-ID helpers against the fmt oracle.
+func TestAppendCacheKeyMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	words := []string{"", "ftree", "mnt", "dest-mod", "auto", "random", "round-robin", "a|b=c,d", "ünïcode"}
+	word := func() string { return words[rng.Intn(len(words))] }
+	num := func() int {
+		switch rng.Intn(5) {
+		case 0:
+			return 0
+		case 1:
+			return -rng.Intn(1000)
+		case 2:
+			return math.MaxInt - rng.Intn(3)
+		case 3:
+			return math.MinInt + rng.Intn(3)
+		}
+		return rng.Intn(100000)
+	}
+	ints := func(k int) []int {
+		if k == 0 {
+			return nil
+		}
+		out := make([]int, k)
+		for i := range out {
+			out[i] = num()
+		}
+		return out
+	}
+	buf := []byte("stale prefix")
+	for i := 0; i < 2000; i++ {
+		q := &Request{
+			Topo: word(), N: num(), M: num(), R: num(), Ports: num(), Levels: num(),
+			Routing: word(), SprayWidth: num(),
+			Mode: word(), Trials: num(), MaxExhaustive: num(), FirstBlocked: rng.Intn(2) == 0,
+			Restarts: num(), Steps: num(),
+			Pattern: word(), Flits: num(), Pkts: num(), Arbiter: word(), OpenLoop: rng.Intn(2) == 0,
+			ShardPrefix: ints(rng.Intn(4)), SymShard: ints(rng.Intn(4)),
+			// Execution controls stay out of the key; set them anyway.
+			Workers: num(), SymReduce: rng.Intn(2) == 0, TimeoutMs: int64(num()), NoCache: rng.Intn(2) == 0,
+		}
+		if rng.Intn(3) > 0 {
+			q.Seed = SeedPtr(int64(num()))
+		}
+		if rng.Intn(2) == 0 {
+			q.Failures = &FailuresRequest{
+				Scenario: word(), MaxFailures: num(), Samples: num(), Trials: num(), Sim: rng.Intn(2) == 0,
+			}
+			for k := rng.Intn(4); k > 0; k-- {
+				q.Failures.Schemes = append(q.Failures.Schemes, word())
+			}
+		}
+		op := word()
+		want := cacheKeyOracle(q, op)
+		if got := q.CacheKey(op); got != want {
+			t.Fatalf("request %d: CacheKey\n got %q\nwant %q", i, got, want)
+		}
+		buf = q.AppendCacheKey(buf[:0], op)
+		if string(buf) != want {
+			t.Fatalf("request %d: AppendCacheKey on a reused buffer\n got %q\nwant %q", i, buf, want)
+		}
+	}
+	if got := ShardID(nil); got != "" {
+		t.Errorf("ShardID(nil) = %q", got)
+	}
+	if got := ShardID([]int{2, 0, -1}); got != "2.0.-1" {
+		t.Errorf("ShardID = %q", got)
+	}
+	if got := SymShardID(2, 5); got != "sym.2.5" {
+		t.Errorf("SymShardID = %q", got)
 	}
 }

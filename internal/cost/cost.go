@@ -51,6 +51,18 @@ func NonblockingFtree(n int) Design {
 // Nonblocking is left false — whether the point is nonblocking depends on
 // the routing discipline and is the planner's verdict to make.
 func FtreeGeneral(n, m, r int) (Design, error) {
+	d, err := FtreeGeneralUnnamed(n, m, r)
+	if err != nil {
+		return d, err
+	}
+	d.Name = fmt.Sprintf("ftree(%d+%d,%d)", n, m, r)
+	return d, nil
+}
+
+// FtreeGeneralUnnamed is FtreeGeneral without the Name, whose formatting
+// costs more than the arithmetic: the design explorer prices every grid
+// point and names only the few it reports.
+func FtreeGeneralUnnamed(n, m, r int) (Design, error) {
 	if n < 1 || m < 1 || r < 1 {
 		return Design{}, fmt.Errorf("cost: invalid ftree(%d+%d,%d)", n, m, r)
 	}
@@ -58,12 +70,7 @@ func FtreeGeneral(n, m, r int) (Design, error) {
 	if r > radix {
 		radix = r
 	}
-	return Design{
-		Name:        fmt.Sprintf("ftree(%d+%d,%d)", n, m, r),
-		SwitchPorts: radix,
-		Switches:    r + m,
-		Ports:       n * r,
-	}, nil
+	return Design{SwitchPorts: radix, Switches: r + m, Ports: n * r}, nil
 }
 
 // MPort2Tree returns the FT(N, 2) comparison row of Table I: 3N/2 N-port
@@ -85,6 +92,17 @@ func MPort2Tree(N int) (Design, error) {
 // MPortNTreeDesign returns the general FT(N, levels) cost:
 // (2·levels−1)·(N/2)^(levels−1) switches, 2·(N/2)^levels ports.
 func MPortNTreeDesign(N, levels int) (Design, error) {
+	d, err := MPortNTreeUnnamed(N, levels)
+	if err != nil {
+		return d, err
+	}
+	d.Name = fmt.Sprintf("FT(%d,%d)", N, levels)
+	return d, nil
+}
+
+// MPortNTreeUnnamed is MPortNTreeDesign without the Name (see
+// FtreeGeneralUnnamed).
+func MPortNTreeUnnamed(N, levels int) (Design, error) {
 	if N < 2 || N%2 != 0 || levels < 1 {
 		return Design{}, fmt.Errorf("cost: invalid FT(%d,%d)", N, levels)
 	}
@@ -94,13 +112,7 @@ func MPortNTreeDesign(N, levels int) (Design, error) {
 	if levels == 1 {
 		sw, ports = 1, N
 	}
-	return Design{
-		Name:        fmt.Sprintf("FT(%d,%d)", N, levels),
-		SwitchPorts: N,
-		Switches:    sw,
-		Ports:       ports,
-		Nonblocking: false,
-	}, nil
+	return Design{SwitchPorts: N, Switches: sw, Ports: ports}, nil
 }
 
 // ThreeLevelNonblocking returns the recursive three-level construction of
@@ -158,6 +170,14 @@ func ThreeLevelReplaceBottom(n int) (Design, error) {
 // S(L) switches of n+n² ports, where S(1) = 1 and
 // S(l) = (n^(l+1)+n^l)/n + n²·S(l−1).
 func MultiLevelNonblocking(n, levels int) Design {
+	d := MultiLevelUnnamed(n, levels)
+	d.Name = fmt.Sprintf("ftree%d(n=%d)", levels, n)
+	return d
+}
+
+// MultiLevelUnnamed is MultiLevelNonblocking without the Name (see
+// FtreeGeneralUnnamed).
+func MultiLevelUnnamed(n, levels int) Design {
 	if n < 1 || levels < 2 {
 		panic(fmt.Sprintf("cost: invalid multi-level design n=%d levels=%d", n, levels))
 	}
@@ -167,13 +187,7 @@ func MultiLevelNonblocking(n, levels int) Design {
 		ports = pow(n, l+1) + pow(n, l)
 		s = ports/n + n*n*s
 	}
-	return Design{
-		Name:        fmt.Sprintf("ftree%d(n=%d)", levels, n),
-		SwitchPorts: n + n*n,
-		Switches:    s,
-		Ports:       ports,
-		Nonblocking: true,
-	}
+	return Design{SwitchPorts: n + n*n, Switches: s, Ports: ports, Nonblocking: true}
 }
 
 // TableIRow is one row of the paper's Table I.

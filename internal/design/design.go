@@ -19,7 +19,10 @@
 // The output is the Pareto frontier of cost versus guarantee: every point
 // carries a certificate — a closed-form citation, a monotonicity witness,
 // or a sweep result key with replayable requests — at the tier that
-// decided it.
+// decided it. Planning keeps each candidate as a small value with a
+// condition code; names, citations and certificates are rendered for the
+// frontier points only, so a catalog costs no heap object or formatting
+// call per candidate.
 package design
 
 import (
@@ -247,95 +250,148 @@ func routersFor(cat *api.DesignCatalog) (ftree, xgft, mnt []string) {
 	return ftree, xgft, mnt
 }
 
-// candidate is one enumerated design point in flight through the planner.
+// Family codes of a candidate, indexing familyNames.
+const (
+	famFtree uint8 = iota
+	famXgft
+	famMnt
+	famMultilevel
+)
+
+var familyNames = [...]string{"ftree", "xgft", "mnt", "multilevel"}
+
+// candidate is one enumerated design point in flight through the planner:
+// a small value holding the identity and price of the point and, once
+// decided, its level, tier and condition code. Names, citations and
+// certificates are rendered from it only for frontier points (render).
+// Unused identity fields stay zero, as they do in the rendered point. Its
+// index in the enumerated slice is its enumeration order.
 type candidate struct {
-	pt      api.DesignPoint
-	idx     int // enumeration order, the deterministic tiebreak
-	decided bool
-	pruned  bool
+	cost    float64 // switches per host port
+	hosts   int
+	n, m, r int32
+	ports   int32
+	// levels is the mnt or multilevel depth.
+	levels int32
+	// ref indexes p.groups for the group conditions and p.probes for the
+	// probe conditions.
+	ref    int32
+	family uint8
+	router uint8 // index into planner.routers
+	tier   int8
+	level  int8
+	cond   cond
 }
 
 // enumerate expands the catalog grid into candidates with identity and
-// cost filled (pure arithmetic — no topology is built). Order is
-// deterministic: families as listed, then router, n, r/ports/levels, m.
-func enumerate(cat *api.DesignCatalog) ([]*candidate, error) {
+// cost filled (pure arithmetic — no topology is built, nothing is named).
+// Order is deterministic: families as listed, then router, n,
+// r/ports/levels, m.
+func (p *planner) enumerate() ([]candidate, error) {
+	cat := p.cat
 	nAx, rAx, mAx := axis(cat.N, defaultN), axis(cat.R, defaultR), axis(cat.M, defaultM)
 	portsAx, levelsAx := axis(cat.Ports, defaultPorts), axis(cat.Levels, defaultLevels)
 	ftreeR, xgftR, mntR := routersFor(cat)
 
-	var cands []*candidate
-	add := func(pt api.DesignPoint) {
-		if pt.Hosts < cat.MinHosts {
+	cands := make([]candidate, 0, gridSize(cat))
+	add := func(c candidate, d cost.Design) {
+		if d.Ports < cat.MinHosts {
 			return
 		}
-		cands = append(cands, &candidate{pt: pt, idx: len(cands)})
+		c.hosts, c.cost = d.Ports, d.CostPerPort()
+		cands = append(cands, c)
 	}
 	for _, fam := range cat.Families {
 		switch fam {
 		case "ftree", "xgft":
-			routers := ftreeR
+			code, routers := famFtree, ftreeR
 			if fam == "xgft" {
-				routers = xgftR
+				code, routers = famXgft, xgftR
 			}
 			for _, rt := range routers {
+				ri := p.routerIndex(rt)
 				for n := nAx.Min; n <= nAx.Max; n++ {
 					for r := rAx.Min; r <= rAx.Max; r++ {
 						for m := mAx.Min; m <= mAx.Max; m++ {
-							d, err := cost.FtreeGeneral(n, m, r)
+							d, err := cost.FtreeGeneralUnnamed(n, m, r)
 							if err != nil {
 								return nil, err
 							}
-							name := d.Name
-							if fam == "xgft" {
-								// XGFT(2; n, r; 1, m) is the paper's
-								// ftree(n+m, r) in Öhring's notation.
-								name = fmt.Sprintf("XGFT(2;%d,%d;1,%d)", n, r, m)
-							}
-							add(api.DesignPoint{
-								Family: fam, Name: name + "/" + rt,
-								N: n, M: m, R: r, Router: rt,
-								SwitchPorts: d.SwitchPorts, Switches: d.Switches,
-								Hosts: d.Ports, CostPerPort: d.CostPerPort(),
-							})
+							add(candidate{family: code, router: ri, n: int32(n), m: int32(m), r: int32(r)}, d)
 						}
 					}
 				}
 			}
 		case "mnt":
 			for _, rt := range mntR {
+				ri := p.routerIndex(rt)
 				for ports := portsAx.Min; ports <= portsAx.Max; ports++ {
 					if ports%2 != 0 {
 						continue // FT(N, l) needs even N
 					}
 					for l := levelsAx.Min; l <= levelsAx.Max; l++ {
-						d, err := cost.MPortNTreeDesign(ports, l)
+						d, err := cost.MPortNTreeUnnamed(ports, l)
 						if err != nil {
 							return nil, err
 						}
-						add(api.DesignPoint{
-							Family: "mnt", Name: d.Name + "/" + rt,
-							Ports: ports, Levels: l, Router: rt,
-							SwitchPorts: d.SwitchPorts, Switches: d.Switches,
-							Hosts: d.Ports, CostPerPort: d.CostPerPort(),
-						})
+						add(candidate{family: famMnt, router: ri, ports: int32(ports), levels: int32(l)}, d)
 					}
 				}
 			}
 		case "multilevel":
+			ri := p.routerIndex("recursive")
 			for n := nAx.Min; n <= nAx.Max; n++ {
 				for l := levelsAx.Min; l <= levelsAx.Max; l++ {
-					d := cost.MultiLevelNonblocking(n, l)
-					add(api.DesignPoint{
-						Family: "multilevel", Name: d.Name + "/recursive",
-						N: n, Levels: l, Router: "recursive",
-						SwitchPorts: d.SwitchPorts, Switches: d.Switches,
-						Hosts: d.Ports, CostPerPort: d.CostPerPort(),
-					})
+					add(candidate{family: famMultilevel, router: ri, n: int32(n), levels: int32(l)}, cost.MultiLevelUnnamed(n, l))
 				}
 			}
 		}
 	}
 	return cands, nil
+}
+
+// routerIndex returns rt's index in p.routers, adding it on first use.
+func (p *planner) routerIndex(rt string) uint8 {
+	for i, name := range p.routers {
+		if name == rt {
+			return uint8(i)
+		}
+	}
+	p.routers = append(p.routers, rt)
+	return uint8(len(p.routers) - 1)
+}
+
+// render builds the report entry of a decided candidate: its name, its
+// cost breakdown and its certificate. Only frontier points are rendered.
+func (p *planner) render(c *candidate) api.DesignPoint {
+	n, m, r := int(c.n), int(c.m), int(c.r)
+	ports, levels := int(c.ports), int(c.levels)
+	// enumerate priced the same arguments without error.
+	var d cost.Design
+	switch c.family {
+	case famFtree, famXgft:
+		d, _ = cost.FtreeGeneral(n, m, r)
+		if c.family == famXgft {
+			// XGFT(2; n, r; 1, m) is the paper's ftree(n+m, r) in
+			// Öhring's notation.
+			d.Name = fmt.Sprintf("XGFT(2;%d,%d;1,%d)", n, r, m)
+		}
+	case famMnt:
+		d, _ = cost.MPortNTreeDesign(ports, levels)
+	case famMultilevel:
+		d = cost.MultiLevelNonblocking(n, levels)
+	}
+	router := p.routers[c.router]
+	cert := p.certificate(c, router)
+	cert.Tier = int(c.tier)
+	return api.DesignPoint{
+		Family: familyNames[c.family], Name: d.Name + "/" + router,
+		N: n, M: m, R: r, Ports: ports, Levels: levels, Router: router,
+		SwitchPorts: d.SwitchPorts, Switches: d.Switches,
+		Hosts: d.Ports, CostPerPort: d.CostPerPort(),
+		Level: int(c.level), Guarantee: guaranteeName(int(c.level)),
+		Certificate: cert,
+	}
 }
 
 // guaranteeName maps a level to its report string.

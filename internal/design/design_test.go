@@ -328,3 +328,34 @@ func TestPlanDeterministic(t *testing.T) {
 		t.Fatal("two identical Plan runs produced different reports")
 	}
 }
+
+// BenchmarkPlanParetoCatalog plans the committed pareto catalog the way
+// nbserve serves /v1/design: the service's verifier and a result store
+// warmed by an earlier plan of the same catalog.
+func BenchmarkPlanParetoCatalog(b *testing.B) {
+	raw, err := os.ReadFile("../../catalogs/pareto.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var cat api.DesignCatalog
+	if err := json.Unmarshal(raw, &cat); err != nil {
+		b.Fatal(err)
+	}
+	memo := store.NewMemory(4096)
+	defer memo.Close()
+	opts := design.Options{Verify: server.DesignProbe, Memo: memo}
+	if _, err := design.Plan(context.Background(), &cat, opts); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := design.Plan(context.Background(), &cat, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = rep
+	}
+}
+
+var benchSink *api.DesignReport

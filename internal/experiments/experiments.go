@@ -459,21 +459,29 @@ func (t *MultiLevelResult) Render(w io.Writer) {
 // ThreeLevel verifies the recursive three-level construction (the L = 3
 // canonical network) and reports its cost.
 func ThreeLevel(n int) (*ThreeLevelResult, error) {
-	tl := topology.NewMultiFtree(n, 3)
-	if err := tl.Validate(); err != nil {
-		return nil, err
-	}
-	rt := routing.NewMultiLevelPaper(tl)
-	l1, err := analysis.CheckLemma1AllPairs(rt, tl.Ports())
+	ml, err := MultiLevel(n, []int{3})
 	if err != nil {
 		return nil, err
 	}
-	return &ThreeLevelResult{
-		N:           n,
-		Design:      cost.ThreeLevelNonblocking(n),
-		Nonblocking: l1.Nonblocking,
-		PaperCount:  2*n*n*n*n + 3*n*n*n + n*n,
-	}, nil
+	return ml.ThreeLevel(), nil
+}
+
+// ThreeLevel is the three-level summary of t's depth-3 row, so a run that
+// verifies several depths builds the L = 3 network once; nil when t has
+// no such row.
+func (t *MultiLevelResult) ThreeLevel() *ThreeLevelResult {
+	n := t.N
+	for _, row := range t.Rows {
+		if row.Levels == 3 {
+			return &ThreeLevelResult{
+				N:           n,
+				Design:      cost.ThreeLevelNonblocking(n),
+				Nonblocking: row.Nonblocking,
+				PaperCount:  2*n*n*n*n + 3*n*n*n + n*n,
+			}
+		}
+	}
+	return nil
 }
 
 // Render writes the three-level summary.

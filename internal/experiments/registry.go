@@ -138,16 +138,16 @@ func Registry() []Entry {
 			Title:   "E8: recursive three-level nonblocking construction",
 			Heading: "E8 — recursive constructions",
 			run: func(Params) (renderer, error) {
-				var rs renderers
-				for _, n := range []int{2, 3} {
-					tl, err := ThreeLevel(n)
-					if err != nil {
-						return nil, err
-					}
-					rs = append(rs, tl)
-				}
 				ml, err := MultiLevel(2, []int{2, 3, 4})
-				return append(rs, ml), err
+				if err != nil {
+					return nil, err
+				}
+				tl3, err := ThreeLevel(3)
+				if err != nil {
+					return nil, err
+				}
+				// The n = 2 three-level summary is ml's depth-3 row.
+				return renderers{ml.ThreeLevel(), tl3, ml}, nil
 			},
 		},
 		{ID: "E9", Flag: "benes", Usage: "E9: Benes baseline",

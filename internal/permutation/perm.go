@@ -120,13 +120,17 @@ func (p *Permutation) Remove(s int) {
 
 // Pairs returns the SD pairs ordered by source index.
 func (p *Permutation) Pairs() []Pair {
-	res := make([]Pair, 0, len(p.dst))
+	return p.AppendPairs(make([]Pair, 0, len(p.dst)))
+}
+
+// AppendPairs appends the SD pairs, ordered by source index, to dst.
+func (p *Permutation) AppendPairs(dst []Pair) []Pair {
 	for s, d := range p.dst {
 		if d != Unused {
-			res = append(res, Pair{Src: s, Dst: d})
+			dst = append(dst, Pair{Src: s, Dst: d})
 		}
 	}
-	return res
+	return dst
 }
 
 // Clone returns an independent copy.

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/permutation"
 	"repro/internal/topology"
@@ -93,26 +94,37 @@ func (r *NonblockingAdaptive) topIndex(conf, q, key int) int {
 // switch index it would use (−1 for intra-switch pairs that bypass the top
 // level), along with the number of configurations consumed. Plan ignores
 // the physical m, so experiments can measure how many top switches any
-// permutation needs; Route enforces m.
+// permutation needs; Route enforces m. It allocates pairs, tops and one
+// scratch slice, and its result is a pure function of p — nothing
+// depends on map iteration order.
+func (r *NonblockingAdaptive) Plan(p *permutation.Permutation) (tops []int, pairs []permutation.Pair, confs int, err error) {
+	var s PlanScratch
+	if confs, err = r.planInto(&s, p); err != nil {
+		return nil, nil, 0, err
+	}
+	return s.tops, s.pairs, confs, nil
+}
+
+// planInto is Plan into s's buffers.
 //
-// Plan works on flat arrays: pairs come sorted by source, so each source
+// It works on flat arrays: pairs come sorted by source, so each source
 // switch's cross-switch pairs form one contiguous run (the CSR grouping of
 // line 1), and keys lie in [0, n), so the first pair of each key is a
-// slot in an n-entry array. It allocates pairs, tops and one scratch
-// slice, and its result is a pure function of p — nothing depends on map
-// iteration order.
-func (r *NonblockingAdaptive) Plan(p *permutation.Permutation) (tops []int, pairs []permutation.Pair, confs int, err error) {
+// slot in an n-entry array.
+func (r *NonblockingAdaptive) planInto(s *PlanScratch, p *permutation.Permutation) (confs int, err error) {
 	if p.N() != r.F.Ports() {
-		return nil, nil, 0, fmt.Errorf("routing: pattern over %d endpoints, network has %d", p.N(), r.F.Ports())
+		return 0, fmt.Errorf("routing: pattern over %d endpoints, network has %d", p.N(), r.F.Ports())
 	}
-	pairs = p.Pairs()
-	tops = make([]int, len(pairs))
+	s.pairs = p.AppendPairs(slices.Grow(s.pairs[:0], p.N()))
+	pairs := s.pairs
+	s.tops = slices.Grow(s.tops[:0], len(pairs))[:len(pairs)]
+	tops := s.tops
 	n := r.F.N
 	// Scratch: one source switch's unrouted pairs; the first pair of each
 	// key under the partition being tried and under the best one so far;
 	// and the partitions used in the current configuration.
-	scratch := make([]int, 3*n+r.C+1)
-	remBuf, cand, best, used := scratch[:n:n], scratch[n:2*n], scratch[2*n:3*n], scratch[3*n:]
+	s.sched = slices.Grow(s.sched[:0], 3*n+r.C+1)[:3*n+r.C+1]
+	remBuf, cand, best, used := s.sched[:n:n], s.sched[n:2*n], s.sched[2*n:3*n], s.sched[3*n:]
 	for i := range tops {
 		tops[i] = -1
 	}
@@ -180,42 +192,42 @@ func (r *NonblockingAdaptive) Plan(p *permutation.Permutation) (tops []int, pair
 		}
 		confs = max(confs, conf)
 	}
-	return tops, pairs, confs, nil
+	return confs, nil
 }
 
 // Route runs Plan and materializes paths, verifying that the physical
 // network has enough top-level switches: m ≥ confs·(c+1)·n.
 func (r *NonblockingAdaptive) Route(p *permutation.Permutation) (*Assignment, error) {
-	tops, pairs, confs, need, err := r.plan(p)
+	var s PlanScratch // the Assignment keeps the pairs
+	confs, need, err := r.plan(&s, p)
 	if err != nil {
 		return nil, err
 	}
-	return r.assignPlan(pairs, tops, nil, confs, need), nil
+	return r.assignPlan(s.pairs, s.tops, nil, confs, need), nil
 }
 
 // AppendPatternLinks implements PatternLinkAppender: the links of Route's
 // paths, with Route's errors, without building them.
-func (r *NonblockingAdaptive) AppendPatternLinks(p *permutation.Permutation, links []topology.LinkID, ends []int) ([]topology.LinkID, []int, error) {
-	tops, pairs, _, _, err := r.plan(p)
-	if err != nil {
+func (r *NonblockingAdaptive) AppendPatternLinks(p *permutation.Permutation, links []topology.LinkID, ends []int, s *PlanScratch) ([]topology.LinkID, []int, error) {
+	if _, _, err := r.plan(s, p); err != nil {
 		return links, ends, err
 	}
-	links, ends = r.appendPlanLinks(pairs, tops, nil, links, ends)
+	links, ends = r.appendPlanLinks(s.pairs, s.tops, nil, links, ends)
 	return links, ends, nil
 }
 
-// plan runs Plan and checks that the configurations fit in the physical m.
-func (r *NonblockingAdaptive) plan(p *permutation.Permutation) (tops []int, pairs []permutation.Pair, confs, need int, err error) {
-	tops, pairs, confs, err = r.Plan(p)
-	if err != nil {
-		return nil, nil, 0, 0, err
+// plan runs Plan into s and checks that the configurations fit in the
+// physical m.
+func (r *NonblockingAdaptive) plan(s *PlanScratch, p *permutation.Permutation) (confs, need int, err error) {
+	if confs, err = r.planInto(s, p); err != nil {
+		return 0, 0, err
 	}
 	need = confs * (r.C + 1) * r.F.N
 	if need > r.F.M {
-		return nil, nil, 0, 0, fmt.Errorf("routing: pattern needs %d top switches (%d configurations of %d), network has m=%d",
+		return 0, 0, fmt.Errorf("routing: pattern needs %d top switches (%d configurations of %d), network has m=%d",
 			need, confs, (r.C+1)*r.F.N, r.F.M)
 	}
-	return tops, pairs, confs, need, nil
+	return confs, need, nil
 }
 
 // assignPlan is Route's Assignment for a planned pattern: appendPlanLinks's

@@ -83,41 +83,40 @@ func (r *AvoidingAdaptive) Name() string { return "adaptive-avoiding" }
 // Route plans the pattern and materializes paths over intact top switches
 // only.
 func (r *AvoidingAdaptive) Route(p *permutation.Permutation) (*Assignment, error) {
-	tops, pairs, confs, need, err := r.plan(p)
+	var s PlanScratch // the Assignment keeps the pairs
+	confs, need, err := r.plan(&s, p)
 	if err != nil {
 		return nil, err
 	}
-	return r.ad.assignPlan(pairs, tops, r.intact, confs, need), nil
+	return r.ad.assignPlan(s.pairs, s.tops, r.intact, confs, need), nil
 }
 
 // AppendPatternLinks implements PatternLinkAppender: the links Route's
 // paths would carry, laid out per pair over the same intact switches, with
 // Route's errors.
-func (r *AvoidingAdaptive) AppendPatternLinks(p *permutation.Permutation, links []topology.LinkID, ends []int) ([]topology.LinkID, []int, error) {
-	tops, pairs, _, _, err := r.plan(p)
-	if err != nil {
+func (r *AvoidingAdaptive) AppendPatternLinks(p *permutation.Permutation, links []topology.LinkID, ends []int, s *PlanScratch) ([]topology.LinkID, []int, error) {
+	if _, _, err := r.plan(s, p); err != nil {
 		return links, ends, err
 	}
-	links, ends = r.ad.appendPlanLinks(pairs, tops, r.intact, links, ends)
+	links, ends = r.ad.appendPlanLinks(s.pairs, s.tops, r.intact, links, ends)
 	return links, ends, nil
 }
 
-// plan rejects detached endpoints, runs Plan, and checks that the
+// plan rejects detached endpoints, runs Plan into s, and checks that the
 // configurations fit on the intact switches.
-func (r *AvoidingAdaptive) plan(p *permutation.Permutation) (tops []int, pairs []permutation.Pair, confs, need int, err error) {
+func (r *AvoidingAdaptive) plan(s *PlanScratch, p *permutation.Permutation) (confs, need int, err error) {
 	if err := checkPairsAlive(r.view, p); err != nil {
-		return nil, nil, 0, 0, err
+		return 0, 0, err
 	}
-	tops, pairs, confs, err = r.ad.Plan(p)
-	if err != nil {
-		return nil, nil, 0, 0, err
+	if confs, err = r.ad.planInto(s, p); err != nil {
+		return 0, 0, err
 	}
 	need = confs * (r.ad.C + 1) * r.ad.F.N
 	if need > len(r.intact) {
-		return nil, nil, 0, 0, fmt.Errorf("routing: pattern needs %d top switches, only %d healthy of m=%d",
+		return 0, 0, fmt.Errorf("routing: pattern needs %d top switches, only %d healthy of m=%d",
 			need, len(r.intact), r.ad.F.M)
 	}
-	return tops, pairs, confs, need, nil
+	return confs, need, nil
 }
 
 // NewSparedDeterministicView builds the Theorem-3 scheme hardened with

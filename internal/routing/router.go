@@ -98,18 +98,28 @@ type PairRouter interface {
 }
 
 // PatternLinkAppender is implemented by pattern-dependent routers (the
-// adaptive schemes): the router plans the whole pattern, then writes each
-// pair's links into caller buffers, so a checker reusing the buffers
-// scores a pattern with only the plan's own allocations. It is the
-// routers' one path-construction body: their Route cuts its spans into an
+// adaptive schemes): the router plans the whole pattern in caller-owned
+// scratch, then writes each pair's links into caller buffers, so a checker
+// reusing both scores a pattern without allocating. It is the routers'
+// one path-construction body: their Route cuts its spans into an
 // Assignment.
 type PatternLinkAppender interface {
 	Router
-	// AppendPatternLinks routes p and appends, pair by pair in ascending
-	// source order (the order of Assignment.Pairs), the links of each
-	// pair's path to links, and the end offset in links of each pair's
-	// span to ends. Self-pairs contribute an empty span.
-	AppendPatternLinks(p *permutation.Permutation, links []topology.LinkID, ends []int) ([]topology.LinkID, []int, error)
+	// AppendPatternLinks routes p, planning in s, and appends, pair by
+	// pair in ascending source order (the order of Assignment.Pairs), the
+	// links of each pair's path to links, and the end offset in links of
+	// each pair's span to ends. Self-pairs contribute an empty span.
+	AppendPatternLinks(p *permutation.Permutation, links []topology.LinkID, ends []int, s *PlanScratch) ([]topology.LinkID, []int, error)
+}
+
+// PlanScratch is a pattern router's working memory for one plan: the
+// pattern's pairs, their top switches and the scheduling scratch, grown
+// as needed and reused across calls. The zero value is ready. A router
+// may be shared across goroutines; a PlanScratch may not.
+type PlanScratch struct {
+	pairs []permutation.Pair
+	tops  []int
+	sched []int
 }
 
 // routePairwise is Route for every pairwise router: it appends the links

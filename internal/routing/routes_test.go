@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/campaign"
@@ -118,7 +119,7 @@ func checkPairRoutes(t *testing.T, r routing.PairLinkAppender, hosts int, errs m
 func checkPatternRoutes(t *testing.T, r routing.PatternLinkAppender, p *permutation.Permutation) {
 	t.Helper()
 	a, rerr := r.Route(p)
-	links, ends, lerr := r.AppendPatternLinks(p, nil, nil)
+	links, ends, lerr := r.AppendPatternLinks(p, nil, nil, new(routing.PlanScratch))
 	if lerr != nil || rerr != nil {
 		if fmt.Sprint(lerr) != fmt.Sprint(rerr) {
 			t.Fatalf("%s on %s: AppendPatternLinks error %v, Route error %v", r.Name(), p, lerr, rerr)
@@ -174,4 +175,69 @@ func errKind(err error) string {
 		}
 	}
 	return err.Error()
+}
+
+// TestAdaptivePatternLinksConcurrent shares one router of each adaptive
+// kind across goroutines, as parallel sweeps and campaign workers do, each
+// goroutine planning in its own reused PlanScratch: every call must give
+// exactly the spans (or the error) a sequential call gives. Run it under
+// -race.
+func TestAdaptivePatternLinksConcurrent(t *testing.T) {
+	f := topology.NewFoldedClos(4, 14, 16)
+	ad, err := routing.NewNonblockingAdaptive(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := topology.FailureSet{Tops: []int{0, 7}}.View(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	avoid, err := routing.NewAvoidingAdaptive(f, view)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		links []topology.LinkID
+		ends  []int
+		err   string
+	}
+	rng := rand.New(rand.NewSource(3))
+	patterns := make([]*permutation.Permutation, 64)
+	for i := range patterns {
+		patterns[i] = permutation.Random(rng, f.Ports())
+	}
+	for _, r := range []routing.PatternLinkAppender{ad, avoid} {
+		want := make([]result, len(patterns))
+		failed := 0
+		for i, p := range patterns {
+			links, ends, err := r.AppendPatternLinks(p, nil, nil, new(routing.PlanScratch))
+			want[i] = result{links, ends, fmt.Sprint(err)}
+			if err != nil {
+				failed++
+			}
+		}
+		if failed == len(patterns) {
+			t.Fatalf("%s: every pattern fails; the fixture must route", r.Name())
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				var links []topology.LinkID
+				var ends []int
+				var s routing.PlanScratch
+				for k := range patterns {
+					i := (k + 16*g) % len(patterns)
+					var err error
+					links, ends, err = r.AppendPatternLinks(patterns[i], links[:0], ends[:0], &s)
+					if w := want[i]; fmt.Sprint(err) != w.err || err == nil && (!slices.Equal(links, w.links) || !slices.Equal(ends, w.ends)) {
+						t.Errorf("%s: goroutine %d, pattern %d: spans or error differ from the sequential call", r.Name(), g, i)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	}
 }

@@ -1,9 +1,10 @@
 #!/bin/sh
 # Design-explorer smoke test over real binaries: nbdesign on the pinned
-# smoke catalog diffed against the committed golden frontier (the report
-# is deterministic by construction), the -no-prune baseline checked for
-# frontier equality, and the same catalog POSTed to /v1/design on a live
-# nbserve — whose response must match the local run byte for byte. The
+# smoke and pareto catalogs diffed against their committed golden reports
+# (the report is deterministic by construction, certificates included),
+# the -no-prune baseline checked for frontier equality, and both catalogs
+# POSTed to /v1/design on a live nbserve — whose responses must match the
+# goldens byte for byte. The
 # in-process planner properties (binary search == linear scan, certificate
 # replays, memo/key parity with the result store) live in
 # internal/design's tests; this script proves the CLI flags, the catalog
@@ -28,12 +29,14 @@ trap cleanup EXIT INT TERM
 $GO build -o "$tmp/nbdesign" ./cmd/nbdesign
 $GO build -o "$tmp/nbserve" ./cmd/nbserve
 
-# Local plan against the committed golden.
-"$tmp/nbdesign" -catalog catalogs/smoke.json -q >"$tmp/local.json" 2>"$tmp/local.err"
-if ! diff -u catalogs/smoke_golden.json "$tmp/local.json"; then
-	echo "design-smoke: local frontier drifted from catalogs/smoke_golden.json (regenerate it only if the change is intended)" >&2
-	exit 1
-fi
+# Local plans against the committed goldens.
+for cat in smoke pareto; do
+	"$tmp/nbdesign" -catalog "catalogs/$cat.json" -q >"$tmp/local_$cat.json" 2>"$tmp/local_$cat.err"
+	if ! diff -u "catalogs/${cat}_golden.json" "$tmp/local_$cat.json"; then
+		echo "design-smoke: local report drifted from catalogs/${cat}_golden.json (regenerate it only if the change is intended)" >&2
+		exit 1
+	fi
+done
 
 # The planner is an optimization, not a different answer: -no-prune must
 # reach the same frontier (tier counters legitimately differ, so the
@@ -63,5 +66,10 @@ if ! diff -u catalogs/smoke_golden.json "$tmp/remote.json"; then
 	echo "design-smoke: /v1/design response differs from the local plan" >&2
 	exit 1
 fi
+"$tmp/nbdesign" -catalog catalogs/pareto.json -remote "$ADDR" -q >"$tmp/remote_pareto.json" 2>"$tmp/remote_pareto.err"
+if ! diff -u catalogs/pareto_golden.json "$tmp/remote_pareto.json"; then
+	echo "design-smoke: /v1/design pareto response differs from catalogs/pareto_golden.json" >&2
+	exit 1
+fi
 
-echo "design-smoke: local, -no-prune, and /v1/design frontiers all match the golden"
+echo "design-smoke: local, -no-prune, and /v1/design reports all match the goldens"
