@@ -43,16 +43,26 @@ type Checker struct {
 	pairs     int
 	// linkBuf is scratch for PairLinkAppender and PatternLinkAppender
 	// routers; ends delimits the latter's per-pair spans in it, and plan is
-	// their planning scratch.
+	// their planning scratch. plan is a pointer, allocated on first use by
+	// a zero Checker: passing the address of a field to the interface call
+	// would move every Checker, and the sweep kernel holding one by value,
+	// to the heap.
 	linkBuf []topology.LinkID
 	ends    []int
-	plan    routing.PlanScratch
+	plan    *routing.PlanScratch
 }
 
 // NewChecker returns a Checker with scratch sized for net. A nil net is
 // allowed; the scratch then grows on demand as link IDs are observed.
 func NewChecker(net *topology.Network) *Checker {
-	c := &Checker{}
+	// One allocation holds the checker and its plan scratch, so a heap
+	// Checker (one per campaign worker) pays nothing extra for it.
+	cp := &struct {
+		c Checker
+		p routing.PlanScratch
+	}{}
+	c := &cp.c
+	c.plan = &cp.p
 	if net != nil {
 		c.grow(net.NumLinks())
 	}
@@ -144,7 +154,10 @@ func (c *Checker) AnalyzePattern(r routing.Router, p *permutation.Permutation) e
 	case routing.PairLinkAppender:
 		return c.analyzePairs(rr, p)
 	case routing.PatternLinkAppender:
-		links, ends, err := rr.AppendPatternLinks(p, c.linkBuf[:0], c.ends[:0], &c.plan)
+		if c.plan == nil {
+			c.plan = new(routing.PlanScratch)
+		}
+		links, ends, err := rr.AppendPatternLinks(p, c.linkBuf[:0], c.ends[:0], c.plan)
 		c.linkBuf, c.ends = links, ends
 		if err != nil {
 			return err

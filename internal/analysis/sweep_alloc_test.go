@@ -159,3 +159,26 @@ func TestWorstCaseSearchAllocsIndependentOfSteps(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepRandomAllocs pins SweepRandomCtx's allocations on the Table-I
+// network (ftree(4+16, 20), paper routing, 10 trials, seed 1) at the
+// count nbbench's SweepRandom row gates. The sweep kernel and its scratch
+// Checker live on the stack, so a change that moves them to the heap (for
+// example by passing the address of a Checker field through an interface
+// call) adds an allocation here.
+func TestSweepRandomAllocs(t *testing.T) {
+	f := topology.NewFoldedClos(4, 16, 20)
+	r, err := routing.NewPaperDeterministic(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	sweep := func() {
+		if res, err := SweepRandomCtx(ctx, r, f.Ports(), 10, 1); err != nil || !res.Nonblocking() {
+			t.Fatalf("paper routing: %+v, %v", res, err)
+		}
+	}
+	if got := testing.AllocsPerRun(20, sweep); got != 855 {
+		t.Errorf("SweepRandomCtx: %v allocs per run, want 855", got)
+	}
+}

@@ -2,6 +2,7 @@ package permutation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -36,10 +37,21 @@ import (
 
 // Limits for the symmetry machinery. maxSymHosts keeps every factorial and
 // orbit size inside an int; maxSymBlocks bounds the r! block-alphabet
-// minimization applied to every candidate multiset; maxSymWork bounds the
-// enumeration itself — the number of necklace multisets grows like
-// hosts!/(blockSize!)^blocks, the index of the per-block relabeling
-// subgroup.
+// relabelings the canonicality filter walks for every candidate multiset;
+// maxSymWork bounds the enumeration itself — the number of necklace
+// multisets grows like hosts!/(blockSize!)^blocks, the index of the
+// per-block relabeling subgroup.
+//
+// Cost of the filter. A relabeling acts on a multiset necklace by
+// necklace, so the filter works on necklace indices: NewBlockSymmetry
+// tabulates, for each of the r(r−1)/2 letter transpositions, where every
+// necklace goes, and Heap's algorithm reaches all r! relabelings one
+// transposition at a time. A candidate then costs one table lookup per
+// necklace, a short insertion sort and an integer-slice comparison per
+// relabeling, instead of re-rotating and re-sorting strings. Rows are
+// |necklaces| int32s each: at most 6 × 104,158 (12 hosts in blocks of 3,
+// about 2.5 MB) over every feasible geometry, where one row per relabeling
+// would take r! rows (48 MB for 7 hosts in blocks of 1).
 const (
 	maxSymHosts  = 20
 	maxSymBlocks = 7
@@ -95,11 +107,17 @@ type BlockSymmetry struct {
 	necklaces  []string
 	neckCounts [][]int // neckCounts[i][β] = uses of block β in necklaces[i]
 	lenStart   []int   // lenStart[L] = first index with length ≥ L
-	// rhos holds all r! relabelings of the block alphabet, in EnumerateFull
-	// order, precomputed once so the canonicality filter on the orbit
-	// enumeration's hot path never re-runs Heap's algorithm (which would
-	// allocate a fresh Permutation per candidate multiset).
-	rhos [][]byte
+	rotSym     []uint8 // rotSym[i] = rotations fixing necklaces[i]
+	// swapped[t][i] is the index of necklace i's canonical rotation once
+	// the two letters of transposition t are exchanged; t numbers the pairs
+	// u < v in lexicographic order. Only transpositions are tabulated: a
+	// row per relabeling would cost r! rows (see the cost note above).
+	swapped [][]int32
+	// steps[k] is the transposition (ρ_k(a) ρ_k(b)) that takes relabeling
+	// ρ_k to ρ_{k+1} = ρ_k∘(a b) in EnumerateFull order, where Heap's
+	// algorithm swaps positions a and b; relabeling by ρ_{k+1} is
+	// relabeling by ρ_k and then exchanging those two letters.
+	steps []uint8
 }
 
 // symCache memoizes BlockSymmetry per geometry: the struct is immutable
@@ -136,17 +154,78 @@ func NewBlockSymmetry(hosts, blockSize int) (*BlockSymmetry, error) {
 		}
 		s.lenStart[l] = idx
 	}
-	s.rhos = make([][]byte, 0, CountFull(s.blocks))
-	EnumerateFull(s.blocks, func(g *Permutation) bool {
-		rho := make([]byte, s.blocks)
-		for i := range rho {
-			rho[i] = byte(g.Dst(i))
-		}
-		s.rhos = append(s.rhos, rho)
-		return true
-	})
+	s.rotSym = make([]uint8, len(s.necklaces))
+	for i, n := range s.necklaces {
+		s.rotSym[i] = uint8(rotationSymmetry(n))
+	}
+	s.buildTranspositions()
 	symCache.Store(key, s)
 	return s, nil
+}
+
+// buildTranspositions fills swapped and steps.
+func (s *BlockSymmetry) buildTranspositions() {
+	r := s.blocks
+	// Pack each necklace into 3 bits a letter, first letter most
+	// significant: r ≤ maxSymBlocks = 7 letters, at most maxSymHosts = 20 of
+	// them, fit one uint64, and within one length integer order is lex
+	// order, so each length's range lenStart[L]..lenStart[L+1] of keys is
+	// sorted and a rotation is a shift.
+	keys := make([]uint64, len(s.necklaces))
+	for i, n := range s.necklaces {
+		for k := 0; k < len(n); k++ {
+			keys[i] = keys[i]<<3 | uint64(n[k])
+		}
+	}
+	pair := make([]uint8, r*r) // pair[u*r+v] = transposition number of {u, v}
+	for u := 0; u < r; u++ {
+		for v := u + 1; v < r; v++ {
+			t := uint8(len(s.swapped))
+			pair[u*r+v], pair[v*r+u] = t, t
+			row := make([]int32, len(s.necklaces))
+			for i := range row {
+				row[i] = -1
+			}
+			for i, n := range s.necklaces {
+				if row[i] >= 0 {
+					continue // a swap is an involution: filled from its partner
+				}
+				if s.neckCounts[i][u] == 0 && s.neckCounts[i][v] == 0 {
+					row[i] = int32(i)
+					continue
+				}
+				var key uint64
+				for k := 0; k < len(n); k++ {
+					c := uint64(n[k])
+					switch int(c) {
+					case u:
+						c = uint64(v)
+					case v:
+						c = uint64(u)
+					}
+					key = key<<3 | c
+				}
+				width := 3 * uint(len(n))
+				best := key
+				for sh := uint(3); sh < width; sh += 3 {
+					if rot := (key<<sh | key>>(width-sh)) & (1<<width - 1); rot < best {
+						best = rot
+					}
+				}
+				lo, hi := s.lenStart[len(n)], s.lenStart[len(n)+1]
+				j, _ := slices.BinarySearch(keys[lo:hi], best)
+				row[i], row[lo+j] = int32(lo+j), int32(i)
+			}
+			s.swapped = append(s.swapped, row)
+		}
+	}
+	s.steps = make([]uint8, 0, CountFull(r)-1)
+	EnumerateFullSwaps(r, func(rho *Permutation, a, b int) bool {
+		if a >= 0 { // rho already holds ρ_{k+1}: the letters moved are its a and b images
+			s.steps = append(s.steps, pair[rho.dst[a]*r+rho.dst[b]])
+		}
+		return true
+	})
 }
 
 // GroupOrder returns |S_b ≀ S_r| = r!·(b!)^r, the factor by which the
@@ -210,18 +289,18 @@ func (s *BlockSymmetry) OrbitsRange(lo, hi int, yield func(rep *Permutation, orb
 	abort := false
 
 	emit := func() {
-		// chosen is non-increasing by index; index order is (length, lex),
-		// so reversing gives the sorted multiset directly.
-		necks := sc.necks[:0]
+		// chosen is non-increasing by index, so reversing it gives the
+		// multiset in ascending index order.
+		idx := sc.idx[:0]
 		for k := len(chosen) - 1; k >= 0; k-- {
-			necks = append(necks, s.necklaces[chosen[k]])
+			idx = append(idx, int32(chosen[k]))
 		}
-		sc.necks = necks
-		stab, canonical := s.alphabetCanonicalScratch(necks, sc)
+		sc.idx = idx
+		stab, canonical := s.canonicalStab(idx, sc)
 		if !canonical {
 			return // another alphabet labeling of this orbit is the representative
 		}
-		if !yield(s.rebuildInto(necks, sc), s.orbitSize(necks, stab)) {
+		if !yield(s.rebuildInto(idx, sc), s.orbitSize(idx, stab)) {
 			abort = true
 		}
 	}
@@ -312,11 +391,8 @@ func (s *BlockSymmetry) Shards(minShards int) [][2]int {
 // the orbit enumeration's hot path. One scratch per OrbitsRange call keeps
 // the filter allocation-free and the enumeration goroutine-safe.
 type alphaScratch struct {
-	necks []string // the candidate multiset under test
-	rel   [][]byte // relabeled canonical rotations, one buffer per necklace
-	ord   []int    // sort order of rel by (length, lex)
-	enc0  []byte   // encoding of necks, the comparison baseline
-	rho   []byte   // current alphabet relabeling
+	idx []int32 // the candidate multiset, ascending necklace indices
+	cur []int32 // idx under the current relabeling, ascending
 	// Representative-construction scratch: the one Permutation the
 	// enumeration yields (reused between orbits) and rebuildInto's
 	// per-block slot counters and cycle buffer.
@@ -326,135 +402,50 @@ type alphaScratch struct {
 }
 
 func newAlphaScratch(s *BlockSymmetry) *alphaScratch {
-	sc := &alphaScratch{
-		necks:   make([]string, 0, s.hosts),
-		rel:     make([][]byte, s.hosts),
-		ord:     make([]int, 0, s.hosts),
-		enc0:    make([]byte, 0, 2*s.hosts),
-		rho:     make([]byte, s.blocks),
+	return &alphaScratch{
+		idx:     make([]int32, 0, s.hosts),
+		cur:     make([]int32, 0, s.hosts),
 		rep:     New(s.hosts),
 		next:    make([]int, s.blocks),
 		hostSeq: make([]int, 0, s.hosts),
 	}
-	for i := range sc.rel {
-		sc.rel[i] = make([]byte, 0, s.hosts)
-	}
-	return sc
 }
 
-// alphabetCanonicalScratch reports whether necks already carries the
-// minimal alphabet encoding (early-exiting on the first smaller
-// relabeling) and, when it does, the stabilizer size. Semantically
-// identical to encoding every relabeling with encodeNecklaces and
-// comparing, but runs without allocating.
-func (s *BlockSymmetry) alphabetCanonicalScratch(necks []string, sc *alphaScratch) (stab int, ok bool) {
-	sc.enc0 = sc.enc0[:0]
-	for _, n := range necks {
-		sc.enc0 = append(sc.enc0, byte(len(n)))
-		sc.enc0 = append(sc.enc0, n...)
-	}
-	for _, rho := range s.rhos {
-		copy(sc.rho, rho)
-		c := s.compareRelabeled(necks, sc)
-		if c < 0 {
-			return 0, false
+// canonicalStab reports whether the multiset idx (ascending necklace
+// indices) is minimal over every relabeling of the block alphabet,
+// early-exiting on the first smaller relabeling, and, when it is, the
+// stabilizer size |{ρ : ρ·idx = idx}|. Relabeling preserves necklace
+// lengths and index order is (length, lex), so comparing sorted index
+// lists orders multisets exactly as comparing their length-prefixed
+// string encodings would.
+func (s *BlockSymmetry) canonicalStab(idx []int32, sc *alphaScratch) (stab int, ok bool) {
+	cur := append(sc.cur[:0], idx...)
+	sc.cur = cur
+	stab = 1 // the identity, which EnumerateFull presents first
+	for _, t := range s.steps {
+		row := s.swapped[t]
+		for k, i := range cur {
+			cur[k] = row[i]
 		}
-		if c == 0 {
+		// Insertion sort: multisets are tiny (≤ hosts entries) and one
+		// transposition leaves most of the order intact.
+		for k := 1; k < len(cur); k++ {
+			for j := k; j > 0 && cur[j] < cur[j-1]; j-- {
+				cur[j], cur[j-1] = cur[j-1], cur[j]
+			}
+		}
+		switch slices.Compare(cur, idx) {
+		case -1:
+			return 0, false
+		case 0:
 			stab++
 		}
 	}
 	return stab, true
 }
 
-// compareRelabeled relabels necks through sc.rho, canonicalizes rotations,
-// sorts by (length, lex), and compares the resulting encoding against
-// sc.enc0, returning the sign of (relabeled − baseline). Relabeling
-// preserves each necklace's length, so the sorted encodings align
-// position-by-position.
-func (s *BlockSymmetry) compareRelabeled(necks []string, sc *alphaScratch) int {
-	for i, n := range necks {
-		buf := sc.rel[i][:0]
-		for k := 0; k < len(n); k++ {
-			buf = append(buf, sc.rho[n[k]])
-		}
-		sc.rel[i] = minRotateInPlace(buf)
-	}
-	// Insertion sort of indices: multisets are tiny (≤ hosts entries).
-	ord := sc.ord[:0]
-	for i := range necks {
-		ord = append(ord, i)
-	}
-	for i := 1; i < len(ord); i++ {
-		for j := i; j > 0 && byteNecklaceLess(sc.rel[ord[j]], sc.rel[ord[j-1]]); j-- {
-			ord[j], ord[j-1] = ord[j-1], ord[j]
-		}
-	}
-	sc.ord = ord
-	pos := 0
-	for _, idx := range ord {
-		nb := sc.rel[idx]
-		if c := int(byte(len(nb))) - int(sc.enc0[pos]); c != 0 {
-			return c
-		}
-		pos++
-		for k := 0; k < len(nb); k++ {
-			if c := int(nb[k]) - int(sc.enc0[pos]); c != 0 {
-				return c
-			}
-			pos++
-		}
-	}
-	return 0
-}
-
-// byteNecklaceLess is the (length, lex) order on byte necklaces — the same
-// total order sortNecklaces imposes on strings.
-func byteNecklaceLess(a, b []byte) bool {
-	if len(a) != len(b) {
-		return len(a) < len(b)
-	}
-	for k := range a {
-		if a[k] != b[k] {
-			return a[k] < b[k]
-		}
-	}
-	return false
-}
-
-// minRotateInPlace rotates seq to its lexicographically minimal rotation
-// without allocating, using the three-reversal rotation.
-func minRotateInPlace(seq []byte) []byte {
-	n := len(seq)
-	best := 0
-	for s := 1; s < n; s++ {
-		for k := 0; k < n; k++ {
-			a, b := seq[(s+k)%n], seq[(best+k)%n]
-			if a < b {
-				best = s
-				break
-			}
-			if a > b {
-				break
-			}
-		}
-	}
-	if best == 0 {
-		return seq
-	}
-	reverseBytes(seq[:best])
-	reverseBytes(seq[best:])
-	reverseBytes(seq)
-	return seq
-}
-
-func reverseBytes(b []byte) {
-	for i, j := 0, len(b)-1; i < j; i, j = i+1, j-1 {
-		b[i], b[j] = b[j], b[i]
-	}
-}
-
 // orbitSize computes the orbit size of the pattern class with the given
-// necklace multiset and alphabet-stabilizer size:
+// necklace multiset (ascending indices) and alphabet-stabilizer size:
 //
 //	(r!/stab) · (b!)^r / (∏_cycles sym_c · ∏_types mult_t!)
 //
@@ -464,16 +455,16 @@ func reverseBytes(b []byte) {
 // (sym_c) and once per permutation of identical necklaces (mult_t!). The
 // first factor counts the distinct alphabet relabelings of the multiset.
 // Both divisions are exact; sizes sum to hosts! over all orbits.
-func (s *BlockSymmetry) orbitSize(necks []string, stab int) int {
+func (s *BlockSymmetry) orbitSize(idx []int32, stab int) int {
 	num := ipow(CountFull(s.blockSize), s.blocks)
 	den := 1
-	for i := 0; i < len(necks); {
+	for i := 0; i < len(idx); {
 		j := i
-		for j < len(necks) && necks[j] == necks[i] {
+		for j < len(idx) && idx[j] == idx[i] {
 			j++
 		}
 		den *= CountFull(j - i) // mult!
-		den *= ipow(rotationSymmetry(necks[i]), j-i)
+		den *= ipow(int(s.rotSym[idx[i]]), j-i)
 		i = j
 	}
 	if num%den != 0 {
@@ -483,15 +474,18 @@ func (s *BlockSymmetry) orbitSize(necks []string, stab int) int {
 	return relabelings * (num / den)
 }
 
-// rebuildInto is rebuild writing into sc's reused representative buffer.
-// A full multiset covers every host, so every dst entry is overwritten —
-// no reset needed between calls.
-func (s *BlockSymmetry) rebuildInto(necks []string, sc *alphaScratch) *Permutation {
+// rebuildInto constructs the representative of a canonical multiset
+// (ascending necklace indices) in sc's reused buffer: walk the necklaces in
+// order, assign each slot the lowest unused host of its block, and close
+// each cycle. A full multiset covers every host, so every dst entry is
+// overwritten — no reset needed between calls.
+func (s *BlockSymmetry) rebuildInto(idx []int32, sc *alphaScratch) *Permutation {
 	p := sc.rep
 	for i := range sc.next {
 		sc.next[i] = 0
 	}
-	for _, neck := range necks {
+	for _, i := range idx {
+		neck := s.necklaces[i]
 		hostSeq := sc.hostSeq[:0]
 		for i := 0; i < len(neck); i++ {
 			beta := int(neck[i])

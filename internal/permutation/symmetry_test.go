@@ -3,6 +3,7 @@ package permutation
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -34,7 +35,7 @@ func conjugate(p, g *Permutation) *Permutation {
 
 var symGeometries = []struct{ hosts, blockSize int }{
 	{1, 1}, {2, 1}, {2, 2}, {4, 2}, {3, 3}, {6, 2}, {6, 3}, {6, 1},
-	{8, 2}, {8, 4}, {9, 3}, {10, 5},
+	{8, 2}, {8, 4}, {9, 3}, {10, 5}, {12, 4},
 }
 
 // TestOrbitSizesSumToFactorial is the master counting check: one
@@ -112,6 +113,47 @@ func TestCanonicalInvariantUnderGroup(t *testing.T) {
 				}
 				if oq, _ := s.OrbitSize(q); oq != op {
 					t.Fatalf("(%d,%d) orbit size not invariant: %d vs %d", g.hosts, g.blockSize, oq, op)
+				}
+			}
+		}
+	}
+}
+
+// TestCanonicalStabMatchesOracle checks the enumerator's index filter
+// against the string oracle on every feasible geometry up to 12 hosts,
+// r = 1…7 blocks: for random patterns, the identity (stabilized by all r!
+// relabelings) and each one's oracle minimum, canonicalStab must agree
+// with minimizeAlphabet on whether the multiset is canonical and, when it
+// is, on the stabilizer size. With r ≥ 3 this exercises the mapping from
+// Heap's position swaps to letter transpositions.
+func TestCanonicalStabMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for hosts := 1; hosts <= 12; hosts++ {
+		for b := 1; b <= hosts; b++ {
+			if SymFeasible(hosts, b) != nil {
+				continue
+			}
+			s, err := NewBlockSymmetry(hosts, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := newAlphaScratch(s)
+			patterns := []*Permutation{Identity(hosts)}
+			for trial := 0; trial < 12; trial++ {
+				patterns = append(patterns, Random(rng, hosts))
+			}
+			for _, p := range patterns {
+				necks, err := s.patternNecklaces(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				canon, stab := s.minimizeAlphabet(necks)
+				want := encodeNecklaces(canon) == encodeNecklaces(necks)
+				if got, ok := s.canonicalStab(s.indexes(necks), sc); ok != want || (ok && got != stab) {
+					t.Fatalf("(%d,%d) %s: filter says canonical=%v stab=%d, oracle canonical=%v stab=%d", hosts, b, p, ok, got, want, stab)
+				}
+				if got, ok := s.canonicalStab(s.indexes(canon), sc); !ok || got != stab {
+					t.Fatalf("(%d,%d) oracle minimum of %s: filter says canonical=%v stab=%d, want true, %d", hosts, b, p, ok, got, stab)
 				}
 			}
 		}
@@ -265,7 +307,7 @@ func (s *BlockSymmetry) Canonical(p *Permutation) (*Permutation, error) {
 		return nil, err
 	}
 	canon, _ := s.minimizeAlphabet(necks)
-	return s.rebuild(canon), nil
+	return s.rebuildInto(s.indexes(canon), newAlphaScratch(s)), nil
 }
 
 // OrbitSize returns the number of distinct patterns conjugate to p
@@ -276,7 +318,7 @@ func (s *BlockSymmetry) OrbitSize(p *Permutation) (int, error) {
 		return 0, err
 	}
 	_, stab := s.minimizeAlphabet(necks)
-	return s.orbitSize(necks, stab), nil
+	return s.orbitSize(s.indexes(necks), stab), nil
 }
 
 // Orbits calls yield once per orbit with the canonical representative and
@@ -325,7 +367,11 @@ func (s *BlockSymmetry) patternNecklaces(p *Permutation) ([]string, error) {
 func (s *BlockSymmetry) minimizeAlphabet(necks []string) (canon []string, stab int) {
 	canon, stab = necks, 0
 	bestEnc := encodeNecklaces(necks)
-	for _, rho := range s.rhos {
+	rho := make([]byte, s.blocks)
+	EnumerateFull(s.blocks, func(g *Permutation) bool {
+		for i := range rho {
+			rho[i] = byte(g.Dst(i))
+		}
 		rel := relabelNecklaces(necks, rho)
 		enc := encodeNecklaces(rel)
 		if enc < bestEnc {
@@ -333,21 +379,24 @@ func (s *BlockSymmetry) minimizeAlphabet(necks []string) (canon []string, stab i
 		} else if enc == bestEnc {
 			stab++
 		}
-	}
+		return true
+	})
 	return canon, stab
 }
 
-// rebuild constructs the canonical representative of a sorted canonical
-// necklace multiset: walk the necklaces in order, assign each slot the
-// lowest unused host of its block, and close each cycle. Decomposing the
-// result reproduces the multiset, so Canonical is idempotent.
-func (s *BlockSymmetry) rebuild(necks []string) *Permutation {
-	sc := &alphaScratch{
-		rep:     New(s.hosts),
-		next:    make([]int, s.blocks),
-		hostSeq: make([]int, 0, s.hosts),
+// indexes maps a (length, lex)-sorted necklace multiset to its ascending
+// necklace indices, the form the enumerator's filter works on.
+func (s *BlockSymmetry) indexes(necks []string) []int32 {
+	idx := make([]int32, len(necks))
+	for k, n := range necks {
+		idx[k] = int32(sort.Search(len(s.necklaces), func(j int) bool {
+			if m := s.necklaces[j]; len(m) != len(n) {
+				return len(m) > len(n)
+			}
+			return s.necklaces[j] >= n
+		}))
 	}
-	return s.rebuildInto(necks, sc)
+	return idx
 }
 
 // encodeNecklaces flattens a (length, lex)-sorted multiset into one
