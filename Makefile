@@ -4,7 +4,7 @@ GO ?= go
 
 # Single source of truth for the race-detector package list; CI runs
 # `make race` so the two can never drift.
-RACE_PKGS ?= ./internal/sim/ ./internal/analysis/ ./internal/routing/ ./internal/experiments/ ./internal/workload/ ./internal/server/ ./internal/store/ ./internal/permutation/ ./internal/campaign/ ./internal/design/
+RACE_PKGS ?= ./internal/topology/ ./internal/sim/ ./internal/analysis/ ./internal/routing/ ./internal/experiments/ ./internal/workload/ ./internal/server/ ./internal/store/ ./internal/permutation/ ./internal/campaign/ ./internal/design/
 
 # Per-target budget for the fuzz smoke pass (`go test -fuzz` accepts one
 # target per invocation). Entries are package:target; fuzz-targets-check

@@ -545,6 +545,33 @@ func BenchmarkSweepRandom(b *testing.B) {
 	}
 }
 
+// BenchmarkSweepRandomTableI500 is BenchmarkSweepRandom at the service's
+// default 500 trials, which the sweep scores on a route table.
+func BenchmarkSweepRandomTableI500(b *testing.B) {
+	f := fclos.NewFoldedClos(4, 16, 20)
+	r, err := fclos.NewPaperDeterministic(f)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, _ := fclos.SweepRandomCtx(context.Background(), r, f.Ports(), 500, 1)
+		if !res.Nonblocking() {
+			b.Fatal("paper routing blocked")
+		}
+	}
+}
+
+// BenchmarkTopologyBuildTableI times building the Table-I network
+// ftree(4+16, 20), the fixed cost of every service request on it.
+func BenchmarkTopologyBuildTableI(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if f := fclos.NewFoldedClos(4, 16, 20); f.Ports() != 80 {
+			b.Fatal("ftree(4+16,20) has the wrong host count")
+		}
+	}
+}
+
 // BenchmarkSweepExhaustive times the exhaustive 8!-permutation sweep on
 // ftree(4+16, 2) (n = 4, m = 16, 8 hosts).
 func BenchmarkSweepExhaustive(b *testing.B) {

@@ -3,8 +3,8 @@
 // regressions against a committed baseline — the engine behind the CI
 // bench-gate job (see .github/workflows/ci.yml and EXPERIMENTS.md).
 //
-// The benchmarks mirror their bench_test.go namesakes: the randomized and
-// exhaustive verification sweeps (the flat-array contention-accounting hot
+// The benchmarks mirror their bench_test.go namesakes: the Table-I fabric
+// build, the randomized and exhaustive verification sweeps (the flat-array contention-accounting hot
 // path), the incremental delta sweep over a precomputed route table, the
 // exact all-pairs Lemma-1 decision, the
 // full-load open-loop run (the dense event core hot path), and a 4-trial
@@ -90,8 +90,16 @@ func buildBenchmarks() ([]benchmark, error) {
 	var benches []benchmark
 	ctx := context.Background()
 
-	// SweepRandom: randomized Lemma-1 verification on the Table-I network.
-	{
+	// SweepRandom: randomized Lemma-1 verification on the Table-I network,
+	// at 10 trials (fewer than its 80 hosts: the scratch Checker) and at
+	// the service default of 500 (on a route table).
+	for _, c := range []struct {
+		name   string
+		trials int
+	}{
+		{"SweepRandom", 10},
+		{"SweepRandomTableI500", 500},
+	} {
 		f := fclos.NewFoldedClos(4, 16, 20)
 		r, err := fclos.NewPaperDeterministic(f)
 		if err != nil {
@@ -99,17 +107,30 @@ func buildBenchmarks() ([]benchmark, error) {
 		}
 		hosts := f.Ports()
 		benches = append(benches, benchmark{
-			name: "SweepRandom",
+			name: c.name,
 			fn: func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if res, _ := fclos.SweepRandomCtx(ctx, r, hosts, 10, 1); !res.Nonblocking() {
+					if res, _ := fclos.SweepRandomCtx(ctx, r, hosts, c.trials, 1); !res.Nonblocking() {
 						b.Fatal("paper routing blocked")
 					}
 				}
 			},
-			met: map[string]float64{"trials": 10},
+			met: map[string]float64{"trials": float64(c.trials)},
 		})
 	}
+
+	// TopologyBuildTableI: building the Table-I fabric ftree(4+16, 20), the
+	// fixed cost of every service request on it.
+	benches = append(benches, benchmark{
+		name: "TopologyBuildTableI",
+		fn: func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if f := fclos.NewFoldedClos(4, 16, 20); f.Ports() != 80 {
+					b.Fatal("ftree(4+16,20) has the wrong host count")
+				}
+			}
+		},
+	})
 
 	// SweepExhaustive: all 8! permutations of ftree(4+16, 2).
 	// SweepExhaustiveDelta: all 9! permutations of ftree(3+9, 3) through

@@ -153,7 +153,7 @@ func TestBuildBenchmarksConstructs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"SweepRandom", "SweepExhaustive", "SweepExhaustiveDelta", "SweepExhaustiveSymN9", "SweepExhaustiveN10Spray", "Lemma1AllPairs", "OpenLoop", "ClosedLoop4Trial", "DesignPlanCatalog", "FaultCampaign"}
+	want := []string{"SweepRandom", "SweepRandomTableI500", "TopologyBuildTableI", "SweepExhaustive", "SweepExhaustiveDelta", "SweepExhaustiveSymN9", "SweepExhaustiveN10Spray", "Lemma1AllPairs", "OpenLoop", "ClosedLoop4Trial", "DesignPlanCatalog", "FaultCampaign"}
 	if len(benches) != len(want) {
 		t.Fatalf("got %d benchmarks, want %d", len(benches), len(want))
 	}

@@ -64,7 +64,7 @@ func (s *WorstCaseSearch) RunCtx(ctx context.Context) (*WorstCaseResult, error) 
 	if err := ctx.Err(); err != nil {
 		return best, err
 	}
-	e := newEngine(s.Router, s.Hosts)
+	e := newEngine(s.Router, s.Hosts, allPatterns)
 	k := e.kernel(ctx, nil, false, nil) // for the stride poll only
 	rng := rand.New(rand.NewSource(s.Seed))
 	cur := permutation.New(s.Hosts)

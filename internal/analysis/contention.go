@@ -89,12 +89,23 @@ func (s *SweepResult) Nonblocking() bool { return s.Blocked == 0 && s.RouteErr =
 // polled between patterns (each pattern routes all its pairs, so the
 // check is off the per-pair hot path) and a fired ctx stops the sweep,
 // returning the partial result with ctx.Err().
+//
+// The engine is newEngine's choice for trials patterns: a router with
+// pattern-independent routes is scored on a route table when hosts ≤
+// trials and the table fits its memory budget, else every pattern is
+// routed from scratch. The result is the same either way, routing errors
+// included.
 func SweepRandomCtx(ctx context.Context, r routing.Router, hosts, trials int, seed int64) (*SweepResult, error) {
-	res := &SweepResult{}
 	if err := ctx.Err(); err != nil {
-		return res, err
+		return &SweepResult{}, err
 	}
-	k := oracleEngine(r, hosts).kernel(ctx, res, false, nil)
+	return sweepRandom(ctx, newEngine(r, hosts, trials), hosts, trials, seed)
+}
+
+// sweepRandom is SweepRandomCtx on a given engine.
+func sweepRandom(ctx context.Context, e engine, hosts, trials int, seed int64) (*SweepResult, error) {
+	res := &SweepResult{}
+	k := e.kernel(ctx, res, false, nil)
 	k.mask = 0 // each pattern routes all its pairs: poll ctx every pattern
 	rng := rand.New(rand.NewSource(seed))
 	// One pattern and one scratch serve every random trial: the kernel

@@ -70,7 +70,7 @@ func SweepSymShardCtx(ctx context.Context, r routing.Router, hosts, blockSize, l
 // sequential Heap order — for a coordinator that merged SymShard counters.
 // Call it only when the sweep is known blocked. nbperf pins it.
 func SweepSymWitness(ctx context.Context, r routing.Router, hosts int, parallelOrder bool) (*permutation.Permutation, error) {
-	return newEngine(r, hosts).witness(ctx, parallelOrder)
+	return newEngine(r, hosts, allPatterns).witness(ctx, parallelOrder)
 }
 
 // noStats drops Sweep's SymStats for the entry points without a symmetry

@@ -58,7 +58,7 @@ func TestPrunedSweepMatchesOracle(t *testing.T) {
 				continue // the paper routing needs m ≥ n²
 			}
 			name := fmt.Sprintf("%s(width %d, seed %d) on ftree(%d+%d, %d)", sc.name, sc.width, sc.seed, sh.n, sh.m, sh.r)
-			if newEngine(r, hosts).table == nil {
+			if newEngine(r, hosts, allPatterns).table == nil {
 				t.Fatalf("%s: no route table, so no pruned walk to test", name)
 			}
 			seq := oracleSweep(r, hosts)

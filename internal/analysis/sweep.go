@@ -3,6 +3,7 @@ package analysis
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -135,7 +136,7 @@ func Sweep(ctx context.Context, r routing.Router, hosts int, s Spec) (*SweepResu
 	case stats != nil:
 		return sweepSym(ctx, r, hosts, &s)
 	}
-	e := newEngine(r, hosts)
+	e := newEngine(r, hosts, allPatterns)
 	if s.Parallel {
 		res, err := e.parallel(ctx, s.Workers, s.Progress)
 		return res, nil, err
@@ -165,7 +166,7 @@ func sweepShard(ctx context.Context, r routing.Router, hosts int, s *Spec) (*Swe
 			return &SweepResult{}, fmt.Errorf("analysis: shard prefix %v is not a destination prefix for %d hosts", s.Prefix, hosts)
 		}
 	}
-	return newEngine(r, hosts).sweep(ctx, s.Prefix, false, s.FirstBlocked, s.Progress)
+	return newEngine(r, hosts, allPatterns).sweep(ctx, s.Prefix, false, s.FirstBlocked, s.Progress)
 }
 
 // MergeShardSweeps folds per-shard sweep results, given in lexicographic
@@ -284,20 +285,32 @@ type engine struct {
 	tableErr error
 }
 
-// newEngine makes the one decision every sweep shares: delta scoring when
-// routing.BuildRouteTable succeeds, else the scratch Checker. A failed
-// build — a pattern-dependent router, a pair that fails to route, a table
-// too large for the CSR offsets — is not an error: the scratch scorer
-// reproduces the exact accounting, in the failure case including the
-// canonical first routing error at the first pattern exercising the
-// failing pair.
-func newEngine(r routing.Router, hosts int) engine {
+// newEngine makes the one decision every sweep shares: delta scoring over
+// a route table when the table pays for itself and routing.BuildRouteTable
+// succeeds, else the scratch Checker. patterns is about how many full
+// patterns the caller will score. The table routes the hosts·(hosts−1)
+// pairs once; the scratch Checker routes about hosts pairs per pattern. So
+// a table is built only when hosts ≤ patterns: the random sweep passes its
+// trial count, and every other caller passes allPatterns. A failed build —
+// a pattern-dependent router, a pair that fails to route, a table past its
+// memory budget — is not an error: the scratch scorer reproduces the exact
+// accounting, in the failure case including the canonical first routing
+// error at the first pattern exercising the failing pair.
+func newEngine(r routing.Router, hosts, patterns int) engine {
+	if hosts > patterns {
+		return oracleEngine(r, hosts)
+	}
 	t, err := routing.BuildRouteTable(r, hosts)
 	if err != nil {
 		return engine{r: r, hosts: hosts, tableErr: err}
 	}
 	return engine{r: r, hosts: hosts, table: t}
 }
+
+// allPatterns is newEngine's pattern count for callers that always score
+// at least hosts patterns: every exhaustive sweep (hosts! ≥ hosts) and the
+// hill climb, whose steps cost a swap each on a table.
+const allPatterns = math.MaxInt
 
 // oracleEngine forces the scratch Checker: the independent reference the
 // delta engine is tested against.

@@ -96,7 +96,7 @@ func (e engine) witness(ctx context.Context, parallelOrder bool) (*permutation.P
 // returned either way, so a fallback reuses its route table; on failure
 // stats.Reason names the gate and err mirrors it.
 func prepareSym(r routing.Router, hosts, blockSize int) (*permutation.BlockSymmetry, engine, *SymStats, error) {
-	e := newEngine(r, hosts)
+	e := newEngine(r, hosts, allPatterns)
 	stats := &SymStats{}
 	sym, err := permutation.NewBlockSymmetry(hosts, blockSize) // checks SymFeasible first
 	if err != nil {

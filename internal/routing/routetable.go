@@ -3,7 +3,6 @@ package routing
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/topology"
 )
@@ -15,17 +14,33 @@ import (
 var ErrPatternDependent = errors.New("routing: per-pair link sets are pattern-dependent and cannot be cached")
 
 // ErrRouteTableTooLarge is returned (wrapped) by BuildRouteTable when the
-// total (pair, link) incidence count exceeds what the int32 CSR offsets
-// can address. Without the guard the offset would silently wrap negative
-// and every later pair's span would read garbage; with it, callers fall
-// back to the per-pattern oracle engines exactly as they do for
-// pattern-dependent routers.
-var ErrRouteTableTooLarge = errors.New("routing: route table exceeds int32 CSR offset range")
+// table would exceed its memory budget: more than maxRouteTablePairs SD
+// pairs, refused before anything is allocated or routed, or more than
+// maxRouteTableEntries (pair, link) incidences, refused as soon as the
+// build reaches that count. Callers fall back to the per-pattern scratch
+// engines exactly as they do for pattern-dependent routers, so a request
+// on a huge fabric costs time, never memory it cannot get.
+var ErrRouteTableTooLarge = errors.New("routing: route table exceeds its memory budget")
 
-// maxRouteTableEntries is the largest (pair, link) incidence count the
-// int32 offsets array can delimit. A variable so the overflow guard can be
-// exercised in tests without materializing a >2 GiB table.
-var maxRouteTableEntries = math.MaxInt32
+// The route table budget. hosts² int32 offsets plus the int32 entries: at
+// most 8 MiB + 32 MiB, and a table for up to 1,448 hosts. Both stay far
+// below the int32 offset range. Variables so tests can trip the guards on
+// small tables.
+var (
+	maxRouteTablePairs   = 1 << 21
+	maxRouteTableEntries = 1 << 23
+)
+
+// routeTablePairsError is the pair-budget refusal: one allocation, and
+// formatted only when read.
+type routeTablePairsError struct{ hosts, budget int }
+
+func (e *routeTablePairsError) Error() string {
+	return fmt.Sprintf("routing: %d hosts: %d pairs exceed the budget of %d: %v",
+		e.hosts, e.hosts*e.hosts, e.budget, ErrRouteTableTooLarge)
+}
+
+func (e *routeTablePairsError) Unwrap() error { return ErrRouteTableTooLarge }
 
 // routeTableStartEpoch is the dedup scratch's initial generation counter —
 // always zero outside tests, which raise it to force an epoch wrap within
@@ -60,9 +75,10 @@ type RouteTable struct {
 
 // BuildRouteTable precomputes every SD pair's deduplicated link set for a
 // router with pattern-independent paths: a PairLinkAppender. It returns
-// ErrPatternDependent for any other router, and the first per-pair routing
-// failure, in ascending (src, dst) order, wrapped exactly as the routing
-// layer wraps it ("routing pair s->d: ...").
+// ErrPatternDependent for any other router, a wrapped ErrRouteTableTooLarge
+// past the memory budget, and the first per-pair routing failure, in
+// ascending (src, dst) order, wrapped exactly as the routing layer wraps
+// it ("routing pair s->d: ...").
 func BuildRouteTable(r Router, hosts int) (*RouteTable, error) {
 	if hosts < 0 {
 		return nil, fmt.Errorf("routing: negative host count %d", hosts)
@@ -71,10 +87,14 @@ func BuildRouteTable(r Router, hosts int) (*RouteTable, error) {
 	if !ok {
 		return nil, ErrPatternDependent
 	}
+	if hosts > 0 && hosts > maxRouteTablePairs/hosts {
+		return nil, &routeTablePairsError{hosts: hosts, budget: maxRouteTablePairs}
+	}
 	t := &RouteTable{
 		hosts: hosts,
 		offs:  make([]int32, hosts*hosts+1),
-		links: make([]topology.LinkID, 0, hosts*hosts*4),
+		// Two-level routes load at most four links per pair.
+		links: make([]topology.LinkID, 0, min(hosts*hosts*4, maxRouteTableEntries)),
 		name:  r.Name(),
 	}
 	var buf []topology.LinkID
@@ -87,23 +107,24 @@ func BuildRouteTable(r Router, hosts int) (*RouteTable, error) {
 			if err != nil {
 				return nil, fmt.Errorf("routing pair %d->%d: %w", s, d, err)
 			}
+			// Deduplicate in place, so the budget check below sees the
+			// pair's exact entry count before the table grows.
 			dedup.nextPair()
+			kept := buf[:0]
 			for _, l := range buf {
 				if l < 0 {
 					return nil, fmt.Errorf("routing pair %d->%d: invalid link id %d", s, d, l)
 				}
-				if !dedup.firstSight(l) {
-					continue
-				}
-				t.links = append(t.links, l)
-				if int(l)+1 > t.numLinks {
-					t.numLinks = int(l) + 1
+				if dedup.firstSight(l) {
+					kept = append(kept, l)
+					t.numLinks = max(t.numLinks, int(l)+1)
 				}
 			}
-			if len(t.links) > maxRouteTableEntries {
+			if len(t.links)+len(kept) > maxRouteTableEntries {
 				return nil, fmt.Errorf("routing pair %d->%d: %d entries: %w",
-					s, d, len(t.links), ErrRouteTableTooLarge)
+					s, d, len(t.links)+len(kept), ErrRouteTableTooLarge)
 			}
+			t.links = append(t.links, kept...)
 			idx++
 			t.offs[idx] = int32(len(t.links))
 		}
@@ -137,9 +158,9 @@ func (d *linkDedup) nextPair() {
 // this is its first occurrence within the pair. l must be non-negative.
 func (d *linkDedup) firstSight(l topology.LinkID) bool {
 	if int(l) >= len(d.seen) {
-		grown := make([]uint32, int(l)+1)
-		copy(grown, d.seen)
-		d.seen = grown
+		// Grow geometrically: link IDs arrive roughly ascending, and
+		// growing to exactly l+1 would copy the array once per new link.
+		d.seen = append(d.seen, make([]uint32, int(l)+1-len(d.seen))...)
 	}
 	if d.seen[l] == d.epoch {
 		return false

@@ -2,18 +2,18 @@ package routing
 
 import (
 	"errors"
-	"math"
+	"strings"
 	"testing"
 
+	"repro/internal/permutation"
 	"repro/internal/topology"
 )
 
-// TestBuildRouteTableOffsetOverflowGuard exercises the int32 CSR overflow
-// guard by lowering the entry cap instead of materializing a >2 GiB table:
-// the moment the flat link array outgrows what the offsets can address,
-// the build must fail with ErrRouteTableTooLarge (which sweeps translate
-// into the per-pattern oracle fallback) rather than wrapping the stored
-// offset negative.
+// TestBuildRouteTableOffsetOverflowGuard exercises the entry budget by
+// lowering it instead of materializing a table that large: the moment the
+// flat link array would outgrow it, the build must fail with
+// ErrRouteTableTooLarge (which sweeps translate into the per-pattern
+// oracle fallback) rather than grow the table past its budget.
 func TestBuildRouteTableOffsetOverflowGuard(t *testing.T) {
 	f := topology.NewFoldedClos(2, 4, 3)
 	r, err := NewPaperDeterministic(f)
@@ -28,7 +28,7 @@ func TestBuildRouteTableOffsetOverflowGuard(t *testing.T) {
 		t.Fatalf("network too small to trip the guard: %d entries", full.Entries())
 	}
 
-	defer func() { maxRouteTableEntries = math.MaxInt32 }()
+	defer func(saved int) { maxRouteTableEntries = saved }(maxRouteTableEntries)
 	maxRouteTableEntries = full.Entries() - 1
 	_, err = BuildRouteTable(r, f.Ports())
 	if !errors.Is(err, ErrRouteTableTooLarge) {
@@ -111,5 +111,52 @@ func TestBuildRouteTableEpochWrapParity(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// countingRouter is a PairLinkAppender that counts its routing calls and
+// loads one link per pair.
+type countingRouter struct{ calls int }
+
+func (c *countingRouter) Name() string { return "counting" }
+
+func (c *countingRouter) Route(*permutation.Permutation) (*Assignment, error) {
+	return nil, errors.New("countingRouter: Route is not used")
+}
+
+func (c *countingRouter) AppendPairLinks(src, dst int, buf []topology.LinkID) ([]topology.LinkID, error) {
+	c.calls++
+	return append(buf, topology.LinkID(src)), nil
+}
+
+// TestBuildRouteTablePairBudget refuses a table whose offsets alone pass
+// the pair budget before routing a pair or allocating the table: 80,000
+// hosts would need 25 GB of offsets. The refusal is one allocation and
+// wraps ErrRouteTableTooLarge, and a host count at the budget still
+// builds.
+func TestBuildRouteTablePairBudget(t *testing.T) {
+	r := &countingRouter{}
+	var err error
+	allocs := testing.AllocsPerRun(5, func() { _, err = BuildRouteTable(r, 80000) })
+	if !errors.Is(err, ErrRouteTableTooLarge) {
+		t.Fatalf("err = %v, want ErrRouteTableTooLarge", err)
+	}
+	if r.calls != 0 {
+		t.Fatalf("%d AppendPairLinks calls before the refusal, want 0", r.calls)
+	}
+	if allocs > 1 {
+		t.Fatalf("refusal costs %v allocations, want at most 1", allocs)
+	}
+	if !strings.Contains(err.Error(), "80000 hosts") {
+		t.Fatalf("error %q does not name the host count", err)
+	}
+
+	defer func(saved int) { maxRouteTablePairs = saved }(maxRouteTablePairs)
+	maxRouteTablePairs = 36
+	if _, err := BuildRouteTable(r, 6); err != nil {
+		t.Fatalf("6 hosts at a 36-pair budget: %v", err)
+	}
+	if _, err := BuildRouteTable(r, 7); !errors.Is(err, ErrRouteTableTooLarge) {
+		t.Fatalf("7 hosts at a 36-pair budget: err = %v, want ErrRouteTableTooLarge", err)
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,8 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/routing"
+	"repro/internal/topology"
 )
 
 // plugQueue occupies every worker (and optionally queue slots) with jobs
@@ -186,5 +189,31 @@ func TestEnqueueCloseRace(t *testing.T) {
 		if err := s.enqueue(j); err != errServerClosing {
 			t.Fatalf("enqueue after Close: %v", err)
 		}
+	}
+}
+
+// TestWorstCaseOverRouteTableBudget asks /v1/worstcase for a fabric just
+// past the route table's pair budget: 1,450 hosts, 2,102,500 pairs. The
+// search must answer 200 on the scratch engine instead of allocating the
+// table, as an 80,000-host request once tried to with 25 GB of offsets.
+func TestWorstCaseOverRouteTableBudget(t *testing.T) {
+	f := topology.NewFoldedClos(2, 4, 725)
+	if _, err := routing.BuildRouteTable(routing.NewDestMod(f), f.Ports()); !errors.Is(err, routing.ErrRouteTableTooLarge) {
+		t.Fatalf("ftree(2+4,725) route table: err = %v, want ErrRouteTableTooLarge", err)
+	}
+	s := New(Config{Workers: 1, QueueDepth: 4})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, body := postJSON(t, ts.URL+"/v1/worstcase", &api.Request{N: 2, M: 4, R: 725, Routing: "dest-mod", Restarts: 1, Steps: 20})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("worstcase: status %d: %s", resp.StatusCode, body)
+	}
+	var wr api.WorstCaseReport
+	if err := json.Unmarshal(body, &wr); err != nil {
+		t.Fatal(err)
+	}
+	if wr.Hosts != 1450 || wr.Evaluated <= 0 || wr.Permutation == "" {
+		t.Fatalf("worstcase report: hosts %d, evaluated %d, permutation %d bytes", wr.Hosts, wr.Evaluated, len(wr.Permutation))
 	}
 }

@@ -1,6 +1,9 @@
 package topology
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Benes is the Benes rearrangeable network B(k) on N = 2^k terminals
 // ([3], [4] in the paper): 2k−1 stages of N/2 2×2 crossing switches,
@@ -38,23 +41,31 @@ func NewBenes(k int) *Benes {
 		panic(fmt.Sprintf("topology: invalid Benes parameter k=%d", k))
 	}
 	n := 1 << k
-	b := &Benes{K: k, N: n, Net: NewNetwork(fmt.Sprintf("benes(%d)", n))}
+	b := &Benes{K: k, N: n, Net: NewNetwork("benes(" + strconv.Itoa(n) + ")")}
+	g := b.Net
+	stages := 2*k - 1
+	nodes := 2*n + stages*n/2
+	g.reserve(nodes, 2*n, 2*n+(stages-1)*n)
+	lb := newLabels(nodes)
 	b.inBase = 0
 	for i := 0; i < n; i++ {
-		b.Net.AddNode(Host, 0, i, fmt.Sprintf("in%d", i))
+		g.addNode(Host, 0, i, 1, 0)
+		lb.str("in").num(i).end()
 	}
 	b.outBase = NodeID(n)
 	for i := 0; i < n; i++ {
-		b.Net.AddNode(Host, 0, n+i, fmt.Sprintf("out%d", i))
+		g.addNode(Host, 0, n+i, 0, 1)
+		lb.str("out").num(i).end()
 	}
-	stages := 2*k - 1
 	b.stageBase = make([]NodeID, stages)
 	for s := 0; s < stages; s++ {
-		b.stageBase[s] = NodeID(b.Net.NumNodes())
+		b.stageBase[s] = NodeID(g.NumNodes())
 		for j := 0; j < n/2; j++ {
-			b.Net.AddNode(Switch, s+1, j, fmt.Sprintf("s%d.%d", s, j))
+			g.addNode(Switch, s+1, j, 2, 2)
+			lb.str("s").num(s).str(".").num(j).end()
 		}
 	}
+	lb.apply(g)
 	// Terminals to/from the outer stages.
 	for i := 0; i < n; i++ {
 		b.Net.AddLink(b.InTerminal(i), b.SwitchID(0, i/2))

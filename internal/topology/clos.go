@@ -1,6 +1,9 @@
 package topology
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Clos is the classic three-stage unidirectional Clos network Clos(n, m, r)
 // of Fig. 1(a): r input switches of size n×m, m middle switches of size r×r,
@@ -38,27 +41,37 @@ func NewClos(n, m, r int) *Clos {
 	if n <= 0 || m <= 0 || r <= 0 {
 		panic(fmt.Sprintf("topology: invalid Clos(%d,%d,%d): parameters must be positive", n, m, r))
 	}
-	c := &Clos{N: n, M: m, R: r, Net: NewNetwork(fmt.Sprintf("Clos(%d,%d,%d)", n, m, r))}
+	c := &Clos{N: n, M: m, R: r, Net: NewNetwork("Clos(" + strconv.Itoa(n) + "," + strconv.Itoa(m) + "," + strconv.Itoa(r) + ")")}
+	g := c.Net
+	nodes := 2*r*n + 2*r + m
+	g.reserve(nodes, 2*r*n, 2*r*(n+m))
+	lb := newLabels(nodes)
 	c.inTermBase = 0
 	for i := 0; i < r*n; i++ {
-		c.Net.AddNode(Host, 0, i, fmt.Sprintf("in%d", i))
+		g.addNode(Host, 0, i, 1, 0)
+		lb.str("in").num(i).end()
 	}
 	c.outTermBase = NodeID(r * n)
 	for i := 0; i < r*n; i++ {
-		c.Net.AddNode(Host, 0, r*n+i, fmt.Sprintf("out%d", i))
+		g.addNode(Host, 0, r*n+i, 0, 1)
+		lb.str("out").num(i).end()
 	}
 	c.inSwBase = NodeID(2 * r * n)
 	for i := 0; i < r; i++ {
-		c.Net.AddNode(Switch, 1, i, fmt.Sprintf("I%d", i))
+		g.addNode(Switch, 1, i, m, n)
+		lb.str("I").num(i).end()
 	}
 	c.midSwBase = c.inSwBase + NodeID(r)
 	for j := 0; j < m; j++ {
-		c.Net.AddNode(Switch, 2, j, fmt.Sprintf("M%d", j))
+		g.addNode(Switch, 2, j, r, r)
+		lb.str("M").num(j).end()
 	}
 	c.outSwBase = c.midSwBase + NodeID(m)
 	for i := 0; i < r; i++ {
-		c.Net.AddNode(Switch, 3, i, fmt.Sprintf("O%d", i))
+		g.addNode(Switch, 3, i, n, m)
+		lb.str("O").num(i).end()
 	}
+	lb.apply(g)
 
 	c.ingressBase = 0
 	for i := 0; i < r; i++ {
@@ -225,11 +238,17 @@ func NewCrossbar(n int) *Crossbar {
 	if n <= 0 {
 		panic(fmt.Sprintf("topology: invalid crossbar size %d", n))
 	}
-	x := &Crossbar{N: n, Net: NewNetwork(fmt.Sprintf("crossbar(%d)", n))}
+	x := &Crossbar{N: n, Net: NewNetwork("crossbar(" + strconv.Itoa(n) + ")")}
+	g := x.Net
+	g.reserve(n+1, n, 2*n)
+	lb := newLabels(n + 1)
 	for i := 0; i < n; i++ {
-		x.Net.AddNode(Host, 0, i, fmt.Sprintf("h%d", i))
+		g.addNode(Host, 0, i, 1, 1)
+		lb.str("h").num(i).end()
 	}
-	sw := x.Net.AddNode(Switch, 1, 0, "xbar")
+	sw := g.addNode(Switch, 1, 0, n, n)
+	lb.str("xbar").end()
+	lb.apply(g)
 	for i := 0; i < n; i++ {
 		x.Net.AddDuplex(x.HostID(i), sw)
 	}

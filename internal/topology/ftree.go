@@ -1,6 +1,9 @@
 package topology
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // FoldedClos is the two-level folded-Clos (fat-tree) network ftree(n+m, r)
 // of the paper: r bottom-level switches, each with n hosts below and one
@@ -36,38 +39,41 @@ func NewFoldedClos(n, m, r int) *FoldedClos {
 	if n <= 0 || m <= 0 || r <= 0 {
 		panic(fmt.Sprintf("topology: invalid ftree(%d+%d, %d): parameters must be positive", n, m, r))
 	}
-	f := &FoldedClos{
-		N:   n,
-		M:   m,
-		R:   r,
-		Net: NewNetwork(fmt.Sprintf("ftree(%d+%d,%d)", n, m, r)),
-	}
+	f := &FoldedClos{N: n, M: m, R: r}
+	f.Net = NewNetwork("ftree(" + strconv.Itoa(n) + "+" + strconv.Itoa(m) + "," + strconv.Itoa(r) + ")")
+	g := f.Net
+	g.reserve(r*n+r+m, r*n, 2*r*(n+m))
+	lb := newLabels(r*n + r + m)
 	// Hosts first so that host IDs coincide with the paper's leaf numbers.
 	f.hostBase = 0
 	for v := 0; v < r; v++ {
 		for k := 0; k < n; k++ {
-			f.Net.AddNode(Host, 0, v*n+k, fmt.Sprintf("h%d.%d", v, k))
+			g.addNode(Host, 0, v*n+k, 1, 1)
+			lb.str("h").num(v).str(".").num(k).end()
 		}
 	}
 	f.bottomBase = NodeID(r * n)
 	for v := 0; v < r; v++ {
-		f.Net.AddNode(Switch, 1, v, fmt.Sprintf("b%d", v))
+		g.addNode(Switch, 1, v, n+m, n+m)
+		lb.str("b").num(v).end()
 	}
 	f.topBase = f.bottomBase + NodeID(r)
 	for t := 0; t < m; t++ {
-		f.Net.AddNode(Switch, 2, t, fmt.Sprintf("t%d", t))
+		g.addNode(Switch, 2, t, r, r)
+		lb.str("t").num(t).end()
 	}
+	lb.apply(g)
 
 	f.hostLinkBase = 0
 	for v := 0; v < r; v++ {
 		for k := 0; k < n; k++ {
-			f.Net.AddDuplex(f.HostID(v, k), f.Bottom(v))
+			g.AddDuplex(f.HostID(v, k), f.Bottom(v))
 		}
 	}
 	f.trunkBase = LinkID(2 * r * n)
 	for v := 0; v < r; v++ {
 		for t := 0; t < m; t++ {
-			f.Net.AddDuplex(f.Bottom(v), f.Top(t))
+			g.AddDuplex(f.Bottom(v), f.Top(t))
 		}
 	}
 	return f

@@ -14,6 +14,7 @@ package topology
 import (
 	"fmt"
 	"slices"
+	"strconv"
 )
 
 // NodeID identifies a node (host or switch) within one Network.
@@ -68,44 +69,117 @@ type Link struct {
 // Network is a directed multigraph of hosts and switches. The zero value is
 // an empty network ready for AddNode/AddLink; builders in this package
 // produce fully populated networks with deterministic node and link IDs.
+//
+// Adjacency is kept as per-node out- and in-lists only: no endpoint index.
+// FindLink and AddLink's duplicate check scan the shorter of the two lists
+// involved, which in every topology of this package is bounded by a
+// switch's port count. Nothing is derived lazily, so a built network is
+// safe for concurrent readers.
 type Network struct {
 	Name  string
 	nodes []Node
 	links []Link
 
-	out   [][]LinkID // outgoing link IDs per node
-	in    [][]LinkID // incoming link IDs per node
-	byEnd map[endpoints]LinkID
+	out [][]LinkID // outgoing link IDs per node
+	in  [][]LinkID // incoming link IDs per node
 
 	hosts []NodeID // all Host nodes in ID order
-}
 
-type endpoints struct {
-	from, to NodeID
+	// adj is the unclaimed rest of the adjacency storage a builder
+	// reserved (reserve); addNode slices each node's lists from it.
+	adj []LinkID
 }
 
 // NewNetwork returns an empty named network.
 func NewNetwork(name string) *Network {
-	return &Network{
-		Name:  name,
-		byEnd: make(map[endpoints]LinkID),
-	}
+	return &Network{Name: name}
 }
 
 // AddNode appends a node and returns its ID. Level and index are recorded
 // verbatim; label may be empty, in which case a default is synthesized.
 func (g *Network) AddNode(kind NodeKind, level, index int, label string) NodeID {
-	id := NodeID(len(g.nodes))
 	if label == "" {
 		label = fmt.Sprintf("%s-%d-%d", kind, level, index)
 	}
-	g.nodes = append(g.nodes, Node{ID: id, Kind: kind, Level: level, Index: index, Label: label})
-	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
+	id := g.addNode(kind, level, index, 0, 0)
+	g.nodes[id].Label = label
+	return id
+}
+
+// reserve sizes an empty network's storage for a builder that will add
+// nodes nodes (hosts of them hosts) and links links: one allocation each
+// for the node, link and host arrays, and one adjacency array of 2·links
+// IDs that addNode hands out in per-node slices.
+func (g *Network) reserve(nodes, hosts, links int) {
+	g.nodes = make([]Node, 0, nodes)
+	g.out = make([][]LinkID, 0, nodes)
+	g.in = make([][]LinkID, 0, nodes)
+	g.hosts = make([]NodeID, 0, hosts)
+	g.links = make([]Link, 0, links)
+	g.adj = make([]LinkID, 2*links)
+}
+
+// addNode is AddNode for builders, which label their nodes through a
+// labels buffer. A node with outDeg or inDeg above zero takes that many
+// slots of the reserved adjacency storage, so its links append in place;
+// past the reservation its lists grow like any other node's.
+func (g *Network) addNode(kind NodeKind, level, index, outDeg, inDeg int) NodeID {
+	id := NodeID(len(g.nodes))
+	g.nodes = append(g.nodes, Node{ID: id, Kind: kind, Level: level, Index: index})
+	var out, in []LinkID
+	if outDeg+inDeg > 0 && outDeg+inDeg <= len(g.adj) {
+		out, in = g.adj[:0:outDeg], g.adj[outDeg:outDeg:outDeg+inDeg]
+		g.adj = g.adj[outDeg+inDeg:]
+	}
+	g.out = append(g.out, out)
+	g.in = append(g.in, in)
 	if kind == Host {
 		g.hosts = append(g.hosts, id)
 	}
 	return id
+}
+
+// labels packs a builder's node labels into one string, so a network
+// pays one allocation for all of them instead of one fmt call each. The
+// builder writes each label's pieces in node order and closes it with end;
+// apply then hands the labels to the nodes.
+type labels struct {
+	buf  []byte
+	ends []int
+}
+
+// newLabels sizes a buffer for nodes labels of about 8 bytes each.
+func newLabels(nodes int) labels {
+	return labels{buf: make([]byte, 0, 8*nodes), ends: make([]int, 0, nodes)}
+}
+
+func (b *labels) str(s string) *labels {
+	b.buf = append(b.buf, s...)
+	return b
+}
+
+func (b *labels) num(v int) *labels {
+	b.buf = strconv.AppendInt(b.buf, int64(v), 10)
+	return b
+}
+
+// digits appends v as n base-base digits (see appendDigits).
+func (b *labels) digits(v, base, n int) *labels {
+	b.buf = appendDigits(b.buf, v, base, n)
+	return b
+}
+
+// end closes the current label.
+func (b *labels) end() { b.ends = append(b.ends, len(b.buf)) }
+
+// apply sets the labels of g's first nodes, one per end call, in ID order.
+func (b *labels) apply(g *Network) {
+	s := string(b.buf)
+	start := 0
+	for i, e := range b.ends {
+		g.nodes[i].Label = s[start:e]
+		start = e
+	}
 }
 
 // AddLink appends a directed link from→to and returns its ID. Adding two
@@ -122,15 +196,13 @@ func (g *Network) AddLink(from, to NodeID) LinkID {
 	if from == to {
 		panic(fmt.Sprintf("topology: self-loop on node %d", from))
 	}
-	key := endpoints{from, to}
-	if _, dup := g.byEnd[key]; dup {
+	if g.FindLink(from, to) != NoLink {
 		panic(fmt.Sprintf("topology: duplicate link %d->%d", from, to))
 	}
 	id := LinkID(len(g.links))
 	g.links = append(g.links, Link{ID: id, From: from, To: to})
 	g.out[from] = append(g.out[from], id)
 	g.in[to] = append(g.in[to], id)
-	g.byEnd[key] = id
 	return id
 }
 
@@ -215,10 +287,26 @@ func (g *Network) Radix(id NodeID) int {
 }
 
 // FindLink returns the ID of the directed link from→to, or NoLink when the
-// nodes are not adjacent in that direction.
+// nodes are not adjacent in that direction or either is out of range. It
+// scans the shorter of from's out-list and to's in-list, so its cost is
+// the smaller endpoint degree: a host's 1 or a bottom switch's n+m on a
+// two-level fabric, never a wide top switch's r.
 func (g *Network) FindLink(from, to NodeID) LinkID {
-	if id, ok := g.byEnd[endpoints{from, to}]; ok {
-		return id
+	if uint(from) >= uint(len(g.nodes)) || uint(to) >= uint(len(g.nodes)) {
+		return NoLink
+	}
+	if out, in := g.out[from], g.in[to]; len(out) <= len(in) {
+		for _, l := range out {
+			if g.links[l].To == to {
+				return l
+			}
+		}
+	} else {
+		for _, l := range in {
+			if g.links[l].From == from {
+				return l
+			}
+		}
 	}
 	return NoLink
 }

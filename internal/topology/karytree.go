@@ -1,6 +1,9 @@
 package topology
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // KAryNTree is the k-ary n-tree of Petrini and Vanneschi [14]: k^n hosts,
 // n levels of k^(n−1) switches each. Hosts are addressed by n base-k digits
@@ -26,23 +29,34 @@ func NewKAryNTree(k, n int) *KAryNTree {
 	if k < 2 || n < 1 {
 		panic(fmt.Sprintf("topology: invalid %d-ary %d-tree", k, n))
 	}
-	t := &KAryNTree{K: k, Levels: n, Net: NewNetwork(fmt.Sprintf("%d-ary %d-tree", k, n))}
+	t := &KAryNTree{K: k, Levels: n, Net: NewNetwork(strconv.Itoa(k) + "-ary " + strconv.Itoa(n) + "-tree")}
+	g := t.Net
 	hosts := pow(k, n)
-	for i := 0; i < hosts; i++ {
-		t.Net.AddNode(Host, 0, i, fmt.Sprintf("h%s", digitsLabel(i, k, n)))
-	}
 	perLevel := pow(k, n-1)
+	// Each of the n level boundaries, hosts included, is k^n duplex cables.
+	g.reserve(hosts+n*perLevel, hosts, 2*n*hosts)
+	lb := newLabels(hosts + n*perLevel)
+	for i := 0; i < hosts; i++ {
+		g.addNode(Host, 0, i, 1, 1)
+		lb.str("h").digits(i, k, n).end()
+	}
 	t.lvlBase = make([]NodeID, n)
 	for l := 0; l < n; l++ {
-		t.lvlBase[l] = NodeID(t.Net.NumNodes())
+		t.lvlBase[l] = NodeID(g.NumNodes())
+		deg := 2 * k // k down, k up
+		if l == n-1 {
+			deg = k
+		}
 		for w := 0; w < perLevel; w++ {
-			t.Net.AddNode(Switch, l+1, w, fmt.Sprintf("L%d.%s", l, digitsLabel(w, k, n-1)))
+			g.addNode(Switch, l+1, w, deg, deg)
+			lb.str("L").num(l).str(".").digits(w, k, n-1).end()
 		}
 	}
+	lb.apply(g)
 	// Hosts ↔ leaf switches: host u attaches to the switch whose digits
 	// are u_{n−1}…u_1.
 	for i := 0; i < hosts; i++ {
-		t.Net.AddDuplex(NodeID(i), t.SwitchID(0, i/k))
+		g.AddDuplex(NodeID(i), t.SwitchID(0, i/k))
 	}
 	// Level l ↔ l+1: vary digit w_l.
 	for l := 0; l+1 < n; l++ {
@@ -51,7 +65,7 @@ func NewKAryNTree(k, n int) *KAryNTree {
 			lo := t.SwitchID(l, w)
 			base := w - (w/stride%k)*stride
 			for d := 0; d < k; d++ {
-				t.Net.AddDuplex(lo, t.SwitchID(l+1, base+d*stride))
+				g.AddDuplex(lo, t.SwitchID(l+1, base+d*stride))
 			}
 		}
 	}

@@ -1,6 +1,9 @@
 package topology
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // MPortNTree is the m-port n-tree FT(m, n) of Lin, Chung and Huang [12],
 // the rearrangeably nonblocking folded-Clos family the paper's Table I
@@ -43,14 +46,20 @@ func NewMPortNTree(m, n int) *MPortNTree {
 		panic(fmt.Sprintf("topology: FT(%d,%d): n must be >= 1", m, n))
 	}
 	k := m / 2
-	t := &MPortNTree{M: m, Levels: n, K: k, Net: NewNetwork(fmt.Sprintf("FT(%d,%d)", m, n))}
+	t := &MPortNTree{M: m, Levels: n, K: k, Net: NewNetwork("FT(" + strconv.Itoa(m) + "," + strconv.Itoa(n) + ")")}
+	g := t.Net
 
 	if n == 1 {
+		g.reserve(m+1, m, 2*m)
+		lb := newLabels(m + 1)
 		t.hostBase = 0
 		for i := 0; i < m; i++ {
-			t.Net.AddNode(Host, 0, i, fmt.Sprintf("h%d", i))
+			g.addNode(Host, 0, i, 1, 1)
+			lb.str("h").num(i).end()
 		}
-		sw := t.Net.AddNode(Switch, 1, 0, "s0")
+		sw := g.addNode(Switch, 1, 0, m, m)
+		lb.str("s0").end()
+		lb.apply(g)
 		t.lvlBase = []NodeID{sw}
 		for i := 0; i < m; i++ {
 			t.Net.AddDuplex(NodeID(i), sw)
@@ -59,26 +68,36 @@ func NewMPortNTree(m, n int) *MPortNTree {
 	}
 
 	groupSz := pow(k, n-1) // hosts per q group
+	// Non-top levels: 2k·k^(n−2) switches each; top level: k^(n−1). Every
+	// switch uses all m ports; each level boundary, hosts included, is
+	// 2k^n duplex cables.
+	nonTop := 2 * k * pow(k, n-2)
+	top := pow(k, n-1)
+	hosts := 2 * k * groupSz
+	nodes := hosts + (n-1)*nonTop + top
+	g.reserve(nodes, hosts, 2*n*hosts)
+	lb := newLabels(nodes)
 	t.hostBase = 0
 	for q := 0; q < 2*k; q++ {
 		for u := 0; u < groupSz; u++ {
-			t.Net.AddNode(Host, 0, q*groupSz+u, fmt.Sprintf("h%d.%s", q, digitsLabel(u, k, n-1)))
+			g.addNode(Host, 0, q*groupSz+u, 1, 1)
+			lb.str("h").num(q).str(".").digits(u, k, n-1).end()
 		}
 	}
-	// Non-top levels: 2k·k^(n−2) switches each; top level: k^(n−1).
-	nonTop := 2 * k * pow(k, n-2)
 	t.lvlBase = make([]NodeID, n)
 	for l := 0; l < n-1; l++ {
-		t.lvlBase[l] = NodeID(t.Net.NumNodes())
+		t.lvlBase[l] = NodeID(g.NumNodes())
 		for i := 0; i < nonTop; i++ {
-			t.Net.AddNode(Switch, l+1, i, fmt.Sprintf("L%d.%d", l, i))
+			g.addNode(Switch, l+1, i, m, m)
+			lb.str("L").num(l).str(".").num(i).end()
 		}
 	}
-	t.lvlBase[n-1] = NodeID(t.Net.NumNodes())
-	top := pow(k, n-1)
+	t.lvlBase[n-1] = NodeID(g.NumNodes())
 	for i := 0; i < top; i++ {
-		t.Net.AddNode(Switch, n, i, fmt.Sprintf("T%d", i))
+		g.addNode(Switch, n, i, m, m)
+		lb.str("T").num(i).end()
 	}
+	lb.apply(g)
 
 	// Host ↔ leaf switch.
 	for q := 0; q < 2*k; q++ {
@@ -124,16 +143,16 @@ func pow(b, e int) int {
 	return r
 }
 
-func digitsLabel(v, base, digits int) string {
-	s := ""
-	for i := 0; i < digits; i++ {
-		s = fmt.Sprintf("%d", v%base) + s
-		v /= base
+// appendDigits appends v's low digits base-base digits, most significant
+// first, each written in decimal; no digits at all write "0".
+func appendDigits(buf []byte, v, base, digits int) []byte {
+	if digits <= 0 {
+		return append(buf, '0')
 	}
-	if s == "" {
-		s = "0"
+	if digits > 1 {
+		buf = appendDigits(buf, v/base, base, digits-1)
 	}
-	return s
+	return strconv.AppendInt(buf, int64(v%base), 10)
 }
 
 // Hosts reports the number of hosts, 2·k^n.

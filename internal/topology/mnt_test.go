@@ -192,11 +192,11 @@ func TestDigitHelpers(t *testing.T) {
 	if pow(3, 4) != 81 || pow(7, 0) != 1 {
 		t.Fatal("pow wrong")
 	}
-	if digitsLabel(23, 5, 3) != "043" {
-		t.Fatalf("digitsLabel = %q", digitsLabel(23, 5, 3))
+	if got := string(appendDigits(nil, 23, 5, 3)); got != "043" {
+		t.Fatalf("appendDigits = %q", got)
 	}
-	if digitsLabel(0, 5, 0) != "0" {
-		t.Fatalf("digitsLabel empty = %q", digitsLabel(0, 5, 0))
+	if got := string(appendDigits(nil, 0, 5, 0)); got != "0" {
+		t.Fatalf("appendDigits empty = %q", got)
 	}
 	if maxInt(2, 5) != 5 || maxInt(5, 2) != 5 {
 		t.Fatal("maxInt wrong")

@@ -1,6 +1,9 @@
 package topology
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // MultiFtree is the paper's recursive nonblocking construction generalized
 // to an arbitrary number of levels (Discussion §IV.A): the canonical
@@ -51,12 +54,19 @@ func NewMultiFtree(n, levels int) *MultiFtree {
 	m := &MultiFtree{
 		N:      n,
 		Levels: levels,
-		Net:    NewNetwork(fmt.Sprintf("ftree%d(n=%d)", levels, n)),
+		Net:    NewNetwork("ftree" + strconv.Itoa(levels) + "(n=" + strconv.Itoa(n) + ")"),
 	}
+	// Every switch has n+n² duplex ports and every host one, so the
+	// directed link count is the sum of those port counts.
+	switches := multiSwitches(n, levels, ports)
+	m.Net.reserve(ports+switches, ports, ports+switches*m.SwitchRadix())
+	lb := newLabels(ports + switches)
 	for h := 0; h < ports; h++ {
-		m.Net.AddNode(Host, 0, h, fmt.Sprintf("h%d", h))
+		m.Net.addNode(Host, 0, h, 1, 1)
+		lb.str("h").num(h).end()
 	}
-	m.root = m.buildFabric(levels, ports, "f")
+	m.root = m.buildFabric(levels, ports, "f", &lb)
+	lb.apply(m.Net)
 	// Attach hosts to the outermost fabric's ports.
 	for h := 0; h < ports; h++ {
 		m.Net.AddDuplex(NodeID(h), m.root.attach(h))
@@ -64,14 +74,26 @@ func NewMultiFtree(n, levels int) *MultiFtree {
 	return m
 }
 
+// multiSwitches is the switch count of a level-level fabric with ports
+// external ports: S(1) = 1, S(l) = ports/n + n²·S(l−1).
+func multiSwitches(n, level, ports int) int {
+	if level == 1 {
+		return 1
+	}
+	return ports/n + n*n*multiSwitches(n, level-1, ports/n)
+}
+
 // buildFabric recursively constructs a level-`level` fabric with `ports`
-// external ports and wires bottoms to sub-fabric ports.
-func (m *MultiFtree) buildFabric(level, ports int, label string) *fabric {
+// external ports and wires bottoms to sub-fabric ports; lb receives the
+// labels of its switches, prefixed with label.
+func (m *MultiFtree) buildFabric(level, ports int, label string, lb *labels) *fabric {
 	f := &fabric{level: level, ports: ports, n: m.N}
+	radix := m.SwitchRadix()
 	if level == 1 {
 		// A physical switch of radix `ports`. Its graph level is the
 		// construction depth so DOT layouts stack correctly.
-		f.sw = m.Net.AddNode(Switch, m.Levels, 0, label+".sw")
+		f.sw = m.Net.addNode(Switch, m.Levels, 0, radix, radix)
+		lb.str(label).str(".sw").end()
 		return f
 	}
 	n := m.N
@@ -83,11 +105,12 @@ func (m *MultiFtree) buildFabric(level, ports int, label string) *fabric {
 	// Graph level: hosts 0; outermost bottoms 1; each recursion adds one.
 	graphLevel := m.Levels - level + 1
 	for v := 0; v < r; v++ {
-		f.bottoms[v] = m.Net.AddNode(Switch, graphLevel, v, fmt.Sprintf("%s.b%d", label, v))
+		f.bottoms[v] = m.Net.addNode(Switch, graphLevel, v, radix, radix)
+		lb.str(label).str(".b").num(v).end()
 	}
 	f.subs = make([]*fabric, n*n)
 	for s := range f.subs {
-		f.subs[s] = m.buildFabric(level-1, r, fmt.Sprintf("%s.t%d", label, s))
+		f.subs[s] = m.buildFabric(level-1, r, label+".t"+strconv.Itoa(s), lb)
 		for v := 0; v < r; v++ {
 			m.Net.AddDuplex(f.bottoms[v], f.subs[s].attach(v))
 		}
