@@ -10,7 +10,7 @@ RACE_PKGS ?= ./internal/topology/ ./internal/sim/ ./internal/analysis/ ./interna
 # target per invocation). Entries are package:target; fuzz-targets-check
 # fails when a Fuzz* function of the main module is missing from the list.
 FUZZTIME ?= 30s
-FUZZ_TARGETS := ./internal/routing/:FuzzEdgeColorBipartite ./internal/routing/:FuzzBenesLooping ./internal/routing/:FuzzRouteTableParity ./internal/permutation/:FuzzCanonicalParity ./internal/permutation/:FuzzParse ./internal/permutation/:FuzzGenerators ./internal/analysis/:FuzzLemma1Parity ./internal/analysis/:FuzzLemma1VsSweep ./internal/store/:FuzzFileReplay ./internal/design/:FuzzPlanCatalog
+FUZZ_TARGETS := ./internal/routing/:FuzzEdgeColorBipartite ./internal/routing/:FuzzBenesLooping ./internal/routing/:FuzzRouteTableParity ./internal/permutation/:FuzzCanonicalParity ./internal/permutation/:FuzzParse ./internal/permutation/:FuzzGenerators ./internal/analysis/:FuzzLemma1Parity ./internal/analysis/:FuzzLemma1VsSweep ./internal/analysis/:FuzzDeltaVsOracle ./internal/store/:FuzzFileReplay ./internal/design/:FuzzPlanCatalog
 
 .PHONY: all build test race cover bench bench-json bench-gate fuzz-smoke fuzz-targets-check batch-smoke coordinator-smoke frontier-smoke design-smoke fault-smoke nbperf-check report report-check tables tables-check examples examples-check loc clean
 

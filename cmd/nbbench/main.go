@@ -454,6 +454,44 @@ func buildBenchmarks() ([]benchmark, error) {
 			},
 		})
 	}
+	// SweepExhaustiveSymN12Spray: the symmetry-reduced n=12 certificate
+	// on ftree(4+8, 3) under full spray, shaped like certify-sweep's sym12
+	// request (parallel merge order, two workers): 8919 orbit
+	// representatives of the S_4 ≀ S_3 group stand for all 12! patterns.
+	// It times the orbit walk and the delta engine's class spans together.
+	// Counts, orbits and the witness are checked every iteration, without
+	// allocating. The row comes last and has no setup run: the n=12 group
+	// table stays cached for the life of the process, and a larger live
+	// heap makes the GC cycle more often in the rows measured after it,
+	// which re-allocate their json and fmt pool buffers after every cycle
+	// (DesignPlanCatalog reads one alloc/op more).
+	{
+		f := fclos.NewFoldedClos(4, 8, 3)
+		r := fclos.NewFullSpray(f)
+		hosts := f.Ports()
+		spec := fclos.SweepSpec{SymBlock: 4, Parallel: true, Workers: 2}
+		const patterns, blocked, orbits, groupOrder = 479001600, 476554752, 8919, 82944
+		witness := []int{0, 5, 3, 4, 1, 2, 6, 7, 8, 9, 10, 11}
+		benches = append(benches, benchmark{
+			name: "SweepExhaustiveSymN12Spray",
+			fn: func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					res, stats, err := fclos.Sweep(ctx, r, hosts, spec)
+					drifted := err != nil || !stats.Applied || stats.Orbits != orbits || stats.GroupOrder != groupOrder ||
+						res.Tested != patterns || res.Blocked != blocked || res.FirstBlocked == nil
+					for s := 0; !drifted && s < hosts; s++ {
+						drifted = res.FirstBlocked.Dst(s) != witness[s]
+					}
+					if drifted {
+						b.Fatalf("n=12 sym spray sweep drifted: err=%v applied=%t orbits=%d tested=%d blocked=%d witness %s",
+							err, stats.Applied, stats.Orbits, res.Tested, res.Blocked, res.FirstBlocked)
+					}
+				}
+			},
+			met: map[string]float64{"orbits": orbits, "patterns": patterns, "blocked": blocked, "group_order": groupOrder},
+		})
+	}
+
 	return benches, nil
 }
 

@@ -153,7 +153,7 @@ func TestBuildBenchmarksConstructs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"SweepRandom", "SweepRandomTableI500", "TopologyBuildTableI", "SweepExhaustive", "SweepExhaustiveDelta", "SweepExhaustiveSymN9", "SweepExhaustiveN10Spray", "Lemma1AllPairs", "OpenLoop", "ClosedLoop4Trial", "DesignPlanCatalog", "FaultCampaign"}
+	want := []string{"SweepRandom", "SweepRandomTableI500", "TopologyBuildTableI", "SweepExhaustive", "SweepExhaustiveDelta", "SweepExhaustiveSymN9", "SweepExhaustiveN10Spray", "Lemma1AllPairs", "OpenLoop", "ClosedLoop4Trial", "DesignPlanCatalog", "FaultCampaign", "SweepExhaustiveSymN12Spray"}
 	if len(benches) != len(want) {
 		t.Fatalf("got %d benchmarks, want %d", len(benches), len(want))
 	}
@@ -186,6 +186,16 @@ func TestBuildBenchmarksConstructs(t *testing.T) {
 	}
 	if symBm.met["orbits"] != 443 || symBm.met["patterns"] != 362880 || symBm.met["group_order"] != 1296 {
 		t.Fatalf("sym benchmark metrics drifted: %+v", symBm.met)
+	}
+
+	// The n=12 sym row has no setup run (see buildBenchmarks): run it once
+	// here, where a drifted count or witness fails the benchmark.
+	for _, bm := range benches {
+		if bm.name == "SweepExhaustiveSymN12Spray" {
+			if r := testing.Benchmark(bm.fn); r.N == 0 {
+				t.Fatalf("%s failed", bm.name)
+			}
+		}
 	}
 	// The design-planner setup run must have exercised all three tiers of
 	// machinery (closed forms, group searches with stub probes, pruning)

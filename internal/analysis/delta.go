@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/permutation"
 	"repro/internal/routing"
-	"repro/internal/topology"
 )
 
 // DeltaChecker is the incremental counterpart of Checker for enumerations
@@ -13,24 +12,32 @@ import (
 // algorithm (permutation.EnumerateFullSwaps and the per-shard
 // EnumerateFullPrefixSeqSwaps) and the adversarial hill climb's pairwise
 // swaps. Where Checker.AnalyzePattern re-routes and re-accounts all n
-// pairs of every pattern, a DeltaChecker reads precomputed per-pair link
-// sets from a routing.RouteTable and, per swap, subtracts the two outgoing
-// pairs' links and adds the two incoming pairs' links: O(path length) work
-// per pattern instead of O(n · path length), and zero allocations after
-// construction.
+// pairs of every pattern, a DeltaChecker reads precomputed per-pair spans
+// from a routing.RouteTable and, per swap, unloads the two outgoing pairs
+// and loads the two incoming ones: O(span length) work per pattern instead
+// of O(n · path length), and zero allocations after construction.
+//
+// The spans it loads are the table's Lemma-1 quotient
+// (routing.RouteTable.ClassSpans): a link whose pair set is a Lemma-1 star never carries two
+// pairs of one permutation and is dropped, and links with equal pair sets
+// are one class, weighted by its link count. Every counter keeps its
+// link-level meaning.
 //
 // Maintained invariants (see DESIGN.md "Sweep engine: one scorer, one
 // kernel"):
 //
-//   - load[l] is the number of distinct pairs of the current pattern whose
-//     path sets cross link l (per-pair deduplication is baked into the
-//     RouteTable spans);
-//   - countAt[v] is the number of links with load exactly v, for v ≥ 1;
-//   - contended = Σ_{v≥2} countAt[v] and maxLoad = max{v : countAt[v] > 0}
-//     are carried across swaps: contended adjusts when a link crosses the
-//     load-2 boundary, and maxLoad is re-derived from the countAt
-//     histogram only when the previous maximum's witness count drops to
-//     zero — which, because loads move by ±1, walks at most one step.
+//   - load[c] is the number of distinct pairs of the current pattern whose
+//     path sets cross the links of class c — every link of the class
+//     carries exactly that load;
+//   - countAt[v] is the number of classes with load exactly v, for v ≥ 1;
+//   - contended is the number of links with load ≥ 2: the sum of the
+//     weights of the classes at load ≥ 2, adjusted when a class crosses
+//     the load-2 boundary (dropped links never reach it);
+//   - maxLoad = max{v : countAt[v] > 0} is carried across swaps and
+//     re-derived from the countAt histogram only when the previous
+//     maximum's witness count drops to zero — which, because loads move by
+//     ±1, walks at most one step. While it is 0, every loaded link is a
+//     dropped one, and MaxLoad reads 1 if any current pair crosses a link.
 //
 // The pruned exhaustive count (kernel.count) drives the same state one pair
 // at a time instead: add and remove load and unload a single pair, loads
@@ -42,14 +49,17 @@ import (
 // worker its own checker over one shared (immutable) RouteTable.
 type DeltaChecker struct {
 	t *routing.RouteTable
+	// offs, classes and weights are t's class spans (ClassSpans), held
+	// here so the hot path reads them without going through t.
+	offs, classes, weights []int32
 	// dst mirrors the enumerator's current destination vector; Swap keeps
 	// it in lockstep so the checker needs no Permutation on the hot path.
-	dst []int
-	// load[l] counts pairs crossing link l in the current pattern.
+	dst []int32
+	// load[c] counts pairs crossing class c in the current pattern.
 	load []int32
-	// countAt[v] counts links at load exactly v (v ≥ 1; unloaded links are
-	// untracked). Loads never exceed the pair count, so hosts+2 entries
-	// suffice.
+	// countAt[v] counts classes at load exactly v (v ≥ 1; unloaded
+	// classes are untracked). Loads never exceed the pair count, so
+	// hosts+2 entries suffice.
 	countAt   []int32
 	contended int
 	maxLoad   int
@@ -58,11 +68,25 @@ type DeltaChecker struct {
 // NewDeltaChecker returns a checker sized for the table's network. Call
 // Reset to load an initial pattern before the first Swap.
 func NewDeltaChecker(t *routing.RouteTable) *DeltaChecker {
-	d := &DeltaChecker{
+	d := newDeltaChecker(t)
+	return &d
+}
+
+// newDeltaChecker is NewDeltaChecker by value, for scorers that embed the
+// checker.
+func newDeltaChecker(t *routing.RouteTable) DeltaChecker {
+	n := t.Hosts()
+	offs, classes, weights := t.ClassSpans()
+	// One allocation carved three ways.
+	buf := make([]int32, n+len(weights)+n+2)
+	d := DeltaChecker{
 		t:       t,
-		dst:     make([]int, t.Hosts()),
-		load:    make([]int32, t.NumLinks()),
-		countAt: make([]int32, t.Hosts()+2),
+		offs:    offs,
+		classes: classes,
+		weights: weights,
+		dst:     buf[:n],
+		load:    buf[n : n+len(weights)],
+		countAt: buf[n+len(weights):],
 	}
 	for i := range d.dst {
 		d.dst[i] = permutation.Unused
@@ -70,14 +94,14 @@ func NewDeltaChecker(t *routing.RouteTable) *DeltaChecker {
 	return d
 }
 
-// Reset rebuilds the state for pattern p from scratch — O(n · path length),
+// Reset rebuilds the state for pattern p from scratch — O(n · span length),
 // paid once per enumeration shard or hill-climb restart. p may be partial;
 // Unused sources load nothing. p.N() must equal the table's host count.
 func (d *DeltaChecker) Reset(p *permutation.Permutation) {
 	d.clear()
 	for s := range d.dst {
 		dt := p.Dst(s)
-		d.dst[s] = dt
+		d.dst[s] = int32(dt)
 		d.add(s, dt)
 	}
 }
@@ -90,29 +114,34 @@ func (d *DeltaChecker) resetPrefix(prefix []int) {
 		d.dst[s] = permutation.Unused
 	}
 	for s, dt := range prefix {
-		d.dst[s] = dt
+		d.dst[s] = int32(dt)
 		d.add(s, dt)
 	}
 }
 
 func (d *DeltaChecker) clear() {
-	for i := range d.load {
-		d.load[i] = 0
-	}
-	for i := range d.countAt {
-		d.countAt[i] = 0
-	}
+	clear(d.load)
+	clear(d.countAt)
 	d.contended, d.maxLoad = 0, 0
 }
 
-// add loads every link of pair (s, dt); dt < 0 (Unused) loads nothing.
+// span returns pair (s, dt)'s class span.
+func (d *DeltaChecker) span(s, dt int) []int32 {
+	if d.offs == nil {
+		return nil
+	}
+	i := s*len(d.dst) + dt
+	return d.classes[d.offs[i]:d.offs[i+1]]
+}
+
+// add loads every class of pair (s, dt); dt < 0 (Unused) loads nothing.
 func (d *DeltaChecker) add(s, dt int) {
 	if dt < 0 {
 		return
 	}
-	for _, l := range d.t.PairLinks(s, dt) {
-		v := d.load[l] + 1
-		d.load[l] = v
+	for _, c := range d.span(s, dt) {
+		v := d.load[c] + 1
+		d.load[c] = v
 		if v > 1 {
 			d.countAt[v-1]--
 		}
@@ -121,29 +150,29 @@ func (d *DeltaChecker) add(s, dt int) {
 			d.maxLoad = int(v)
 		}
 		if v == 2 {
-			d.contended++
+			d.contended += int(d.weights[c])
 		}
 	}
 }
 
-// remove unloads every link of pair (s, dt); dt < 0 (Unused) is a no-op.
+// remove unloads every class of pair (s, dt); dt < 0 (Unused) is a no-op.
 func (d *DeltaChecker) remove(s, dt int) {
 	if dt < 0 {
 		return
 	}
-	for _, l := range d.t.PairLinks(s, dt) {
-		v := d.load[l]
-		d.load[l] = v - 1
+	for _, c := range d.span(s, dt) {
+		v := d.load[c]
+		d.load[c] = v - 1
 		d.countAt[v]--
 		if v > 1 {
 			d.countAt[v-1]++
 		}
 		if v == 2 {
-			d.contended--
+			d.contended -= int(d.weights[c])
 		}
 		if int(v) == d.maxLoad && d.countAt[v] == 0 {
-			// The decremented link now sits at v−1, so the maximum drops
-			// exactly one step unless the network just went idle.
+			// The decremented class now sits at v−1, so the maximum drops
+			// exactly one step unless every class just went idle.
 			m := d.maxLoad - 1
 			for m > 0 && d.countAt[m] == 0 {
 				m--
@@ -154,25 +183,39 @@ func (d *DeltaChecker) remove(s, dt int) {
 }
 
 // Swap exchanges the destinations of sources i and j — the Heap/hill-climb
-// step — updating per-link state for the at most four affected pairs. It
-// must mirror the enumerator's swaps exactly (same positions, same order).
-// Swap is its own inverse, which is what lets the adversarial search
-// score a candidate and back it out in O(path length). i == j is a no-op.
+// step — updating the per-class state for the at most four affected pairs.
+// It must mirror the enumerator's swaps exactly (same positions, same
+// order). Swap is its own inverse, which is what lets the adversarial
+// search score a candidate and back it out in O(span length). i == j is a
+// no-op.
 func (d *DeltaChecker) Swap(i, j int) {
 	if i == j {
 		return
 	}
 	di, dj := d.dst[i], d.dst[j]
-	d.remove(i, di)
-	d.remove(j, dj)
+	d.remove(i, int(di))
+	d.remove(j, int(dj))
 	d.dst[i], d.dst[j] = dj, di
-	d.add(i, dj)
-	d.add(j, di)
+	d.add(i, int(dj))
+	d.add(j, int(di))
 }
 
 // MaxLoad is the largest number of pairs sharing one link in the current
-// pattern.
-func (d *DeltaChecker) MaxLoad() int { return d.maxLoad }
+// pattern: the largest class load or, while no class is loaded, 1 if a
+// current pair crosses any link, since dropped links carry one pair at
+// most. That scan stops at the first such pair, in practice the first or
+// second source.
+func (d *DeltaChecker) MaxLoad() int {
+	if d.maxLoad > 0 {
+		return d.maxLoad
+	}
+	for s, dt := range d.dst {
+		if dt >= 0 && len(d.t.PairLinks(s, int(dt))) > 0 {
+			return 1
+		}
+	}
+	return 0
+}
 
 // ContendedCount is the number of links carrying two or more pairs.
 func (d *DeltaChecker) ContendedCount() int { return d.contended }
@@ -181,16 +224,19 @@ func (d *DeltaChecker) ContendedCount() int { return d.contended }
 // partial pattern puts on one link, or best if that is larger. A
 // completion sends the free sources from..n−1 to the destinations that
 // used leaves unmarked, in any bijection. By the argument of
-// WorstCaseLinkLoad, applied to the free pairs, its worst load on link l
-// is the partial pattern's load[l] plus a maximum matching among the free
-// pairs whose span crosses l: any such matching extends to a completion,
-// since the free sources and destinations it leaves over pair up in any
-// way. A link whose load plus free-source count cannot beat best is
-// skipped. m must be sized for the table's host count.
+// WorstCaseLinkLoad, applied to the free pairs, its worst load on class c
+// is the partial pattern's load[c] plus a maximum matching among the free
+// pairs whose class span crosses c: any such matching extends to a
+// completion, since the free sources and destinations it leaves over pair
+// up in any way. A class whose load plus free-source count cannot beat
+// best is skipped. Dropped links are not scanned: they carry one pair at
+// most, and the pruned walk calls this only after a contended partial
+// pattern, so some class reaches 2. m must be sized for the table's host
+// count.
 func (d *DeltaChecker) maxCompletionLoad(from int, used []bool, m *matching, best int) int {
 	n := len(d.dst)
-	for l := range d.load {
-		base := int(d.load[l])
+	for c := range d.load {
+		base := int(d.load[c])
 		if base+n-from <= best {
 			continue
 		}
@@ -198,7 +244,7 @@ func (d *DeltaChecker) maxCompletionLoad(from int, used []bool, m *matching, bes
 		for s := from; s < n; s++ {
 			m.off = append(m.off, int32(len(m.adj)))
 			for dt, u := range used {
-				if !u && slices.Contains(d.t.PairLinks(s, dt), topology.LinkID(l)) {
+				if !u && slices.Contains(d.span(s, dt), int32(c)) {
 					m.adj = append(m.adj, int32(dt))
 				}
 			}

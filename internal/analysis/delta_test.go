@@ -3,6 +3,7 @@ package analysis
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -107,12 +108,23 @@ func TestSweepExhaustiveDeltaMatchesOracle(t *testing.T) {
 // Test-only helpers: no program calls these, so they live with the
 // tests that use them.
 
-// LinkLoad returns the current load of link l (zero when out of range).
+// LinkLoad returns the current load of link l (zero when out of range):
+// its class's load, or, for a link the quotient dropped, the number of
+// current pairs whose link span crosses it.
 func (d *DeltaChecker) LinkLoad(l int) int {
-	if l < 0 || l >= len(d.load) {
+	if l < 0 || l >= d.t.NumLinks() {
 		return 0
 	}
-	return int(d.load[l])
+	if c := d.t.LinkClass(topology.LinkID(l)); c >= 0 {
+		return int(d.load[c])
+	}
+	n := 0
+	for s, dt := range d.dst {
+		if dt >= 0 && slices.Contains(d.t.PairLinks(s, int(dt)), topology.LinkID(l)) {
+			n++
+		}
+	}
+	return n
 }
 
 // TestDeltaCheckerLockstepWithChecker steps a DeltaChecker and a scratch
@@ -406,4 +418,92 @@ func TestDeltaCheckerSwapIsInvolution(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzDeltaVsOracle drives the class quotient through every delta sweep
+// mode on random small ftrees under k-spray (random k, whose parallel
+// uplinks merge into weighted classes) and random-fixed routing, and
+// compares each with the scratch-Checker oracle: the plain sweep field for
+// field, the Parallel pool and one Prefix shard by counts and MaxLinkLoad
+// (their witnesses are each engine's own order, so they must only
+// contend), FirstBlocked field for field, and the hill climb's
+// ContendedLinks, MaxLoad and pattern against patternOnlyRouter.
+func FuzzDeltaVsOracle(f *testing.F) {
+	for _, c := range []struct {
+		seed          int64
+		n, m, r, k, s uint8
+	}{{1, 1, 3, 3, 1, 0}, {2, 3, 1, 1, 1, 0}, {3, 2, 2, 1, 0, 1}, {4, 0, 2, 6, 0, 0}, {5, 1, 5, 2, 5, 0}, {6, 1, 2, 3, 0, 1}} {
+		f.Add(c.seed, c.n, c.m, c.r, c.k, c.s)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n, m, r, k, scheme uint8) {
+		nn := 1 + int(n)%4
+		rr := 1 + int(r)%(8/nn)
+		mm := 1 + int(m)%6
+		ft := topology.NewFoldedClos(nn, mm, rr)
+		hosts := ft.Ports()
+		var rt routing.Router = routing.NewRandomFixed(ft, seed)
+		if scheme%2 == 0 {
+			ks, err := routing.NewKSpray(ft, 1+int(k)%mm)
+			if err != nil {
+				t.Fatalf("k-spray on ftree(%d+%d, %d): %v", nn, mm, rr, err)
+			}
+			rt = ks
+		}
+		name := fmt.Sprintf("%s on ftree(%d+%d, %d)", rt.Name(), nn, mm, rr)
+		ctx := context.Background()
+		oracle := oracleEngine(rt, hosts)
+		contends := func(mode string, w *permutation.Permutation) {
+			t.Helper()
+			if w == nil {
+				return
+			}
+			a, err := rt.Route(w)
+			if err != nil {
+				t.Fatalf("%s %s: routing witness %s: %v", name, mode, w, err)
+			}
+			if !Check(a).HasContention() {
+				t.Fatalf("%s %s: witness %s does not contend", name, mode, w)
+			}
+		}
+		sameCounts := func(mode string, got, want *SweepResult) {
+			t.Helper()
+			if got.Tested != want.Tested || got.Blocked != want.Blocked || got.MaxLinkLoad != want.MaxLinkLoad ||
+				(got.FirstBlocked == nil) != (want.FirstBlocked == nil) {
+				t.Fatalf("%s %s: (%d,%d,%d,%t), oracle (%d,%d,%d,%t)", name, mode,
+					got.Tested, got.Blocked, got.MaxLinkLoad, got.FirstBlocked != nil,
+					want.Tested, want.Blocked, want.MaxLinkLoad, want.FirstBlocked != nil)
+			}
+			contends(mode, got.FirstBlocked)
+		}
+
+		want := oracleSweep(rt, hosts)
+		sameSweepResult(t, name+" plain", mustSweep(t, rt, hosts, Spec{}), want)
+		sameCounts("parallel", mustSweep(t, rt, hosts, Spec{Parallel: true, Workers: 2}), want)
+
+		prefix := []int{int(uint64(seed) % uint64(hosts))}
+		shard, err := oracle.sweep(ctx, prefix, false, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameCounts(fmt.Sprintf("prefix %v", prefix), mustSweep(t, rt, hosts, Spec{Prefix: prefix}), shard)
+
+		first, err := oracle.sweep(ctx, nil, true, true, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameSweepResult(t, name+" first-blocked", mustSweep(t, rt, hosts, Spec{FirstBlocked: true}), first)
+
+		climb := func(r routing.Router) *WorstCaseResult {
+			res, err := (&WorstCaseSearch{Router: r, Hosts: hosts, Restarts: 2, Steps: 60, Seed: seed}).Run()
+			if err != nil {
+				t.Fatalf("%s: hill climb: %v", name, err)
+			}
+			return res
+		}
+		got, wantClimb := climb(rt), climb(&patternOnlyRouter{inner: rt})
+		if got.ContendedLinks != wantClimb.ContendedLinks || got.MaxLoad != wantClimb.MaxLoad || !sameWitness(got.Permutation, wantClimb.Permutation) {
+			t.Fatalf("%s: hill climb (%d,%d,%s), oracle (%d,%d,%s)", name,
+				got.ContendedLinks, got.MaxLoad, got.Permutation, wantClimb.ContendedLinks, wantClimb.MaxLoad, wantClimb.Permutation)
+		}
+	})
 }

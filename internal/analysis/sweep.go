@@ -320,7 +320,7 @@ func oracleEngine(r routing.Router, hosts int) engine {
 
 func (e engine) scorer() scorer {
 	if e.table != nil {
-		return scorer{d: *NewDeltaChecker(e.table)}
+		return scorer{d: newDeltaChecker(e.table)}
 	}
 	return scorer{r: e.r} // the zero Checker grows on demand
 }
@@ -595,7 +595,7 @@ func (k *kernel) leaves(base int) bool {
 	s := base
 	for dt, taken := range k.sc.used {
 		if !taken {
-			d.dst[s] = dt
+			d.dst[s] = int32(dt)
 			d.add(s, dt)
 			s++
 		}
@@ -621,7 +621,7 @@ func (k *kernel) leaves(base int) bool {
 		}
 	}
 	for s := base; s < n; s++ {
-		d.remove(s, d.dst[s])
+		d.remove(s, int(d.dst[s]))
 		d.dst[s] = permutation.Unused
 	}
 	return more

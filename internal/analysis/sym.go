@@ -194,21 +194,22 @@ func sweepSym(ctx context.Context, r routing.Router, hosts int, s *Spec) (*Sweep
 // exact condition for a load-transporting link bijection λ_g to exist.
 // Neighborhoods are compared as multisets of exact pair-index lists (both
 // sides built in ascending pair order, so equal sets compare equally);
-// no hashing, no false positives. The lists live in two flat CSR buffers
-// reused across generators, so the whole certificate costs a handful of
-// allocations instead of per-link append churn.
+// no hashing, no false positives. The lists live in two flat CSR buffers:
+// the identity side is built and sorted once, and the relabeled side is
+// rebuilt per generator in the other, so the whole certificate costs a
+// handful of allocations instead of per-link append churn.
 func routeTableEquivariant(t *routing.RouteTable, gens []*permutation.Permutation) bool {
 	hosts := t.Hosts()
 	numLinks := t.NumLinks()
 	fwd := newPairCSR(numLinks, t.Entries())
 	rel := newPairCSR(numLinks, t.Entries())
+	// Multiset equality of the per-link lists: order both sides' links by
+	// list content ((length, lex) on pair indices) and compare position by
+	// position.
+	fwd.build(t, hosts, nil)
+	fwd.sortByContent()
 	for _, g := range gens {
-		fwd.build(t, hosts, nil)
 		rel.build(t, hosts, g)
-		// Multiset equality of the per-link lists: order both sides'
-		// links by list content ((length, lex) on pair indices) and
-		// compare position by position.
-		fwd.sortByContent()
 		rel.sortByContent()
 		for k := 0; k < numLinks; k++ {
 			a := fwd.list(fwd.ord[k])

@@ -105,7 +105,7 @@ type BlockSymmetry struct {
 	// This order puts the single-letter necklace of block β at index β,
 	// which the enumerator's completability prune relies on.
 	necklaces  []string
-	neckCounts [][]int // neckCounts[i][β] = uses of block β in necklaces[i]
+	neckCounts []uint8 // neckCounts[i*blocks+β] = uses of block β in necklaces[i]
 	lenStart   []int   // lenStart[L] = first index with length ≥ L
 	rotSym     []uint8 // rotSym[i] = rotations fixing necklaces[i]
 	// swapped[t][i] is the index of necklace i's canonical rotation once
@@ -138,13 +138,13 @@ func NewBlockSymmetry(hosts, blockSize int) (*BlockSymmetry, error) {
 	}
 	s := &BlockSymmetry{hosts: hosts, blockSize: blockSize, blocks: hosts / blockSize}
 	s.necklaces = buildNecklaces(s.blocks, s.blockSize)
-	s.neckCounts = make([][]int, len(s.necklaces))
+	// One flat table: a row per necklace would be a heap object each,
+	// about half a megabyte at 12 hosts in blocks of 4.
+	s.neckCounts = make([]uint8, len(s.necklaces)*s.blocks)
 	for i, n := range s.necklaces {
-		cnt := make([]int, s.blocks)
 		for k := 0; k < len(n); k++ {
-			cnt[n[k]]++
+			s.neckCounts[i*s.blocks+int(n[k])]++
 		}
-		s.neckCounts[i] = cnt
 	}
 	s.lenStart = make([]int, hosts+2)
 	idx := 0
@@ -190,7 +190,7 @@ func (s *BlockSymmetry) buildTranspositions() {
 				if row[i] >= 0 {
 					continue // a swap is an involution: filled from its partner
 				}
-				if s.neckCounts[i][u] == 0 && s.neckCounts[i][v] == 0 {
+				if cnt := s.neckCounts[i*r : (i+1)*r]; cnt[u] == 0 && cnt[v] == 0 {
 					row[i] = int32(i)
 					continue
 				}
@@ -314,19 +314,19 @@ func (s *BlockSymmetry) OrbitsRange(lo, hi int, yield func(rep *Permutation, orb
 	var step func(i int)
 	var rec func(cap int)
 	step = func(i int) {
-		cnt := s.neckCounts[i]
+		cnt := s.neckCounts[i*s.blocks : (i+1)*s.blocks]
 		for beta, c := range cnt {
-			if c > rem[beta] {
+			if int(c) > rem[beta] {
 				return
 			}
 		}
 		for beta := i + 1; beta < s.blocks; beta++ {
-			if rem[beta] > cnt[beta] {
+			if rem[beta] > int(cnt[beta]) {
 				return // block beta's singles would exceed the cap
 			}
 		}
 		for beta, c := range cnt {
-			rem[beta] -= c
+			rem[beta] -= int(c)
 		}
 		remTotal -= len(s.necklaces[i])
 		chosen = append(chosen, i)
@@ -338,7 +338,7 @@ func (s *BlockSymmetry) OrbitsRange(lo, hi int, yield func(rep *Permutation, orb
 		chosen = chosen[:len(chosen)-1]
 		remTotal += len(s.necklaces[i])
 		for beta, c := range cnt {
-			rem[beta] += c
+			rem[beta] += int(c)
 		}
 	}
 	rec = func(cap int) {
@@ -503,13 +503,17 @@ func (s *BlockSymmetry) rebuildInto(idx []int32, sc *alphaScratch) *Permutation 
 // buildNecklaces enumerates every canonical-rotation block-label sequence
 // over r letters with per-letter multiplicity ≤ b, sorted by (length, lex).
 func buildNecklaces(r, b int) []string {
-	var out []string
+	// The necklaces are collected in one arena and then sliced out of one
+	// string, so the table is two heap objects, not one per necklace.
+	var arena []byte
+	var ends []int
 	seq := make([]byte, 0, r*b)
 	cnt := make([]int, r)
 	var rec func()
 	rec = func() {
 		if len(seq) > 0 && isMinRotation(seq) {
-			out = append(out, string(seq))
+			arena = append(arena, seq...)
+			ends = append(ends, len(arena))
 		}
 		if len(seq) == cap(seq) {
 			return
@@ -526,6 +530,13 @@ func buildNecklaces(r, b int) []string {
 		}
 	}
 	rec()
+	all := string(arena)
+	out := make([]string, len(ends))
+	start := 0
+	for i, end := range ends {
+		out[i] = all[start:end]
+		start = end
+	}
 	sortNecklaces(out)
 	return out
 }

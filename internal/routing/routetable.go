@@ -61,6 +61,11 @@ var routeTableStartEpoch uint32
 // span entries as ±1 load updates without epoch marks. Entry order is
 // first-occurrence order of the underlying router's link stream.
 //
+// The table also holds its Lemma-1 quotient (conflicts.go): the links
+// that can carry two pairs of one permutation, grouped into classes of
+// equal pair sets, and each pair's span over those classes. The delta
+// engine loads classes; the symmetry certificate reads link spans.
+//
 // A RouteTable is immutable after construction and therefore safe for
 // concurrent readers; parallel sweeps share one table across workers.
 type RouteTable struct {
@@ -71,6 +76,12 @@ type RouteTable struct {
 	links    []topology.LinkID
 	numLinks int
 	name     string
+	// classOffs[s*hosts+d] .. classOffs[s*hosts+d+1] delimit pair (s, d)'s
+	// class span in classes; weights[c] is class c's link count and
+	// linkClass[l] link l's class plus one (0: dropped). All nil when the
+	// table has no conflict class.
+	classOffs, classes, weights []int32
+	linkClass                   []uint32
 }
 
 // BuildRouteTable precomputes every SD pair's deduplicated link set for a
@@ -97,7 +108,8 @@ func BuildRouteTable(r Router, hosts int) (*RouteTable, error) {
 		links: make([]topology.LinkID, 0, min(hosts*hosts*4, maxRouteTableEntries)),
 		name:  r.Name(),
 	}
-	var buf []topology.LinkID
+	// Room for a multipath set's raw links, duplicates included.
+	buf := make([]topology.LinkID, 0, 64)
 	var err error
 	dedup := linkDedup{epoch: routeTableStartEpoch}
 	idx := 0
@@ -129,6 +141,7 @@ func BuildRouteTable(r Router, hosts int) (*RouteTable, error) {
 			t.offs[idx] = int32(len(t.links))
 		}
 	}
+	t.buildClasses(dedup.seen)
 	return t, nil
 }
 

@@ -166,13 +166,27 @@ func (f *FoldedClos) RouteVia(src, dst NodeID, t int) Path {
 
 // AppendRouteVia appends RouteVia's links for the pair of distinct host
 // indices (src, dst) to buf: the one place that knows a two-level route.
+// It checks src, dst and, for a route through the top level, t once and
+// computes the link IDs by the numbering HostUpLink and UpLink use; out of
+// range it panics as they do.
 func (f *FoldedClos) AppendRouteVia(buf []LinkID, src, dst, t int) []LinkID {
-	sv, sk := src/f.N, src%f.N
-	dv, dk := dst/f.N, dst%f.N
-	if sv == dv {
-		return append(buf, f.HostUpLink(sv, sk), f.HostDownLink(dv, dk))
+	hosts := f.R * f.N
+	if uint(src) >= uint(hosts) {
+		f.HostID(src/f.N, src%f.N) // panics
 	}
-	return append(buf, f.HostUpLink(sv, sk), f.UpLink(sv, t), f.DownLink(t, dv), f.HostDownLink(dv, dk))
+	if uint(dst) >= uint(hosts) {
+		f.HostID(dst/f.N, dst%f.N) // panics
+	}
+	up := f.hostLinkBase + LinkID(2*src)
+	down := f.hostLinkBase + LinkID(2*dst) + 1
+	sv, dv := src/f.N, dst/f.N
+	if sv == dv {
+		return append(buf, up, down)
+	}
+	if uint(t) >= uint(f.M) {
+		f.UpLink(sv, t) // panics
+	}
+	return append(buf, up, f.trunkBase+LinkID(2*(sv*f.M+t)), f.trunkBase+LinkID(2*(dv*f.M+t))+1, down)
 }
 
 // Validate performs structural self-checks: port budgets of every switch,

@@ -83,6 +83,49 @@ func TestFoldedClosRouteVia(t *testing.T) {
 	}
 }
 
+// TestAppendRouteViaMatchesLinkHelpers checks the arithmetic link IDs of
+// AppendRouteVia against the range-checked helpers for every (src, dst, t)
+// of three fabrics, and that out-of-range hosts and top switches still
+// panic.
+func TestAppendRouteViaMatchesLinkHelpers(t *testing.T) {
+	for _, f := range []*FoldedClos{NewFoldedClos(2, 3, 4), NewFoldedClos(3, 9, 3), NewFoldedClos(1, 2, 5)} {
+		hosts := f.Ports()
+		for src := 0; src < hosts; src++ {
+			for dst := 0; dst < hosts; dst++ {
+				if src == dst {
+					continue
+				}
+				sv, sk, dv, dk := src/f.N, src%f.N, dst/f.N, dst%f.N
+				for top := 0; top < f.M; top++ {
+					want := []LinkID{f.HostUpLink(sv, sk), f.HostDownLink(dv, dk)}
+					if sv != dv {
+						want = []LinkID{f.HostUpLink(sv, sk), f.UpLink(sv, top), f.DownLink(top, dv), f.HostDownLink(dv, dk)}
+					}
+					if got := f.AppendRouteVia(nil, src, dst, top); !slices.Equal(got, want) {
+						t.Fatalf("%s: AppendRouteVia(%d, %d, %d) = %v, want %v", f.Net.Name, src, dst, top, got, want)
+					}
+				}
+			}
+		}
+		for name, args := range map[string][3]int{
+			"t past M":      {0, hosts - 1, f.M},
+			"negative t":    {0, hosts - 1, -1},
+			"src past host": {hosts, 0, 0},
+			"negative src":  {-1, 0, 0},
+			"dst past host": {0, hosts, 0},
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: %s: AppendRouteVia%v: expected panic", f.Net.Name, name, args)
+					}
+				}()
+				f.AppendRouteVia(nil, args[0], args[1], args[2])
+			}()
+		}
+	}
+}
+
 func TestFoldedClosRouteViaPanics(t *testing.T) {
 	f := NewFoldedClos(2, 2, 2)
 	defer func() {
