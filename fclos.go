@@ -246,6 +246,19 @@ var (
 // Proposal is one nonblocking design Plan enumerates; see internal/core.
 type Proposal = core.Proposal
 
+// System is a folded-Clos network paired with the router that serves it,
+// and VerifyReport the outcome of its Verify; see internal/core.
+type (
+	System       = core.System
+	VerifyReport = core.VerifyReport
+	routingClass = core.RoutingClass
+)
+
+const (
+	localAdaptive       = core.LocalAdaptive
+	globalRearrangeable = core.GlobalRearrangeable
+)
+
 // Deterministic is the single-path deterministic routing class of a
 // Proposal.
 const Deterministic = core.Deterministic

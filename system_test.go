@@ -1,4 +1,4 @@
-package core
+package fclos
 
 import (
 	"strings"
@@ -91,15 +91,15 @@ func TestSystemConstructorsRejectBadSizes(t *testing.T) {
 // Test-only helpers: no program calls these, so they live with the
 // tests that use them.
 
-// NewRearrangeableSystem builds the centralized baseline: ftree(n+n, r)
+// newRearrangeableSystem builds the centralized baseline: ftree(n+n, r)
 // with global edge-coloring routing (Benes m = n).
-func NewRearrangeableSystem(n, r int) *System {
+func newRearrangeableSystem(n, r int) *System {
 	f := topology.NewFoldedClos(n, n, r)
-	return &System{F: f, Router: routing.NewGlobalRearrangeable(f), Class: GlobalRearrangeable}
+	return &System{F: f, Router: routing.NewGlobalRearrangeable(f), Class: globalRearrangeable}
 }
 
 func TestRearrangeableSystem(t *testing.T) {
-	s := NewRearrangeableSystem(2, 5)
+	s := newRearrangeableSystem(2, 5)
 	rep, err := s.Verify(4, 100, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +156,7 @@ func TestVerifySweepBlockingAndErrors(t *testing.T) {
 	// Greedy-local (non-PairRouter): exhaustive sweep finds blocking on a
 	// tiny instance.
 	f := topology.NewFoldedClos(2, 2, 3)
-	s := &System{F: f, Router: routing.NewGreedyLocal(f), Class: LocalAdaptive}
+	s := &System{F: f, Router: routing.NewGreedyLocal(f), Class: localAdaptive}
 	rep, err := s.Verify(6, 0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +166,7 @@ func TestVerifySweepBlockingAndErrors(t *testing.T) {
 	}
 	// Random sweep path with blocking.
 	f2 := topology.NewFoldedClos(2, 4, 5)
-	s2 := &System{F: f2, Router: routing.NewGreedyLocal(f2), Class: LocalAdaptive}
+	s2 := &System{F: f2, Router: routing.NewGreedyLocal(f2), Class: localAdaptive}
 	rep2, err := s2.Verify(4, 200, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +180,7 @@ func TestVerifySweepBlockingAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s3 := &System{F: f3, Router: ad, Class: LocalAdaptive}
+	s3 := &System{F: f3, Router: ad, Class: localAdaptive}
 	rep3, err := s3.Verify(6, 0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -196,8 +196,8 @@ func TestVerifySweepBlockingAndErrors(t *testing.T) {
 
 func TestRoutingClassString(t *testing.T) {
 	if Deterministic.String() != "deterministic" ||
-		LocalAdaptive.String() != "local-adaptive" ||
-		!strings.Contains(RoutingClass(9).String(), "9") {
+		localAdaptive.String() != "local-adaptive" ||
+		!strings.Contains(routingClass(9).String(), "9") {
 		t.Fatal("strings wrong")
 	}
 }
@@ -207,7 +207,7 @@ func TestPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byClass := map[RoutingClass]Proposal{}
+	byClass := map[routingClass]Proposal{}
 	for _, p := range props {
 		byClass[p.Class] = p
 		if p.MaxRadix > 20 {
@@ -225,14 +225,14 @@ func TestPlan(t *testing.T) {
 	if det.N != 4 || det.M != 16 || det.Ports != 80 {
 		t.Fatalf("deterministic proposal = %+v", det)
 	}
-	reb, ok := byClass[GlobalRearrangeable]
+	reb, ok := byClass[globalRearrangeable]
 	if !ok {
 		t.Fatal("no rearrangeable proposal")
 	}
 	if reb.Ports <= det.Ports {
 		t.Fatalf("centralized control should support more ports (%d vs %d)", reb.Ports, det.Ports)
 	}
-	if p := byClass[LocalAdaptive]; p.Ports < det.Ports {
+	if p := byClass[localAdaptive]; p.Ports < det.Ports {
 		t.Fatalf("adaptive proposal %+v worse than deterministic %+v", p, det)
 	}
 	if _, err := Plan(1); err == nil {
@@ -262,7 +262,7 @@ func TestPlanAdaptiveBeatsDeterministicAtScale(t *testing.T) {
 		switch p.Class {
 		case Deterministic:
 			det = p
-		case LocalAdaptive:
+		case localAdaptive:
 			ad = p
 		}
 	}
