@@ -131,70 +131,56 @@ func runCtx(ctx context.Context, out io.Writer, n, m, r int, scheme string, spra
 		return nil
 	}
 
-	if pr, ok := router.(routing.PairRouter); ok {
-		res, err := analysis.CheckLemma1AllPairs(pr, f.Ports())
-		if err != nil {
-			return err
+	if sym && f.Ports() > maxExh {
+		// -sym lifts the wall for a routing Lemma 1 cannot decide where the
+		// reduction applies; elsewhere a silent factorial sweep is an error.
+		if _, single := router.(routing.PairRouter); !single {
+			if st := analysis.SymApplicable(router, f.Ports(), n); !st.Applied {
+				return fmt.Errorf("symmetry reduction not applicable (%s) and %d hosts exceed -max-exhaustive=%d; the full %d! sweep needs that explicit opt-in",
+					st.Reason, f.Ports(), maxExh, f.Ports())
+			}
+			maxExh = f.Ports()
 		}
-		if res.Nonblocking {
+	}
+	s := analysis.DecideSpec{MaxExhaustive: maxExh, Trials: trials, Seed: seed,
+		Sweep: analysis.Spec{FirstBlocked: firstBlocked}}
+	if sym {
+		s.Sweep.SymBlock = n
+	}
+	d, err := analysis.Decide(ctx, router, f.Ports(), s)
+	if err != nil {
+		return err
+	}
+	if d.Rung == analysis.RungLemma1 {
+		if d.Lemma1.Nonblocking {
 			fmt.Fprintln(out, "verdict: NONBLOCKING (exact, Lemma-1 all-pairs analysis)")
 			return nil
 		}
 		fmt.Fprintln(out, "verdict: BLOCKING (exact, Lemma-1 all-pairs analysis)")
-		w, err := analysis.BlockingWitness(res, f.Ports())
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "blocked permutation: %s\n", w)
-		if verbose && res.Violation != nil {
-			lk := f.Net.Link(res.Violation.Link)
+		fmt.Fprintf(out, "blocked permutation: %s\n", d.Witness)
+		if verbose {
+			v := d.Lemma1.Violation
+			lk := f.Net.Link(v.Link)
 			fmt.Fprintf(out, "violated link: %s -> %s with %d sources and %d destinations\n",
-				f.Net.Node(lk.From).Label, f.Net.Node(lk.To).Label,
-				len(res.Violation.Sources), len(res.Violation.Dests))
+				f.Net.Node(lk.From).Label, f.Net.Node(lk.To).Label, len(v.Sources), len(v.Dests))
 		}
 		return nil
 	}
-
-	if !sym && f.Ports() > maxExh {
-		res, err := analysis.SweepRandomCtx(ctx, router, f.Ports(), trials, seed)
-		if err != nil {
-			return err
+	kind := "randomized+structured"
+	if d.Rung == analysis.RungExhaustive {
+		kind = "exhaustive"
+		if firstBlocked {
+			kind = "exhaustive (first-blocked)"
 		}
-		report(out, res, "randomized+structured")
-		return res.RouteErr
 	}
-	spec := analysis.Spec{FirstBlocked: firstBlocked}
-	if sym {
-		// -sym forces the exhaustive decision through the symmetry-reduced
-		// engine: where the reduction applies, even hosts! past the
-		// -max-exhaustive wall collapse to a feasible count of orbit
-		// representatives. Past the wall with no applicable reduction there
-		// is nothing safe to fall back to, so that is an error rather than
-		// a silent factorial sweep.
-		if st := analysis.SymApplicable(router, f.Ports(), n); !st.Applied && f.Ports() > maxExh {
-			return fmt.Errorf("symmetry reduction not applicable (%s) and %d hosts exceed -max-exhaustive=%d; the full %d! sweep needs that explicit opt-in",
-				st.Reason, f.Ports(), maxExh, f.Ports())
-		}
-		spec.SymBlock = n
-	}
-	res, stats, err := analysis.Sweep(ctx, router, f.Ports(), spec)
-	if err != nil {
-		return err
-	}
-	switch {
-	case stats == nil:
-	case stats.Applied:
+	if st := d.Sym; st != nil && st.Applied {
 		fmt.Fprintf(out, "symmetry: %d orbit representatives for %d patterns (group order %d)\n",
-			stats.Orbits, permutation.CountFull(f.Ports()), stats.GroupOrder)
-	default:
-		fmt.Fprintf(out, "symmetry: fell back to the full sweep: %s\n", stats.Reason)
+			st.Orbits, permutation.CountFull(f.Ports()), st.GroupOrder)
+	} else if st != nil {
+		fmt.Fprintf(out, "symmetry: fell back to the full sweep: %s\n", st.Reason)
 	}
-	kind := "exhaustive"
-	if firstBlocked {
-		kind = "exhaustive (first-blocked)"
-	}
-	report(out, res, kind)
-	return res.RouteErr
+	report(out, d.Sweep, kind)
+	return d.Sweep.RouteErr
 }
 
 func report(out io.Writer, res *analysis.SweepResult, kind string) {

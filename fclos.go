@@ -1,7 +1,7 @@
 // Package fclos is a from-scratch Go reproduction of Xin Yuan,
 // "On Nonblocking Folded-Clos Networks in Computer Communication
 // Environments" (IPPS 2011). It re-exports the paper's API from the
-// internal packages:
+// internal packages, and its System assembles them:
 //
 //   - builders for folded-Clos fat-trees ftree(n+m, r), three-stage Clos
 //     networks, m-port n-trees, k-ary n-trees, crossbars and Benes
@@ -18,8 +18,8 @@
 //   - a deterministic packet simulator for throughput experiments against
 //     a crossbar reference.
 //
-// Quick start — build the nonblocking network of Theorem 3, route a
-// permutation, confirm zero contention:
+// Quick start — build the nonblocking System of Theorem 3 (the network
+// paired with its routing) and verify it:
 //
 //	sys, _ := fclos.NewDeterministicSystem(4, 20) // ftree(4+16, 20), 80 hosts
 //	rep, _ := sys.Verify(0, 0, 0)                 // exact Lemma-1 decision
@@ -36,7 +36,6 @@ import (
 	"repro/internal/api"
 	"repro/internal/campaign"
 	"repro/internal/conditions"
-	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/design"
 	"repro/internal/permutation"
@@ -237,40 +236,6 @@ var (
 	// RunWorkloadCrossbar is the ideal reference.
 	RunWorkload         = workload.Run
 	RunWorkloadCrossbar = workload.RunCrossbar
-)
-
-// ---------------------------------------------------------------------------
-// High-level systems (the paper's contribution, assembled)
-// ---------------------------------------------------------------------------
-
-// Proposal is one nonblocking design Plan enumerates; see internal/core.
-type Proposal = core.Proposal
-
-// System is a folded-Clos network paired with the router that serves it,
-// and VerifyReport the outcome of its Verify; see internal/core.
-type (
-	System       = core.System
-	VerifyReport = core.VerifyReport
-	routingClass = core.RoutingClass
-)
-
-const (
-	localAdaptive       = core.LocalAdaptive
-	globalRearrangeable = core.GlobalRearrangeable
-)
-
-// Deterministic is the single-path deterministic routing class of a
-// Proposal.
-const Deterministic = core.Deterministic
-
-// System constructors and the design planner; see internal/core.
-var (
-	// NewDeterministicSystem builds ftree(n+n², r) + Theorem-3 routing.
-	NewDeterministicSystem = core.NewDeterministicSystem
-	// NewAdaptiveSystem builds ftree(n+m, r) + NONBLOCKINGADAPTIVE.
-	NewAdaptiveSystem = core.NewAdaptiveSystem
-	// Plan enumerates nonblocking designs for a switch radix.
-	Plan = core.Plan
 )
 
 // ---------------------------------------------------------------------------

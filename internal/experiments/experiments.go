@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -84,17 +85,12 @@ func Theorem3(cases [][2]int) (*Theorem3Result, error) {
 		if n >= 2 {
 			tight := topology.NewFoldedClos(n, n*n-1, r)
 			tr := routing.NewPaperDeterministicFolded(tight)
-			tl1, err := analysis.CheckLemma1AllPairs(tr, tight.Ports())
+			d, err := analysis.Decide(context.Background(), tr, tight.Ports(), analysis.DecideSpec{Rung: analysis.RungLemma1})
 			if err != nil {
 				return nil, err
 			}
-			if !tl1.Nonblocking {
-				w, err := analysis.BlockingWitness(tl1, tight.Ports())
-				if err != nil {
-					return nil, err
-				}
-				row.TightBlocks = true
-				row.Witness = w.String()
+			if d.Witness != nil {
+				row.TightBlocks, row.Witness = true, d.Witness.String()
 			}
 		}
 		res.Rows = append(res.Rows, row)

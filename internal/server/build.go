@@ -151,89 +151,81 @@ func symBlockSize(q *api.Request, t *target) int {
 }
 
 // runVerify answers POST /v1/verify: the nbverify decision procedure with
-// cancellation. Mode auto uses the exact Lemma-1 analysis for single-path
-// routers, an exhaustive sweep up to max_exhaustive hosts, and the
-// randomized+structured sweep beyond; exhaustive | exhaustive-parallel |
-// random force a sweep engine. sym_reduce asks the exhaustive engines to
-// sweep orbit representatives of the fabric's block symmetry group
-// instead of all hosts! patterns; the report is byte-identical either
-// way (the engine falls back to the full sweep where the reduction does
-// not apply), which is why sym_reduce stays out of the cache key.
+// cancellation. sym_reduce asks the exhaustive engines to sweep orbit
+// representatives of the fabric's block symmetry group instead of all
+// hosts! patterns; the report is byte-identical either way (the engine
+// falls back to the full sweep where the reduction does not apply), which
+// is why sym_reduce stays out of the cache key.
 func runVerify(ctx context.Context, q *api.Request) (any, error) {
 	t, err := buildTarget(q)
 	if err != nil {
 		return nil, err
 	}
-	rep := &api.VerifyReport{Network: t.net.Name, Hosts: t.hosts, Routing: t.router.Name()}
-
-	mode := q.Mode
-	if mode == "auto" || mode == "exact" {
-		if pr, ok := t.router.(routing.PairRouter); ok {
-			res, err := analysis.CheckLemma1AllPairs(pr, t.hosts)
-			if err != nil {
-				return nil, err
-			}
-			rep.Method, rep.Exact = "lemma1-exact", true
-			if res.Nonblocking {
-				rep.Verdict = "nonblocking"
-				return rep, nil
-			}
-			rep.Verdict = "blocking"
-			w, err := analysis.BlockingWitness(res, t.hosts)
-			if err != nil {
-				return nil, err
-			}
-			rep.Witness = w.String()
-			return rep, nil
-		}
-		if mode == "exact" {
-			return nil, badRequest("mode exact needs a single-path deterministic routing (got %s)", t.router.Name())
-		}
-		if t.hosts <= q.MaxExhaustive {
-			mode = "exhaustive"
-		} else {
-			mode = "random"
-		}
-	}
-
-	var res *analysis.SweepResult
-	switch mode {
-	case "exhaustive", "exhaustive-parallel":
-		rep.Method, rep.Exact = mode, true
-		spec := analysis.Spec{FirstBlocked: q.FirstBlocked}
-		if mode == "exhaustive-parallel" {
-			spec.Parallel, spec.Workers = true, q.Workers
-		} else if q.FirstBlocked {
-			rep.Method = "exhaustive-first-blocked"
-		}
-		if q.SymReduce {
-			spec.SymBlock = symBlockSize(q, t)
-		}
-		res, _, err = analysis.Sweep(ctx, t.router, t.hosts, spec)
-	case "random":
-		rep.Method = "random"
-		res, err = analysis.SweepRandomCtx(ctx, t.router, t.hosts, q.Trials, q.SeedValue())
-	default:
-		return nil, badRequest("unknown verify mode %q", q.Mode)
-	}
+	d, err := decide(ctx, q, t, nil)
 	if err != nil {
 		return nil, err
 	}
+	return verifyReport(q, t, d)
+}
+
+// verifyRungs maps each verify mode to its analysis.Decide rung: auto
+// applies the three-rung rule, and the others force one rung.
+var verifyRungs = map[string]analysis.Rung{
+	"auto": analysis.RungAuto, "exact": analysis.RungLemma1, "random": analysis.RungRandom,
+	"exhaustive": analysis.RungExhaustive, "exhaustive-parallel": analysis.RungExhaustive,
+}
+
+// decide runs q's verify mode on t through analysis.Decide; exact on a
+// router that is not single-path is a bad request. progress, if non-nil,
+// follows the exhaustive sweep.
+func decide(ctx context.Context, q *api.Request, t *target, progress analysis.ProgressFunc) (analysis.Decision, error) {
+	s := analysis.DecideSpec{
+		Rung: verifyRungs[q.Mode], MaxExhaustive: q.MaxExhaustive, Trials: q.Trials, Seed: q.SeedValue(),
+		Sweep: analysis.Spec{FirstBlocked: q.FirstBlocked, Progress: progress},
+	}
+	if q.Mode == "exhaustive-parallel" {
+		s.Sweep.Parallel, s.Sweep.Workers = true, q.Workers
+	}
+	if q.SymReduce {
+		s.Sweep.SymBlock = symBlockSize(q, t)
+	}
+	d, err := analysis.Decide(ctx, t.router, t.hosts, s)
+	if errors.Is(err, analysis.ErrNotSinglePath) {
+		return d, badRequest("mode exact needs a single-path deterministic routing (got %s)", t.router.Name())
+	}
+	return d, err
+}
+
+// verifyReport renders a decision on t as the /v1/verify body. A routing
+// failure mid-sweep is the request's error.
+func verifyReport(q *api.Request, t *target, d analysis.Decision) (*api.VerifyReport, error) {
+	rep := &api.VerifyReport{Network: t.net.Name, Hosts: t.hosts, Routing: t.router.Name(), Exact: true}
+	switch {
+	case d.Rung == analysis.RungLemma1:
+		rep.Method, rep.Verdict = "lemma1-exact", "nonblocking"
+		if d.Witness != nil {
+			rep.Verdict, rep.Witness = "blocking", d.Witness.String()
+		}
+		return rep, nil
+	case d.Rung == analysis.RungRandom:
+		rep.Method, rep.Exact = "random", false
+	case q.Mode == "exhaustive-parallel":
+		rep.Method = q.Mode
+	case q.FirstBlocked:
+		rep.Method = "exhaustive-first-blocked"
+	default:
+		rep.Method = "exhaustive"
+	}
+	res := d.Sweep
 	if res.RouteErr != nil {
 		return nil, res.RouteErr
 	}
-	return sweepVerdict(rep, res), nil
-}
-
-// sweepVerdict fills rep's counters, verdict and witness from a finished
-// sweep and returns it.
-func sweepVerdict(rep *api.VerifyReport, res *analysis.SweepResult) *api.VerifyReport {
 	rep.Tested, rep.Blocked, rep.MaxLinkLoad = res.Tested, res.Blocked, res.MaxLinkLoad
 	rep.Verdict = "no-blocking-found"
 	if res.Blocked > 0 {
 		rep.Verdict, rep.Witness = "blocking", res.FirstBlocked.String()
 	}
-	return rep
+	return rep, nil
 }
 
 // runShard answers POST /v1/verify/shard: one prefix shard of an

@@ -234,9 +234,7 @@ func rejectForeign(op string, q *api.Request) error {
 // patterns) started enumerating and only a deadline could kill it.
 // Raising max_exhaustive in the request is the explicit opt-in.
 func validateVerify(q *api.Request) error {
-	switch q.Mode {
-	case "auto", "exact", "exhaustive", "exhaustive-parallel", "random":
-	default:
+	if _, ok := verifyRungs[q.Mode]; !ok {
 		return badRequest("unknown verify mode %q", q.Mode)
 	}
 	if q.SymReduce && (q.Mode == "random" || q.Mode == "exact") {

@@ -298,37 +298,31 @@ func (s *Server) runSweep(sj *sweepJob, q *api.Request, plan *sweepPlan) {
 	ctx, cancel := context.WithTimeout(s.sweepCtx, s.timeoutFor(q.TimeoutMs))
 	defer cancel()
 
-	var res *analysis.SweepResult
+	var d analysis.Decision
 	var err error
 	if len(plan.workers) > 0 {
-		res, err = s.runCoordinated(ctx, sj, q, plan)
+		d.Rung = analysis.RungExhaustive
+		d.Sweep, err = s.runCoordinated(ctx, sj, q, plan)
 	} else {
-		progress := func(dt, db int) {
+		// The sym engine matches the parallel engine byte-for-byte and
+		// reports orbit-scaled progress deltas, so the SSE stream still
+		// counts patterns, not representatives.
+		d, err = decide(ctx, q, plan.t, func(dt, db int) {
 			sj.tested.Add(int64(dt))
 			sj.blocked.Add(int64(db))
-		}
-		spec := analysis.Spec{Parallel: true, Workers: q.Workers, Progress: progress}
-		if q.SymReduce {
-			// The sym engine matches the parallel engine byte-for-byte and
-			// reports orbit-scaled progress deltas, so the SSE stream still
-			// counts patterns, not representatives.
-			spec.SymBlock = symBlockSize(q, plan.t)
-		}
-		var stats *analysis.SymStats
-		res, stats, err = analysis.Sweep(ctx, plan.t.router, plan.t.hosts, spec)
-		if err == nil && stats != nil {
-			if stats.Applied {
+		})
+		if err == nil {
+			sj.shardsDone.Store(1)
+			if d.Sym != nil && d.Sym.Applied {
 				s.met.symSweeps.Add(1)
-			} else {
+			} else if d.Sym != nil {
 				s.met.symFallbacks.Add(1)
 			}
 		}
-		if err == nil {
-			sj.shardsDone.Store(1)
-		}
 	}
-	if err == nil && res.RouteErr != nil {
-		err = res.RouteErr
+	var rep *api.VerifyReport
+	if err == nil {
+		rep, err = verifyReport(q, plan.t, d)
 	}
 	if err != nil {
 		s.met.endpoints[sweepOp].errors.Add(1)
@@ -337,10 +331,6 @@ func (s *Server) runSweep(sj *sweepJob, q *api.Request, plan *sweepPlan) {
 		return
 	}
 
-	rep := sweepVerdict(&api.VerifyReport{
-		Network: plan.t.net.Name, Hosts: plan.t.hosts, Routing: plan.t.router.Name(),
-		Method: "exhaustive-parallel", Exact: true,
-	}, res)
 	body, merr := json.Marshal(rep)
 	if merr != nil {
 		sj.fail(merr.Error())

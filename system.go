@@ -1,10 +1,4 @@
-// Package core assembles the paper's primary contribution into ready-to-use
-// systems: a nonblocking folded-Clos network paired with the routing
-// algorithm that makes it nonblocking, plus a design engine that answers
-// the feasibility question the paper poses — given a switch radix, what
-// nonblocking interconnects can be built, at what cost, under which
-// routing class?
-package core
+package fclos
 
 import (
 	"context"
@@ -17,36 +11,34 @@ import (
 	"repro/internal/topology"
 )
 
-// RoutingClass selects the control model, in increasing order of the
+// The paper's contribution assembled: a System pairs a folded Clos with
+// the routing that makes it nonblocking, and Plan answers the paper's
+// feasibility question — what can switches of a given radix build?
+
+// routingClass selects the control model, in increasing order of the
 // information available to the router.
-type RoutingClass uint8
+type routingClass uint8
 
 const (
 	// Deterministic is single-path deterministic routing (§IV): paths
 	// are a pure function of (src, dst); nonblocking needs m ≥ n².
-	Deterministic RoutingClass = iota
-	// LocalAdaptive is NONBLOCKINGADAPTIVE (§V): each source switch
+	Deterministic routingClass = iota
+	// localAdaptive is NONBLOCKINGADAPTIVE (§V): each source switch
 	// adapts to its local pattern; nonblocking with
 	// m = O(n^(2−1/(2(c+1)))).
-	LocalAdaptive
-	// GlobalRearrangeable is the centralized baseline: the whole pattern
+	localAdaptive
+	// globalRearrangeable is the centralized baseline: the whole pattern
 	// is known; m ≥ n suffices (Benes), but no distributed
 	// implementation exists — included for comparison only.
-	GlobalRearrangeable
+	globalRearrangeable
 )
 
 // String names the class.
-func (c RoutingClass) String() string {
-	switch c {
-	case Deterministic:
-		return "deterministic"
-	case LocalAdaptive:
-		return "local-adaptive"
-	case GlobalRearrangeable:
-		return "global-rearrangeable"
-	default:
-		return fmt.Sprintf("RoutingClass(%d)", uint8(c))
+func (c routingClass) String() string {
+	if names := [...]string{"deterministic", "local-adaptive", "global-rearrangeable"}; int(c) < len(names) {
+		return names[c]
 	}
+	return fmt.Sprintf("RoutingClass(%d)", uint8(c))
 }
 
 // System is a folded-Clos network paired with the router that serves it.
@@ -56,14 +48,14 @@ type System struct {
 	// Router routes patterns over F.
 	Router routing.Router
 	// Class records the control model.
-	Class RoutingClass
+	Class routingClass
 }
 
 // NewDeterministicSystem builds the Theorem-3 nonblocking system:
 // ftree(n+n², r) with the paper's single-path deterministic routing.
 func NewDeterministicSystem(n, r int) (*System, error) {
 	if n < 1 || r < 1 {
-		return nil, fmt.Errorf("core: invalid system size n=%d r=%d (need n >= 1 and r >= 1)", n, r)
+		return nil, fmt.Errorf("fclos: invalid system size n=%d r=%d (need n >= 1 and r >= 1)", n, r)
 	}
 	f := topology.NewFoldedClos(n, n*n, r)
 	rt, err := routing.NewPaperDeterministic(f)
@@ -79,10 +71,10 @@ func NewDeterministicSystem(n, r int) (*System, error) {
 // demand is reported per pattern by the router).
 func NewAdaptiveSystem(n, r int) (*System, error) {
 	if n < 2 {
-		return nil, fmt.Errorf("core: adaptive systems need n >= 2")
+		return nil, fmt.Errorf("fclos: adaptive systems need n >= 2")
 	}
 	if r < 1 {
-		return nil, fmt.Errorf("core: invalid system size n=%d r=%d (need r >= 1)", n, r)
+		return nil, fmt.Errorf("fclos: invalid system size n=%d r=%d (need r >= 1)", n, r)
 	}
 	c := conditions.SmallestC(n, r)
 	m := conditions.AdaptiveSimpleM(n, c)
@@ -91,7 +83,7 @@ func NewAdaptiveSystem(n, r int) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &System{F: f, Router: rt, Class: LocalAdaptive}, nil
+	return &System{F: f, Router: rt, Class: localAdaptive}, nil
 }
 
 // Ports reports the system's host count.
@@ -110,46 +102,36 @@ type VerifyReport struct {
 	PatternsTested int
 }
 
-// Verify checks the system's nonblocking property. Deterministic systems
-// get the exact Lemma-1 all-pairs decision; adaptive and global systems
-// get an exhaustive sweep when the network is tiny (ports ≤ maxExhaustive)
-// and a seeded randomized+structured sweep otherwise.
+// Verify checks the system's nonblocking property through
+// analysis.Decide: deterministic systems get the exact Lemma-1 all-pairs
+// decision; adaptive and global systems get an exhaustive sweep when the
+// network is tiny (ports ≤ maxExhaustive) and a seeded
+// randomized+structured sweep otherwise.
 func (s *System) Verify(maxExhaustive, randomTrials int, seed int64) (*VerifyReport, error) {
-	if pr, ok := s.Router.(routing.PairRouter); ok {
-		res, err := analysis.CheckLemma1AllPairs(pr, s.Ports())
-		if err != nil {
-			return nil, err
-		}
-		rep := &VerifyReport{Method: "lemma1-all-pairs", Nonblocking: res.Nonblocking}
-		if !res.Nonblocking {
-			w, err := analysis.BlockingWitness(res, s.Ports())
-			if err != nil {
-				return nil, err
-			}
-			rep.Detail = fmt.Sprintf("blocking permutation: %s", w)
-		}
-		return rep, nil
-	}
-	method := "random-sweep"
-	var res *analysis.SweepResult
-	var err error
-	if s.Ports() <= maxExhaustive {
-		method = "exhaustive-sweep"
-		res, _, err = analysis.Sweep(context.Background(), s.Router, s.Ports(), analysis.Spec{})
-	} else {
-		res, err = analysis.SweepRandomCtx(context.Background(), s.Router, s.Ports(), randomTrials, seed)
-	}
+	d, err := analysis.Decide(context.Background(), s.Router, s.Ports(),
+		analysis.DecideSpec{MaxExhaustive: maxExhaustive, Trials: randomTrials, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
-	rep := &VerifyReport{Method: method, Nonblocking: res.Nonblocking(), PatternsTested: res.Tested}
-	if res.FirstBlocked != nil {
-		rep.Detail = fmt.Sprintf("blocking permutation: %s", res.FirstBlocked)
+	rep := &VerifyReport{Method: verifyMethods[d.Rung]}
+	blocked := d.Witness
+	if d.Rung == analysis.RungLemma1 {
+		rep.Nonblocking = d.Lemma1.Nonblocking
+	} else {
+		rep.Nonblocking, rep.PatternsTested, blocked = d.Sweep.Nonblocking(), d.Sweep.Tested, d.Sweep.FirstBlocked
 	}
-	if res.RouteErr != nil {
-		rep.Detail = res.RouteErr.Error()
+	if blocked != nil {
+		rep.Detail = fmt.Sprintf("blocking permutation: %s", blocked)
+	}
+	if d.Sweep != nil && d.Sweep.RouteErr != nil {
+		rep.Detail = d.Sweep.RouteErr.Error()
 	}
 	return rep, nil
+}
+
+// verifyMethods names each rung in VerifyReport.Method.
+var verifyMethods = [...]string{
+	analysis.RungLemma1: "lemma1-all-pairs", analysis.RungExhaustive: "exhaustive-sweep", analysis.RungRandom: "random-sweep",
 }
 
 // RoutePattern routes one permutation and reports contention.
@@ -164,7 +146,7 @@ func (s *System) RoutePattern(p *permutation.Permutation) (*routing.Assignment, 
 // Proposal is one feasible design produced by the planner.
 type Proposal struct {
 	// Class is the routing class the design relies on.
-	Class RoutingClass
+	Class routingClass
 	// N, M, R are the ftree(n+m, r) parameters.
 	N, M, R int
 	// Ports and Switches quantify the design.
@@ -191,12 +173,11 @@ func (p Proposal) CostPerPort() float64 {
 // directly.
 func Plan(radix int) ([]Proposal, error) {
 	if radix < 2 {
-		return nil, fmt.Errorf("core: radix %d too small", radix)
+		return nil, fmt.Errorf("fclos: radix %d too small", radix)
 	}
-	best := map[RoutingClass]Proposal{}
+	var best [3]Proposal // by class; zero Ports until one is considered
 	consider := func(p Proposal) {
-		if cur, ok := best[p.Class]; !ok || p.Ports > cur.Ports ||
-			(p.Ports == cur.Ports && p.Switches < cur.Switches) {
+		if cur := best[p.Class]; p.Ports > cur.Ports || (p.Ports == cur.Ports && p.Switches < cur.Switches) {
 			best[p.Class] = p
 		}
 	}
@@ -207,7 +188,7 @@ func Plan(radix int) ([]Proposal, error) {
 			consider(Proposal{
 				Class: Deterministic, N: n, M: n * n, R: r,
 				Ports: n * r, Switches: r + n*n,
-				MaxRadix: maxInt(n+n*n, r),
+				MaxRadix: max(n+n*n, r),
 				Note:     "Theorem 3: m = n² single-path deterministic",
 			})
 		}
@@ -217,9 +198,9 @@ func Plan(radix int) ([]Proposal, error) {
 			m := conditions.AdaptiveSimpleM(n, c)
 			if n+m <= radix {
 				consider(Proposal{
-					Class: LocalAdaptive, N: n, M: m, R: r,
+					Class: localAdaptive, N: n, M: m, R: r,
 					Ports: n * r, Switches: r + m,
-					MaxRadix: maxInt(n+m, r),
+					MaxRadix: max(n+m, r),
 					Note:     fmt.Sprintf("§V: m = ⌈n/(c+2)⌉(c+1)n with c = %d", c),
 				})
 			}
@@ -227,28 +208,21 @@ func Plan(radix int) ([]Proposal, error) {
 		// Global rearrangeable (reference only): m = n.
 		if 2*n <= radix {
 			consider(Proposal{
-				Class: GlobalRearrangeable, N: n, M: n, R: r,
+				Class: globalRearrangeable, N: n, M: n, R: r,
 				Ports: n * r, Switches: r + n,
-				MaxRadix: maxInt(2*n, r),
+				MaxRadix: max(2*n, r),
 				Note:     "Benes m = n; requires centralized control",
 			})
 		}
 	}
-	res := make([]Proposal, 0, len(best))
-	for _, cls := range []RoutingClass{Deterministic, LocalAdaptive, GlobalRearrangeable} {
-		if p, ok := best[cls]; ok {
+	var res []Proposal
+	for _, p := range best {
+		if p.Ports > 0 {
 			res = append(res, p)
 		}
 	}
 	if len(res) == 0 {
-		return nil, fmt.Errorf("core: no nonblocking design fits radix %d", radix)
+		return nil, fmt.Errorf("fclos: no nonblocking design fits radix %d", radix)
 	}
 	return res, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
