@@ -2,6 +2,8 @@ package analysis
 
 import (
 	"fmt"
+	"math"
+	"sync"
 
 	"repro/internal/permutation"
 	"repro/internal/routing"
@@ -32,23 +34,6 @@ type Lemma1Result struct {
 	Violation *LinkSDView
 }
 
-// Per-link endpoint states of the Lemma-1 kernel: lemma1None until a pair
-// crosses the link, then the one host seen so far, then lemma1Many once a
-// second distinct host appears. Hosts are non-negative, so the sentinels
-// never collide with one.
-const (
-	lemma1None int32 = -1
-	lemma1Many int32 = -2
-)
-
-// foldEndpoint folds host x ≥ 0 into a per-link endpoint state.
-func foldEndpoint(cur, x int32) int32 {
-	if cur == lemma1None || cur == x {
-		return x
-	}
-	return lemma1Many
-}
-
 // pairLinker streams one SD pair's links from a single-path router's
 // AppendPairLinks into one reused buffer.
 type pairLinker struct {
@@ -73,14 +58,15 @@ func (pl *pairLinker) links(s, d int) ([]topology.LinkID, error) {
 	return links, nil
 }
 
-// linkView rebuilds one link's view by a filtered pass over every SD pair
-// (s ≠ d) in (s, d) order — the order LinkViews groups pairs in, so the
-// result equals LinkViews(r, hosts)[link] (with empty lists when no pair
-// crosses the link).
-func (pl *pairLinker) linkView(hosts int, link topology.LinkID) (*LinkSDView, error) {
+// linkView rebuilds one link's view by a filtered pass over the SD pairs
+// (s ≠ d) with s in [s0, s1] and d in [d0, d1], in (s, d) order — the
+// order LinkViews groups pairs in, so when that box holds every pair
+// crossing the link the result equals LinkViews(r, hosts)[link] (with
+// empty lists when no pair crosses it).
+func (pl *pairLinker) linkView(link topology.LinkID, s0, s1, d0, d1 int) (*LinkSDView, error) {
 	v := &LinkSDView{Link: link}
-	for s := 0; s < hosts; s++ {
-		for d := 0; d < hosts; d++ {
+	for s := s0; s <= s1; s++ {
+		for d := d0; d <= d1; d++ {
 			if s == d {
 				continue
 			}
@@ -100,17 +86,27 @@ func (pl *pairLinker) linkView(hosts int, link topology.LinkID) (*LinkSDView, er
 	return v, nil
 }
 
-// lemma1Kernel is the flat-array Lemma-1 fold. src[l] and dst[l] hold link
-// l's endpoint states, indexed by the dense LinkID and grown on demand, so
-// deciding a routing allocates nothing per pair or per (pair, link).
+// lemma1Link is one link's fold state: the source and destination ranges
+// of the pairs crossing it, empty (lemma1Unseen) until one does. A link
+// carries many sources exactly when its source range is wider than one
+// host, likewise for destinations, and the ranges bound the rebuild of a
+// violated link's view.
+type lemma1Link struct{ srcLo, srcHi, dstLo, dstHi int32 }
+
+var lemma1Unseen = lemma1Link{srcLo: math.MaxInt32, srcHi: -1, dstLo: math.MaxInt32, dstHi: -1}
+
+// lemma1Kernel is the Lemma-1 fold. Link l's state is
+// chunks[l/1024][l%1024], indexed by the dense LinkID and grown a chunk at
+// a time, so a decision allocates nothing per pair or per (pair, link) and
+// never copies its state. Kernels are pooled with their chunks, so a warm
+// decision allocates no state at all.
 type lemma1Kernel struct {
 	pairLinker
-	src, dst []int32
+	chunks []*[1024]lemma1Link
+	used   int // chunks holding this decision's state
 }
 
-func newLemma1Kernel(r routing.PairRouter) *lemma1Kernel {
-	return &lemma1Kernel{pairLinker: pairLinker{r: r}}
-}
+var lemma1Kernels = sync.Pool{New: func() any { return new(lemma1Kernel) }}
 
 // fold routes every pair (s, d), s ≠ d, and folds its endpoints into each
 // link it crosses. It stops at the first routing error in (s, d) order.
@@ -124,44 +120,43 @@ func (k *lemma1Kernel) fold(hosts int) error {
 			if err != nil {
 				return err
 			}
+			s32, d32 := int32(s), int32(d)
 			for _, l := range links {
-				if int(l) >= len(k.src) {
-					k.grow(int(l) + 1)
+				c := int(l) >> 10
+				if c >= k.used {
+					k.grow(c + 1)
 				}
-				k.src[l] = foldEndpoint(k.src[l], int32(s))
-				k.dst[l] = foldEndpoint(k.dst[l], int32(d))
+				// Sources arrive in ascending order.
+				st := &k.chunks[c][l&1023]
+				st.srcLo, st.srcHi = min(st.srcLo, s32), s32
+				st.dstLo, st.dstHi = min(st.dstLo, d32), max(st.dstHi, d32)
 			}
 		}
 	}
 	return nil
 }
 
-// grow extends the state arrays to at least n links (doubling, so growth
-// costs O(log links) allocations).
+// grow brings n chunks into use, every link in them unseen, reusing the
+// chunks of earlier decisions before allocating.
 func (k *lemma1Kernel) grow(n int) {
-	n = max(n, 2*len(k.src))
-	k.src = growEndpoints(k.src, n)
-	k.dst = growEndpoints(k.dst, n)
-}
-
-// growEndpoints returns a copy of a extended to n states, the new ones
-// lemma1None.
-func growEndpoints(a []int32, n int) []int32 {
-	g := make([]int32, n)
-	copy(g, a)
-	for i := len(a); i < n; i++ {
-		g[i] = lemma1None
+	for ; k.used < n; k.used++ {
+		if k.used == len(k.chunks) {
+			k.chunks = append(k.chunks, new([1024]lemma1Link))
+		}
+		for c, i := k.chunks[k.used], 0; i < len(c); i++ {
+			c[i] = lemma1Unseen
+		}
 	}
-	return g
 }
 
 // result derives the verdict from the folded states: a link violates
 // Lemma 1 exactly when it has many sources and many destinations. Only
-// for a blocking routing is the lowest violating link's view rebuilt.
-func (k *lemma1Kernel) result(hosts int) (*Lemma1Result, error) {
-	for l := range k.src {
-		if k.src[l] == lemma1Many && k.dst[l] == lemma1Many {
-			v, err := k.linkView(hosts, topology.LinkID(l))
+// for a blocking routing is the lowest violating link's view rebuilt, from
+// the pairs inside its source × destination ranges.
+func (k *lemma1Kernel) result() (*Lemma1Result, error) {
+	for l := 0; l < k.used<<10; l++ {
+		if st := &k.chunks[l>>10][l&1023]; st.srcLo < st.srcHi && st.dstLo < st.dstHi {
+			v, err := k.linkView(topology.LinkID(l), int(st.srcLo), int(st.srcHi), int(st.dstLo), int(st.dstHi))
 			if err != nil {
 				return nil, err
 			}
@@ -179,11 +174,13 @@ func (k *lemma1Kernel) result(hosts int) (*Lemma1Result, error) {
 // enumeration needed. A routing error reports the first failing pair in
 // (s, d) order.
 func CheckLemma1AllPairs(r routing.PairRouter, hosts int) (*Lemma1Result, error) {
-	k := newLemma1Kernel(r)
+	k := lemma1Kernels.Get().(*lemma1Kernel)
+	defer lemma1Kernels.Put(k)
+	k.r, k.used = r, 0
 	if err := k.fold(hosts); err != nil {
 		return nil, err
 	}
-	return k.result(hosts)
+	return k.result()
 }
 
 // LinkViews routes every SD pair (s ≠ d) with r and groups the pairs by

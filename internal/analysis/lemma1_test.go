@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/routing"
@@ -238,4 +239,61 @@ func FuzzLemma1Parity(f *testing.F) {
 		ft := topology.NewFoldedClos(n, m, r)
 		assertLemma1Parity(t, routing.NewRandomFixed(ft, seed), ft.Ports())
 	})
+}
+
+// TestLemma1ViolationRoutesOnlyItsBox counts AppendPairLinks calls on the
+// blocking modulo routings of the Table-I fabric: the fold routes every
+// pair once, and the violation's rebuild routes only the pairs inside the
+// violated link's source × destination ranges, not every pair again.
+func TestLemma1ViolationRoutesOnlyItsBox(t *testing.T) {
+	f := topology.NewFoldedClos(4, 16, 20)
+	hosts := f.Ports()
+	for _, c := range []struct {
+		r   *routing.FtreeSinglePath
+		box int
+	}{{routing.NewDestMod(f), 196}, {routing.NewSourceMod(f), 196}, {routing.NewDestSwitchMod(f), 16}} {
+		calls := 0
+		counted := tamperedRouter{c.r, func(_, _ int, links []topology.LinkID) []topology.LinkID {
+			calls++
+			return links
+		}}
+		assertLemma1Parity(t, counted, hosts)
+		calls = 0
+		if res, err := CheckLemma1AllPairs(counted, hosts); err != nil || res.Nonblocking {
+			t.Fatalf("%s: (%+v, %v), want a violation", c.r.Name(), res, err)
+		}
+		if want := hosts*(hosts-1) + c.box; calls != want {
+			t.Errorf("%s: %d AppendPairLinks calls, want %d pairs + a %d-pair rebuild", c.r.Name(), calls, hosts*(hosts-1), c.box)
+		}
+	}
+}
+
+// TestCheckLemma1AllPairsConcurrent decides several routings from several
+// goroutines at once: the pooled kernels must never share fold state, so
+// every call still matches the LinkViews oracle.
+func TestCheckLemma1AllPairsConcurrent(t *testing.T) {
+	f := topology.NewFoldedClos(2, 3, 5)
+	rs := ftreeZoo(t, f)
+	want := make([]*Lemma1Result, len(rs))
+	for i, r := range rs {
+		want[i], _ = lemma1Oracle(r, f.Ports())
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 3*len(rs); k++ {
+				i := (g + k) % len(rs)
+				got, err := CheckLemma1AllPairs(rs[i], f.Ports())
+				if want[i] == nil {
+					continue // the oracle errs on this router; the parity tests pin the error
+				}
+				if err != nil || got.Nonblocking != want[i].Nonblocking || !reflect.DeepEqual(got.Violation, want[i].Violation) {
+					t.Errorf("%s: got (%+v, %v), want %+v", rs[i].Name(), got, err, want[i])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

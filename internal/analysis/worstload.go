@@ -88,7 +88,7 @@ func (m *matching) ofView(view *LinkSDView) int {
 // Lemma-1 kernel uses for its violation.
 func WorstCasePermutationFor(r routing.PairRouter, hosts int, link topology.LinkID) (*permutation.Permutation, error) {
 	pl := pairLinker{r: r}
-	view, err := pl.linkView(hosts, link)
+	view, err := pl.linkView(link, 0, hosts-1, 0, hosts-1)
 	if err != nil {
 		return nil, err
 	}
