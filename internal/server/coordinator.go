@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -329,6 +330,16 @@ func (s *Server) mergeCoordinated(ctx context.Context, plan *sweepPlan, results 
 		return nil, fmt.Errorf("merged shard reports tested %d patterns, want %d! = %d", merged.Tested, plan.t.hosts, want)
 	}
 	if firstBlocked < 0 {
+		// Lemma 1 decides a single-path routing exactly, so a fleet hiding
+		// every blocked pattern fails here instead of certifying. (A merge
+		// claiming blocking must produce a witness that replays, below.)
+		d, err := analysis.Decide(ctx, plan.t.router, plan.t.hosts, analysis.DecideSpec{Rung: analysis.RungLemma1})
+		if err == nil && !d.Lemma1.Nonblocking {
+			err = fmt.Errorf("merged shard reports find no blocked pattern, but Lemma 1 blocks %s", d.Witness)
+		}
+		if err != nil && !errors.Is(err, analysis.ErrNotSinglePath) {
+			return nil, err
+		}
 		return merged, nil
 	}
 	if plan.sym {

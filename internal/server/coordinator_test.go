@@ -759,6 +759,23 @@ func TestCoordinatedSweepReplaysWitness(t *testing.T) {
 	}
 }
 
+// TestCoordinatedSweepLemma1Audit: workers that hide every blocked
+// pattern of a single-path routing, with honest tested counts, pass every
+// count check; Lemma 1 on the coordinator convicts the merge instead of
+// certifying it.
+func TestCoordinatedSweepLemma1Audit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exhaustive sweeps in -short")
+	}
+	liar := newLyingWorker(t, func(rep *api.ShardReport) { rep.Blocked, rep.FirstBlocked = 0, "" })
+	_, ts := newCoordinator(t, &CoordinatorConfig{Workers: []string{liar.URL}, ShardConcurrency: 2}, nil)
+	q := api.Request{N: 2, M: 2, R: 4, Routing: "dest-mod"}
+	st := waitSweep(t, ts.URL, postSweep(t, ts.URL, &q).JobID)
+	if st.State != "failed" || !strings.Contains(st.Error, "Lemma 1") {
+		t.Fatalf("sweep state %s (%q), want failed on the Lemma-1 audit", st.State, st.Error)
+	}
+}
+
 // TestCoordinatedSweepRecomputesBadCheckpoint: a checkpoint whose counts
 // cannot be right is not resumed; its shard is swept again and the
 // checkpoint overwritten with the true counts.
