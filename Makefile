@@ -79,10 +79,13 @@ nbperf-check:
 	cd nbperf && $(GO) vet ./... && $(GO) test ./...
 
 # Non-test Go line count of the main module, excluding the separate
-# nbperf/ benchmark module: the figure a simplicity change reports its net
-# deletion in.
+# nbperf/ benchmark module: one line per package, then the total — the
+# figure a simplicity change reports its net deletion in — last. The
+# per-package lines tell code moved between packages from code deleted.
 loc:
-	@find . -path ./nbperf -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
+	@find . -path ./nbperf -prune -o -name '*.go' ! -name '*_test.go' -print | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); print t }'
 
 cover:
 	$(GO) test -coverprofile=cover.out ./internal/...
