@@ -91,16 +91,18 @@ cover:
 	$(GO) test -coverprofile=cover.out ./internal/...
 	$(GO) tool cover -func=cover.out | tail -1
 
+# Every benchmark, the gated nbbench rows (BenchmarkGated/<row>) included.
 bench:
-	$(GO) test -bench=. -benchmem -run='^$$' . ./internal/...
+	$(GO) test -bench=. -benchmem -run='^$$' . ./internal/... ./cmd/nbbench
 
 # Refresh the committed benchmark baseline (run on a quiet machine).
 bench-json:
 	$(GO) run ./cmd/nbbench -out BENCH_sim.json
 
 # CI regression gate: measure and compare against the committed baseline.
-# Fails on >25% ns/op or any allocs/op regression; writes the fresh
-# measurement next to the baseline for artifact upload.
+# Fails on >25% ns/op or any allocs/op regression (allocations are counted
+# exactly); writes the fresh measurement next to the baseline for artifact
+# upload. A baseline from another Go toolchain skips the whole gate.
 bench-gate:
 	$(GO) run ./cmd/nbbench -baseline BENCH_sim.json -out BENCH_fresh.json
 

@@ -343,39 +343,9 @@ func BenchmarkWorstCaseSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkOpenLoop times one full-load open-loop run on the nonblocking
-// network — the dense-event-core hot path (pooled packets, two-bucket
-// time wheel, slice-indexed link state).
-func BenchmarkOpenLoop(b *testing.B) {
-	f := fclos.NewNonblockingFtree(3, 12)
-	r, err := fclos.NewPaperDeterministic(f)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := fclos.SwitchShiftPerm(3, 12, 1)
-	dst := make([]int, p.N())
-	for i := 0; i < p.N(); i++ {
-		dst[i] = p.Dst(i)
-	}
-	pairs := fclos.PermPairs(dst)
-	cfg := fclos.OpenLoopConfig{
-		PacketFlits: 4, Rate: 1.0, WarmupPackets: 10, MeasuredPackets: 50,
-		Seed: 1, Arbiter: fclos.ArbiterRoundRobin,
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := fclos.OpenLoop(f.Net, pairs, fclos.PairPathsFunc(r), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.AcceptedLoad < 0.9 {
-			b.Fatalf("nonblocking accepted %.2f", res.AcceptedLoad)
-		}
-	}
-}
-
-// BenchmarkRunTrials times closed-loop random-permutation trials inline
-// and on a worker pool; the output is the same for every worker count.
+// BenchmarkRunTrials times closed-loop random-permutation trials on a
+// worker pool; the output is the same for every worker count, and
+// nbbench's ClosedLoop4Trial row times the same trials inline.
 func BenchmarkRunTrials(b *testing.B) {
 	f := fclos.NewNonblockingFtree(3, 12)
 	r, err := fclos.NewPaperDeterministic(f)
@@ -383,23 +353,17 @@ func BenchmarkRunTrials(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := fclos.SimConfig{PacketFlits: 4, PacketsPerPair: 8, Arbiter: fclos.ArbiterRoundRobin}
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{{"sequential", 1}, {"parallel", 0}} {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				results, err := fclos.RunTrials(f.Net, r, f.Ports(), 4, bc.workers, 1, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, res := range results {
-					if res.Delivered != res.TotalPackets {
-						b.Fatal("lost packets")
-					}
-				}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		results, err := fclos.RunTrials(f.Net, r, f.Ports(), 4, 0, 1, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, res := range results {
+			if res.Delivered != res.TotalPackets {
+				b.Fatal("lost packets")
 			}
-		})
+		}
 	}
 }
 
@@ -523,86 +487,6 @@ func BenchmarkWorstLoad(b *testing.B) {
 		}
 		if res.Rows[0].MaxLoad != 1 {
 			b.Fatal("nonblocking load wrong")
-		}
-	}
-}
-
-// BenchmarkSweepRandom times the randomized verification sweep on the
-// Table-I network ftree(4+16, 20) — the congestion-accounting hot path the
-// flat-array Checker optimizes.
-func BenchmarkSweepRandom(b *testing.B) {
-	f := fclos.NewFoldedClos(4, 16, 20)
-	r, err := fclos.NewPaperDeterministic(f)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, _ := fclos.SweepRandomCtx(context.Background(), r, f.Ports(), 10, 1)
-		if !res.Nonblocking() {
-			b.Fatal("paper routing blocked")
-		}
-	}
-}
-
-// BenchmarkSweepRandomTableI500 is BenchmarkSweepRandom at the service's
-// default 500 trials, which the sweep scores on a route table.
-func BenchmarkSweepRandomTableI500(b *testing.B) {
-	f := fclos.NewFoldedClos(4, 16, 20)
-	r, err := fclos.NewPaperDeterministic(f)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, _ := fclos.SweepRandomCtx(context.Background(), r, f.Ports(), 500, 1)
-		if !res.Nonblocking() {
-			b.Fatal("paper routing blocked")
-		}
-	}
-}
-
-// BenchmarkTopologyBuildTableI times building the Table-I network
-// ftree(4+16, 20), the fixed cost of every service request on it.
-func BenchmarkTopologyBuildTableI(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if f := fclos.NewFoldedClos(4, 16, 20); f.Ports() != 80 {
-			b.Fatal("ftree(4+16,20) has the wrong host count")
-		}
-	}
-}
-
-// BenchmarkSweepExhaustive times the exhaustive 8!-permutation sweep on
-// ftree(4+16, 2) (n = 4, m = 16, 8 hosts).
-func BenchmarkSweepExhaustive(b *testing.B) {
-	f := fclos.NewFoldedClos(4, 16, 2)
-	r, err := fclos.NewPaperDeterministic(f)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, _, _ := fclos.Sweep(context.Background(), r, f.Ports(), fclos.SweepSpec{})
-		if !res.Nonblocking() {
-			b.Fatal("paper routing blocked")
-		}
-	}
-}
-
-// BenchmarkSweepExhaustiveDelta9 times the 9!-permutation delta sweep on
-// ftree(3+9, 3) — a size the per-pattern engine makes painful (362880
-// patterns) and the incremental engine covers by default.
-func BenchmarkSweepExhaustiveDelta9(b *testing.B) {
-	f := fclos.NewFoldedClos(3, 9, 3)
-	r, err := fclos.NewPaperDeterministic(f)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, _, _ := fclos.Sweep(context.Background(), r, f.Ports(), fclos.SweepSpec{})
-		if !res.Nonblocking() {
-			b.Fatal("paper routing blocked")
 		}
 	}
 }

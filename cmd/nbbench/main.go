@@ -1,16 +1,18 @@
-// Command nbbench runs the repository's key simulator benchmarks through
-// testing.Benchmark, emits a stable JSON report, and gates performance
-// regressions against a committed baseline — the engine behind the CI
-// bench-gate job (see .github/workflows/ci.yml and EXPERIMENTS.md).
+// Command nbbench measures the repository's gated benchmark rows, emits a
+// stable JSON report, and gates performance regressions against a
+// committed baseline — the engine behind the CI bench-gate job (see
+// .github/workflows/ci.yml and EXPERIMENTS.md).
 //
-// The benchmarks mirror their bench_test.go namesakes: the Table-I fabric
-// build, the randomized and exhaustive verification sweeps (the flat-array contention-accounting hot
-// path), the incremental delta sweep over a precomputed route table, the
-// exact all-pairs Lemma-1 decision, the
-// full-load open-loop run (the dense event core hot path), and a 4-trial
-// closed-loop driver pass. DesignPlanCatalog additionally gates the
-// nbdesign planner hot path (enumeration, closed forms, dominance pruning,
-// monotone group searches) against a stub verifier.
+// The rows are the Table-I fabric build, the randomized and exhaustive
+// verification sweeps (the flat-array contention-accounting hot path), the
+// incremental delta sweep over a precomputed route table, the
+// symmetry-reduced sweeps, the exact all-pairs Lemma-1 decision, the
+// full-load open-loop run (the dense event core hot path), a 4-trial
+// closed-loop driver pass, the nbdesign planner (enumeration, closed
+// forms, dominance pruning, monotone group searches) against a stub
+// verifier, and the fault campaign. Each row is written once, as a plain
+// operation: `go test -run '^$' -bench Gated ./cmd/nbbench` times the same
+// rows as BenchmarkGated/<row>.
 //
 // Usage:
 //
@@ -19,25 +21,26 @@
 //	nbbench -baseline BENCH_sim.json -out fresh.json
 //	nbbench -cpuprofile cpu.pprof -memprofile mem.pprof
 //
-// The gate fails when any benchmark exceeds the baseline ns/op by more
-// than -max-ns-regress (default 25%) or allocates more per op than the
-// baseline plus allocSlack. Allocation counts are deterministic up to GC
-// pacing: standard-library sync.Pool caches (fmt, encoding/json) refill
-// after each GC, which moves allocation-heavy benchmarks by a few allocs
-// per thousand. The ns/op comparison only runs when the baseline
-// was recorded by the same Go toolchain: on a version mismatch the gate
-// prints a warning and passes, since codegen differences between
-// toolchains are not regressions.
+// Timings are the minimum over -reps testing.Benchmark runs. Allocations
+// are counted, not timed: see countAllocs, which makes them exact. The gate
+// fails when any row exceeds the baseline ns/op by more than
+// -max-ns-regress (default 25%) or allocates more per op than the
+// baseline at all. The gate runs only when the baseline was recorded by
+// the same Go toolchain: on a version mismatch it prints a warning and
+// passes without comparing anything, allocations included, since
+// codegen and runtime differences between toolchains are not regressions.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"runtime/pprof"
 	"slices"
 	"testing"
@@ -51,10 +54,10 @@ import (
 // incompatible change to benchFile/benchResult.
 const benchSchemaVersion = 1
 
-// benchResult is one benchmark's measurement: min-of-reps timing (what
-// the gate compares), the median and relative spread of the reps' timings
-// (so a reader can tell box noise from a regression), the deterministic
-// allocation profile, and a payload of simulator metrics (accepted load,
+// benchResult is one row's measurement: min-of-reps timing (what the gate
+// compares), the median and relative spread of the reps' timings (so a
+// reader can tell box noise from a regression), the exact allocation
+// profile, and a payload of simulator metrics (accepted load,
 // utilization, makespans) that double as correctness anchors for the
 // numbers being timed.
 type benchResult struct {
@@ -75,19 +78,31 @@ type benchFile struct {
 	Results []benchResult `json:"results"`
 }
 
-// benchmark pairs a benchmark body with the deterministic metrics payload
-// its setup computed.
-type benchmark struct {
+// row is one gated benchmark: one call of op does one unit of work and
+// returns an error when its result drifts from what the row pins, and met
+// is the row's deterministic metrics payload.
+type row struct {
 	name string
-	fn   func(b *testing.B)
+	op   func() error
 	met  map[string]float64
 }
 
-// buildBenchmarks constructs the gated benchmark set. Configurations
-// mirror bench_test.go exactly so `go test -bench` and nbbench time the
-// same work.
-func buildBenchmarks() ([]benchmark, error) {
-	var benches []benchmark
+// bench is the row's timed body for testing.Benchmark and BenchmarkGated.
+func (r row) bench(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if err := r.op(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// errPaperBlocked is a row's drift error when Theorem 3's paper routing
+// blocks.
+var errPaperBlocked = errors.New("paper routing blocked")
+
+// buildRows constructs the gated rows in report order.
+func buildRows() ([]row, error) {
+	var rows []row
 	ctx := context.Background()
 
 	// SweepRandom: randomized Lemma-1 verification on the Table-I network,
@@ -106,14 +121,14 @@ func buildBenchmarks() ([]benchmark, error) {
 			return nil, err
 		}
 		hosts := f.Ports()
-		benches = append(benches, benchmark{
+		rows = append(rows, row{
 			name: c.name,
-			fn: func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if res, _ := fclos.SweepRandomCtx(ctx, r, hosts, c.trials, 1); !res.Nonblocking() {
-						b.Fatal("paper routing blocked")
-					}
+			op: func() error {
+				res, err := fclos.SweepRandomCtx(ctx, r, hosts, c.trials, 1)
+				if err == nil && !res.Nonblocking() {
+					err = errPaperBlocked
 				}
+				return err
 			},
 			met: map[string]float64{"trials": float64(c.trials)},
 		})
@@ -121,14 +136,13 @@ func buildBenchmarks() ([]benchmark, error) {
 
 	// TopologyBuildTableI: building the Table-I fabric ftree(4+16, 20), the
 	// fixed cost of every service request on it.
-	benches = append(benches, benchmark{
+	rows = append(rows, row{
 		name: "TopologyBuildTableI",
-		fn: func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if f := fclos.NewFoldedClos(4, 16, 20); f.Ports() != 80 {
-					b.Fatal("ftree(4+16,20) has the wrong host count")
-				}
+		op: func() error {
+			if f := fclos.NewFoldedClos(4, 16, 20); f.Ports() != 80 {
+				return fmt.Errorf("ftree(4+16,20) has %d hosts, want 80", f.Ports())
 			}
+			return nil
 		},
 	})
 
@@ -151,14 +165,14 @@ func buildBenchmarks() ([]benchmark, error) {
 			return nil, err
 		}
 		hosts := f.Ports()
-		benches = append(benches, benchmark{
+		rows = append(rows, row{
 			name: c.name,
-			fn: func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if res, _, _ := fclos.Sweep(ctx, r, hosts, fclos.SweepSpec{}); !res.Nonblocking() {
-						b.Fatal("paper routing blocked")
-					}
+			op: func() error {
+				res, _, err := fclos.Sweep(ctx, r, hosts, fclos.SweepSpec{})
+				if err == nil && !res.Nonblocking() {
+					err = errPaperBlocked
 				}
+				return err
 			},
 			met: c.met,
 		})
@@ -174,58 +188,46 @@ func buildBenchmarks() ([]benchmark, error) {
 		f := fclos.NewFoldedClos(3, 5, 3)
 		r := fclos.NewFullSpray(f)
 		hosts := f.Ports()
-		res, stats, _ := fclos.Sweep(ctx, r, hosts, fclos.SweepSpec{SymBlock: 3})
-		if !stats.Applied {
-			return nil, fmt.Errorf("sym sweep fell back at n=9: %s", stats.Reason)
-		}
-		benches = append(benches, benchmark{
+		const patterns, blocked, orbits, groupOrder = 362880, 345168, 443, 1296
+		rows = append(rows, row{
 			name: "SweepExhaustiveSymN9",
-			fn: func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					res, stats, _ := fclos.Sweep(ctx, r, hosts, fclos.SweepSpec{SymBlock: 3})
-					if !stats.Applied || res.Blocked != 345168 || res.Tested != 362880 {
-						b.Fatalf("sym sweep drifted: applied=%t blocked=%d tested=%d",
-							stats.Applied, res.Blocked, res.Tested)
-					}
+			op: func() error {
+				res, stats, err := fclos.Sweep(ctx, r, hosts, fclos.SweepSpec{SymBlock: 3})
+				if err != nil {
+					return err
 				}
+				if !stats.Applied || stats.Orbits != orbits || stats.GroupOrder != groupOrder ||
+					res.Tested != patterns || res.Blocked != blocked {
+					return fmt.Errorf("n=9 sym sweep drifted: applied=%t (%s) orbits=%d tested=%d blocked=%d",
+						stats.Applied, stats.Reason, stats.Orbits, res.Tested, res.Blocked)
+				}
+				return nil
 			},
-			met: map[string]float64{
-				"orbits":      float64(stats.Orbits),
-				"patterns":    float64(res.Tested),
-				"group_order": float64(stats.GroupOrder),
-			},
+			met: map[string]float64{"orbits": orbits, "patterns": patterns, "group_order": groupOrder},
 		})
 	}
 
 	// SweepExhaustiveN10Spray: all 10! permutations of ftree(2+4, 5) under
 	// full spray, 98% of them blocked, through the parallel pool on one
 	// worker — the pruned count's home ground: a contended partial pattern
-	// stands for all its completions. Counts are pinned at setup and per
-	// iteration.
+	// stands for all its completions.
 	{
 		f := fclos.NewFoldedClos(2, 4, 5)
 		r := fclos.NewFullSpray(f)
 		hosts := f.Ports()
 		spec := fclos.SweepSpec{Parallel: true, Workers: 1}
 		const patterns, blocked = 3628800, 3554272
-		sweep := func() error {
-			res, _, err := fclos.Sweep(ctx, r, hosts, spec)
-			if err != nil || res.Tested != patterns || res.Blocked != blocked {
-				return fmt.Errorf("n=10 spray sweep drifted: tested=%d blocked=%d err=%v", res.Tested, res.Blocked, err)
-			}
-			return nil
-		}
-		if err := sweep(); err != nil {
-			return nil, err
-		}
-		benches = append(benches, benchmark{
+		rows = append(rows, row{
 			name: "SweepExhaustiveN10Spray",
-			fn: func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if err := sweep(); err != nil {
-						b.Fatal(err)
-					}
+			op: func() error {
+				res, _, err := fclos.Sweep(ctx, r, hosts, spec)
+				if err != nil {
+					return err
 				}
+				if res.Tested != patterns || res.Blocked != blocked {
+					return fmt.Errorf("n=10 spray sweep drifted: tested=%d blocked=%d", res.Tested, res.Blocked)
+				}
+				return nil
 			},
 			met: map[string]float64{"patterns": patterns, "blocked": blocked},
 		})
@@ -233,40 +235,31 @@ func buildBenchmarks() ([]benchmark, error) {
 
 	// Lemma1AllPairs: the exact all-pairs Lemma-1 decision on the Table-I
 	// network under dest-mod routing — one flat-array fold over all 6320
-	// SD pairs, then the violated link's view rebuilt for the witness. The
-	// verdict and witness are pinned at setup and per iteration.
+	// SD pairs, then the violated link's view rebuilt for the witness.
 	{
 		f := fclos.NewFoldedClos(4, 16, 20)
 		r := fclos.NewDestMod(f)
 		hosts := f.Ports()
-		decide := func() error {
-			res, err := fclos.CheckLemma1AllPairs(r, hosts)
-			if err != nil {
-				return err
-			}
-			w, err := fclos.BlockingWitness(res, hosts)
-			if err != nil || w.String() != "0->16 1->32" {
-				return fmt.Errorf("lemma-1 drifted: witness %v (%v), want 0->16 1->32", w, err)
-			}
-			return nil
-		}
-		if err := decide(); err != nil {
-			return nil, err
-		}
-		benches = append(benches, benchmark{
+		rows = append(rows, row{
 			name: "Lemma1AllPairs",
-			fn: func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if err := decide(); err != nil {
-						b.Fatal(err)
-					}
+			op: func() error {
+				res, err := fclos.CheckLemma1AllPairs(r, hosts)
+				if err != nil {
+					return err
 				}
+				w, err := fclos.BlockingWitness(res, hosts)
+				if err != nil || w.String() != "0->16 1->32" {
+					return fmt.Errorf("lemma-1 drifted: witness %v (%v), want 0->16 1->32", w, err)
+				}
+				return nil
 			},
 			met: map[string]float64{"hosts": float64(hosts)},
 		})
 	}
 
 	// OpenLoop: one full-load open-loop run on the nonblocking network.
+	// One metered run computes the metrics; every call must reproduce its
+	// accepted load and tail latency.
 	{
 		f := fclos.NewNonblockingFtree(3, 12)
 		r, err := fclos.NewPaperDeterministic(f)
@@ -283,25 +276,24 @@ func buildBenchmarks() ([]benchmark, error) {
 			PacketFlits: 4, Rate: 1.0, WarmupPackets: 10, MeasuredPackets: 50,
 			Seed: 1, Arbiter: fclos.ArbiterRoundRobin,
 		}
-		// One metered run anchors the numbers the benchmark re-validates.
 		mcfg := cfg
 		mcfg.Collector = fclos.NewMetricsCollector()
 		mres, err := fclos.OpenLoop(f.Net, pairs, fclos.PairPathsFunc(r), mcfg)
 		if err != nil {
 			return nil, err
 		}
-		benches = append(benches, benchmark{
+		rows = append(rows, row{
 			name: "OpenLoop",
-			fn: func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					res, err := fclos.OpenLoop(f.Net, pairs, fclos.PairPathsFunc(r), cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.AcceptedLoad < 0.9 {
-						b.Fatalf("nonblocking accepted %.2f", res.AcceptedLoad)
-					}
+			op: func() error {
+				res, err := fclos.OpenLoop(f.Net, pairs, fclos.PairPathsFunc(r), cfg)
+				if err != nil {
+					return err
 				}
+				if res.AcceptedLoad != mres.AcceptedLoad || res.P99Latency != mres.P99Latency {
+					return fmt.Errorf("open-loop run drifted from the metered run: accepted %v p99 %d, want %v %d",
+						res.AcceptedLoad, res.P99Latency, mres.AcceptedLoad, mres.P99Latency)
+				}
+				return nil
 			},
 			met: map[string]float64{
 				"accepted_load":        mres.AcceptedLoad,
@@ -321,30 +313,27 @@ func buildBenchmarks() ([]benchmark, error) {
 		}
 		hosts := f.Ports()
 		cfg := fclos.SimConfig{PacketFlits: 4, PacketsPerPair: 8, Arbiter: fclos.ArbiterRoundRobin}
-		trials, err := fclos.RunTrials(f.Net, r, hosts, 4, 1, 1, cfg)
-		if err != nil {
-			return nil, err
-		}
-		var makespan int64
-		for _, res := range trials {
-			makespan += res.Makespan
-		}
-		benches = append(benches, benchmark{
+		const totalMakespan = 176
+		rows = append(rows, row{
 			name: "ClosedLoop4Trial",
-			fn: func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					results, err := fclos.RunTrials(f.Net, r, hosts, 4, 1, 1, cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					for _, res := range results {
-						if res.Delivered != res.TotalPackets {
-							b.Fatal("lost packets")
-						}
-					}
+			op: func() error {
+				results, err := fclos.RunTrials(f.Net, r, hosts, 4, 1, 1, cfg)
+				if err != nil {
+					return err
 				}
+				var makespan int64
+				for _, res := range results {
+					if res.Delivered != res.TotalPackets {
+						return fmt.Errorf("lost packets: %d of %d delivered", res.Delivered, res.TotalPackets)
+					}
+					makespan += res.Makespan
+				}
+				if makespan != totalMakespan {
+					return fmt.Errorf("closed-loop makespans drifted: total %d, want %d", makespan, totalMakespan)
+				}
+				return nil
 			},
-			met: map[string]float64{"total_makespan": float64(makespan)},
+			met: map[string]float64{"total_makespan": totalMakespan},
 		})
 	}
 
@@ -352,9 +341,9 @@ func buildBenchmarks() ([]benchmark, error) {
 	// cost-ascending sort, closed-form decisions, dominance pruning, and
 	// the monotone group binary searches with their probe memo — over a
 	// 576-candidate ftree catalog. Probes answer from a closed-form stub
-	// (nonblocking iff m ≥ n·r, the verified dest-mod truth) so the
-	// benchmark times the planner itself, not the sweep engines, and every
-	// counter and allocation is deterministic.
+	// (nonblocking iff m ≥ n·r, the verified dest-mod truth) so the row
+	// times the planner itself, not the sweep engines, and every counter
+	// is pinned.
 	{
 		cat := &fclos.DesignCatalog{
 			Families: []string{"ftree"},
@@ -371,42 +360,33 @@ func buildBenchmarks() ([]benchmark, error) {
 			}
 			return rep, nil
 		}
-		plan := func() (*fclos.DesignReport, error) {
-			memo := store.NewMemory(1024)
-			defer memo.Close()
-			return fclos.PlanDesignSpace(ctx, cat, fclos.DesignOptions{Verify: stub, Memo: memo})
-		}
-		rep, err := plan()
-		if err != nil {
-			return nil, err
-		}
-		if rep.Candidates != 576 {
-			return nil, fmt.Errorf("design catalog drifted: %d candidates, want 576", rep.Candidates)
-		}
-		benches = append(benches, benchmark{
+		// candidates, tier0, tier1, tier2, pruned, groups, fresh_runs,
+		// frontier_points
+		want := [8]int{576, 72, 450, 54, 146, 36, 124, 3}
+		rows = append(rows, row{
 			name: "DesignPlanCatalog",
-			fn: func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					got, err := plan()
-					if err != nil {
-						b.Fatal(err)
-					}
-					if got.Candidates != rep.Candidates || got.Tier0 != rep.Tier0 ||
-						got.Pruned != rep.Pruned || len(got.Frontier) != len(rep.Frontier) {
-						b.Fatalf("plan drifted: candidates=%d tier0=%d pruned=%d frontier=%d",
-							got.Candidates, got.Tier0, got.Pruned, len(got.Frontier))
-					}
+			op: func() error {
+				memo := store.NewMemory(1024)
+				defer memo.Close()
+				rep, err := fclos.PlanDesignSpace(ctx, cat, fclos.DesignOptions{Verify: stub, Memo: memo})
+				if err != nil {
+					return err
 				}
+				got := [8]int{rep.Candidates, rep.Tier0, rep.Tier1, rep.Tier2, rep.Pruned, rep.Groups, rep.FreshRuns, len(rep.Frontier)}
+				if got != want {
+					return fmt.Errorf("plan drifted: counters %v, want %v", got, want)
+				}
+				return nil
 			},
 			met: map[string]float64{
-				"candidates":      float64(rep.Candidates),
-				"tier0":           float64(rep.Tier0),
-				"tier1":           float64(rep.Tier1),
-				"tier2":           float64(rep.Tier2),
-				"pruned":          float64(rep.Pruned),
-				"groups":          float64(rep.Groups),
-				"fresh_runs":      float64(rep.FreshRuns),
-				"frontier_points": float64(len(rep.Frontier)),
+				"candidates":      float64(want[0]),
+				"tier0":           float64(want[1]),
+				"tier1":           float64(want[2]),
+				"tier2":           float64(want[3]),
+				"pruned":          float64(want[4]),
+				"groups":          float64(want[5]),
+				"fresh_runs":      float64(want[6]),
+				"frontier_points": float64(want[7]),
 			},
 		})
 	}
@@ -415,56 +395,45 @@ func buildBenchmarks() ([]benchmark, error) {
 	// sampling, per-set router rebuilds across all four fault-routing
 	// schemes, and the pattern-analysis fan-out — sequentially on a small
 	// fabric (the fault-smoke configuration without the simulator). The
-	// anchored degradation sums pin the curves the benchmark re-times.
+	// pinned degradation sum pins the curves the row times.
 	{
 		cfg := fclos.CampaignConfig{
 			N: 2, M: 8, R: 4, Scenario: "tops",
 			MaxFailures: 3, Samples: 2, Trials: 10, Seed: 1,
 		}
-		rep, err := fclos.RunFaultCampaign(ctx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		var degraded float64
-		for _, c := range rep.Curves {
-			degraded += c.Points[len(c.Points)-1].DegradedFrac
-		}
-		benches = append(benches, benchmark{
+		const schemes, degraded = 4, 2.05
+		rows = append(rows, row{
 			name: "FaultCampaign",
-			fn: func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					got, err := fclos.RunFaultCampaign(ctx, cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					var d float64
-					for _, c := range got.Curves {
-						d += c.Points[len(c.Points)-1].DegradedFrac
-					}
-					if len(got.Curves) != len(rep.Curves) || d != degraded {
-						b.Fatalf("campaign drifted: %d curves, final degraded sum %.4f (want %d, %.4f)",
-							len(got.Curves), d, len(rep.Curves), degraded)
-					}
+			op: func() error {
+				rep, err := fclos.RunFaultCampaign(ctx, cfg)
+				if err != nil {
+					return err
 				}
+				var d float64
+				for _, c := range rep.Curves {
+					d += c.Points[len(c.Points)-1].DegradedFrac
+				}
+				if len(rep.Curves) != schemes || d != degraded {
+					return fmt.Errorf("campaign drifted: %d curves, final degraded sum %v (want %d, %v)",
+						len(rep.Curves), d, schemes, degraded)
+				}
+				return nil
 			},
 			met: map[string]float64{
-				"schemes":            float64(len(rep.Curves)),
-				"cells":              float64(len(rep.Curves) * (1 + cfg.MaxFailures*cfg.Samples)),
+				"schemes":            schemes,
+				"cells":              float64(schemes * (1 + cfg.MaxFailures*cfg.Samples)),
 				"sum_final_degraded": degraded,
 			},
 		})
 	}
+
 	// SweepExhaustiveSymN12Spray: the symmetry-reduced n=12 certificate
 	// on ftree(4+8, 3) under full spray, shaped like certify-sweep's sym12
 	// request (parallel merge order, two workers): 8919 orbit
 	// representatives of the S_4 ≀ S_3 group stand for all 12! patterns.
 	// It times the orbit walk and the delta engine's class spans together.
-	// Counts, orbits and the witness are checked every iteration, without
-	// allocating. The row comes last and has no setup run: the n=12 group
-	// table stays cached for the life of the process, and a larger live
-	// heap makes the GC cycle more often in the rows measured after it,
-	// which re-allocate their json and fmt pool buffers after every cycle
-	// (DesignPlanCatalog reads one alloc/op more).
+	// Counts, orbits and the witness are checked every call, without
+	// allocating.
 	{
 		f := fclos.NewFoldedClos(4, 8, 3)
 		r := fclos.NewFullSpray(f)
@@ -472,51 +441,73 @@ func buildBenchmarks() ([]benchmark, error) {
 		spec := fclos.SweepSpec{SymBlock: 4, Parallel: true, Workers: 2}
 		const patterns, blocked, orbits, groupOrder = 479001600, 476554752, 8919, 82944
 		witness := []int{0, 5, 3, 4, 1, 2, 6, 7, 8, 9, 10, 11}
-		benches = append(benches, benchmark{
+		rows = append(rows, row{
 			name: "SweepExhaustiveSymN12Spray",
-			fn: func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					res, stats, err := fclos.Sweep(ctx, r, hosts, spec)
-					drifted := err != nil || !stats.Applied || stats.Orbits != orbits || stats.GroupOrder != groupOrder ||
-						res.Tested != patterns || res.Blocked != blocked || res.FirstBlocked == nil
-					for s := 0; !drifted && s < hosts; s++ {
-						drifted = res.FirstBlocked.Dst(s) != witness[s]
-					}
-					if drifted {
-						b.Fatalf("n=12 sym spray sweep drifted: err=%v applied=%t orbits=%d tested=%d blocked=%d witness %s",
-							err, stats.Applied, stats.Orbits, res.Tested, res.Blocked, res.FirstBlocked)
-					}
+			op: func() error {
+				res, stats, err := fclos.Sweep(ctx, r, hosts, spec)
+				if err != nil {
+					return err
 				}
+				drifted := !stats.Applied || stats.Orbits != orbits || stats.GroupOrder != groupOrder ||
+					res.Tested != patterns || res.Blocked != blocked || res.FirstBlocked == nil
+				for s := 0; !drifted && s < hosts; s++ {
+					drifted = res.FirstBlocked.Dst(s) != witness[s]
+				}
+				if drifted {
+					return fmt.Errorf("n=12 sym spray sweep drifted: applied=%t orbits=%d tested=%d blocked=%d witness %s",
+						stats.Applied, stats.Orbits, res.Tested, res.Blocked, res.FirstBlocked)
+				}
+				return nil
 			},
 			met: map[string]float64{"orbits": orbits, "patterns": patterns, "blocked": blocked, "group_order": groupOrder},
 		})
 	}
 
-	return benches, nil
+	return rows, nil
 }
 
-// measure runs bm reps times under testing.Benchmark and keeps the
-// minimum per-op numbers: min-of-N filters scheduler noise, which only
-// ever slows a run down. The median and spread of the timings ride along
-// to show how noisy the minimum is.
-func measure(bm benchmark, reps int) benchResult {
-	out := benchResult{Name: bm.name, Metrics: bm.met}
-	ns := make([]float64, reps)
-	for i := range ns {
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			bm.fn(b)
-		})
-		ns[i] = float64(r.T.Nanoseconds()) / float64(r.N)
-		if a := r.AllocsPerOp(); i == 0 || a < out.AllocsOp {
-			out.AllocsOp = a
-		}
-		if by := r.AllocedBytesPerOp(); i == 0 || by < out.BytesOp {
-			out.BytesOp = by
+// allocCalls is the number of op calls one allocation count averages over.
+const allocCalls = 10
+
+// countAllocs returns the heap allocations and bytes of one call of op,
+// exactly. testing.Benchmark leaves the collector running, and each GC
+// cycle empties the sync.Pool caches (fmt, encoding/json) that op's calls
+// share, so its count follows GC pacing. Here the count runs on one P with
+// the collector off, after a warm-up call inside the same pause, so every
+// counted call finds the pools as the previous one left them. The warm-up
+// is the row's anchor run: an error from any call is returned.
+func countAllocs(op func() error) (allocs, bytes int64, err error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if err := op(); err != nil {
+		return 0, 0, err
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < allocCalls; i++ {
+		if err := op(); err != nil {
+			return 0, 0, err
 		}
 	}
-	out.NsPerOp, out.NsMedian, out.NsSpread = summarize(ns)
-	return out
+	runtime.ReadMemStats(&after)
+	return int64(after.Mallocs-before.Mallocs) / allocCalls, int64(after.TotalAlloc-before.TotalAlloc) / allocCalls, nil
+}
+
+// measure times r reps times under testing.Benchmark and returns the
+// minimum ns/op: min-of-N filters scheduler noise, which only ever slows
+// a run down. The median and spread of the timings ride along to show how
+// noisy the minimum is.
+func measure(r row, reps int) (lo, median, spread float64, err error) {
+	ns := make([]float64, reps)
+	for i := range ns {
+		res := testing.Benchmark(r.bench)
+		if res.N == 0 {
+			return 0, 0, 0, fmt.Errorf("%s: failed while timing", r.name)
+		}
+		ns[i] = float64(res.T.Nanoseconds()) / float64(res.N)
+	}
+	lo, median, spread = summarize(ns)
+	return lo, median, spread, nil
 }
 
 // summarize returns the minimum, the median and the relative spread
@@ -531,14 +522,9 @@ func summarize(ns []float64) (lo, median, spread float64) {
 	return ns[0], median, (ns[n-1] - ns[0]) / median
 }
 
-// allocSlack is the allocs/op increase the gate tolerates over a baseline
-// of b allocs/op: b/1000, so benchmarks under 1000 allocs/op stay exact.
-func allocSlack(b int64) int64 { return b / 1000 }
-
 // gate compares fresh against baseline and returns one violation string
-// per regression: ns/op beyond the threshold fraction, allocs/op beyond
-// the baseline plus allocSlack, or a baseline benchmark missing from the
-// fresh run.
+// per regression: ns/op beyond the threshold fraction, any allocs/op over
+// the baseline, or a baseline benchmark missing from the fresh run.
 func gate(baseline, fresh *benchFile, nsThreshold float64) []string {
 	var violations []string
 	byName := make(map[string]benchResult, len(fresh.Results))
@@ -556,7 +542,7 @@ func gate(baseline, fresh *benchFile, nsThreshold float64) []string {
 				"%s: %.0f ns/op exceeds baseline %.0f ns/op by more than %.0f%%",
 				b.Name, f.NsPerOp, b.NsPerOp, nsThreshold*100))
 		}
-		if f.AllocsOp > b.AllocsOp+allocSlack(b.AllocsOp) {
+		if f.AllocsOp > b.AllocsOp {
 			violations = append(violations, fmt.Sprintf(
 				"%s: %d allocs/op regresses baseline %d allocs/op",
 				b.Name, f.AllocsOp, b.AllocsOp))
@@ -588,13 +574,22 @@ func writeBenchFile(path string, bf *benchFile) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// measureSuite builds and measures the benchmark suite, under a CPU
-// profile and followed by a heap profile when their paths are set, and
-// writes the results to outPath when set.
+// measureSuite builds the rows, counts their allocations, then times them
+// under a CPU profile and follows with a heap profile when their paths are
+// set, and writes the results to outPath when set. The counts run before
+// the profile starts, because the profiler's writer goroutine allocates.
 func measureSuite(out io.Writer, outPath, cpuProfile, memProfile string, reps int) (*benchFile, error) {
-	benches, err := buildBenchmarks()
+	rows, err := buildRows()
 	if err != nil {
 		return nil, err
+	}
+	fresh := &benchFile{Schema: benchSchemaVersion, Go: runtime.Version(), Results: make([]benchResult, len(rows))}
+	for i, r := range rows {
+		res := &fresh.Results[i]
+		res.Name, res.Metrics = r.name, r.met
+		if res.AllocsOp, res.BytesOp, err = countAllocs(r.op); err != nil {
+			return nil, fmt.Errorf("%s: %w", r.name, err)
+		}
 	}
 	if cpuProfile != "" {
 		pf, err := os.Create(cpuProfile)
@@ -605,13 +600,15 @@ func measureSuite(out io.Writer, outPath, cpuProfile, memProfile string, reps in
 		if err := pprof.StartCPUProfile(pf); err != nil {
 			return nil, err
 		}
+		defer pprof.StopCPUProfile()
 	}
-	fresh := &benchFile{Schema: benchSchemaVersion, Go: runtime.Version()}
-	for _, bm := range benches {
-		res := measure(bm, reps)
+	for i, r := range rows {
+		res := &fresh.Results[i]
+		if res.NsPerOp, res.NsMedian, res.NsSpread, err = measure(r, reps); err != nil {
+			return nil, err
+		}
 		fmt.Fprintf(out, "%-20s %12.0f ns/op (median %12.0f, spread %5.1f%%) %10d B/op %8d allocs/op\n",
 			res.Name, res.NsPerOp, res.NsMedian, 100*res.NsSpread, res.BytesOp, res.AllocsOp)
-		fresh.Results = append(fresh.Results, res)
 	}
 	if cpuProfile != "" {
 		pprof.StopCPUProfile()
@@ -643,15 +640,16 @@ func measureSuite(out io.Writer, outPath, cpuProfile, memProfile string, reps in
 
 // gateAgainst gates fresh against the baseline at baselinePath: an error
 // lists the regressions, and a baseline from another Go toolchain skips
-// the gate with a warning.
+// the whole gate, allocations included, with a warning.
 func gateAgainst(out io.Writer, fresh *benchFile, baselinePath string, nsThreshold float64) error {
 	baseline, err := readBenchFile(baselinePath)
 	if err != nil {
 		return err
 	}
 	if baseline.Go != fresh.Go {
-		// ns/op differences between toolchains are codegen, not
-		// regressions; comparing across them would gate on noise.
+		// ns/op differences between toolchains are codegen, and allocation
+		// counts move with the runtime and standard library; comparing
+		// across them would gate on noise.
 		fmt.Fprintf(out, "gate skipped: baseline %s was recorded with %s, running %s (re-record the baseline to re-arm the gate)\n",
 			baselinePath, baseline.Go, fresh.Go)
 		return nil
@@ -662,7 +660,7 @@ func gateAgainst(out io.Writer, fresh *benchFile, baselinePath string, nsThresho
 		}
 		return fmt.Errorf("%d benchmark regression(s) against %s", len(violations), baselinePath)
 	}
-	fmt.Fprintf(out, "gate passed against %s (ns/op threshold %.0f%%, allocs within 0.1%%)\n",
+	fmt.Fprintf(out, "gate passed against %s (ns/op threshold %.0f%%, allocs/op exact)\n",
 		baselinePath, nsThreshold*100)
 	return nil
 }
@@ -671,7 +669,7 @@ func main() {
 	var (
 		outPath      = flag.String("out", "", "write the measured results as JSON to this path")
 		baselinePath = flag.String("baseline", "", "gate the measured results against this JSON baseline")
-		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the measured benchmark bodies to this path")
+		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the timed benchmark bodies to this path")
 		memProfile   = flag.String("memprofile", "", "write a post-GC heap profile to this path after measuring")
 		reps         = flag.Int("reps", 3, "benchmark repetitions; min-of-reps is gated, median and spread are reported")
 		nsRegress    = flag.Float64("max-ns-regress", 0.25, "allowed fractional ns/op regression before the gate fails")

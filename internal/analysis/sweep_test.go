@@ -110,7 +110,8 @@ func TestSweepSymStatsPresence(t *testing.T) {
 
 // BenchmarkSweepExhaustiveOracle times the 8! sweep of ftree(4+16, 2)
 // forced onto the per-pattern reference engine — the delta engine's
-// parity oracle — for comparison with the root BenchmarkSweepExhaustive.
+// parity oracle — for comparison with nbbench's SweepExhaustive row
+// (BenchmarkGated/SweepExhaustive in cmd/nbbench).
 func BenchmarkSweepExhaustiveOracle(b *testing.B) {
 	f := topology.NewFoldedClos(4, 16, 2)
 	r, err := routing.NewPaperDeterministic(f)
